@@ -40,11 +40,9 @@ from .lattice import (
 )
 from .scan import RunManifest, ScanSpec, run_scan, validate_config
 from .spectrum import (
-    DecayMap,
     EigenState,
     ScalingFit,
     SumRuleResult,
-    compute_decay_map,
     darkness_bound,
     diagonalize,
     diagonalize_sector,
@@ -59,7 +57,6 @@ __all__ = [
     "ArrayConfig",
     "ConfigError",
     "CorrelationMatrix",
-    "DecayMap",
     "DomainError",
     "DriveConfig",
     "EigenState",
@@ -76,7 +73,6 @@ __all__ = [
     "ansatz_overlap",
     "build_hamiltonian",
     "coherent_amplitudes",
-    "compute_decay_map",
     "correlation_matrix",
     "darkness_bound",
     "diagonalize",

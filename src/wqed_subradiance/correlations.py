@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .lattice import SectorBasis
+from .lattice import SectorBasis, sector_hops
 from .spectrum import EigenState
 
 CORR_TOL = 1e-10
@@ -52,21 +52,13 @@ def correlation_matrix(state: EigenState, basis: SectorBasis) -> CorrelationMatr
     amps = state.amplitudes
     if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
         raise DomainError("correlation_matrix expects a unit-norm state")
-    n = basis.n_atoms
+    n, k = basis.n_atoms, basis.n_excitations
     values = np.zeros((n, n), dtype=complex)
-    for amp, subset in zip(amps, basis.states):
-        occupied = set(subset)
-        weight = abs(amp) ** 2
-        for site in subset:
-            values[site, site] += weight
-        for source in subset:
-            rest = occupied - {source}
-            for target in range(n):
-                if target in occupied:
-                    continue
-                moved = tuple(sorted(rest | {target}))
-                values[target, source] += np.conj(amps[basis.index_of(moved)]) * amp
-    return CorrelationMatrix(values=values, k=basis.n_excitations)
+    occupied = np.array(basis.states, dtype=np.int64).reshape(basis.dim, k)
+    np.add.at(values, (occupied, occupied), (np.abs(amps) ** 2)[:, None])
+    src, dst, frm, to = sector_hops(basis)
+    np.add.at(values, (to, frm), np.conj(amps[dst]) * amps[src])
+    return CorrelationMatrix(values=values, k=k)
 
 
 def dimerization_score(corr: CorrelationMatrix, offset: int = 0) -> float:

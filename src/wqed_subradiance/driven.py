@@ -15,7 +15,7 @@ limit to r = -i*gamma/(delta + i*gamma).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -255,13 +255,7 @@ def incoherent_spectrum(config: ArrayConfig, drive: DriveConfig) -> ScatteringSp
         incoherent=incoherent,
         narrowest_fwhm=None,
     )
-    return ScatteringSpectrum(
-        detunings=grid,
-        reflection=reflection,
-        transmission=transmission,
-        incoherent=incoherent,
-        narrowest_fwhm=narrowest_linewidth(spectrum),
-    )
+    return replace(spectrum, narrowest_fwhm=narrowest_linewidth(spectrum))
 
 
 def narrowest_linewidth(spectrum: ScatteringSpectrum) -> float | None:

@@ -127,19 +127,21 @@ def _validate_hosvd(psi: np.ndarray, u: np.ndarray, core: np.ndarray, lam: np.nd
 def hosvd(psi: SymmetricWavefunction) -> HosvdResult:
     """Numerically exact multilinear SVD of a symmetric wavefunction.
 
-    The factor is taken from the left singular vectors of the mode-1
-    unfolding (all unfoldings coincide by symmetry); the core is the state
-    contracted with the conjugate factor on every index.  Columns carry a
-    fixed phase gauge (largest-magnitude entry real positive).  Within
-    degenerate blocks the columns are defined up to rotation; overlap
-    diagnostics re-gauge them, see :func:`ansatz_overlap`.
+    The factor is the left singular basis of the mode-1 unfolding (all
+    unfoldings coincide by symmetry), taken as the descending eigenvectors
+    of its N x N Gram matrix; the core is the state contracted with the
+    conjugate factor on every index.  Columns carry a fixed phase gauge
+    (largest-magnitude entry real positive).  Within degenerate blocks the
+    columns are defined up to rotation; overlap diagnostics re-gauge them,
+    see :func:`ansatz_overlap`.
     """
     if psi.k < 1:
         raise DomainError("hosvd requires at least one excitation")
     n = psi.n_atoms
     dense = psi.to_dense()
     unfolding = dense.reshape(n, -1)
-    u, _, _ = np.linalg.svd(unfolding, full_matrices=True)
+    _, u = np.linalg.eigh(unfolding @ unfolding.conj().T)
+    u = u[:, ::-1]
     # column phase gauge
     pivots = np.argmax(np.abs(u), axis=0)
     phases = np.exp(-1j * np.angle(u[pivots, np.arange(n)]))

@@ -112,6 +112,32 @@ class SectorHamiltonian:
         }
 
 
+def sector_hops(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every single-excitation hop of the sector as flat index arrays.
+
+    Returns ``(src, dst, frm, to)``: moving the excitation on site ``frm`` of
+    state ``src`` to the empty site ``to`` gives state ``dst``.  Hops run
+    over source states, then occupied sites, then empty sites, all ascending.
+    States are matched through their site bitmasks, so N is limited to 62.
+    """
+    n, k, dim = basis.n_atoms, basis.n_excitations, basis.dim
+    if n > 62:
+        raise DomainError(f"hop table supports N <= 62, got N={n}")
+    occupied = np.array(basis.states, dtype=np.int64).reshape(dim, k)
+    empty_mask = np.ones((dim, n), dtype=bool)
+    empty_mask[np.arange(dim)[:, None], occupied] = False
+    empty = np.nonzero(empty_mask)[1].reshape(dim, n - k)
+    masks = (np.int64(1) << occupied).sum(axis=1)
+    shape = (dim, k, n - k)
+    src = np.broadcast_to(np.arange(dim)[:, None, None], shape)
+    frm = np.broadcast_to(occupied[:, :, None], shape)
+    to = np.broadcast_to(empty[:, None, :], shape)
+    moved = masks[:, None, None] ^ (np.int64(1) << frm) ^ (np.int64(1) << to)
+    order = np.argsort(masks)
+    dst = order[np.searchsorted(masks, moved, sorter=order)]
+    return src.ravel(), dst.ravel(), frm.ravel(), to.ravel()
+
+
 def build_hamiltonian(config: ArrayConfig, basis: SectorBasis) -> SectorHamiltonian:
     """Assemble the effective sector Hamiltonian.
 
@@ -125,21 +151,13 @@ def build_hamiltonian(config: ArrayConfig, basis: SectorBasis) -> SectorHamilton
             f"basis is for N={basis.n_atoms} but config has N={config.n_atoms}"
         )
     n = config.n_atoms
-    k = basis.n_excitations
     gamma = config.gamma_1d
-    dim = basis.dim
     # hop[m, n] = -i*gamma*exp(i*phi*|m-n|)
     sites = np.arange(n)
     hop = -1j * gamma * np.exp(1j * config.phase * np.abs(sites[:, None] - sites[None, :]))
-    h = np.zeros((dim, dim), dtype=complex)
-    np.fill_diagonal(h, -1j * gamma * k)
-    for col, subset in enumerate(basis.states):
-        occupied = set(subset)
-        for m in subset:
-            rest = occupied - {m}
-            for target in range(n):
-                if target in occupied:
-                    continue
-                row = basis.index_of(tuple(sorted(rest | {target})))
-                h[row, col] += hop[target, m]
+    h = np.zeros((basis.dim, basis.dim), dtype=complex)
+    np.fill_diagonal(h, -1j * gamma * basis.n_excitations)
+    # two subsets differing in one site are linked by exactly one hop
+    src, dst, frm, to = sector_hops(basis)
+    h[dst, src] = hop[to, frm]
     return SectorHamiltonian(basis=basis, matrix=h)

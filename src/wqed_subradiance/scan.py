@@ -8,10 +8,12 @@ timestamps; run metadata lives in a separate manifest.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 import yaml
@@ -25,16 +27,6 @@ from .lattice import ArrayConfig, enumerate_sector
 from .serialize import fmt_float, rows_to_json_payload, write_csv, write_json
 from .spectrum import diagonalize, min_decay_rate
 
-MODES = (
-    "decay-map",
-    "decay-vs-k",
-    "size-map",
-    "hosvd-analyze",
-    "entropy-map",
-    "correlations",
-    "driven-map",
-    "driven-spectrum",
-)
 _DRIVEN_MODES = ("driven-map", "driven-spectrum")
 
 
@@ -345,6 +337,23 @@ def _map_cells(fn, cells, workers):
 # -------------------------------------------------------------------- modes
 
 
+@dataclass(frozen=True)
+class _Mode:
+    """What a scan mode computes per grid cell and how it writes results.
+
+    ``worker`` names a module-level cell function, looked up when the scan
+    runs.  A mode either gathers one row per ok cell into a single table
+    (``stem``, ``header``, ``row``) or writes one file per ok cell
+    (``write``, which may add entries to the cell's params).
+    """
+
+    worker: str
+    stem: str | None = None
+    header: list[str] | None = None
+    row: Callable[[dict, Any], tuple] | None = None
+    write: Callable[[ScanSpec, dict, Any], Path] | None = None
+
+
 def _write_table(spec: ScanSpec, stem: str, header: list[str], rows) -> Path:
     rows = list(rows)
     if spec.fmt == "json":
@@ -356,82 +365,90 @@ def _write_table(spec: ScanSpec, stem: str, header: list[str], rows) -> Path:
     return path
 
 
-def _run_decay_like(spec: ScanSpec, stem: str):
-    cells = [
-        (d, n, k, spec.gamma_1d)
-        for d in spec.d_values
-        for n in spec.n_values
-        for k in spec.k_values
+def _write_hosvd(spec: ScanSpec, params: dict, payload: dict) -> Path:
+    path = spec.out_dir / f"hosvd_k{params['k']}.json"
+    write_json(path, payload)
+    return path
+
+
+def _write_correlations(spec: ScanSpec, params: dict, payload) -> Path:
+    rows, scores = payload
+    if scores is not None:
+        params["dimerization_score"] = float(fmt_float(max(scores)))
+    return _write_table(spec, f"correlations_k{params['k']}", ["m", "n", "re", "im"], rows)
+
+
+def _write_spectrum(spec: ScanSpec, params: dict, rows) -> Path:
+    header = ["detuning", "re_r", "im_r", "re_t", "im_t", "incoherent"]
+    return _write_table(spec, f"spectrum_p{params['index']:02d}", header, rows)
+
+
+def _decay_row(params: dict, min_gamma: float) -> tuple:
+    return (params["d_over_lambda"], params["k"], params["n_atoms"], min_gamma)
+
+
+def _fwhm_row(params: dict, fwhm: float | None) -> tuple:
+    found = fwhm is not None
+    return (params["power"], params["d_over_lambda"], fwhm if found else math.nan, found)
+
+
+_DECAY_HEADER = ["d_over_lambda", "k", "n_atoms", "min_gamma"]
+_MODE_TABLE = {
+    "decay-map": _Mode("_cell_min_gamma", "decay_map", _DECAY_HEADER, _decay_row),
+    "decay-vs-k": _Mode("_cell_min_gamma", "decay_vs_k", _DECAY_HEADER, _decay_row),
+    "size-map": _Mode("_cell_min_gamma", "size_map", _DECAY_HEADER, _decay_row),
+    "hosvd-analyze": _Mode("_cell_hosvd", write=_write_hosvd),
+    "entropy-map": _Mode(
+        "_cell_entropy",
+        "entropy_map",
+        ["d_over_lambda", "k", "entropy"],
+        lambda params, entropy: (params["d_over_lambda"], params["k"], entropy),
+    ),
+    "correlations": _Mode("_cell_correlations", write=_write_correlations),
+    "driven-map": _Mode(
+        "_cell_driven", "driven_map", ["power", "d_over_lambda", "narrowest_fwhm", "found"], _fwhm_row
+    ),
+    "driven-spectrum": _Mode("_cell_driven", write=_write_spectrum),
+}
+MODES = tuple(_MODE_TABLE)
+
+
+def _cells(spec: ScanSpec) -> list[tuple[dict, tuple]]:
+    """(params, worker arguments) of every grid cell, in output order.
+
+    Sector modes sweep (d, N, k); driven modes sweep (power, d), and
+    driven-spectrum numbers its cells, one spectrum file each.
+    """
+    if spec.mode in _DRIVEN_MODES:
+        spectrum = spec.mode == "driven-spectrum"
+        drive = (spec.detuning, spec.phase_on_drive, spec.amplitude_scale, spectrum)
+        return [
+            (
+                {"power": p, "d_over_lambda": d, **({"index": i} if spectrum else {})},
+                (d, spec.n_atoms, p, spec.gamma_1d, *drive),
+            )
+            for i, (p, d) in enumerate(itertools.product(spec.powers, spec.d_values))
+        ]
+    return [
+        ({"d_over_lambda": d, "n_atoms": n, "k": k}, (d, n, k, spec.gamma_1d))
+        for d, n, k in itertools.product(spec.d_values, spec.n_values, spec.k_values)
     ]
-    results = _map_cells(_cell_min_gamma, cells, spec.workers)
-    statuses, rows = [], []
-    for i, ((d, n, k, _), (status, payload)) in enumerate(zip(cells, results)):
-        statuses.append(
-            CellStatus(
-                index=i,
-                params={"d_over_lambda": d, "n_atoms": n, "k": k},
-                status=status,
-                error=payload if status == "error" else None,
-            )
-        )
+
+
+def run_scan(spec: ScanSpec) -> RunManifest:
+    """Execute a validated scan; write data files and a run manifest."""
+    start = time.perf_counter()
+    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    mode = _MODE_TABLE[spec.mode]
+    cells = _cells(spec)
+    results = _map_cells(globals()[mode.worker], [args for _, args in cells], spec.workers)
+    outputs, rows, statuses = [], [], []
+    for i, ((params, _), (status, payload)) in enumerate(zip(cells, results)):
         if status == "ok":
-            rows.append((d, k, n, payload))
-    return [_write_table(spec, stem, ["d_over_lambda", "k", "n_atoms", "min_gamma"], rows)], statuses
-
-
-def _run_hosvd_analyze(spec: ScanSpec):
-    d = spec.d_values[0]
-    cells = [(d, spec.n_atoms, k, spec.gamma_1d) for k in spec.k_values]
-    results = _map_cells(_cell_hosvd, cells, spec.workers)
-    outputs, statuses = [], []
-    for i, ((_, _, k, _), (status, payload)) in enumerate(zip(cells, results)):
-        statuses.append(
-            CellStatus(
-                index=i,
-                params={"d_over_lambda": d, "n_atoms": spec.n_atoms, "k": k},
-                status=status,
-                error=payload if status == "error" else None,
-            )
-        )
-        if status == "ok":
-            path = spec.out_dir / f"hosvd_k{k}.json"
-            write_json(path, payload)
-            outputs.append(path)
-    return outputs, statuses
-
-
-def _run_entropy_map(spec: ScanSpec):
-    cells = [
-        (d, spec.n_atoms, k, spec.gamma_1d) for d in spec.d_values for k in spec.k_values
-    ]
-    results = _map_cells(_cell_entropy, cells, spec.workers)
-    statuses, rows = [], []
-    for i, ((d, _, k, _), (status, payload)) in enumerate(zip(cells, results)):
-        statuses.append(
-            CellStatus(
-                index=i,
-                params={"d_over_lambda": d, "n_atoms": spec.n_atoms, "k": k},
-                status=status,
-                error=payload if status == "error" else None,
-            )
-        )
-        if status == "ok":
-            rows.append((d, k, payload))
-    return [_write_table(spec, "entropy_map", ["d_over_lambda", "k", "entropy"], rows)], statuses
-
-
-def _run_correlations(spec: ScanSpec):
-    d = spec.d_values[0]
-    cells = [(d, spec.n_atoms, k, spec.gamma_1d) for k in spec.k_values]
-    results = _map_cells(_cell_correlations, cells, spec.workers)
-    outputs, statuses = [], []
-    for i, ((_, _, k, _), (status, payload)) in enumerate(zip(cells, results)):
-        params = {"d_over_lambda": d, "n_atoms": spec.n_atoms, "k": k}
-        if status == "ok":
-            rows, scores = payload
-            outputs.append(_write_table(spec, f"correlations_k{k}", ["m", "n", "re", "im"], rows))
-            if scores is not None:
-                params["dimerization_score"] = float(fmt_float(max(scores)))
+            if mode.write:
+                outputs.append(mode.write(spec, params, payload))
+            else:
+                rows.append(mode.row(params, payload))
         statuses.append(
             CellStatus(
                 index=i,
@@ -440,89 +457,8 @@ def _run_correlations(spec: ScanSpec):
                 error=payload if status == "error" else None,
             )
         )
-    return outputs, statuses
-
-
-def _run_driven_map(spec: ScanSpec):
-    cells = [
-        (
-            d,
-            spec.n_atoms,
-            p,
-            spec.gamma_1d,
-            spec.detuning,
-            spec.phase_on_drive,
-            spec.amplitude_scale,
-            False,
-        )
-        for p in spec.powers
-        for d in spec.d_values
-    ]
-    results = _map_cells(_cell_driven, cells, spec.workers)
-    statuses, rows = [], []
-    for i, ((d, _, p, *_), (status, payload)) in enumerate(zip(cells, results)):
-        statuses.append(
-            CellStatus(
-                index=i,
-                params={"power": p, "d_over_lambda": d},
-                status=status,
-                error=payload if status == "error" else None,
-            )
-        )
-        if status == "ok":
-            found = payload is not None
-            rows.append((p, d, payload if found else math.nan, found))
-    header = ["power", "d_over_lambda", "narrowest_fwhm", "found"]
-    return [_write_table(spec, "driven_map", header, rows)], statuses
-
-
-def _run_driven_spectrum(spec: ScanSpec):
-    d = spec.d_values[0]
-    cells = [
-        (
-            d,
-            spec.n_atoms,
-            p,
-            spec.gamma_1d,
-            spec.detuning,
-            spec.phase_on_drive,
-            spec.amplitude_scale,
-            True,
-        )
-        for p in spec.powers
-    ]
-    results = _map_cells(_cell_driven, cells, spec.workers)
-    outputs, statuses = [], []
-    header = ["detuning", "re_r", "im_r", "re_t", "im_t", "incoherent"]
-    for i, ((_, _, p, *_), (status, payload)) in enumerate(zip(cells, results)):
-        statuses.append(
-            CellStatus(
-                index=i,
-                params={"power": p, "d_over_lambda": d, "index": i},
-                status=status,
-                error=payload if status == "error" else None,
-            )
-        )
-        if status == "ok":
-            outputs.append(_write_table(spec, f"spectrum_p{i:02d}", header, payload))
-    return outputs, statuses
-
-
-def run_scan(spec: ScanSpec) -> RunManifest:
-    """Execute a validated scan; write data files and a run manifest."""
-    start = time.perf_counter()
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    runners = {
-        "decay-map": lambda: _run_decay_like(spec, "decay_map"),
-        "decay-vs-k": lambda: _run_decay_like(spec, "decay_vs_k"),
-        "size-map": lambda: _run_decay_like(spec, "size_map"),
-        "hosvd-analyze": lambda: _run_hosvd_analyze(spec),
-        "entropy-map": lambda: _run_entropy_map(spec),
-        "correlations": lambda: _run_correlations(spec),
-        "driven-map": lambda: _run_driven_map(spec),
-        "driven-spectrum": lambda: _run_driven_spectrum(spec),
-    }
-    outputs, statuses = runners[spec.mode]()
+    if mode.row:
+        outputs.append(_write_table(spec, mode.stem, mode.header, rows))
     wall = time.perf_counter() - start
     success = all(c.status != "error" for c in statuses)
     manifest = RunManifest(

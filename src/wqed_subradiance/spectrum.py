@@ -187,58 +187,3 @@ def scaling_fit(n_range, d_range, gamma_1d: float = 1.0) -> ScalingFit:
     exp_n = np.polyfit(np.log(n_values), np.log(g_vs_n), 1)[0]
     exp_d = np.polyfit(np.log(d_values), np.log(g_vs_d), 1)[0]
     return ScalingFit(exponent_n=float(exp_n), exponent_d=float(exp_d))
-
-
-@dataclass(frozen=True)
-class DecayMap:
-    """Minimum per-excitation decay rate on a (d, N, k) grid.
-
-    ``min_gamma[i, j, l]`` corresponds to ``d_over_lambda[i]``,
-    ``n_values[j]``, ``k_values[l]``; cells with k > N hold NaN and are
-    skipped on export.
-    """
-
-    d_over_lambda: np.ndarray
-    n_values: np.ndarray
-    k_values: np.ndarray
-    min_gamma: np.ndarray
-
-    def __post_init__(self):
-        finite = self.min_gamma[np.isfinite(self.min_gamma)]
-        if finite.size and finite.min() < 0:
-            raise NumericalError("decay map contains negative rates")
-
-    def rows(self):
-        """Yield (d_over_lambda, k, N, min_gamma) in deterministic order."""
-        for i, d in enumerate(self.d_over_lambda):
-            for j, n in enumerate(self.n_values):
-                for l, k in enumerate(self.k_values):
-                    value = self.min_gamma[i, j, l]
-                    if np.isfinite(value):
-                        yield float(d), int(k), int(n), float(value)
-
-
-def _decay_cell(args):
-    d, n, k, gamma_1d = args
-    if k > n:
-        return math.nan
-    return min_decay_rate(ArrayConfig.from_period(n, d, gamma_1d), k)
-
-
-def compute_decay_map(d_values, n_values, k_values, gamma_1d: float = 1.0, workers: int = 1) -> DecayMap:
-    """Evaluate the minimum decay rate over the product grid."""
-    d_arr = np.array([float(d) for d in d_values])
-    n_arr = np.array([int(n) for n in n_values])
-    k_arr = np.array([int(k) for k in k_values])
-    cells = [
-        (float(d), int(n), int(k), gamma_1d) for d in d_arr for n in n_arr for k in k_arr
-    ]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_decay_cell, cells))
-    else:
-        values = [_decay_cell(c) for c in cells]
-    grid = np.array(values).reshape(len(d_arr), len(n_arr), len(k_arr))
-    return DecayMap(d_over_lambda=d_arr, n_values=n_arr, k_values=k_arr, min_gamma=grid)

@@ -11,6 +11,7 @@ from wqed_subradiance import (
     EigenState,
     HosvdResult,
     ansatz_overlap,
+    correlation_matrix,
     dimerized_profiles,
     entanglement_entropy,
     enumerate_sector,
@@ -124,6 +125,18 @@ def test_hosvd_reconstruction_across_sectors():
         for _ in range(k):
             rec = np.tensordot(rec, result.factor.T, axes=([0], [0]))
         np.testing.assert_allclose(rec, psi.to_dense(), atol=1e-10)
+
+
+@pytest.mark.parametrize("n, k", [(8, 3), (9, 4), (10, 5)])
+@pytest.mark.parametrize("d", [0.05, 0.25])
+def test_hosvd_weights_are_correlation_eigenvalues(n, k, d):
+    """The mode-1 unfolding's Gram matrix is the correlation matrix over k."""
+    config = ArrayConfig.from_period(n, d)
+    basis = enumerate_sector(n, k)
+    state = most_subradiant_state(config, k)
+    weights = hosvd(to_symmetric_tensor(state, basis)).singular_values ** 2
+    occupations = np.linalg.eigvalsh(correlation_matrix(state, basis).values)[::-1] / k
+    np.testing.assert_allclose(weights, occupations, rtol=0, atol=1e-12)
 
 
 def test_most_subradiant_n10_k2_dominant_pair():

@@ -140,3 +140,13 @@ def test_json_dump_shape():
     assert len(payload["matrix"]) == 9
     assert payload["states"] == [[1], [2], [3]]
     assert all(len(pair) == 2 for pair in payload["matrix"])
+
+
+def test_hop_table_bitmask_limit():
+    # k=1 is the bare hop matrix, so the largest supported N checks every bit
+    sites = np.arange(62)
+    expected = -1j * np.exp(1j * 0.3 * np.abs(sites[:, None] - sites[None, :]))
+    h = build_hamiltonian(ArrayConfig(n_atoms=62, phase=0.3), enumerate_sector(62, 1)).matrix
+    np.testing.assert_array_equal(h, expected)
+    with pytest.raises(DomainError):
+        build_hamiltonian(ArrayConfig(n_atoms=63, phase=0.3), enumerate_sector(63, 1))

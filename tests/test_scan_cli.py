@@ -344,3 +344,81 @@ def test_float_formatting_twelve_digits(tmp_path):
     mantissa = value.split("e")[0]
     assert len(mantissa.replace("-", "").replace(".", "")) == 12
     assert value == value.lower()
+
+
+def _sector_params(d, n, k):
+    return {"d_over_lambda": d, "n_atoms": n, "k": k}
+
+
+_DRIVE = {"power": [0.05, 0.5], "detuning": {"start": -2.0, "stop": 1.0, "count": 11}}
+
+# mode -> (config, output file names, per-cell (params, status)), all in grid order
+_MODE_CASES = {
+    "decay-map": (
+        {"array": {"n_atoms": 3}, "grid": {"d_over_lambda": [0.05, 0.1], "k": [1, 2]}},
+        ["decay_map.csv"],
+        [(_sector_params(d, 3, k), "ok") for d in (0.05, 0.1) for k in (1, 2)],
+    ),
+    "decay-vs-k": (
+        {"array": {"n_atoms": 3}, "grid": {"d_over_lambda": [0.05], "k": [1, 2, 3]}},
+        ["decay_vs_k.csv"],
+        [(_sector_params(0.05, 3, k), "ok") for k in (1, 2, 3)],
+    ),
+    "size-map": (
+        {"grid": {"d_over_lambda": [0.05], "n_atoms": [2, 3], "k": [1, 3]}},
+        ["size_map.csv"],
+        [
+            (_sector_params(0.05, 2, 1), "ok"),
+            (_sector_params(0.05, 2, 3), "skipped"),
+            (_sector_params(0.05, 3, 1), "ok"),
+            (_sector_params(0.05, 3, 3), "ok"),
+        ],
+    ),
+    "hosvd-analyze": (
+        {"array": {"n_atoms": 4}, "grid": {"d_over_lambda": [0.05], "k": [1, 2]}},
+        ["hosvd_k1.json", "hosvd_k2.json"],
+        [(_sector_params(0.05, 4, k), "ok") for k in (1, 2)],
+    ),
+    "entropy-map": (
+        {"array": {"n_atoms": 3}, "grid": {"d_over_lambda": [0.05, 0.1], "k": [1, 2]}},
+        ["entropy_map.csv"],
+        [(_sector_params(d, 3, k), "ok") for d in (0.05, 0.1) for k in (1, 2)],
+    ),
+    "correlations": (
+        {"array": {"n_atoms": 4}, "grid": {"d_over_lambda": [0.05], "k": [1, 2]}},
+        ["correlations_k1.csv", "correlations_k2.csv"],
+        [
+            ({**_sector_params(0.05, 4, 1), "dimerization_score": 0.850239711875}, "ok"),
+            ({**_sector_params(0.05, 4, 2), "dimerization_score": 0.993580466399}, "ok"),
+        ],
+    ),
+    "driven-map": (
+        {"array": {"n_atoms": 2}, "grid": {"d_over_lambda": [0.05, 0.1]}, "drive": _DRIVE},
+        ["driven_map.csv"],
+        [({"power": p, "d_over_lambda": d}, "ok") for p in (0.05, 0.5) for d in (0.05, 0.1)],
+    ),
+    "driven-spectrum": (
+        {"array": {"n_atoms": 2}, "grid": {"d_over_lambda": [0.05]}, "drive": _DRIVE},
+        ["spectrum_p00.csv", "spectrum_p01.csv"],
+        [({"power": p, "d_over_lambda": 0.05, "index": i}, "ok") for i, p in enumerate((0.05, 0.5))],
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", scan_module.MODES)
+def test_every_mode_writes_expected_files_and_cell_params(tmp_path, mode):
+    payload, files, cells = _MODE_CASES[mode]
+    out = tmp_path / "out"
+    path = write_config(
+        tmp_path / "cfg.yaml", {"mode": mode, **payload, "output": {"directory": str(out)}}
+    )
+    manifest = run_scan(validate_config(path))
+    assert manifest.success
+    data = json.loads((out / "run_manifest.json").read_text())
+    assert data["outputs"] == [str(out / name) for name in files]
+    assert sorted(p.name for p in out.iterdir()) == sorted(files + ["run_manifest.json"])
+    assert [c["index"] for c in data["cells"]] == list(range(len(cells)))
+    assert [c["status"] for c in data["cells"]] == [status for _, status in cells]
+    # exact keys and key order; floats to within the 12-digit output rounding
+    assert [list(c["params"]) for c in data["cells"]] == [list(p) for p, _ in cells]
+    assert [c["params"] for c in data["cells"]] == [pytest.approx(p, abs=1e-9) for p, _ in cells]

@@ -9,7 +9,6 @@ from wqed_subradiance import (
     ArrayConfig,
     DomainError,
     build_hamiltonian,
-    compute_decay_map,
     darkness_bound,
     diagonalize,
     diagonalize_sector,
@@ -201,21 +200,3 @@ def test_most_subradiant_state_matches_min():
     config = ArrayConfig.from_period(8, 0.05)
     state = most_subradiant_state(config, 3)
     assert state.gamma == pytest.approx(min_decay_rate(config, 3), abs=1e-12)
-
-
-def test_decay_map_grid_and_rows():
-    dm = compute_decay_map([0.05, 0.1], [4, 6], [1, 2, 5], gamma_1d=1.0)
-    assert dm.min_gamma.shape == (2, 2, 3)
-    assert np.isnan(dm.min_gamma[0, 0, 2])  # k=5 > N=4
-    rows = list(dm.rows())
-    assert len(rows) == 10  # 12 cells minus two invalid
-    assert all(r[3] >= 0 for r in rows)
-    d, k, n, value = rows[0]
-    assert (d, k, n) == (0.05, 1, 4)
-    assert value == pytest.approx(min_decay_rate(ArrayConfig.from_period(4, 0.05), 1))
-
-
-def test_decay_map_parallel_matches_serial():
-    serial = compute_decay_map([0.05], [6], [1, 2, 3], workers=1)
-    parallel = compute_decay_map([0.05], [6], [1, 2, 3], workers=2)
-    np.testing.assert_array_equal(serial.min_gamma, parallel.min_gamma)
