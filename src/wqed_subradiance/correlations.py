@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .lattice import SectorBasis, sector_hops
+from .lattice import SectorBasis, reduced_unfolding
 from .spectrum import EigenState
 
 CORR_TOL = 1e-10
@@ -46,19 +46,15 @@ class CorrelationMatrix:
 def correlation_matrix(state: EigenState, basis: SectorBasis) -> CorrelationMatrix:
     """Expectation values <sigma^dag_m sigma_n> in the (right-eigenvector) state.
 
-    Diagonal entries are site occupations; an off-diagonal (m, n) entry sums
-    amplitude pairs connected by moving one excitation from site n to site m.
+    Diagonal entries are site occupations.  Lowering site n leaves a
+    (k-1)-subset R, so the (m, n) entry is sum_R conj(B[m, R]) B[n, R] with
+    B the reduced unfolding (:func:`~wqed_subradiance.lattice.reduced_unfolding`).
     """
     amps = state.amplitudes
     if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
         raise DomainError("correlation_matrix expects a unit-norm state")
-    n, k = basis.n_atoms, basis.n_excitations
-    values = np.zeros((n, n), dtype=complex)
-    occupied = np.array(basis.states, dtype=np.int64).reshape(basis.dim, k)
-    np.add.at(values, (occupied, occupied), (np.abs(amps) ** 2)[:, None])
-    src, dst, frm, to = sector_hops(basis)
-    np.add.at(values, (to, frm), np.conj(amps[dst]) * amps[src])
-    return CorrelationMatrix(values=values, k=k)
+    b = reduced_unfolding(amps, basis)
+    return CorrelationMatrix(values=b.conj() @ b.T, k=basis.n_excitations)
 
 
 def dimerization_score(corr: CorrelationMatrix, offset: int = 0) -> float:

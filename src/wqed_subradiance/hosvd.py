@@ -6,6 +6,8 @@ multilinear SVD factorizes it exactly into one unitary N x N factor (shared
 by all modes, by symmetry) and an all-orthogonal core tensor; the Frobenius
 norms of the core's mode slices generalize singular values and define an
 entanglement entropy that counts the effective single-particle orbitals.
+Factor, norms and entropy come from the N x C(N, k-1) reduced unfolding;
+only :func:`core_tensor` builds the dense N^k tensor and the core.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, NumericalError
-from .lattice import SectorBasis, enumerate_sector
-from .spectrum import EigenState
+from .lattice import SectorBasis, enumerate_sector, reduced_unfolding
+from .spectrum import EigenState, gauge_pivot
 
 HOSVD_TOL = 1e-10
 MAX_DENSE_K = 5
@@ -77,20 +79,16 @@ def to_symmetric_tensor(state: EigenState, basis: SectorBasis) -> SymmetricWavef
 
 @dataclass(frozen=True)
 class HosvdResult:
-    """Unitary factor, core tensor, mode singular values, and entropy."""
+    """Unitary factor, mode singular values, entropy and excitation number."""
 
     factor: np.ndarray
-    core: np.ndarray
     singular_values: np.ndarray
     entropy: float
+    k: int
 
     @property
     def n_atoms(self) -> int:
         return self.factor.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.core.ndim
 
     def to_json_dict(self) -> dict:
         return {
@@ -100,64 +98,59 @@ class HosvdResult:
         }
 
 
-def _contract_all_modes(tensor: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    # consumes the current first axis and appends the transformed one; after
-    # ndim applications the axis order is restored
-    out = tensor
-    for _ in range(tensor.ndim):
-        out = np.tensordot(out, matrix, axes=([0], [0]))
-    return out
+def _entropy(weights: np.ndarray) -> float:
+    positive = weights[weights > 0]
+    return float(max(0.0, -(positive * np.log(positive)).sum()))
 
 
-def _validate_hosvd(psi: np.ndarray, u: np.ndarray, core: np.ndarray, lam: np.ndarray):
+def _validate_hosvd(b: np.ndarray, u: np.ndarray, w: np.ndarray, lam: np.ndarray, norm: float):
+    # w = U^dag b has the Gram matrix of the core's mode-1 slices
     n = u.shape[0]
     gram = u.conj().T @ u
     if np.abs(gram - np.eye(n)).max() > HOSVD_TOL:
         raise NumericalError("HOSVD factor is not unitary to 1e-10")
-    slice_gram = core.reshape(n, -1) @ core.reshape(n, -1).conj().T
+    slice_gram = w @ w.conj().T
     if np.abs(slice_gram - np.diag(np.diag(slice_gram))).max() > HOSVD_TOL:
         raise NumericalError("HOSVD core is not quasi-diagonal to 1e-10")
-    rec = _contract_all_modes(core, u.T)
-    if np.linalg.norm(rec - psi) > HOSVD_TOL:
+    if np.linalg.norm(u @ w - b) > HOSVD_TOL:
         raise NumericalError("HOSVD reconstruction error exceeds 1e-10")
-    if abs((lam**2).sum() - np.linalg.norm(psi) ** 2) > HOSVD_TOL:
+    if abs((lam**2).sum() - norm**2) > HOSVD_TOL:
         raise NumericalError("HOSVD weights do not sum to the state norm")
 
 
 def hosvd(psi: SymmetricWavefunction) -> HosvdResult:
     """Numerically exact multilinear SVD of a symmetric wavefunction.
 
-    The factor is the left singular basis of the mode-1 unfolding (all
-    unfoldings coincide by symmetry), taken as the descending eigenvectors
-    of its N x N Gram matrix; the core is the state contracted with the
-    conjugate factor on every index.  Columns carry a fixed phase gauge
-    (largest-magnitude entry real positive).  Within degenerate blocks the
-    columns are defined up to rotation; overlap diagnostics re-gauge them,
-    see :func:`ansatz_overlap`.
+    The mode-1 unfolding of the dense tensor (all unfoldings coincide by
+    symmetry) has the Gram matrix B B^dag / k, with B the N x C(N, k-1)
+    reduced unfolding.  The factor is its descending eigenbasis, and the
+    mode weights are the row norms of U^dag B / sqrt(k), which equal the
+    core's slice norms.  Each column's gauge pivot (see
+    :func:`~wqed_subradiance.spectrum.gauge_pivot`) is real positive.  Within
+    degenerate blocks the columns are defined up to rotation; overlap
+    diagnostics re-gauge them, see :func:`ansatz_overlap`.
     """
     if psi.k < 1:
         raise DomainError("hosvd requires at least one excitation")
-    n = psi.n_atoms
-    dense = psi.to_dense()
-    unfolding = dense.reshape(n, -1)
-    _, u = np.linalg.eigh(unfolding @ unfolding.conj().T)
+    b = reduced_unfolding(psi.amplitudes, psi.basis) / math.sqrt(psi.k)
+    _, u = np.linalg.eigh(b @ b.conj().T)
     u = u[:, ::-1]
-    # column phase gauge
-    pivots = np.argmax(np.abs(u), axis=0)
-    phases = np.exp(-1j * np.angle(u[pivots, np.arange(n)]))
-    u = u * phases[None, :]
-    core = _contract_all_modes(dense, u.conj())
-    lam = np.linalg.norm(core.reshape(n, -1), axis=1)
+    u = u * np.exp(-1j * np.angle(u[gauge_pivot(u), np.arange(psi.n_atoms)]))
+    w = u.conj().T @ b
+    lam = np.linalg.norm(w, axis=1)
     order = np.argsort(-lam, kind="stable")
-    if not np.array_equal(order, np.arange(n)):
-        u = u[:, order]
-        lam = lam[order]
-        core = core[np.ix_(*([order] * psi.k))]
-    _validate_hosvd(dense, u, core, lam)
-    weights = lam**2
-    positive = weights[weights > 0]
-    entropy = float(max(0.0, -(positive * np.log(positive)).sum()))
-    return HosvdResult(factor=u, core=core, singular_values=lam, entropy=entropy)
+    u, w, lam = u[:, order], w[order], lam[order]
+    _validate_hosvd(b, u, w, lam, np.linalg.norm(psi.amplitudes))
+    return HosvdResult(factor=u, singular_values=lam, entropy=_entropy(lam**2), k=psi.k)
+
+
+def core_tensor(psi: SymmetricWavefunction, result: HosvdResult) -> np.ndarray:
+    """Dense all-orthogonal core (conj(U) on every index), within the to_dense limits."""
+    core = psi.to_dense()
+    # each tensordot consumes axis 0 and appends the new one; k restore the order
+    for _ in range(core.ndim):
+        core = np.tensordot(core, result.factor.conj(), axes=([0], [0]))
+    return core
 
 
 def entanglement_entropy(result: HosvdResult) -> float:
@@ -166,8 +159,7 @@ def entanglement_entropy(result: HosvdResult) -> float:
     total = weights.sum()
     if abs(total - 1.0) > 1e-10:
         raise DomainError(f"singular values must satisfy sum(lambda^2)=1, got {total}")
-    positive = weights[weights > 0]
-    return float(max(0.0, -(positive * np.log(positive)).sum()))
+    return _entropy(weights)
 
 
 def fermionic_profiles(n_atoms: int) -> np.ndarray:

@@ -112,30 +112,31 @@ class SectorHamiltonian:
         }
 
 
-def sector_hops(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every single-excitation hop of the sector as flat index arrays.
+def sector_table(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Every sector state as one excitation added to a (k-1)-subset.
 
-    Returns ``(src, dst, frm, to)``: moving the excitation on site ``frm`` of
-    state ``src`` to the empty site ``to`` gives state ``dst``.  Hops run
-    over source states, then occupied sites, then empty sites, all ascending.
-    States are matched through their site bitmasks, so N is limited to 62.
+    Returns int arrays ``(state, site)`` of shape (C(N, k-1), N-k+1): each
+    row lists the states R + {site} over the empty sites of one (k-1)-subset
+    R, ascending; rows are ordered by the site bitmask of R, which limits N
+    to 62.  Two states differ in one site exactly when they share a row.
     """
-    n, k, dim = basis.n_atoms, basis.n_excitations, basis.dim
+    n, k = basis.n_atoms, basis.n_excitations
     if n > 62:
-        raise DomainError(f"hop table supports N <= 62, got N={n}")
-    occupied = np.array(basis.states, dtype=np.int64).reshape(dim, k)
-    empty_mask = np.ones((dim, n), dtype=bool)
-    empty_mask[np.arange(dim)[:, None], occupied] = False
-    empty = np.nonzero(empty_mask)[1].reshape(dim, n - k)
-    masks = (np.int64(1) << occupied).sum(axis=1)
-    shape = (dim, k, n - k)
-    src = np.broadcast_to(np.arange(dim)[:, None, None], shape)
-    frm = np.broadcast_to(occupied[:, :, None], shape)
-    to = np.broadcast_to(empty[:, None, :], shape)
-    moved = masks[:, None, None] ^ (np.int64(1) << frm) ^ (np.int64(1) << to)
-    order = np.argsort(masks)
-    dst = order[np.searchsorted(masks, moved, sorter=order)]
-    return src.ravel(), dst.ravel(), frm.ravel(), to.ravel()
+        raise DomainError(f"sector table supports N <= 62, got N={n}")
+    occupied = np.array(basis.states, dtype=np.int64).reshape(basis.dim, k)
+    bits = np.int64(1) << occupied
+    rest = bits.sum(axis=1)[:, None] - bits
+    order = np.lexsort((occupied.ravel(), rest.ravel()))
+    shape = (-1, n - k + 1)
+    return (order // k).reshape(shape), occupied.ravel()[order].reshape(shape)
+
+
+def reduced_unfolding(amplitudes: np.ndarray, basis: SectorBasis) -> np.ndarray:
+    """N x C(N, k-1) matrix B[m, R] = amplitude of R + {m}, zero for m in R."""
+    state, site = sector_table(basis)
+    b = np.zeros((basis.n_atoms, len(state)), dtype=complex)
+    b[site, np.arange(len(state))[:, None]] = amplitudes[state]
+    return b
 
 
 def build_hamiltonian(config: ArrayConfig, basis: SectorBasis) -> SectorHamiltonian:
@@ -156,8 +157,8 @@ def build_hamiltonian(config: ArrayConfig, basis: SectorBasis) -> SectorHamilton
     sites = np.arange(n)
     hop = -1j * gamma * np.exp(1j * config.phase * np.abs(sites[:, None] - sites[None, :]))
     h = np.zeros((basis.dim, basis.dim), dtype=complex)
+    # states differing in one site share one row; diagonal pairs are overwritten
+    state, site = sector_table(basis)
+    h[state[:, :, None], state[:, None, :]] = hop[site[:, :, None], site[:, None, :]]
     np.fill_diagonal(h, -1j * gamma * basis.n_excitations)
-    # two subsets differing in one site are linked by exactly one hop
-    src, dst, frm, to = sector_hops(basis)
-    h[dst, src] = hop[to, frm]
     return SectorHamiltonian(basis=basis, matrix=h)

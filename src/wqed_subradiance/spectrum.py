@@ -19,6 +19,7 @@ from .lattice import ArrayConfig, SectorHamiltonian, build_hamiltonian, enumerat
 
 RESIDUAL_TOL = 1e-9
 GAMMA_FLOOR = -1e-12
+PIVOT_ATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -26,13 +27,24 @@ class EigenState:
     """One eigenpair of a sector Hamiltonian.
 
     ``amplitudes`` is the unit-norm right eigenvector over the sector basis,
-    phase-fixed so its largest-magnitude component is real positive.
+    phase-fixed so its :func:`gauge_pivot` entry is real positive.
     """
 
     epsilon: complex
     gamma: float
     amplitudes: np.ndarray
     k: int
+
+
+def gauge_pivot(vectors: np.ndarray) -> np.ndarray:
+    """Entry along axis 0 that the phase gauge makes real positive.
+
+    It is the first entry within ``PIVOT_ATOL`` of the largest magnitude of
+    the unit vector (or matrix column), so roundoff cannot choose between
+    tied (e.g. mirror) entries.
+    """
+    mags = np.abs(vectors)
+    return np.argmax(mags >= mags.max(axis=0) - PIVOT_ATOL, axis=0)
 
 
 def _fingerprint(matrix: np.ndarray) -> str:
@@ -56,20 +68,16 @@ def diagonalize_sector(h: SectorHamiltonian) -> list[EigenState]:
             f"eigensolver failed on sector matrix {_fingerprint(h.matrix)}"
         ) from exc
     states = []
-    for i in range(len(values)):
-        vec = vectors[:, i]
+    for value, vec in zip(values, vectors.T):
         vec = vec / np.linalg.norm(vec)
-        residual = np.linalg.norm(h.matrix @ vec - values[i] * vec)
-        if residual > RESIDUAL_TOL * max(1.0, abs(values[i])):
+        residual = np.linalg.norm(h.matrix @ vec - value * vec)
+        if residual > RESIDUAL_TOL * max(1.0, abs(value)):
             raise NumericalError(
                 f"eigenpair residual {residual:.2e} exceeds {RESIDUAL_TOL} "
                 f"for sector matrix {_fingerprint(h.matrix)}"
             )
-        # phase gauge: largest-|.| component real positive
-        pivot = int(np.argmax(np.abs(vec)))
-        phase = np.angle(vec[pivot])
-        vec = vec * np.exp(-1j * phase)
-        eps = values[i] / scale
+        vec = vec * np.exp(-1j * np.angle(vec[gauge_pivot(vec)]))
+        eps = value / scale
         gamma = -eps.imag
         if gamma < GAMMA_FLOOR:
             raise NumericalError(

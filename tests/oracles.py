@@ -1,35 +1,42 @@
 """Independent brute-force constructions used as oracles by the tests.
 
-Everything here works in the full 2^N product space from raw Kronecker
-operators, with no knowledge of the package's subset-transfer logic.
+The operators work in the full 2^N product space from raw Kronecker
+products, with no knowledge of the package's subset-transfer logic; the
+HOSVD reference works on the dense symmetric tensor, not the reduced
+unfolding.
 """
 
 import numpy as np
+from scipy import sparse
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
+def _lowering_ops_sparse(n):
+    """Site lowering operators as sparse Kronecker products (site 0 most significant)."""
+    return [
+        sparse.kron(
+            sparse.kron(sparse.identity(2**j, dtype=complex), SIGMA_MINUS),
+            sparse.identity(2 ** (n - 1 - j), dtype=complex),
+            format="csr",
+        )
+        for j in range(n)
+    ]
+
+
 def lowering_ops_full(n):
-    """Site lowering operators in the 2^n space (site 0 most significant)."""
-    identity = np.eye(2, dtype=complex)
-    ops = []
-    for j in range(n):
-        op = np.array([[1.0]], dtype=complex)
-        for site in range(n):
-            op = np.kron(op, SIGMA_MINUS if site == j else identity)
-        ops.append(op)
-    return ops
+    """Site lowering operators in the 2^n space, as dense arrays."""
+    return [op.toarray() for op in _lowering_ops_sparse(n)]
 
 
 def full_space_hamiltonian(n, phi, gamma=1.0):
-    """Raw operator sum -i*gamma*sum_nm exp(i*phi*|m-n|) s+_n s-_m."""
-    ops = lowering_ops_full(n)
-    dim = 2**n
-    h = np.zeros((dim, dim), dtype=complex)
+    """Raw operator sum -i*gamma*sum_nm exp(i*phi*|m-n|) s+_n s-_m, dense."""
+    ops = _lowering_ops_sparse(n)
+    h = sparse.csr_matrix((2**n, 2**n), dtype=complex)
     for a in range(n):
         for b in range(n):
             h += -1j * gamma * np.exp(1j * phi * abs(a - b)) * (ops[a].conj().T @ ops[b])
-    return h
+    return h.toarray()
 
 
 def subset_to_full_index(subset, n):
@@ -61,6 +68,20 @@ def correlation_full(state_vec, n):
         for j in range(n):
             out[m, j] = state_vec.conj() @ (ops[m].conj().T @ ops[j] @ state_vec)
     return out
+
+
+def dense_hosvd_weights(tensor):
+    """Mode weights and entropy of a symmetric tensor from its dense unfolding.
+
+    The HOSVD weights are the singular values of the N x N^(k-1) mode-1
+    unfolding (the same for every mode by symmetry), padded with zeros to N;
+    the entropy is -sum(lam^2 ln lam^2).
+    """
+    n = tensor.shape[0]
+    lam = np.linalg.svd(tensor.reshape(n, -1), compute_uv=False)
+    lam = np.pad(lam, (0, n - len(lam)))
+    weights = lam[lam > 0] ** 2
+    return lam, float(-(weights * np.log(weights)).sum())
 
 
 def two_level_population(omega, gamma, delta):

@@ -12,6 +12,7 @@ from wqed_subradiance import (
     ArrayConfig,
     DriveConfig,
     ansatz_overlap,
+    core_tensor,
     correlation_matrix,
     darkness_bound,
     diagonalize,
@@ -165,7 +166,8 @@ def test_criterion_05_hosvd_exactness():
         result = hosvd(psi)
         n = config.n_atoms
         dense = psi.to_dense()
-        rec = result.core
+        core = core_tensor(psi, result)
+        rec = core
         for _ in range(k):
             rec = np.tensordot(rec, result.factor.T, axes=([0], [0]))
         worst["reconstruction"] = max(worst["reconstruction"], float(np.linalg.norm(rec - dense)))
@@ -173,7 +175,7 @@ def test_criterion_05_hosvd_exactness():
             worst["unitarity"],
             float(np.abs(result.factor.conj().T @ result.factor - np.eye(n)).max()),
         )
-        core_mat = result.core.reshape(n, -1)
+        core_mat = core.reshape(n, -1)
         gram = core_mat @ core_mat.conj().T
         worst["quasidiag"] = max(
             worst["quasidiag"], float(np.abs(gram - np.diag(np.diag(gram))).max())

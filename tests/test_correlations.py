@@ -37,7 +37,7 @@ def test_two_atom_antisymmetric_state():
     )
 
 
-@pytest.mark.parametrize("n,k,d", [(4, 2, 0.05), (5, 3, 0.13), (5, 2, 0.31)])
+@pytest.mark.parametrize("n,k,d", [(4, 2, 0.05), (5, 3, 0.13), (5, 2, 0.31), (8, 4, 0.05)])
 def test_against_full_space_oracle(n, k, d):
     config = ArrayConfig.from_period(n, d)
     basis = enumerate_sector(n, k)

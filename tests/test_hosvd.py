@@ -11,6 +11,7 @@ from wqed_subradiance import (
     EigenState,
     HosvdResult,
     ansatz_overlap,
+    core_tensor,
     correlation_matrix,
     dimerized_profiles,
     entanglement_entropy,
@@ -21,6 +22,7 @@ from wqed_subradiance import (
     most_subradiant_state,
     to_symmetric_tensor,
 )
+from oracles import dense_hosvd_weights
 
 
 def _state(amplitudes, k):
@@ -105,7 +107,7 @@ def test_hosvd_invariants_and_matrix_svd_reduction():
     np.testing.assert_allclose(
         result.factor.conj().T @ result.factor, np.eye(n), atol=1e-10
     )
-    core_mat = result.core.reshape(n, -1)
+    core_mat = core_tensor(psi, result).reshape(n, -1)
     gram = core_mat @ core_mat.conj().T
     np.testing.assert_allclose(gram, np.diag(np.diag(gram)), atol=1e-10)
     assert (result.singular_values**2).sum() == pytest.approx(1.0, abs=1e-10)
@@ -121,7 +123,7 @@ def test_hosvd_reconstruction_across_sectors():
         state = most_subradiant_state(config, k)
         psi = to_symmetric_tensor(state, basis)
         result = hosvd(psi)
-        rec = result.core
+        rec = core_tensor(psi, result)
         for _ in range(k):
             rec = np.tensordot(rec, result.factor.T, axes=([0], [0]))
         np.testing.assert_allclose(rec, psi.to_dense(), atol=1e-10)
@@ -137,6 +139,46 @@ def test_hosvd_weights_are_correlation_eigenvalues(n, k, d):
     weights = hosvd(to_symmetric_tensor(state, basis)).singular_values ** 2
     occupations = np.linalg.eigvalsh(correlation_matrix(state, basis).values)[::-1] / k
     np.testing.assert_allclose(weights, occupations, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(6, k) for k in (1, 2, 3)] + [(8, k) for k in range(1, 5)] + [(10, k) for k in range(1, 6)],
+)
+@pytest.mark.parametrize("d", [0.05, 0.25])
+def test_hosvd_matches_dense_unfolding_svd(n, k, d):
+    config = ArrayConfig.from_period(n, d)
+    basis = enumerate_sector(n, k)
+    psi = to_symmetric_tensor(most_subradiant_state(config, k), basis)
+    result = hosvd(psi)
+    lam, entropy = dense_hosvd_weights(psi.to_dense())
+    np.testing.assert_allclose(result.singular_values, lam, rtol=0, atol=1e-12)
+    assert result.entropy == pytest.approx(entropy, abs=1e-12)
+
+
+def test_hosvd_beyond_dense_limit_k2_is_matrix_svd():
+    """At N=14 the dense tensor is refused, but k=2 weights are matrix singular values."""
+    n = 14
+    basis = enumerate_sector(n, 2)
+    state = most_subradiant_state(ArrayConfig.from_period(n, 0.05), 2)
+    psi = to_symmetric_tensor(state, basis)
+    with pytest.raises(DomainError):
+        psi.to_dense()
+    matrix = np.zeros((n, n), dtype=complex)
+    for amp, (a, b) in zip(state.amplitudes, basis.states):
+        matrix[a, b] = matrix[b, a] = amp / math.sqrt(2)
+    result = hosvd(psi)
+    np.testing.assert_allclose(
+        result.singular_values, np.linalg.svd(matrix, compute_uv=False), rtol=0, atol=1e-12
+    )
+
+
+def test_factor_gauge_breaks_near_ties_by_index():
+    """The pivot is the first entry within tolerance of the largest, not argmax."""
+    basis = enumerate_sector(2, 1)
+    amps = np.array([1.0, -(1.0 + 1e-13)])
+    result = hosvd(to_symmetric_tensor(_state(amps / np.linalg.norm(amps), 1), basis))
+    assert result.factor[0, 0] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
 
 def test_most_subradiant_n10_k2_dominant_pair():
@@ -159,9 +201,9 @@ def test_entropy_examples():
         lams = np.asarray(lams, dtype=float)
         return HosvdResult(
             factor=np.eye(len(lams)),
-            core=np.zeros((len(lams),)),
             singular_values=lams,
             entropy=0.0,
+            k=1,
         )
 
     assert entanglement_entropy(result_with([1, 0, 0])) == 0.0

@@ -89,7 +89,7 @@ def test_hamiltonian_three_sites_double_vs_full_space_oracle():
     np.testing.assert_allclose(h, oracle, atol=1e-13)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_sector_projection_equivalence_all_sectors(n):
     phi = 0.421
     full = full_space_hamiltonian(n, phi)

@@ -187,6 +187,18 @@ def test_entropy_map_schema(tmp_path):
     assert len(lines) == 7
 
 
+def test_entropy_map_beyond_dense_tensor_limit(tmp_path):
+    path = write_config(
+        tmp_path / "cfg.yaml",
+        {"mode": "entropy-map", "array": {"n_atoms": 13},
+         "grid": {"d_over_lambda": [0.05, 0.25], "k": [1, 2, 3]},
+         "output": {"directory": str(tmp_path / "out")}},
+    )
+    manifest = run_scan(validate_config(path))
+    assert [cell.status for cell in manifest.cells] == ["ok"] * 6
+    assert manifest.success
+
+
 def test_correlations_mode_schema(tmp_path):
     path = write_config(
         tmp_path / "cfg.yaml",
