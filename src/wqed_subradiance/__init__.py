@@ -17,6 +17,7 @@ from .driven import (
     occupations,
     resonance_grid,
     steady_state,
+    steady_states,
     transfer_matrix_amplitudes,
 )
 from .errors import ConfigError, DomainError, NumericalError
@@ -97,6 +98,7 @@ __all__ = [
     "scaling_fit",
     "sector_decay_rates",
     "steady_state",
+    "steady_states",
     "to_symmetric_tensor",
     "transfer_matrix_amplitudes",
     "validate_config",

@@ -15,7 +15,8 @@ limit to r = -i*gamma/(delta + i*gamma).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -27,6 +28,8 @@ from .spectrum import diagonalize
 
 MAX_DRIVEN_ATOMS = 5
 STEADY_TOL = 1e-9
+PSD_TOL = 1e-9
+KERNEL_RCOND = 1e-10
 PEAK_FLOOR = 1e-9
 INCOHERENT_SLACK = 1e-8
 
@@ -56,13 +59,17 @@ class DriveConfig:
 
 @dataclass(frozen=True)
 class ScatteringSpectrum:
-    """Coherent amplitudes and incoherent fraction over a detuning grid."""
+    """Coherent amplitudes and incoherent fraction over a detuning grid.
+
+    ``health`` is the solver health of ``steady_states`` for the grid.
+    """
 
     detunings: np.ndarray
     reflection: np.ndarray
     transmission: np.ndarray
     incoherent: np.ndarray
     narrowest_fwhm: float | None
+    health: dict = field(default_factory=dict)
 
 
 @lru_cache(maxsize=8)
@@ -88,7 +95,11 @@ def _commutator_super(h: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _liouvillian_pieces(config: ArrayConfig, phase_on_drive: bool):
-    """Static, per-unit-drive, and per-unit-detuning superoperator pieces."""
+    """Static and per-unit-drive superoperators, and the per-unit-detuning one.
+
+    The detuning piece, the commutator with -N (N the number operator), is
+    diagonal and is returned as its diagonal, a vector of length 4^N.
+    """
     n = config.n_atoms
     gamma = config.gamma_1d
     phi = config.phase
@@ -124,16 +135,40 @@ def _liouvillian_pieces(config: ArrayConfig, phase_on_drive: bool):
         h_drive -= ph * op.conj().T + np.conj(ph) * op
     l_drive = _commutator_super(h_drive)
 
-    number_op = sum(op.conj().T @ op for op in ops)
-    l_detuning = _commutator_super(-number_op)
-    return l_static, l_drive, l_detuning
+    # excitation count of every product state, as the diagonal of -N
+    minus_counts = -np.diagonal(sum(op.conj().T @ op for op in ops))
+    detuning_diag = (-1j * (minus_counts[:, None] - minus_counts[None, :])).ravel()
+    return l_static, l_drive, detuning_diag
+
+
+def _trace_indices(dim: int) -> np.ndarray:
+    return np.arange(0, dim * dim, dim + 1)
+
+
+def _with_trace_row(liouvillian: np.ndarray, dim: int) -> np.ndarray:
+    """The generator with row 0 replaced by the trace constraint."""
+    m = liouvillian.copy()
+    m[0, :] = 0.0
+    m[0, _trace_indices(dim)] = 1.0
+    return m
+
+
+def _kernel_dimension(liouvillian: np.ndarray) -> int:
+    singular = linalg.svdvals(liouvillian)
+    return int((singular <= KERNEL_RCOND * singular[0]).sum())
+
+
+def _steady_failure(liouvillian: np.ndarray, message: str) -> NumericalError:
+    """The error for a failed steady state, naming a degenerate kernel if there is one."""
+    kernel = _kernel_dimension(liouvillian)
+    if kernel > 1:
+        message = f"steady state is not unique: generator kernel dimension {kernel}"
+    return NumericalError(message)
 
 
 def _solve_steady(liouvillian: np.ndarray, dim: int) -> np.ndarray:
     """Unique trace-one kernel vector of the generator."""
-    m = liouvillian.copy()
-    m[0, :] = 0.0
-    m[0, np.arange(0, dim * dim, dim + 1)] = 1.0
+    m = _with_trace_row(liouvillian, dim)
     rhs = np.zeros(dim * dim, dtype=complex)
     rhs[0] = 1.0
     try:
@@ -143,35 +178,114 @@ def _solve_steady(liouvillian: np.ndarray, dim: int) -> np.ndarray:
         vec, residual = None, np.inf
     if vec is None or residual > STEADY_TOL:
         # degenerate or ill-conditioned generator: inspect the kernel
-        null = linalg.null_space(liouvillian, rcond=1e-10)
+        null = linalg.null_space(liouvillian, rcond=KERNEL_RCOND)
         if null.shape[1] != 1:
             raise NumericalError(
                 f"steady state is not unique: generator kernel dimension {null.shape[1]}"
             )
         vec = null[:, 0]
-        trace = vec[np.arange(0, dim * dim, dim + 1)].sum()
+        trace = vec[_trace_indices(dim)].sum()
         vec = vec / trace
     return vec.reshape(dim, dim)
 
 
-def steady_state(config: ArrayConfig, drive: DriveConfig, detuning: float) -> np.ndarray:
-    """Steady-state density matrix in the rotating frame at the drive frequency."""
+def _check_atoms(config: ArrayConfig) -> None:
     if config.n_atoms > MAX_DRIVEN_ATOMS:
         raise DomainError(
             f"master-equation solver limited to N <= {MAX_DRIVEN_ATOMS}, got {config.n_atoms}"
         )
-    l_static, l_drive, l_detuning = _liouvillian_pieces(config, drive.phase_on_drive)
+
+
+def steady_state(config: ArrayConfig, drive: DriveConfig, detuning: float) -> np.ndarray:
+    """Steady-state density matrix in the rotating frame at the drive frequency."""
+    _check_atoms(config)
+    l_static, l_drive, detuning_diag = _liouvillian_pieces(config, drive.phase_on_drive)
     amp = drive.amplitude(config.gamma_1d)
-    liouvillian = l_static + amp * l_drive + float(detuning) * l_detuning
+    liouvillian = l_static + amp * l_drive
+    liouvillian.flat[:: len(detuning_diag) + 1] += float(detuning) * detuning_diag
     dim = 2**config.n_atoms
     rho = _solve_steady(liouvillian, dim)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
-    if np.abs(liouvillian @ rho.reshape(-1)).max() > STEADY_TOL:
-        raise NumericalError("steady-state generator residual exceeds 1e-9")
-    if np.linalg.eigvalsh(rho).min() < -1e-9:
-        raise NumericalError("steady state is not positive semidefinite")
+    if not np.abs(liouvillian @ rho.reshape(-1)).max() <= STEADY_TOL:
+        raise _steady_failure(liouvillian, "steady-state generator residual exceeds 1e-9")
+    if np.linalg.eigvalsh(rho).min() < -PSD_TOL:
+        raise _steady_failure(liouvillian, "steady state is not positive semidefinite")
     return rho
+
+
+def _pole_solve(m0: np.ndarray, d: np.ndarray, grid: np.ndarray):
+    """Columns x(delta) with (M0 + delta*diag(d)) x = e0 for every delta of the grid.
+
+    One LU of M0 and eig(M0^-1 diag(d)) = V Lambda V^-1 turn every point into
+    P(delta) e0 with P(delta) = V diag(1/(1 + delta*Lambda)) V^-1 M0^-1; one
+    refinement step x += P(delta)(e0 - M(delta) x) against the exact pencil
+    follows.  Returns x and the 1-norm condition estimate of V; x is NaN (and
+    the estimate None) when M0 cannot be expanded.
+    """
+    size = len(d)
+    e0 = np.zeros(size, dtype=complex)
+    e0[0] = 1.0
+    # a singular M0 or V is not an error here: it leaves inf or NaN, which
+    # eig rejects or the per-point checks of the caller send to the fallback
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", linalg.LinAlgWarning)
+        lu_m = linalg.lu_factor(m0, check_finite=False)
+        try:
+            lam, v = np.linalg.eig(linalg.lu_solve(lu_m, np.diag(d), check_finite=False))
+        except np.linalg.LinAlgError:
+            return np.full((size, len(grid)), np.nan, dtype=complex), None
+        lu_v = linalg.lu_factor(v, check_finite=False)
+    rcond, _ = linalg.lapack.zgecon(lu_v[0], np.abs(v).sum(axis=0).max(), norm="1")
+    poles = 1.0 + np.outer(lam, grid)
+
+    def expand(rhs):
+        c = linalg.lu_solve(lu_v, linalg.lu_solve(lu_m, rhs, check_finite=False), check_finite=False)
+        return v @ (c.reshape(size, -1) / poles)
+
+    with np.errstate(all="ignore"):
+        x = expand(e0)
+        x += expand(e0[:, None] - m0 @ x - d[:, None] * x * grid)
+        condition = float(np.float64(1.0) / rcond)
+    return x, condition
+
+
+def steady_states(config: ArrayConfig, drive: DriveConfig) -> tuple[np.ndarray, dict]:
+    """Steady states over the whole detuning grid from one pole expansion.
+
+    With the trace row in place of row 0 the linear system is the pencil
+    M(delta) = M0 + delta*D, D the diagonal detuning piece with D[0] = 0, so
+    one factorization of M0 serves every point (see ``_pole_solve``).  Every
+    point keeps the checks of ``steady_state``: hermitized and
+    trace-normalized, generator residual at most ``STEADY_TOL``, positive
+    semidefinite.  A point that fails them is re-solved by ``steady_state``.
+
+    Returns the stack of density matrices, shape (points, 2^N, 2^N), and the
+    solver health: the number of fallback points and the condition estimate
+    of the eigenvector matrix V.
+    """
+    _check_atoms(config)
+    l_static, l_drive, detuning_diag = _liouvillian_pieces(config, drive.phase_on_drive)
+    dim = 2**config.n_atoms
+    grid = drive.detuning_grid
+    l0 = l_static + drive.amplitude(config.gamma_1d) * l_drive
+    m0 = _with_trace_row(l0, dim)
+    d = detuning_diag.copy()
+    d[0] = 0.0  # the trace row does not depend on the detuning
+    x, condition = _pole_solve(m0, d, grid)
+
+    rho = x.T.reshape(len(grid), dim, dim)
+    with np.errstate(all="ignore"):
+        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+        vec = rho.reshape(len(grid), -1).T
+        residual = np.abs(l0 @ vec + detuning_diag[:, None] * vec * grid).max(axis=0)
+    failed = ~(residual <= STEADY_TOL)
+    passed = np.flatnonzero(~failed)
+    failed[passed] = np.linalg.eigvalsh(rho[passed]).min(axis=1) < -PSD_TOL
+    for i in np.flatnonzero(failed):
+        rho[i] = steady_state(config, drive, grid[i])
+    return rho, {"fallback_points": int(failed.sum()), "v_condition": condition}
 
 
 def occupations(config: ArrayConfig, rho: np.ndarray) -> np.ndarray:
@@ -233,11 +347,11 @@ def coherent_amplitudes(
 def incoherent_spectrum(config: ArrayConfig, drive: DriveConfig) -> ScatteringSpectrum:
     """Sweep the detuning grid and collect r, t, and I = 1 - |r|^2 - |t|^2."""
     grid = drive.detuning_grid
+    rhos, health = steady_states(config, drive)
     reflection = np.empty(len(grid), dtype=complex)
     transmission = np.empty(len(grid), dtype=complex)
     incoherent = np.empty(len(grid))
-    for i, delta in enumerate(grid):
-        rho = steady_state(config, drive, delta)
+    for i, (delta, rho) in enumerate(zip(grid, rhos)):
         r, t = coherent_amplitudes(config, drive, rho, delta)
         reflection[i] = r
         transmission[i] = t
@@ -254,6 +368,7 @@ def incoherent_spectrum(config: ArrayConfig, drive: DriveConfig) -> ScatteringSp
         transmission=transmission,
         incoherent=incoherent,
         narrowest_fwhm=None,
+        health=health,
     )
     return replace(spectrum, narrowest_fwhm=narrowest_linewidth(spectrum))
 

@@ -55,6 +55,7 @@ class CellStatus:
     params: dict
     status: str  # ok | skipped | error
     error: str | None = None
+    health: dict | None = None
 
 
 @dataclass
@@ -319,8 +320,8 @@ def _cell_driven(args):
                 )
                 for i, delta in enumerate(spectrum.detunings)
             ]
-            return ("ok", rows)
-        return ("ok", spectrum.narrowest_fwhm)
+            return ("ok", rows, spectrum.health)
+        return ("ok", spectrum.narrowest_fwhm, spectrum.health)
     except (DomainError, NumericalError) as exc:
         return ("error", str(exc))
 
@@ -443,7 +444,8 @@ def run_scan(spec: ScanSpec) -> RunManifest:
     cells = _cells(spec)
     results = _map_cells(globals()[mode.worker], [args for _, args in cells], spec.workers)
     outputs, rows, statuses = [], [], []
-    for i, ((params, _), (status, payload)) in enumerate(zip(cells, results)):
+    # a worker returns (status, payload) or (status, payload, health)
+    for i, ((params, _), (status, payload, *health)) in enumerate(zip(cells, results)):
         if status == "ok":
             if mode.write:
                 outputs.append(mode.write(spec, params, payload))
@@ -455,6 +457,7 @@ def run_scan(spec: ScanSpec) -> RunManifest:
                 params=params,
                 status=status,
                 error=payload if status == "error" else None,
+                health=health[0] if health else None,
             )
         )
     if mode.row:
@@ -487,6 +490,7 @@ def run_scan(spec: ScanSpec) -> RunManifest:
                     "params": c.params,
                     "status": c.status,
                     **({"error": c.error} if c.error else {}),
+                    **({"health": c.health} if c.health else {}),
                 }
                 for c in manifest.cells
             ],

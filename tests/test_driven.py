@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import wqed_subradiance.driven as driven_module
 from wqed_subradiance import (
     ArrayConfig,
     DomainError,
     DriveConfig,
+    NumericalError,
     ScatteringSpectrum,
     coherent_amplitudes,
     diagonalize,
@@ -13,6 +15,7 @@ from wqed_subradiance import (
     occupations,
     resonance_grid,
     steady_state,
+    steady_states,
     transfer_matrix_amplitudes,
 )
 from oracles import (
@@ -41,6 +44,90 @@ def test_atom_count_guard():
     config = ArrayConfig.from_period(6, 0.05)
     with pytest.raises(DomainError):
         steady_state(config, _drive(0.1), 0.0)
+    with pytest.raises(DomainError):
+        steady_states(config, _drive(0.1))
+
+
+# detunings across the single-excitation band, on and off resonance, with 0
+_POLE_GRID = np.array([-25.0, -3.0, -1.0, -0.31, -0.2, -0.05, 0.0, 0.4, 1.7, 5.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("power", [0.0, 1e-10, 1e-6, 0.3, 10.0])
+def test_steady_states_match_pointwise_solves(n, power):
+    config = ArrayConfig.from_period(n, 0.05)
+    drive = _drive(power, _POLE_GRID)
+    rhos, health = steady_states(config, drive)
+    assert rhos.shape == (len(_POLE_GRID), 2**n, 2**n)
+    assert health["fallback_points"] == 0
+    assert 1.0 <= health["v_condition"] < 1e8
+    for rho, delta in zip(rhos, _POLE_GRID):
+        np.testing.assert_allclose(rho, steady_state(config, drive, delta), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "options", [{"phase_on_drive": False}, {"amplitude_scale": 0.37}, {"amplitude_scale": 2.5}]
+)
+def test_steady_states_match_pointwise_solves_drive_options(options):
+    config = ArrayConfig.from_period(3, 0.13, gamma_1d=0.8)
+    drive = _drive(0.3, _POLE_GRID, **options)
+    rhos, health = steady_states(config, drive)
+    assert health["fallback_points"] == 0
+    for rho, delta in zip(rhos, _POLE_GRID):
+        np.testing.assert_allclose(rho, steady_state(config, drive, delta), rtol=0, atol=1e-12)
+
+
+def test_corrupted_pole_expansion_falls_back_at_every_point(monkeypatch):
+    """A wrong eigenvector matrix fails every residual check; each point is re-solved directly.
+
+    The grid avoids delta = 0, where the expansion reduces to M0^-1 e0 for any V.
+    """
+    eig = np.linalg.eig
+
+    def corrupted_eig(matrix):
+        lam, v = eig(matrix)
+        return lam, np.roll(v, 1, axis=1)
+
+    config = ArrayConfig.from_period(3, 0.05)
+    grid = _POLE_GRID[_POLE_GRID != 0.0]
+    drive = _drive(0.3, grid)
+    monkeypatch.setattr(driven_module.np.linalg, "eig", corrupted_eig)
+    rhos, health = steady_states(config, drive)
+    assert health["fallback_points"] == len(grid)
+    for rho, delta in zip(rhos, grid):
+        np.testing.assert_allclose(rho, steady_state(config, drive, delta), rtol=0, atol=1e-12)
+
+
+def test_singular_pencil_gives_nan_not_garbage():
+    grid = np.array([-1.0, 0.5])
+    x, condition = driven_module._pole_solve(np.zeros((4, 4)), np.array([0, 1j, -1j, 0]), grid)
+    assert x.shape == (4, 2) and np.isnan(x).all()
+    assert condition is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_detuning_piece_is_the_cached_diagonal(n):
+    """The dense commutator with -N is exactly diagonal and equals the cached vector."""
+    config = ArrayConfig.from_period(n, 0.05)
+    ops = driven_module._lowering_ops(n)
+    dense = driven_module._commutator_super(-sum(op.conj().T @ op for op in ops))
+    detuning_diag = driven_module._liouvillian_pieces(config, True)[2]
+    assert detuning_diag.shape == (4**n,)
+    assert np.array_equal(dense, np.diag(detuning_diag))
+
+
+@pytest.mark.parametrize("n, kernel", [(2, 2), (3, 5)])
+def test_degenerate_generator_is_reported_as_not_unique(n, kernel):
+    """At d = lambda0/2 (phase pi) the generator kernel is degenerate."""
+    config = ArrayConfig.from_period(n, 0.5)
+    drive = _drive(1.0, np.linspace(-2.0, 2.0, 5))
+    message = f"steady state is not unique: generator kernel dimension {kernel}"
+    with pytest.raises(NumericalError, match=message):
+        steady_state(config, drive, 0.1)
+    with pytest.raises(NumericalError, match=message):
+        steady_states(config, drive)
+    with pytest.raises(NumericalError, match=message):
+        incoherent_spectrum(config, drive)
 
 
 def test_zero_power_gives_ground_state():

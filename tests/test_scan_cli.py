@@ -252,6 +252,23 @@ def test_driven_map_parallel_determinism(tmp_path):
     assert header == "power,d_over_lambda,narrowest_fwhm,found"
 
 
+def test_driven_manifest_reports_solver_health(tmp_path):
+    path = write_config(
+        tmp_path / "cfg.yaml",
+        {"mode": "driven-map", "array": {"n_atoms": 2},
+         "grid": {"d_over_lambda": [0.05, 0.1]},
+         "drive": {"power": [0.05], "detuning": {"start": -2.0, "stop": 1.0, "count": 11}},
+         "output": {"directory": str(tmp_path / "out")}},
+    )
+    run_scan(validate_config(path))
+    cells = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["cells"]
+    assert len(cells) == 2
+    for cell in cells:
+        assert list(cell["health"]) == ["fallback_points", "v_condition"]
+        assert cell["health"]["fallback_points"] == 0
+        assert 1.0 <= cell["health"]["v_condition"] < 1e8
+
+
 def test_manifest_contents(tmp_path):
     spec = validate_config(decay_vs_k_config(tmp_path))
     manifest = run_scan(spec)
