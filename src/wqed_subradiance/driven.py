@@ -290,8 +290,10 @@ def steady_states(config: ArrayConfig, drive: DriveConfig) -> tuple[np.ndarray, 
 
 def occupations(config: ArrayConfig, rho: np.ndarray) -> np.ndarray:
     """Per-site excited-state populations <sigma^dag_j sigma_j>."""
+    # sigma^dag_j sigma_j is diagonal, holding the squared column norms of sigma_j
+    populations = np.diagonal(rho).real
     ops = _lowering_ops(config.n_atoms)
-    return np.array([np.trace(rho @ op.conj().T @ op).real for op in ops])
+    return np.array([populations @ (np.abs(op) ** 2).sum(axis=0) for op in ops])
 
 
 def transfer_matrix_amplitudes(
@@ -337,7 +339,8 @@ def coherent_amplitudes(
         r, t = transfer_matrix_amplitudes(config, detuning)
         return r, t * np.exp(-1j * phi * (n - 1))
     ops = _lowering_ops(n)
-    coherences = np.array([np.trace(rho @ op) for op in ops])
+    # <sigma_j> = tr(rho sigma_j) = sum_ab rho_ab (sigma_j)_ba
+    coherences = np.array([np.sum(rho * op.T) for op in ops])
     phases = np.exp(1j * phi * np.arange(n))
     t = 1.0 + 1j * gamma / amp_in * np.sum(np.conj(phases) * coherences)
     r = 1j * gamma / amp_in * np.sum(phases * coherences)

@@ -19,7 +19,14 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, NumericalError
-from .lattice import SectorBasis, enumerate_sector, reduced_unfolding
+from .lattice import (
+    SectorBasis,
+    enumerate_sector,
+    occupied_sites,
+    rank_masks,
+    reduced_unfolding,
+    site_masks,
+)
 from .spectrum import EigenState, gauge_pivot
 
 HOSVD_TOL = 1e-10
@@ -274,14 +281,13 @@ def hole_transform(state: EigenState, basis: SectorBasis) -> tuple[EigenState, S
     n = basis.n_atoms
     k = basis.n_excitations
     hole_basis = enumerate_sector(n, n - k)
+    occupied = occupied_sites(basis)
+    complement = ((np.int64(1) << n) - 1) ^ site_masks(occupied)
+    # inversions between the sorted blocks: sum_i (s_i - i)
+    inversions = occupied.sum(axis=1) - k * (k - 1) // 2
+    sign = np.where(inversions % 2, -1.0, 1.0)
     amplitudes = np.zeros(hole_basis.dim, dtype=complex)
-    full = frozenset(range(n))
-    for amp, subset in zip(state.amplitudes, basis.states):
-        comp = tuple(sorted(full - set(subset)))
-        # inversions between the sorted blocks: sum_i (s_i - i)
-        inversions = sum(site - i for i, site in enumerate(subset))
-        sign = -1.0 if inversions % 2 else 1.0
-        amplitudes[hole_basis.index_of(comp)] = sign * amp
+    amplitudes[rank_masks(hole_basis, complement)] = sign * state.amplitudes
     hole_state = EigenState(
         epsilon=state.epsilon, gamma=state.gamma, amplitudes=amplitudes, k=n - k
     )

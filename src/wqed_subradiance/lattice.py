@@ -112,6 +112,38 @@ class SectorHamiltonian:
         }
 
 
+def occupied_sites(basis: SectorBasis) -> np.ndarray:
+    """(dim, k) int64 array of the occupied sites of every state.
+
+    Callers key states by the int64 bitmask of these sites (bit j for site
+    j), which limits N to 62.
+    """
+    if basis.n_atoms > 62:
+        raise DomainError(f"sector bitmasks support N <= 62, got N={basis.n_atoms}")
+    return np.array(basis.states, dtype=np.int64).reshape(basis.dim, basis.n_excitations)
+
+
+def site_masks(occupied: np.ndarray) -> np.ndarray:
+    """int64 bitmask of each row of an array of occupied sites."""
+    return (np.int64(1) << occupied).sum(axis=1)
+
+
+def rank_masks(basis: SectorBasis, masks: np.ndarray) -> np.ndarray:
+    """Basis index of the state with each site bitmask; every mask must be a state."""
+    own = site_masks(occupied_sites(basis))
+    order = np.argsort(own)
+    return order[np.searchsorted(own, masks, sorter=order)]
+
+
+def mirror_permutation(basis: SectorBasis) -> np.ndarray:
+    """Index of the mirror image of every state under site j -> N-1-j.
+
+    The mirror map commutes with every sector Hamiltonian, since the
+    coupling depends on site distances only.
+    """
+    return rank_masks(basis, site_masks(basis.n_atoms - 1 - occupied_sites(basis)))
+
+
 def sector_table(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray]:
     """Every sector state as one excitation added to a (k-1)-subset.
 
@@ -121,9 +153,7 @@ def sector_table(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray]:
     to 62.  Two states differ in one site exactly when they share a row.
     """
     n, k = basis.n_atoms, basis.n_excitations
-    if n > 62:
-        raise DomainError(f"sector table supports N <= 62, got N={n}")
-    occupied = np.array(basis.states, dtype=np.int64).reshape(basis.dim, k)
+    occupied = occupied_sites(basis)
     bits = np.int64(1) << occupied
     rest = bits.sum(axis=1)[:, None] - bits
     order = np.lexsort((occupied.ravel(), rest.ravel()))

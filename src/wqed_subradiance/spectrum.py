@@ -15,7 +15,13 @@ import numpy as np
 from scipy import linalg
 
 from .errors import DomainError, NumericalError
-from .lattice import ArrayConfig, SectorHamiltonian, build_hamiltonian, enumerate_sector
+from .lattice import (
+    ArrayConfig,
+    SectorHamiltonian,
+    build_hamiltonian,
+    enumerate_sector,
+    mirror_permutation,
+)
 
 RESIDUAL_TOL = 1e-9
 GAMMA_FLOOR = -1e-12
@@ -53,37 +59,76 @@ def _fingerprint(matrix: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(matrix).tobytes()).hexdigest()[:16]
 
 
+def _parity_blocks(matrix: np.ndarray, mirror: np.ndarray):
+    """Mirror-even and mirror-odd blocks of a mirror-symmetric matrix.
+
+    Each orbit of the mirror map is represented by its lower index r, with
+    image m.  The even basis vectors are |r> for a self-mirror state and
+    (|r> + |m>)/sqrt(2) for a pair, the odd ones (|r> - |m>)/sqrt(2) for a
+    pair, so the blocks are gathered from H[r, r] and H[r, m] by index and
+    stay complex symmetric.  Yields (block, rows, images, row_coef,
+    image_coef): a block eigenvector y lifts to v[rows] = row_coef*y,
+    v[images] = image_coef*y.
+    """
+    index = np.arange(len(mirror))
+    rows = np.flatnonzero(index <= mirror)
+    single = mirror[rows] == rows
+    pairs = rows[~single]
+    even = matrix[np.ix_(rows, rows)] + matrix[np.ix_(rows, mirror[rows])]
+    # a self-mirror state enters the even block with weight 1, not sqrt(2)
+    even[single] *= np.sqrt(0.5)
+    even[:, single] *= np.sqrt(0.5)
+    coef = np.where(single, 1.0, np.sqrt(0.5))
+    yield even, rows, mirror[rows], coef, coef
+    if len(pairs):
+        odd = matrix[np.ix_(pairs, pairs)] - matrix[np.ix_(pairs, mirror[pairs])]
+        yield odd, pairs, mirror[pairs], np.sqrt(0.5), -np.sqrt(0.5)
+
+
 def diagonalize_sector(h: SectorHamiltonian) -> list[EigenState]:
     """All eigenpairs, sorted by ascending gamma then ascending Re(eps).
 
-    Residuals ||H v - lambda v|| are checked against 1e-9; failure raises
-    NumericalError carrying a fingerprint of the matrix.
+    The mirror map j -> N-1-j commutes with H, so each parity block (see
+    ``_parity_blocks``) is diagonalized on its own and every state is a
+    mirror eigenvector.  Every eigenpair residual ||H v - lambda v|| is
+    checked against ``RESIDUAL_TOL`` * max(1, |lambda|), and every gamma
+    against ``GAMMA_FLOOR``; failure raises NumericalError carrying the
+    offending number and a fingerprint of the matrix.
     """
     k = h.basis.n_excitations
     scale = max(k, 1)
-    try:
-        values, vectors = linalg.eig(h.matrix)
-    except linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise NumericalError(
-            f"eigensolver failed on sector matrix {_fingerprint(h.matrix)}"
-        ) from exc
+    dim = h.basis.dim
     states = []
-    for value, vec in zip(values, vectors.T):
-        vec = vec / np.linalg.norm(vec)
-        residual = np.linalg.norm(h.matrix @ vec - value * vec)
-        if residual > RESIDUAL_TOL * max(1.0, abs(value)):
+    for block, rows, images, row_coef, image_coef in _parity_blocks(
+        h.matrix, mirror_permutation(h.basis)
+    ):
+        try:
+            values, vectors = linalg.eig(block)
+        except linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
             raise NumericalError(
-                f"eigenpair residual {residual:.2e} exceeds {RESIDUAL_TOL} "
+                f"eigensolver failed on sector matrix {_fingerprint(h.matrix)}"
+            ) from exc
+        vectors /= np.linalg.norm(vectors, axis=0)
+        # the lift is an isometry onto an invariant subspace: block residual = full residual
+        residual = np.linalg.norm(block @ vectors - vectors * values, axis=0)
+        worst = np.argmax(residual / np.maximum(1.0, np.abs(values)))
+        if residual[worst] > RESIDUAL_TOL * max(1.0, abs(values[worst])):
+            raise NumericalError(
+                f"eigenpair residual {residual[worst]:.2e} exceeds {RESIDUAL_TOL} "
                 f"for sector matrix {_fingerprint(h.matrix)}"
             )
-        vec = vec * np.exp(-1j * np.angle(vec[gauge_pivot(vec)]))
-        eps = value / scale
-        gamma = -eps.imag
-        if gamma < GAMMA_FLOOR:
+        eps = values / scale
+        gammas = -eps.imag
+        if gammas.min() < GAMMA_FLOOR:
             raise NumericalError(
-                f"negative decay rate {gamma:.3e} in sector matrix {_fingerprint(h.matrix)}"
+                f"negative decay rate {gammas.min():.3e} in sector matrix {_fingerprint(h.matrix)}"
             )
-        states.append(EigenState(epsilon=eps, gamma=gamma, amplitudes=vec, k=k))
+        for epsilon, gamma, y in zip(eps, gammas, vectors.T):
+            vec = np.zeros(dim, dtype=complex)
+            vec[rows] = row_coef * y
+            vec[images] = image_coef * y
+            vec *= np.exp(-1j * np.angle(vec[gauge_pivot(vec)]))
+            states.append(EigenState(epsilon=epsilon, gamma=gamma, amplitudes=vec, k=k))
     states.sort(key=lambda s: (s.gamma, s.epsilon.real, int(np.argmax(np.abs(s.amplitudes)))))
     return states
 

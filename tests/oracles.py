@@ -6,6 +6,8 @@ HOSVD reference works on the dense symmetric tensor, not the reduced
 unfolding.
 """
 
+import itertools
+
 import numpy as np
 from scipy import sparse
 
@@ -148,3 +150,23 @@ def incoherent_fraction(n, phi, omega, delta, gamma=1.0):
     kernel = 2.0 * gamma * np.cos(phi * (sites[:, None] - sites[None, :]))
     flux = np.sum(kernel * (pairs - np.outer(coherences.conj(), coherences))).real
     return flux / (omega**2 / gamma)
+
+
+def hole_amplitudes(amplitudes, subsets, n):
+    """Hole-picture amplitudes by a per-state loop over complements.
+
+    The amplitude on subset S moves to the complement of S among the
+    lexicographically ordered (n - k)-subsets, times the parity of the
+    permutation that sorts (S, complement): (-1)^sum_i (s_i - i).
+    """
+    k = len(subsets[0])
+    holes = list(itertools.combinations(range(n), n - k))
+    index = {subset: i for i, subset in enumerate(holes)}
+    out = np.zeros(len(holes), dtype=complex)
+    full = frozenset(range(n))
+    for amp, subset in zip(amplitudes, subsets):
+        comp = tuple(sorted(full - set(subset)))
+        inversions = sum(site - i for i, site in enumerate(subset))
+        sign = -1.0 if inversions % 2 else 1.0
+        out[index[comp]] = sign * amp
+    return out

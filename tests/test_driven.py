@@ -397,3 +397,24 @@ def test_resonance_grid_strictly_increasing_and_bounded():
     assert grid[0] >= -5.0 and grid[-1] <= 2.0
     with pytest.raises(DomainError):
         resonance_grid(config, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_expectations_match_trace_of_product(n):
+    """Elementwise contractions equal tr(rho A) on a generic density matrix."""
+    config = ArrayConfig.from_period(n, 0.13)
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    ops = driven_module._lowering_ops(n)
+    expected = [np.trace(rho @ op.conj().T @ op).real for op in ops]
+    np.testing.assert_allclose(occupations(config, rho), expected, rtol=0, atol=1e-14)
+    drive = _drive(0.7)
+    amp = drive.amplitude(config.gamma_1d)
+    coherences = np.array([np.trace(rho @ op) for op in ops])
+    phases = np.exp(1j * config.phase * np.arange(n))
+    r_old = 1j / amp * np.sum(phases * coherences)
+    t_old = 1.0 + 1j / amp * np.sum(np.conj(phases) * coherences)
+    r, t = coherent_amplitudes(config, drive, rho, 0.4)
+    assert abs(r - r_old) < 1e-14 and abs(t - t_old) < 1e-14

@@ -22,7 +22,7 @@ from wqed_subradiance import (
     most_subradiant_state,
     to_symmetric_tensor,
 )
-from oracles import dense_hosvd_weights
+from oracles import dense_hosvd_weights, hole_amplitudes
 
 
 def _state(amplitudes, k):
@@ -313,3 +313,16 @@ def test_hole_picture_compresses_above_half_filling():
     result = hosvd(to_symmetric_tensor(hole_state, hole_basis))
     weights = np.sort(result.singular_values**2)[::-1]
     assert weights[:3].sum() > 0.9
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_hole_transform_bitwise_matches_per_state_loop(n):
+    rng = np.random.default_rng(n)
+    for k in range(n + 1):
+        basis = enumerate_sector(n, k)
+        amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        amps[::3] = -0.0  # signed zeros pass through unchanged too
+        hole_state, hole_basis = hole_transform(_state(amps, k), basis)
+        expected = hole_amplitudes(amps, basis.states, n)
+        assert hole_basis.n_excitations == n - k
+        assert hole_state.amplitudes.tobytes() == expected.tobytes()

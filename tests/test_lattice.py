@@ -11,6 +11,7 @@ from wqed_subradiance import (
     build_hamiltonian,
     enumerate_sector,
 )
+from wqed_subradiance.lattice import mirror_permutation, occupied_sites, rank_masks, site_masks
 from oracles import full_space_hamiltonian, project_to_sector
 
 
@@ -150,3 +151,34 @@ def test_hop_table_bitmask_limit():
     np.testing.assert_array_equal(h, expected)
     with pytest.raises(DomainError):
         build_hamiltonian(ArrayConfig(n_atoms=63, phase=0.3), enumerate_sector(63, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 11])
+def test_mirror_permutation_maps_each_state_to_its_image(n):
+    for k in range(n + 1):
+        basis = enumerate_sector(n, k)
+        mirror = mirror_permutation(basis)
+        images = [tuple(sorted(n - 1 - s for s in state)) for state in basis.states]
+        assert [basis.states[i] for i in mirror] == images
+        np.testing.assert_array_equal(mirror[mirror], np.arange(basis.dim))
+        np.testing.assert_array_equal(
+            rank_masks(basis, site_masks(occupied_sites(basis))), np.arange(basis.dim)
+        )
+
+
+def test_mirror_permutation_bitmask_limit():
+    mirror = mirror_permutation(enumerate_sector(62, 1))
+    np.testing.assert_array_equal(mirror, np.arange(61, -1, -1))
+    with pytest.raises(DomainError):
+        mirror_permutation(enumerate_sector(63, 1))
+
+
+@pytest.mark.parametrize("d", [0.0, 0.05, 0.13, 0.25, 0.3])
+def test_hamiltonian_is_mirror_symmetric_bitwise(d):
+    for n in range(1, 11):
+        config = ArrayConfig.from_period(n, d)
+        for k in range(n + 1):
+            basis = enumerate_sector(n, k)
+            h = build_hamiltonian(config, basis).matrix
+            mirror = mirror_permutation(basis)
+            assert h[np.ix_(mirror, mirror)].tobytes() == h.tobytes()

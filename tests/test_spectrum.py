@@ -1,13 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+import wqed_subradiance.spectrum as spectrum_module
 from wqed_subradiance import (
     ArrayConfig,
     DomainError,
+    NumericalError,
     build_hamiltonian,
     darkness_bound,
     diagonalize,
@@ -19,7 +23,8 @@ from wqed_subradiance import (
     scaling_fit,
     sector_decay_rates,
 )
-from wqed_subradiance.spectrum import PIVOT_ATOL
+from wqed_subradiance.lattice import SectorHamiltonian, mirror_permutation
+from wqed_subradiance.spectrum import GAMMA_FLOOR, PIVOT_ATOL, RESIDUAL_TOL
 from oracles import full_space_hamiltonian, project_to_sector
 
 
@@ -213,3 +218,95 @@ def test_most_subradiant_state_matches_min():
     config = ArrayConfig.from_period(8, 0.05)
     state = most_subradiant_state(config, 3)
     assert state.gamma == pytest.approx(min_decay_rate(config, 3), abs=1e-12)
+
+
+def _multiset_distance(a, b):
+    """Largest gap between two complex multisets under the best matching."""
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return cost[rows, cols].max()
+
+
+@pytest.mark.parametrize("d", [0.05, 0.13, 0.3])
+def test_parity_blocks_keep_the_unblocked_spectrum(d):
+    """Every sector, k = 0 and k = N included (there the odd block is empty)."""
+    for n in range(1, 11):
+        config = ArrayConfig.from_period(n, d)
+        for k in range(n + 1):
+            ham = build_hamiltonian(config, enumerate_sector(n, k))
+            states = diagonalize_sector(ham)
+            blocked = np.array([s.epsilon * max(k, 1) for s in states])
+            unblocked = np.linalg.eigvals(ham.matrix)
+            assert len(blocked) == len(unblocked)
+            assert _multiset_distance(blocked, unblocked) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "n,k,d", [(6, 3, 0.13), (7, 3, 0.05), (8, 4, 0.3), (9, 2, 0.25), (10, 5, 0.05)]
+)
+def test_lifted_states_are_mirror_eigenvectors_with_full_residual(n, k, d):
+    ham = build_hamiltonian(ArrayConfig.from_period(n, d), enumerate_sector(n, k))
+    mirror = mirror_permutation(ham.basis)
+    states = diagonalize_sector(ham)
+    values = np.array([s.epsilon * k for s in states])
+    vectors = np.array([s.amplitudes for s in states]).T
+    residual = np.linalg.norm(ham.matrix @ vectors - vectors * values, axis=0)
+    assert (residual <= RESIDUAL_TOL * np.maximum(1.0, np.abs(values))).all()
+    np.testing.assert_allclose(np.linalg.norm(vectors, axis=0), 1.0, atol=1e-12)
+    gaps = np.abs(values[:, None] - values[None, :]) + np.diag(np.full(len(values), np.inf))
+    nondegenerate = gaps.min(axis=1) > 1e-6
+    assert nondegenerate.sum() > len(states) // 2
+    for state in np.array(states, dtype=object)[nondegenerate]:
+        v = state.amplitudes
+        parity = np.vdot(v, v[mirror]).real
+        assert abs(abs(parity) - 1.0) < 1e-12
+        np.testing.assert_allclose(v[mirror], np.sign(parity) * v, atol=1e-12)
+
+
+def test_min_decay_rate_matches_unblocked_solver_values():
+    """Frozen values of the single dense eig over the whole sector (d = 0.05)."""
+    frozen = {
+        (11, 5): 0.01933662700020265,
+        (12, 6): 0.051293550014536206,
+        (10, 1): 0.0001323720729591158,
+    }
+    for (n, k), gamma in frozen.items():
+        config = ArrayConfig.from_period(n, 0.05)
+        assert min_decay_rate(config, k) == pytest.approx(gamma, rel=1e-10)
+
+
+def _sector(n=6, k=3, d=0.13):
+    return build_hamiltonian(ArrayConfig.from_period(n, d), enumerate_sector(n, k))
+
+
+def test_corrupted_eigenvectors_raise_with_residual_and_fingerprint(monkeypatch):
+    real_eig = spectrum_module.linalg.eig
+
+    def corrupted_eig(block, *args, **kwargs):
+        values, vectors = real_eig(block, *args, **kwargs)
+        vectors[:, -1] += 1e-3
+        return values, vectors
+
+    monkeypatch.setattr(spectrum_module.linalg, "eig", corrupted_eig)
+    ham = _sector()
+    with pytest.raises(NumericalError) as info:
+        diagonalize_sector(ham)
+    message = str(info.value)
+    residual = float(re.search(r"eigenpair residual (\S+) exceeds", message).group(1))
+    assert residual > RESIDUAL_TOL
+    assert spectrum_module._fingerprint(ham.matrix) in message
+
+
+@pytest.mark.parametrize("parity", [1.0, -1.0])
+def test_negative_decay_rate_in_either_block_raises(parity):
+    """Shift the decay rates of one parity block only below GAMMA_FLOOR."""
+    ham = _sector()
+    mirror = mirror_permutation(ham.basis)
+    projector = np.eye(ham.basis.dim)
+    projector = (projector + parity * projector[mirror]) / 2
+    shifted = ham.matrix + 1j * 100.0 * projector
+    with pytest.raises(NumericalError, match="negative decay rate") as info:
+        diagonalize_sector(SectorHamiltonian(basis=ham.basis, matrix=shifted))
+    gamma = float(re.search(r"negative decay rate (\S+) in", str(info.value)).group(1))
+    assert gamma < GAMMA_FLOOR
+    assert spectrum_module._fingerprint(shifted) in str(info.value)
