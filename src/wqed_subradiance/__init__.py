@@ -25,7 +25,6 @@ from .hosvd import (
     HosvdResult,
     SymmetricWavefunction,
     ansatz_overlap,
-    core_tensor,
     dimerized_profiles,
     entanglement_entropy,
     fermionic_profiles,
@@ -75,7 +74,6 @@ __all__ = [
     "ansatz_overlap",
     "build_hamiltonian",
     "coherent_amplitudes",
-    "core_tensor",
     "correlation_matrix",
     "darkness_bound",
     "diagonalize",

@@ -34,8 +34,6 @@ def _execute(mode: str, config_path: str, out_dir, workers, seed, fmt):
         if out_dir is not None:
             spec.out_dir = Path(out_dir)
         if workers is not None:
-            if workers < 1:
-                raise ConfigError("workers must be >= 1", location="--workers")
             spec.workers = workers
         if fmt is not None:
             spec.fmt = fmt
@@ -65,7 +63,8 @@ def _register(mode: str):
                   type=click.Path(exists=True, dir_okay=False), help="YAML scan configuration.")
     @click.option("--out", "out_dir", default=None,
                   type=click.Path(file_okay=False), help="Output directory (overrides config).")
-    @click.option("--workers", default=None, type=int, help="Worker count (overrides config).")
+    @click.option("--workers", default=None, type=click.IntRange(min=1),
+                  help="Worker count (overrides config).")
     @click.option("--seed", default=None, type=int,
                   help="Reserved; recorded in the manifest (no stochastic paths).")
     @click.option("--format", "fmt", default=None, type=click.Choice(["csv", "json"]),

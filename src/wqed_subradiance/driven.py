@@ -153,14 +153,9 @@ def _with_trace_row(liouvillian: np.ndarray, dim: int) -> np.ndarray:
     return m
 
 
-def _kernel_dimension(liouvillian: np.ndarray) -> int:
-    singular = linalg.svdvals(liouvillian)
-    return int((singular <= KERNEL_RCOND * singular[0]).sum())
-
-
 def _steady_failure(liouvillian: np.ndarray, message: str) -> NumericalError:
     """The error for a failed steady state, naming a degenerate kernel if there is one."""
-    kernel = _kernel_dimension(liouvillian)
+    kernel = linalg.null_space(liouvillian, rcond=KERNEL_RCOND).shape[1]
     if kernel > 1:
         message = f"steady state is not unique: generator kernel dimension {kernel}"
     return NumericalError(message)

@@ -7,7 +7,7 @@ by all modes, by symmetry) and an all-orthogonal core tensor; the Frobenius
 norms of the core's mode slices generalize singular values and define an
 entanglement entropy that counts the effective single-particle orbitals.
 Factor, norms and entropy come from the N x C(N, k-1) reduced unfolding;
-only :func:`core_tensor` builds the dense N^k tensor and the core.
+only :meth:`SymmetricWavefunction.to_dense` builds the dense N^k tensor.
 """
 
 from __future__ import annotations
@@ -149,15 +149,6 @@ def hosvd(psi: SymmetricWavefunction) -> HosvdResult:
     u, w, lam = u[:, order], w[order], lam[order]
     _validate_hosvd(b, u, w, lam, np.linalg.norm(psi.amplitudes))
     return HosvdResult(factor=u, singular_values=lam, entropy=_entropy(lam**2), k=psi.k)
-
-
-def core_tensor(psi: SymmetricWavefunction, result: HosvdResult) -> np.ndarray:
-    """Dense all-orthogonal core (conj(U) on every index), within the to_dense limits."""
-    core = psi.to_dense()
-    # each tensordot consumes axis 0 and appends the new one; k restore the order
-    for _ in range(core.ndim):
-        core = np.tensordot(core, result.factor.conj(), axes=([0], [0]))
-    return core
 
 
 def entanglement_entropy(result: HosvdResult) -> float:

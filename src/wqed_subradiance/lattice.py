@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,10 +65,6 @@ class SectorBasis:
     n_atoms: int
     n_excitations: int
     states: tuple[tuple[int, ...], ...]
-    _index: dict = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        self._index.update({s: i for i, s in enumerate(self.states)})
 
     @property
     def dim(self) -> int:
@@ -77,12 +73,6 @@ class SectorBasis:
     @property
     def states_1based(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(s + 1 for s in state) for state in self.states)
-
-    def index_of(self, subset: tuple[int, ...]) -> int:
-        return self._index[subset]
-
-    def subset_at(self, i: int) -> tuple[int, ...]:
-        return self.states[i]
 
 
 def enumerate_sector(n_atoms: int, k: int) -> SectorBasis:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
@@ -20,14 +20,18 @@ import yaml
 
 from . import __version__
 from .correlations import correlation_matrix, dimerization_score
-from .driven import DriveConfig, incoherent_spectrum, resonance_grid
+from .driven import MAX_DRIVEN_ATOMS, DriveConfig, incoherent_spectrum, resonance_grid
 from .errors import ConfigError, DomainError, NumericalError
-from .hosvd import hosvd, to_symmetric_tensor
+from .hosvd import HosvdResult, hosvd, to_symmetric_tensor
 from .lattice import ArrayConfig, enumerate_sector
 from .serialize import fmt_float, rows_to_json_payload, write_csv, write_json
-from .spectrum import diagonalize, min_decay_rate
+from .spectrum import min_decay_rate, most_subradiant_state
 
 _DRIVEN_MODES = ("driven-map", "driven-spectrum")
+# keyword types of the refined detuning grid, passed on to ``resonance_grid``
+_RESONANCE_GRID_KEYS = {
+    "start": float, "stop": float, "coarse": int, "refine_points": int, "refine_span": float,
+}
 
 
 @dataclass
@@ -39,7 +43,7 @@ class ScanSpec:
     n_values: list[int]
     k_values: list[int]
     powers: list[float]
-    detuning: dict | None
+    detuning: list[float] | dict | None  # grid points, or resonance_grid keywords
     phase_on_drive: bool
     amplitude_scale: float
     out_dir: Path
@@ -60,10 +64,13 @@ class CellStatus:
 
 @dataclass
 class RunManifest:
+    """Run metadata; the field order is the key order of ``run_manifest.json``."""
+
     mode: str
     version: str
     workers: int
     wall_time_s: float
+    seed: int | None
     config: dict
     outputs: list[str]
     cells: list[CellStatus]
@@ -91,6 +98,14 @@ def _expect(mapping, key, kind, location, default=None, required=False):
     return value
 
 
+def _reject_unknown(mapping, allowed, location):
+    for key in mapping:
+        if key not in allowed:
+            raise ConfigError(
+                f"unknown key; allowed: {', '.join(allowed)}", location=f"{location}.{key}"
+            )
+
+
 def _number_list(mapping, key, location, integer=False, required=False):
     if key not in mapping or mapping[key] is None:
         if required:
@@ -98,6 +113,7 @@ def _number_list(mapping, key, location, integer=False, required=False):
         return []
     value = mapping[key]
     if isinstance(value, dict):
+        _reject_unknown(value, ("start", "stop", "count"), f"{location}.{key}")
         start = _expect(value, "start", float, f"{location}.{key}", required=True)
         stop = _expect(value, "stop", float, f"{location}.{key}", required=True)
         count = _expect(value, "count", int, f"{location}.{key}", required=True)
@@ -116,6 +132,34 @@ def _number_list(mapping, key, location, integer=False, required=False):
     if not out:
         raise ConfigError("grid must not be empty", location=f"{location}.{key}")
     return out
+
+
+def _detuning_grid(drive: dict) -> list[float] | dict:
+    """Detuning points of a list or {start, stop, count}, else resonance_grid keywords."""
+    value, location = drive.get("detuning"), "drive.detuning"
+    if not isinstance(value, (dict, list)):
+        raise ConfigError(
+            "missing detuning grid (list or {start, stop, count} or "
+            "{start, stop, coarse, refine_points, refine_span})",
+            location=location,
+        )
+    if isinstance(value, list) or "count" in value:
+        grid = _number_list(drive, "detuning", "drive")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigError("detuning grid must be strictly increasing", location=location)
+        return grid
+    _reject_unknown(value, tuple(_RESONANCE_GRID_KEYS), location)
+    keywords = {
+        key: _expect(value, key, kind, location, required=key in ("start", "stop"))
+        for key, kind in _RESONANCE_GRID_KEYS.items()
+    }
+    keywords = {key: v for key, v in keywords.items() if v is not None}
+    if not keywords["stop"] > keywords["start"]:
+        raise ConfigError("stop must exceed start", location=f"{location}.stop")
+    for key in ("coarse", "refine_points"):
+        if keywords.get(key, 1) < 1:
+            raise ConfigError(f"{key} must be >= 1", location=f"{location}.{key}")
+    return keywords
 
 
 def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
@@ -147,8 +191,7 @@ def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
             f"mode {mode} needs exactly one d_over_lambda value", location="grid.d_over_lambda"
         )
 
-    k_required = mode in ("decay-map", "decay-vs-k", "size-map", "hosvd-analyze", "entropy-map", "correlations")
-    k_values = _number_list(grid, "k", "grid", integer=True, required=k_required)
+    k_values = _number_list(grid, "k", "grid", integer=True, required=mode not in _DRIVEN_MODES)
     n_values = _number_list(grid, "n_atoms", "grid", integer=True, required=(mode == "size-map"))
     if mode != "size-map":
         n_values = [n_atoms] if n_atoms else []
@@ -171,15 +214,11 @@ def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
             raise ConfigError("power must be >= 0", location=f"drive.power[{i}]")
     detuning = None
     if mode in _DRIVEN_MODES:
-        detuning = drive.get("detuning")
-        if not isinstance(detuning, (dict, list)):
+        detuning = _detuning_grid(drive)
+        if n_atoms is not None and n_atoms > MAX_DRIVEN_ATOMS:
             raise ConfigError(
-                "missing detuning grid (list or {start, stop, count} or "
-                "{start, stop, coarse, refine_points, refine_span})",
-                location="drive.detuning",
+                f"driven modes need n_atoms <= {MAX_DRIVEN_ATOMS}", location="array.n_atoms"
             )
-        if n_atoms is not None and n_atoms > 5:
-            raise ConfigError("driven modes need n_atoms <= 5", location="array.n_atoms")
     phase_on_drive = _expect(drive, "phase_on_drive", bool, "drive", default=True)
     amplitude_scale = _expect(drive, "amplitude_scale", float, "drive", default=1.0)
 
@@ -234,96 +273,76 @@ def validate_config(path) -> ScanSpec:
 # module-level functions with picklable arguments so process pools can run them
 
 
-def _cell_min_gamma(args):
-    d, n, k, gamma_1d = args
+def _run_cell(task):
+    """Run one grid cell; a domain or numerical failure becomes its error status.
+
+    ``task`` is (worker name, worker arguments); the worker is looked up when
+    the cell runs and returns (status, payload) or (status, payload, health).
+    """
+    worker, args = task
     try:
-        if k > n:
-            return ("skipped", None)
-        value = min_decay_rate(ArrayConfig.from_period(n, d, gamma_1d), k)
-        return ("ok", value)
+        return globals()[worker](args)
     except (DomainError, NumericalError) as exc:
         return ("error", str(exc))
+
+
+def _cell_min_gamma(args):
+    d, n, k, gamma_1d = args
+    if k > n:
+        return ("skipped", None)
+    return ("ok", min_decay_rate(ArrayConfig.from_period(n, d, gamma_1d), k))
+
+
+def _subradiant_state(args):
+    """The most subradiant state of a sector cell, with its basis."""
+    d, n, k, gamma_1d = args
+    return most_subradiant_state(ArrayConfig.from_period(n, d, gamma_1d), k), enumerate_sector(n, k)
+
+
+def _subradiant_hosvd(args) -> HosvdResult:
+    return hosvd(to_symmetric_tensor(*_subradiant_state(args)))
 
 
 def _cell_hosvd(args):
-    d, n, k, gamma_1d = args
-    try:
-        config = ArrayConfig.from_period(n, d, gamma_1d)
-        state = diagonalize(config, k)[0]
-        basis = enumerate_sector(n, k)
-        result = hosvd(to_symmetric_tensor(state, basis))
-        return ("ok", result.to_json_dict())
-    except (DomainError, NumericalError) as exc:
-        return ("error", str(exc))
+    return ("ok", _subradiant_hosvd(args).to_json_dict())
 
 
 def _cell_entropy(args):
-    status, payload = _cell_hosvd(args)
-    if status != "ok":
-        return (status, payload)
-    return ("ok", payload["entropy"])
+    return ("ok", _subradiant_hosvd(args).entropy)
 
 
 def _cell_correlations(args):
-    d, n, k, gamma_1d = args
-    try:
-        config = ArrayConfig.from_period(n, d, gamma_1d)
-        state = diagonalize(config, k)[0]
-        basis = enumerate_sector(n, k)
-        corr = correlation_matrix(state, basis)
-        rows = list(corr.rows())
-        scores = [dimerization_score(corr, offset) for offset in (0, 1)] if n % 2 == 0 else None
-        return ("ok", (rows, scores))
-    except (DomainError, NumericalError) as exc:
-        return ("error", str(exc))
-
-
-def _build_detuning_grid(spec_detuning, config: ArrayConfig) -> np.ndarray:
-    if isinstance(spec_detuning, list):
-        return np.array([float(v) for v in spec_detuning])
-    keys = set(spec_detuning)
-    if "count" in keys:
-        return np.linspace(
-            float(spec_detuning["start"]), float(spec_detuning["stop"]), int(spec_detuning["count"])
-        )
-    return resonance_grid(
-        config,
-        float(spec_detuning["start"]),
-        float(spec_detuning["stop"]),
-        coarse=int(spec_detuning.get("coarse", 401)),
-        refine_points=int(spec_detuning.get("refine_points", 41)),
-        refine_span=float(spec_detuning.get("refine_span", 8.0)),
-    )
+    state, basis = _subradiant_state(args)
+    corr = correlation_matrix(state, basis)
+    scores = [dimerization_score(corr, offset) for offset in (0, 1)] if basis.n_atoms % 2 == 0 else None
+    return ("ok", (list(corr.rows()), scores))
 
 
 def _cell_driven(args):
-    d, n, power, gamma_1d, detuning_spec, phase_on_drive, amplitude_scale, want_spectrum = args
-    try:
-        config = ArrayConfig.from_period(n, d, gamma_1d)
-        grid = _build_detuning_grid(detuning_spec, config)
-        drive = DriveConfig(
-            power=power,
-            detuning_grid=grid,
-            phase_on_drive=phase_on_drive,
-            amplitude_scale=amplitude_scale,
-        )
-        spectrum = incoherent_spectrum(config, drive)
-        if want_spectrum:
-            rows = [
-                (
-                    float(delta),
-                    spectrum.reflection[i].real,
-                    spectrum.reflection[i].imag,
-                    spectrum.transmission[i].real,
-                    spectrum.transmission[i].imag,
-                    float(spectrum.incoherent[i]),
-                )
-                for i, delta in enumerate(spectrum.detunings)
-            ]
-            return ("ok", rows, spectrum.health)
-        return ("ok", spectrum.narrowest_fwhm, spectrum.health)
-    except (DomainError, NumericalError) as exc:
-        return ("error", str(exc))
+    d, n, power, gamma_1d, detuning, phase_on_drive, amplitude_scale, want_spectrum = args
+    config = ArrayConfig.from_period(n, d, gamma_1d)
+    grid = resonance_grid(config, **detuning) if isinstance(detuning, dict) else detuning
+    drive = DriveConfig(
+        power=power,
+        detuning_grid=grid,
+        phase_on_drive=phase_on_drive,
+        amplitude_scale=amplitude_scale,
+    )
+    spectrum = incoherent_spectrum(config, drive)
+    if want_spectrum:
+        rows = [
+            (
+                float(delta),
+                spectrum.reflection[i].real,
+                spectrum.reflection[i].imag,
+                spectrum.transmission[i].real,
+                spectrum.transmission[i].imag,
+                float(spectrum.incoherent[i]),
+            )
+            for i, delta in enumerate(spectrum.detunings)
+        ]
+        return ("ok", rows, spectrum.health)
+    return ("ok", spectrum.narrowest_fwhm, spectrum.health)
 
 
 def _map_cells(fn, cells, workers):
@@ -342,10 +361,10 @@ def _map_cells(fn, cells, workers):
 class _Mode:
     """What a scan mode computes per grid cell and how it writes results.
 
-    ``worker`` names a module-level cell function, looked up when the scan
-    runs.  A mode either gathers one row per ok cell into a single table
-    (``stem``, ``header``, ``row``) or writes one file per ok cell
-    (``write``, which may add entries to the cell's params).
+    ``worker`` names a module-level cell function, looked up by
+    :func:`_run_cell` when each cell runs.  A mode either gathers one row per
+    ok cell into a single table (``stem``, ``header``, ``row``) or writes one
+    file per ok cell (``write``, which may add entries to the cell's params).
     """
 
     worker: str
@@ -442,9 +461,8 @@ def run_scan(spec: ScanSpec) -> RunManifest:
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     mode = _MODE_TABLE[spec.mode]
     cells = _cells(spec)
-    results = _map_cells(globals()[mode.worker], [args for _, args in cells], spec.workers)
+    results = _map_cells(_run_cell, [(mode.worker, args) for _, args in cells], spec.workers)
     outputs, rows, statuses = [], [], []
-    # a worker returns (status, payload) or (status, payload, health)
     for i, ((params, _), (status, payload, *health)) in enumerate(zip(cells, results)):
         if status == "ok":
             if mode.write:
@@ -462,39 +480,18 @@ def run_scan(spec: ScanSpec) -> RunManifest:
         )
     if mode.row:
         outputs.append(_write_table(spec, mode.stem, mode.header, rows))
-    wall = time.perf_counter() - start
-    success = all(c.status != "error" for c in statuses)
     manifest = RunManifest(
         mode=spec.mode,
         version=__version__,
         workers=spec.workers,
-        wall_time_s=wall,
+        wall_time_s=time.perf_counter() - start,
+        seed=spec.seed,
         config=spec.raw_config,
         outputs=[str(p) for p in outputs],
         cells=statuses,
-        success=success,
+        success=all(c.status != "error" for c in statuses),
     )
-    write_json(
-        spec.out_dir / "run_manifest.json",
-        {
-            "mode": manifest.mode,
-            "version": manifest.version,
-            "workers": manifest.workers,
-            "wall_time_s": manifest.wall_time_s,
-            "seed": spec.seed,
-            "config": manifest.config,
-            "outputs": manifest.outputs,
-            "cells": [
-                {
-                    "index": c.index,
-                    "params": c.params,
-                    "status": c.status,
-                    **({"error": c.error} if c.error else {}),
-                    **({"health": c.health} if c.health else {}),
-                }
-                for c in manifest.cells
-            ],
-            "success": manifest.success,
-        },
-    )
+    record = asdict(manifest)
+    record["cells"] = [{k: v for k, v in cell.items() if v is not None} for cell in record["cells"]]
+    write_json(spec.out_dir / "run_manifest.json", record)
     return manifest

@@ -86,6 +86,15 @@ def dense_hosvd_weights(tensor):
     return lam, float(-(weights * np.log(weights)).sum())
 
 
+def core_tensor(psi, result):
+    """Dense all-orthogonal HOSVD core: conj(U) contracted into every index of psi.to_dense()."""
+    core = psi.to_dense()
+    # each tensordot consumes axis 0 and appends the new one; k restore the order
+    for _ in range(core.ndim):
+        core = np.tensordot(core, result.factor.conj(), axes=([0], [0]))
+    return core
+
+
 def two_level_population(omega, gamma, delta):
     """Steady excited population of one driven two-level atom.
 

@@ -12,7 +12,6 @@ from wqed_subradiance import (
     ArrayConfig,
     DriveConfig,
     ansatz_overlap,
-    core_tensor,
     correlation_matrix,
     darkness_bound,
     diagonalize,
@@ -33,7 +32,7 @@ from wqed_subradiance import (
     validate_config,
 )
 from wqed_subradiance.driven import PEAK_FLOOR
-from oracles import incoherent_fraction
+from oracles import core_tensor, incoherent_fraction
 
 D_REF = 0.05
 D_FINE = 0.01
@@ -200,7 +199,7 @@ def test_criterion_06_dimer_benchmark():
     state = most_subradiant_state(config, 2)
     ansatz = np.zeros(basis.dim, dtype=complex)
     for subset, value in {(0, 2): 0.5, (0, 3): -0.5, (1, 2): -0.5, (1, 3): 0.5}.items():
-        ansatz[basis.index_of(subset)] = value
+        ansatz[basis.states.index(subset)] = value
     overlap = abs(np.vdot(ansatz, state.amplitudes)) ** 2
     result = hosvd(to_symmetric_tensor(state, basis))
     lam = result.singular_values

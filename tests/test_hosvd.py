@@ -11,7 +11,6 @@ from wqed_subradiance import (
     EigenState,
     HosvdResult,
     ansatz_overlap,
-    core_tensor,
     correlation_matrix,
     dimerized_profiles,
     entanglement_entropy,
@@ -22,7 +21,7 @@ from wqed_subradiance import (
     most_subradiant_state,
     to_symmetric_tensor,
 )
-from oracles import dense_hosvd_weights, hole_amplitudes
+from oracles import core_tensor, dense_hosvd_weights, hole_amplitudes
 
 
 def _state(amplitudes, k):
@@ -34,7 +33,7 @@ def dimer_product_state(basis):
     """(s1+ - s2+)(s3+ - s4+)|0>/2 over the N=4, k=2 basis."""
     amps = np.zeros(basis.dim, dtype=complex)
     for subset, value in {(0, 2): 0.5, (0, 3): -0.5, (1, 2): -0.5, (1, 3): 0.5}.items():
-        amps[basis.index_of(subset)] = value
+        amps[basis.states.index(subset)] = value
     return _state(amps, 2)
 
 
@@ -47,7 +46,7 @@ def test_symmetric_tensor_single_excitation_identity():
 def test_symmetric_tensor_distributes_permutations():
     basis = enumerate_sector(4, 2)
     amps = np.zeros(basis.dim, dtype=complex)
-    amps[basis.index_of((0, 2))] = 1.0
+    amps[basis.states.index((0, 2))] = 1.0
     dense = to_symmetric_tensor(_state(amps, 2), basis).to_dense()
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 2] = expected[2, 0] = 1 / math.sqrt(2)
@@ -224,7 +223,7 @@ def test_entropy_mirror_invariance():
     mirrored = np.zeros_like(state.amplitudes)
     for amp, subset in zip(state.amplitudes, basis.states):
         target = tuple(sorted(8 - 1 - s for s in subset))
-        mirrored[basis.index_of(target)] = amp
+        mirrored[basis.states.index(target)] = amp
     s_orig = hosvd(to_symmetric_tensor(state, basis)).entropy
     s_mirror = hosvd(to_symmetric_tensor(_state(mirrored, 3), basis)).entropy
     assert s_orig == pytest.approx(s_mirror, abs=1e-9)

@@ -8,11 +8,14 @@ import wqed_subradiance.scan as scan_module
 from wqed_subradiance import (
     ArrayConfig,
     ConfigError,
+    NumericalError,
     min_decay_rate,
+    resonance_grid,
     run_scan,
     validate_config,
 )
 from wqed_subradiance.cli import main
+from wqed_subradiance.serialize import fmt_float
 
 
 def write_config(path, payload):
@@ -105,6 +108,62 @@ def test_validate_linspace_grid(tmp_path):
     )
     spec = validate_config(path)
     assert spec.d_values == pytest.approx([0.05, 0.15, 0.25])
+
+
+def driven_config(tmp_path, detuning, mode="driven-map"):
+    return write_config(
+        tmp_path / "cfg.yaml",
+        {"mode": mode, "array": {"n_atoms": 2}, "grid": {"d_over_lambda": [0.05]},
+         "drive": {"power": [0.1], "detuning": detuning},
+         "output": {"directory": str(tmp_path / "out")}},
+    )
+
+
+# malformed drive.detuning grids and the location each must be reported at
+_BAD_DETUNING = {
+    "missing-start": ({"stop": 1, "count": 5}, "drive.detuning.start"),
+    "unknown-key": ({"start": -1, "stop": 1, "coarsee": 5}, "drive.detuning.coarsee"),
+    "non-number": ([-1, "a", 1], "drive.detuning[1]"),
+    "non-increasing": ([-1, 1, 1], "drive.detuning"),
+    "refined-stop-not-above-start": ({"start": 1, "stop": 1}, "drive.detuning.stop"),
+    "coarse-below-one": ({"start": -1, "stop": 1, "coarse": -3}, "drive.detuning.coarse"),
+}
+
+
+@pytest.mark.parametrize(
+    "detuning, location", list(_BAD_DETUNING.values()), ids=list(_BAD_DETUNING)
+)
+def test_validate_rejects_malformed_detuning_grid(tmp_path, detuning, location):
+    with pytest.raises(ConfigError) as err:
+        validate_config(driven_config(tmp_path, detuning))
+    assert err.value.location == location
+
+
+@pytest.mark.parametrize(
+    "detuning",
+    [
+        {"stop": 1, "count": 5},
+        [-1, "a", 1],
+        {"start": -1, "stop": 1, "coarse": -3},
+        {"start": -1, "stop": 1, "coarsee": 5},
+    ],
+    ids=["missing-start", "non-number", "negative-coarse", "misspelled-key"],
+)
+def test_cli_malformed_detuning_exit_two_without_traceback(tmp_path, detuning):
+    result = CliRunner().invoke(main, ["driven-map", "--config", driven_config(tmp_path, detuning)])
+    assert result.exit_code == 2
+    assert "error: drive.detuning" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_refined_detuning_grid_defaults_to_resonance_grid(tmp_path):
+    spec = validate_config(driven_config(tmp_path, {"start": -3, "stop": 1}, "driven-spectrum"))
+    assert spec.detuning == {"start": -3.0, "stop": 1.0}
+    assert run_scan(spec).success
+    lines = (tmp_path / "out" / "spectrum_p00.csv").read_text().strip().split("\n")[1:]
+    expected = resonance_grid(ArrayConfig.from_period(2, 0.05), -3.0, 1.0)
+    assert [line.split(",")[0] for line in lines] == [fmt_float(x) for x in expected]
 
 
 def test_decay_vs_k_scan_matches_figure_cross_section(tmp_path):
@@ -278,7 +337,12 @@ def test_manifest_contents(tmp_path):
     assert len(data["cells"]) == 10
     assert all(c["status"] == "ok" for c in data["cells"])
     assert data["outputs"] == [str(tmp_path / "out" / "decay_vs_k.csv")]
-    assert "wall_time_s" in data and "version" in data
+    assert list(data) == [
+        "mode", "version", "workers", "wall_time_s", "seed", "config", "outputs", "cells",
+        "success",
+    ]
+    assert data["seed"] is None and data["workers"] == 1
+    assert all(list(c) == ["index", "params", "status"] for c in data["cells"])
 
 
 def test_json_format_option(tmp_path):
@@ -346,6 +410,27 @@ def test_cli_numerical_failure_exit_three(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
     assert manifest["success"] is False
     assert manifest["cells"][0]["error"] == "synthetic failure"
+
+
+def test_cell_failure_raised_by_worker_is_recorded(tmp_path, monkeypatch):
+    def fail(args):
+        raise NumericalError("synthetic residual 1e-3")
+
+    monkeypatch.setattr(scan_module, "_cell_min_gamma", fail)
+    manifest = run_scan(validate_config(decay_vs_k_config(tmp_path)))
+    assert not manifest.success
+    cells = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["cells"]
+    assert [list(c) for c in cells] == [["index", "params", "status", "error"]] * 10
+    assert {c["error"] for c in cells} == {"synthetic residual 1e-3"}
+
+
+def test_cli_workers_below_one_exit_two(tmp_path):
+    result = CliRunner().invoke(
+        main, ["decay-vs-k", "--config", decay_vs_k_config(tmp_path), "--workers", "0"]
+    )
+    assert result.exit_code == 2
+    assert "--workers" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_out_and_workers_override(tmp_path):

@@ -145,7 +145,7 @@ def test_dimer_ansatz_rayleigh_quotient_n4():
     amps = np.zeros(basis.dim, dtype=complex)
     signs = {(0, 2): 0.5, (0, 3): -0.5, (1, 2): -0.5, (1, 3): 0.5}
     for subset, value in signs.items():
-        amps[basis.index_of(subset)] = value
+        amps[basis.states.index(subset)] = value
     h = build_hamiltonian(config, basis).matrix
     rayleigh_gamma = -(amps.conj() @ h @ amps).imag / 2
     exact = min_decay_rate(config, 2)
