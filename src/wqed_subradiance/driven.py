@@ -15,7 +15,6 @@ limit to r = -i*gamma/(delta + i*gamma).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -209,72 +208,136 @@ def steady_state(config: ArrayConfig, drive: DriveConfig, detuning: float) -> np
     return rho
 
 
-def _pole_solve(m0: np.ndarray, d: np.ndarray, grid: np.ndarray):
-    """Columns x(delta) with (M0 + delta*diag(d)) x = e0 for every delta of the grid.
+def _hermitian_coordinates(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-major flat indices of the diagonal, upper and mirrored lower entries.
 
-    One LU of M0 and eig(M0^-1 diag(d)) = V Lambda V^-1 turn every point into
-    P(delta) e0 with P(delta) = V diag(1/(1 + delta*Lambda)) V^-1 M0^-1; one
-    refinement step x += P(delta)(e0 - M(delta) x) against the exact pencil
-    follows.  Returns x and the 1-norm condition estimate of V; x is NaN (and
-    the estimate None) when M0 cannot be expanded.
+    The real coordinates of a Hermitian rho are its diagonal, then
+    sqrt(2)*Re and sqrt(2)*Im of its upper entries, in this order: the
+    coefficients of rho in the orthonormal basis e_aa, (e_ab + e_ba)/sqrt(2),
+    i(e_ab - e_ba)/sqrt(2) (a < b) of the matrices.
     """
-    size = len(d)
-    e0 = np.zeros(size, dtype=complex)
+    rows, cols = np.triu_indices(dim, 1)
+    return np.arange(dim) * (dim + 1), rows * dim + cols, cols * dim + rows
+
+
+def _real_generator(liouvillian: np.ndarray, dim: int) -> np.ndarray:
+    """A generator in the real Hermitian coordinates, gathered by index.
+
+    A Lindblad generator maps Hermitian rho to Hermitian rho (J conj(L) J =
+    L, J the swap of entries ab and ba), so Q^dag L Q is real, Q the basis of
+    ``_hermitian_coordinates``.  The columns of L Q and then the rows of
+    Q^dag (L Q) are sums and differences of gathered columns and rows.
+    """
+    diag, upper, lower = _hermitian_coordinates(dim)
+    half = np.sqrt(0.5)
+    upper_cols, lower_cols = liouvillian[:, upper], liouvillian[:, lower]
+    cols = np.concatenate(
+        [liouvillian[:, diag], half * (upper_cols + lower_cols), 1j * half * (upper_cols - lower_cols)],
+        axis=1,
+    )
+    upper_rows, lower_rows = cols[upper], cols[lower]
+    return np.concatenate(
+        [cols[diag].real, half * (upper_rows + lower_rows).real, half * (upper_rows - lower_rows).imag]
+    )
+
+
+def _real_detuning(detuning_diag: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The support S of the detuning piece D in real coordinates, and D[:, S].
+
+    D is diagonal with entries i*theta (theta = n_a - n_b), so it vanishes on
+    the diagonal and maps the coordinates (s, c) of an upper entry ab to
+    (-theta*c, theta*s).  S holds the pairs with theta != 0: 4^N - C(2N, N)
+    of the 4^N coordinates.
+    """
+    _, upper, _ = _hermitian_coordinates(dim)
+    theta = detuning_diag[upper].imag
+    pairs = np.flatnonzero(theta)
+    real_rows, imag_rows = dim + pairs, dim + len(upper) + pairs
+    columns = np.arange(len(pairs))
+    d_support = np.zeros((dim * dim, 2 * len(pairs)))
+    d_support[imag_rows, columns] = theta[pairs]
+    d_support[real_rows, len(pairs) + columns] = -theta[pairs]
+    return np.concatenate([real_rows, imag_rows]), d_support
+
+
+def _pole_solve(m0: np.ndarray, d_support: np.ndarray, support: np.ndarray, grid: np.ndarray):
+    """Real columns x(delta) with (M0 + delta*D) x = e0 for every delta of the grid.
+
+    D is zero outside the columns ``support`` and given as d_support =
+    D[:, support].  With K = M0^-1 D[:, S] and eig(K[S]) = W Lambda W^-1 the
+    Woodbury identity gives every point as P(delta) e0, where P(delta) b =
+    z - delta*K W diag(1/(1 + delta*Lambda)) W^-1 z[S] and z = M0^-1 b; one
+    refinement step x += P(delta)(e0 - M(delta) x) against the exact pencil
+    follows.  Returns x and the 1-norm condition of W; x is NaN (and the
+    condition None) when M0 cannot be expanded.
+
+    Every dense kernel here is numpy's: its BLAS is a different library from
+    scipy's, and under threaded BLAS each switch between the two costs
+    milliseconds while the other library's threads spin down.
+    """
+    size = len(m0)
+    e0 = np.zeros((size, 1))
     e0[0] = 1.0
-    # a singular M0 or V is not an error here: it leaves inf or NaN, which
-    # eig rejects or the per-point checks of the caller send to the fallback
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", linalg.LinAlgWarning)
-        lu_m = linalg.lu_factor(m0, check_finite=False)
-        try:
-            lam, v = np.linalg.eig(linalg.lu_solve(lu_m, np.diag(d), check_finite=False))
-        except np.linalg.LinAlgError:
-            return np.full((size, len(grid)), np.nan, dtype=complex), None
-        lu_v = linalg.lu_factor(v, check_finite=False)
-    rcond, _ = linalg.lapack.zgecon(lu_v[0], np.abs(v).sum(axis=0).max(), norm="1")
+    # a singular M0 or W is not an error here: the caller sends the NaN
+    # points to the fallback, which reports the degenerate kernel
+    try:
+        solved = np.linalg.solve(m0, np.hstack([e0, d_support]))
+        lam, w = np.linalg.eig(solved[support, 1:])
+        w_inv = np.linalg.inv(w)
+    except np.linalg.LinAlgError:
+        return np.full((size, len(grid)), np.nan), None
+    kw = solved[:, 1:] @ w
     poles = 1.0 + np.outer(lam, grid)
 
-    def expand(rhs):
-        c = linalg.lu_solve(lu_v, linalg.lu_solve(lu_m, rhs, check_finite=False), check_finite=False)
-        return v @ (c.reshape(size, -1) / poles)
+    def expand(z):
+        return z - grid * (kw @ ((w_inv @ z[support]) / poles)).real
 
     with np.errstate(all="ignore"):
-        x = expand(e0)
-        x += expand(e0[:, None] - m0 @ x - d[:, None] * x * grid)
-        condition = float(np.float64(1.0) / rcond)
+        x = expand(solved[:, :1])
+        x += expand(np.linalg.solve(m0, e0 - m0 @ x - grid * (d_support @ x[support])))
+    condition = float(np.abs(w).sum(axis=0).max() * np.abs(w_inv).sum(axis=0).max())
     return x, condition
 
 
 def steady_states(config: ArrayConfig, drive: DriveConfig) -> tuple[np.ndarray, dict]:
     """Steady states over the whole detuning grid from one pole expansion.
 
-    With the trace row in place of row 0 the linear system is the pencil
-    M(delta) = M0 + delta*D, D the diagonal detuning piece with D[0] = 0, so
-    one factorization of M0 serves every point (see ``_pole_solve``).  Every
-    point keeps the checks of ``steady_state``: hermitized and
-    trace-normalized, generator residual at most ``STEADY_TOL``, positive
-    semidefinite.  A point that fails them is re-solved by ``steady_state``.
+    The pencil is solved in the real Hermitian coordinates of
+    ``_hermitian_coordinates``, where the generator and the detuning piece
+    are real.  With the trace row in place of row 0 the linear system is the
+    pencil M(delta) = M0 + delta*D, and D is zero off its support S (see
+    ``_real_detuning``), so one factorization of M0 and one eigensolve of
+    size |S| serve every point (see ``_pole_solve``).  Every point keeps the
+    checks of ``steady_state``: trace-normalized, residual against the
+    complex generator at most ``STEADY_TOL``, positive semidefinite.  A
+    point that fails them is re-solved by ``steady_state``.
 
     Returns the stack of density matrices, shape (points, 2^N, 2^N), and the
-    solver health: the number of fallback points and the condition estimate
-    of the eigenvector matrix V.
+    solver health: the number of fallback points and the 1-norm condition of
+    the eigenvector matrix W.
     """
     _check_atoms(config)
     l_static, l_drive, detuning_diag = _liouvillian_pieces(config, drive.phase_on_drive)
     dim = 2**config.n_atoms
     grid = drive.detuning_grid
     l0 = l_static + drive.amplitude(config.gamma_1d) * l_drive
-    m0 = _with_trace_row(l0, dim)
-    d = detuning_diag.copy()
-    d[0] = 0.0  # the trace row does not depend on the detuning
-    x, condition = _pole_solve(m0, d, grid)
+    m0 = _real_generator(l0, dim)
+    m0[0] = 0.0
+    m0[0, :dim] = 1.0  # trace row: the diagonal coordinates sum to one
+    support, d_support = _real_detuning(detuning_diag, dim)
+    x, condition = _pole_solve(m0, d_support, support, grid)
 
-    rho = x.T.reshape(len(grid), dim, dim)
+    # rho from its real coordinates: Hermitian by construction
+    diag, upper, lower = _hermitian_coordinates(dim)
+    entries = np.sqrt(0.5) * (x[dim : dim + len(upper)] + 1j * x[dim + len(upper) :]).T
+    vec = np.empty((len(grid), dim * dim), dtype=complex)
+    vec[:, diag] = x[:dim].T
+    vec[:, upper] = entries
+    vec[:, lower] = entries.conj()
     with np.errstate(all="ignore"):
-        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-        vec = rho.reshape(len(grid), -1).T
-        residual = np.abs(l0 @ vec + detuning_diag[:, None] * vec * grid).max(axis=0)
+        vec /= x[:dim].sum(axis=0)[:, None]
+        residual = np.abs(vec @ l0.T + detuning_diag * vec * grid[:, None]).max(axis=1)
+    rho = vec.reshape(len(grid), dim, dim)
     failed = ~(residual <= STEADY_TOL)
     passed = np.flatnonzero(~failed)
     failed[passed] = np.linalg.eigvalsh(rho[passed]).min(axis=1) < -PSD_TOL
@@ -317,6 +380,26 @@ def transfer_matrix_amplitudes(
     return complex(r), complex(t)
 
 
+def _stacked_amplitudes(
+    config: ArrayConfig, drive: DriveConfig, rhos: np.ndarray, grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reflection and transmission for a stack of steady states, one per detuning."""
+    n = config.n_atoms
+    gamma = config.gamma_1d
+    phi = config.phase
+    amp_in = drive.amplitude(gamma)
+    if amp_in == 0.0:
+        r, t = np.array([transfer_matrix_amplitudes(config, delta) for delta in grid]).T
+        return r, t * np.exp(-1j * phi * (n - 1))
+    ops = _lowering_ops(n)
+    # <sigma_j> = tr(rho sigma_j) = sum_ab rho_ab (sigma_j)_ba, for every rho at once
+    coherences = rhos.reshape(len(rhos), -1) @ np.array([op.T.ravel() for op in ops]).T
+    phases = np.exp(1j * phi * np.arange(n))
+    t = 1.0 + 1j * gamma / amp_in * (coherences @ np.conj(phases))
+    r = 1j * gamma / amp_in * (coherences @ phases)
+    return r, t
+
+
 def coherent_amplitudes(
     config: ArrayConfig, drive: DriveConfig, rho: np.ndarray, detuning: float
 ) -> tuple[complex, complex]:
@@ -326,34 +409,16 @@ def coherent_amplitudes(
     values and fall back to the linear transfer-matrix result (with the
     transmission phase moved to the input reference plane).
     """
-    n = config.n_atoms
-    gamma = config.gamma_1d
-    phi = config.phase
-    amp_in = drive.amplitude(gamma)
-    if amp_in == 0.0:
-        r, t = transfer_matrix_amplitudes(config, detuning)
-        return r, t * np.exp(-1j * phi * (n - 1))
-    ops = _lowering_ops(n)
-    # <sigma_j> = tr(rho sigma_j) = sum_ab rho_ab (sigma_j)_ba
-    coherences = np.array([np.sum(rho * op.T) for op in ops])
-    phases = np.exp(1j * phi * np.arange(n))
-    t = 1.0 + 1j * gamma / amp_in * np.sum(np.conj(phases) * coherences)
-    r = 1j * gamma / amp_in * np.sum(phases * coherences)
-    return complex(r), complex(t)
+    r, t = _stacked_amplitudes(config, drive, rho[None], np.array([detuning]))
+    return complex(r[0]), complex(t[0])
 
 
 def incoherent_spectrum(config: ArrayConfig, drive: DriveConfig) -> ScatteringSpectrum:
     """Sweep the detuning grid and collect r, t, and I = 1 - |r|^2 - |t|^2."""
     grid = drive.detuning_grid
     rhos, health = steady_states(config, drive)
-    reflection = np.empty(len(grid), dtype=complex)
-    transmission = np.empty(len(grid), dtype=complex)
-    incoherent = np.empty(len(grid))
-    for i, (delta, rho) in enumerate(zip(grid, rhos)):
-        r, t = coherent_amplitudes(config, drive, rho, delta)
-        reflection[i] = r
-        transmission[i] = t
-        incoherent[i] = 1.0 - abs(r) ** 2 - abs(t) ** 2
+    reflection, transmission = _stacked_amplitudes(config, drive, rhos, grid)
+    incoherent = 1.0 - np.abs(reflection) ** 2 - np.abs(transmission) ** 2
     # with the drive phases suppressed the input field is not the physical
     # left-propagating mode and flux bookkeeping (hence I in [0, 1]) breaks
     if drive.phase_on_drive and (

@@ -32,6 +32,14 @@ _DRIVEN_MODES = ("driven-map", "driven-spectrum")
 _RESONANCE_GRID_KEYS = {
     "start": float, "stop": float, "coarse": int, "refine_points": int, "refine_span": float,
 }
+# the keys a config may hold, at the top level and in each section
+_TOP_KEYS = ("mode", "array", "grid", "drive", "output", "workers", "seed")
+_SECTION_KEYS = {
+    "array": ("n_atoms", "gamma_1d"),
+    "grid": ("d_over_lambda", "k", "n_atoms"),
+    "drive": ("power", "detuning", "phase_on_drive", "amplitude_scale"),
+    "output": ("directory", "format"),
+}
 
 
 @dataclass
@@ -86,10 +94,11 @@ def _expect(mapping, key, kind, location, default=None, required=False):
             raise ConfigError("missing required key", location=f"{location}.{key}")
         return default
     value = mapping[key]
+    # bool is an int subtype: `true` is no number for an int or float key
+    if kind in (int, float) and isinstance(value, bool):
+        raise ConfigError(f"expected {kind.__name__}, got bool", location=f"{location}.{key}")
     if kind is float and isinstance(value, int):
         value = float(value)
-    if kind is int and isinstance(value, bool):
-        raise ConfigError("expected an integer", location=f"{location}.{key}")
     if not isinstance(value, kind):
         raise ConfigError(
             f"expected {kind.__name__}, got {type(value).__name__}",
@@ -104,6 +113,15 @@ def _reject_unknown(mapping, allowed, location):
             raise ConfigError(
                 f"unknown key; allowed: {', '.join(allowed)}", location=f"{location}.{key}"
             )
+
+
+def _section(data: dict, name: str) -> dict:
+    """The mapping ``data[name]`` (empty if absent), holding only its known keys."""
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError("expected a mapping", location=name)
+    _reject_unknown(section, _SECTION_KEYS[name], name)
+    return section
 
 
 def _number_list(mapping, key, location, integer=False, required=False):
@@ -165,22 +183,19 @@ def _detuning_grid(drive: dict) -> list[float] | dict:
 def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
     if not isinstance(data, dict):
         raise ConfigError("top level must be a mapping", location=source)
+    _reject_unknown(data, _TOP_KEYS, source)
     mode = _expect(data, "mode", str, source, required=True)
     if mode not in MODES:
         raise ConfigError(
             f"unknown mode {mode!r}; allowed modes: {', '.join(MODES)}", location="mode"
         )
-    array = data.get("array", {})
-    if not isinstance(array, dict):
-        raise ConfigError("expected a mapping", location="array")
+    array = _section(data, "array")
     n_atoms = _expect(array, "n_atoms", int, "array", required=(mode != "size-map"))
     gamma_1d = _expect(array, "gamma_1d", float, "array", default=1.0)
     if gamma_1d <= 0:
         raise ConfigError("gamma_1d must be positive", location="array.gamma_1d")
 
-    grid = data.get("grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigError("expected a mapping", location="grid")
+    grid = _section(data, "grid")
     d_values = _number_list(grid, "d_over_lambda", "grid", required=True)
     for i, d in enumerate(d_values):
         if d < 0:
@@ -205,9 +220,7 @@ def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
     if mode == "size-map" and k_values and n_values and min(n_values) < 1:
         raise ConfigError("n_atoms must be >= 1", location="grid.n_atoms")
 
-    drive = data.get("drive", {})
-    if not isinstance(drive, dict):
-        raise ConfigError("expected a mapping", location="drive")
+    drive = _section(data, "drive")
     powers = _number_list(drive, "power", "drive", required=(mode in _DRIVEN_MODES))
     for i, p in enumerate(powers):
         if p < 0:
@@ -222,9 +235,7 @@ def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
     phase_on_drive = _expect(drive, "phase_on_drive", bool, "drive", default=True)
     amplitude_scale = _expect(drive, "amplitude_scale", float, "drive", default=1.0)
 
-    output = data.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("expected a mapping", location="output")
+    output = _section(data, "output")
     out_dir = Path(_expect(output, "directory", str, "output", default="out"))
     fmt = _expect(output, "format", str, "output", default="csv")
     if fmt not in ("csv", "json"):

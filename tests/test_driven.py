@@ -1,3 +1,9 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -100,9 +106,103 @@ def test_corrupted_pole_expansion_falls_back_at_every_point(monkeypatch):
 
 def test_singular_pencil_gives_nan_not_garbage():
     grid = np.array([-1.0, 0.5])
-    x, condition = driven_module._pole_solve(np.zeros((4, 4)), np.array([0, 1j, -1j, 0]), grid)
+    support, d_support = driven_module._real_detuning(np.array([0, 1j, -1j, 0]), 2)
+    x, condition = driven_module._pole_solve(np.zeros((4, 4)), d_support, support, grid)
     assert x.shape == (4, 2) and np.isnan(x).all()
     assert condition is None
+
+
+def test_five_atom_steady_states_match_pointwise_solves():
+    config = ArrayConfig.from_period(5, 0.05)
+    mode = min(diagonalize(config, 1), key=lambda s: s.gamma)
+    refined = resonance_grid(config, -25.0, 5.0, coarse=31, refine_points=5)
+    on_resonance = refined[np.argmin(np.abs(refined - mode.epsilon.real))]
+    assert abs(on_resonance - mode.epsilon.real) < 1e-12
+    grid = np.array([-3.0, on_resonance, 1.7])
+    drive = _drive(0.01, grid)
+    rhos, health = steady_states(config, drive)
+    assert health["fallback_points"] == 0
+    for rho, delta in zip(rhos, grid):
+        np.testing.assert_allclose(rho, steady_state(config, drive, delta), rtol=0, atol=1e-12)
+
+
+def _hermitian_basis(dim):
+    """Dense columns of the orthonormal basis behind the real coordinates."""
+    diag, upper, lower = driven_module._hermitian_coordinates(dim)
+    pairs = np.arange(len(upper))
+    q = np.zeros((dim * dim, dim * dim), dtype=complex)
+    q[diag, np.arange(dim)] = 1.0
+    q[upper, dim + pairs] = q[lower, dim + pairs] = np.sqrt(0.5)
+    q[upper, dim + len(upper) + pairs] = 1j * np.sqrt(0.5)
+    q[lower, dim + len(upper) + pairs] = -1j * np.sqrt(0.5)
+    return q
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_real_coordinates_match_dense_change_of_basis(n):
+    """Gathered real generator and detuning piece equal Q^dag L Q and Q^dag D Q, which are real."""
+    dim = 2**n
+    config = ArrayConfig.from_period(n, 0.13, gamma_1d=0.8)
+    l_static, l_drive, detuning_diag = driven_module._liouvillian_pieces(config, True)
+    l0 = l_static + 0.7 * l_drive
+    q = _hermitian_basis(dim)
+    np.testing.assert_allclose(q.conj().T @ q, np.eye(dim * dim), rtol=0, atol=1e-15)
+    dense = q.conj().T @ l0 @ q
+    assert np.abs(dense.imag).max() < 1e-14
+    np.testing.assert_allclose(driven_module._real_generator(l0, dim), dense.real, rtol=0, atol=1e-14)
+    support, d_support = driven_module._real_detuning(detuning_diag, dim)
+    d_real = np.zeros((dim * dim, dim * dim))
+    d_real[:, support] = d_support
+    dense_d = q.conj().T @ np.diag(detuning_diag) @ q
+    np.testing.assert_allclose(d_real, dense_d.real, rtol=0, atol=1e-14)
+    assert np.abs(dense_d[:, np.setdiff1d(np.arange(dim * dim), support)]).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eigenproblem_is_real_on_the_detuning_support(n, monkeypatch):
+    """The one eigensolve per grid is real and of size 4^N - C(2N, N)."""
+    eig = np.linalg.eig
+    seen = []
+
+    def recording_eig(matrix):
+        seen.append(matrix)
+        return eig(matrix)
+
+    config = ArrayConfig.from_period(n, 0.05)
+    monkeypatch.setattr(driven_module.np.linalg, "eig", recording_eig)
+    steady_states(config, _drive(0.3, _POLE_GRID))
+    size = 4**n - math.comb(2 * n, n)
+    assert [m.shape for m in seen] == [(size, size)]
+    assert seen[0].dtype == np.float64
+
+
+_THREAD_PROBE = """
+import sys
+import numpy as np
+from wqed_subradiance import ArrayConfig, DriveConfig, steady_states
+
+config = ArrayConfig.from_period(3, 0.05)
+grid = np.concatenate([np.linspace(-25.0, 5.0, 31), [-0.31, -0.2, -0.05]])
+rhos, health = steady_states(config, DriveConfig(power=0.3, detuning_grid=np.sort(grid)))
+np.save(sys.argv[1], rhos)
+print(health["fallback_points"])
+"""
+
+
+def test_driven_output_does_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(driven_module.__file__).parents[1])
+    results = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"rho_{threads}.npy"
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE, str(out)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        results[threads] = (np.load(out), int(proc.stdout.split()[-1]))
+    np.testing.assert_allclose(results["1"][0], results["2"][0], rtol=0, atol=1e-12)
+    assert results["1"][1] == results["2"][1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

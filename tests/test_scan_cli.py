@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -137,6 +138,55 @@ def test_validate_rejects_malformed_detuning_grid(tmp_path, detuning, location):
     with pytest.raises(ConfigError) as err:
         validate_config(driven_config(tmp_path, detuning))
     assert err.value.location == location
+
+
+@pytest.mark.parametrize(
+    "section, key, location",
+    [
+        ("array", "gamma_1d", "array.gamma_1d"),
+        ("drive", "amplitude_scale", "drive.amplitude_scale"),
+        ("detuning", "start", "drive.detuning.start"),
+        ("detuning", "refine_span", "drive.detuning.refine_span"),
+    ],
+)
+def test_validate_rejects_boolean_for_float_key(tmp_path, section, key, location):
+    payload = yaml.safe_load(Path(driven_config(tmp_path, {"start": -1.0, "stop": 1.0})).read_text())
+    target = payload["drive"]["detuning"] if section == "detuning" else payload[section]
+    target[key] = True
+    with pytest.raises(ConfigError) as err:
+        validate_config(write_config(tmp_path / "bool.yaml", payload))
+    assert err.value.location == location
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [(None, "workrs"), ("array", "gama_1d"), ("grid", "kk"), ("drive", "phase_on_driv"),
+     ("output", "formt")],
+)
+def test_validate_rejects_unknown_keys(tmp_path, section, key):
+    payload = yaml.safe_load(Path(driven_config(tmp_path, [-1.0, 1.0])).read_text())
+    (payload if section is None else payload[section])[key] = 8
+    path = write_config(tmp_path / "unknown.yaml", payload)
+    with pytest.raises(ConfigError) as err:
+        validate_config(path)
+    assert err.value.location == (f"{path}.{key}" if section is None else f"{section}.{key}")
+    assert "unknown key" in str(err.value)
+
+
+_REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("path", sorted((_REPO / "configs").glob("*.yaml")), ids=lambda p: p.stem)
+def test_shipped_configs_validate(path):
+    assert validate_config(path).mode == path.stem.replace("_", "-")
+
+
+def test_readme_config_sketch_validates(tmp_path):
+    readme = (_REPO / "README.md").read_text()
+    sketch = readme.split("Config sketch:", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "sketch.yaml"
+    path.write_text(sketch)
+    assert validate_config(path).mode == "entropy-map"
 
 
 @pytest.mark.parametrize(
