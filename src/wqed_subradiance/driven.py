@@ -1,10 +1,11 @@
 """Driven-dissipative steady states and incoherent scattering spectra.
 
 The waveguide-coupled array is pumped coherently from the left.  In the
-frame rotating at the drive frequency the generator splits into a Hermitian
-part (sin-coupling plus detuning plus drive) and a collective dissipator
-with kernel Gamma_nm = 2*gamma_1d*cos(phase*(m-n)); together they reproduce
-the effective non-Hermitian sector Hamiltonian.  Coherent reflection and
+frame rotating at the drive frequency the generator is made of the effective
+non-Hermitian Hamiltonian of ``lattice.build_hamiltonian`` (one block per
+excitation number) plus detuning and drive, and of the quantum jumps into
+the waveguide's two output channels C = sum_j exp(+-i*phase*j) sigma_j,
+whose rates make up its anti-Hermitian part.  Coherent reflection and
 transmission follow from input-output relations; whatever photon flux is
 missing from them, I = 1 - |r|^2 - |t|^2, was scattered incoherently.
 
@@ -22,7 +23,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import DomainError, NumericalError
-from .lattice import ArrayConfig
+from .lattice import ArrayConfig, build_hamiltonian, enumerate_sector, occupied_sites, site_masks
 from .spectrum import diagonalize
 
 MAX_DRIVEN_ATOMS = 5
@@ -31,6 +32,7 @@ PSD_TOL = 1e-9
 KERNEL_RCOND = 1e-10
 PEAK_FLOOR = 1e-9
 INCOHERENT_SLACK = 1e-8
+GRID_MERGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -86,53 +88,42 @@ def _lowering_ops(n_atoms: int) -> tuple[np.ndarray, ...]:
 
 
 def _commutator_super(h: np.ndarray) -> np.ndarray:
+    """-i(h rho - rho h^dag): the commutator for Hermitian h."""
     # row-major vec: vec(A rho B) = kron(A, B.T) vec(rho)
-    dim = h.shape[0]
-    eye = np.eye(dim)
-    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    eye = np.eye(h.shape[0])
+    return -1j * (np.kron(h, eye) - np.kron(eye, h.conj()))
 
 
 @lru_cache(maxsize=8)
 def _liouvillian_pieces(config: ArrayConfig, phase_on_drive: bool):
     """Static and per-unit-drive superoperators, and the per-unit-detuning one.
 
+    The static piece is -i(H rho - rho H^dag) + gamma_1d*sum_C C rho C^dag.
+    H is the effective Hamiltonian, its sector blocks scattered into the 2^N
+    product basis by site bitmask (site 0 the most significant bit, as in
+    ``_lowering_ops``).  Its anti-Hermitian part has the rank-two kernel
+    gamma_1d*(exp(i*phase*(a-b)) + exp(-i*phase*(a-b))), so the jumps go into
+    the two output channels C = sum_j exp(+-i*phase*j) sigma_j.
     The detuning piece, the commutator with -N (N the number operator), is
     diagonal and is returned as its diagonal, a vector of length 4^N.
     """
     n = config.n_atoms
-    gamma = config.gamma_1d
-    phi = config.phase
     ops = _lowering_ops(n)
-    dim = 2**n
-    eye = np.eye(dim)
+    h_eff = np.zeros((2**n, 2**n), dtype=complex)
+    for k in range(n + 1):
+        basis = enumerate_sector(n, k)
+        index = site_masks(n - 1 - occupied_sites(basis))
+        h_eff[np.ix_(index, index)] = build_hamiltonian(config, basis).matrix
+    l_static = _commutator_super(h_eff)
+    phases = np.exp(1j * config.phase * np.arange(n))
+    # reflection reads the backward channel, transmission the forward one
+    backward, forward = (sum(ph * op for ph, op in zip(p, ops)) for p in (phases, phases.conj()))
+    for channel in (backward, forward):
+        l_static += config.gamma_1d * np.kron(channel, channel.conj())
 
-    sites = np.arange(n)
-    decay_kernel = 2.0 * gamma * np.cos(phi * (sites[:, None] - sites[None, :]))
-    if linalg.eigvalsh(decay_kernel).min() < -1e-9 * 2.0 * gamma * n:
-        raise NumericalError("collective decay kernel is not positive semidefinite")
-
-    h_coherent = np.zeros((dim, dim), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                h_coherent += gamma * np.sin(phi * abs(a - b)) * (ops[a].conj().T @ ops[b])
-    l_static = _commutator_super(h_coherent)
-    for a in range(n):
-        for b in range(n):
-            jump = ops[b]
-            excite = ops[a].conj().T
-            rate_op = excite @ jump
-            l_static += decay_kernel[a, b] * (
-                np.kron(jump, excite.T)
-                - 0.5 * np.kron(rate_op, eye)
-                - 0.5 * np.kron(eye, rate_op.T)
-            )
-
-    h_drive = np.zeros((dim, dim), dtype=complex)
-    for j, op in enumerate(ops):
-        ph = np.exp(1j * phi * j) if phase_on_drive else 1.0
-        h_drive -= ph * op.conj().T + np.conj(ph) * op
-    l_drive = _commutator_super(h_drive)
+    # the left-incident drive is the forward mode
+    lowering = forward if phase_on_drive else sum(ops)
+    l_drive = _commutator_super(-(lowering + lowering.conj().T))
 
     # excitation count of every product state, as the diagonal of -N
     minus_counts = -np.diagonal(sum(op.conj().T @ op for op in ops))
@@ -482,7 +473,8 @@ def resonance_grid(
 
     Windows of half-width ``refine_span`` times each mode's decay rate are
     overlaid on a uniform grid, so narrow subradiant features stay resolved
-    without a globally fine mesh.
+    without a globally fine mesh.  Of points closer than ``GRID_MERGE_TOL``
+    times the grid span only the first is kept.
     """
     if not stop > start:
         raise DomainError("grid needs stop > start")
@@ -491,4 +483,6 @@ def resonance_grid(
         width = max(refine_span * state.gamma, 1e-3 * config.gamma_1d)
         pieces.append(np.linspace(state.epsilon.real - width, state.epsilon.real + width, refine_points))
     grid = np.unique(np.concatenate(pieces))
-    return grid[(grid >= start) & (grid <= stop)]
+    grid = grid[(grid >= start) & (grid <= stop)]
+    # modes sharing Re(eps) to roundoff would leave detunings ~1e-16 apart
+    return grid[np.insert(np.diff(grid) > GRID_MERGE_TOL * (stop - start), 0, True)]

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import DomainError, NumericalError
 from .lattice import (
@@ -103,8 +102,8 @@ def diagonalize_sector(h: SectorHamiltonian) -> list[EigenState]:
         h.matrix, mirror_permutation(h.basis)
     ):
         try:
-            values, vectors = linalg.eig(block)
-        except linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+            values, vectors = np.linalg.eig(block)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
             raise NumericalError(
                 f"eigensolver failed on sector matrix {_fingerprint(h.matrix)}"
             ) from exc

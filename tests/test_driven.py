@@ -28,6 +28,7 @@ from oracles import (
     incoherent_fraction,
     two_level_incoherent_fraction,
     two_level_population,
+    waveguide_liouvillian,
 )
 
 
@@ -203,6 +204,24 @@ def test_driven_output_does_not_depend_on_blas_threads(tmp_path):
         results[threads] = (np.load(out), int(proc.stdout.split()[-1]))
     np.testing.assert_allclose(results["1"][0], results["2"][0], rtol=0, atol=1e-12)
     assert results["1"][1] == results["2"][1]
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.8])
+@pytest.mark.parametrize("d", [0.0, 0.05, 0.13, 0.25, 0.5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_generator_matches_waveguide_oracle(n, d, gamma):
+    """The cached pieces assemble the oracle's Lindblad generator, row-major vec."""
+    config = ArrayConfig.from_period(n, d, gamma_1d=gamma)
+    amp, delta = 0.37, -0.29
+    l_static, l_drive, detuning_diag = driven_module._liouvillian_pieces(config, True)
+    generator = l_static + amp * l_drive + delta * np.diag(detuning_diag)
+    dim = 2**n
+    # row-major index a*dim + b holds rho_ab, column-stacked index a + b*dim
+    column_stacked = np.arange(dim * dim).reshape(dim, dim).T.ravel()
+    oracle = waveguide_liouvillian(n, config.phase, amp, delta, gamma)
+    np.testing.assert_allclose(
+        generator, oracle[np.ix_(column_stacked, column_stacked)], rtol=0, atol=1e-13
+    )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -497,6 +516,15 @@ def test_resonance_grid_strictly_increasing_and_bounded():
     assert grid[0] >= -5.0 and grid[-1] <= 2.0
     with pytest.raises(DomainError):
         resonance_grid(config, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("coarse, refine_points", [(301, 31), (61, 31)])
+def test_resonance_grid_merges_tied_mode_windows(coarse, refine_points):
+    """At d = 0.25 two mode pairs share Re(eps); their windows must not leave roundoff-spaced points."""
+    config = ArrayConfig.from_period(4, 0.25)
+    grid = resonance_grid(config, -25.0, 5.0, coarse=coarse, refine_points=refine_points)
+    assert np.diff(grid).min() > driven_module.GRID_MERGE_TOL * 30.0
+    assert grid[0] == -25.0 and grid[-1] == 5.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

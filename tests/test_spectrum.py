@@ -280,14 +280,14 @@ def _sector(n=6, k=3, d=0.13):
 
 
 def test_corrupted_eigenvectors_raise_with_residual_and_fingerprint(monkeypatch):
-    real_eig = spectrum_module.linalg.eig
+    real_eig = spectrum_module.np.linalg.eig
 
     def corrupted_eig(block, *args, **kwargs):
         values, vectors = real_eig(block, *args, **kwargs)
         vectors[:, -1] += 1e-3
         return values, vectors
 
-    monkeypatch.setattr(spectrum_module.linalg, "eig", corrupted_eig)
+    monkeypatch.setattr(spectrum_module.np.linalg, "eig", corrupted_eig)
     ham = _sector()
     with pytest.raises(NumericalError) as info:
         diagonalize_sector(ham)
