@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import linalg
 
 from .errors import DomainError, NumericalError
 from .lattice import ArrayConfig, build_hamiltonian, enumerate_sector, occupied_sites, site_masks
@@ -143,9 +142,21 @@ def _with_trace_row(liouvillian: np.ndarray, dim: int) -> np.ndarray:
     return m
 
 
+def _kernel(matrix: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the numerical null space of a square matrix.
+
+    The right singular vectors whose singular values are at most
+    ``KERNEL_RCOND`` times the largest, the rule of scipy's ``null_space``,
+    computed with numpy's LAPACK like every other dense kernel of a cell.
+    """
+    _, s, vh = np.linalg.svd(matrix)
+    rank = int(np.sum(s > KERNEL_RCOND * np.amax(s, initial=0.0)))
+    return vh[rank:].conj().T
+
+
 def _steady_failure(liouvillian: np.ndarray, message: str) -> NumericalError:
     """The error for a failed steady state, naming a degenerate kernel if there is one."""
-    kernel = linalg.null_space(liouvillian, rcond=KERNEL_RCOND).shape[1]
+    kernel = _kernel(liouvillian).shape[1]
     if kernel > 1:
         message = f"steady state is not unique: generator kernel dimension {kernel}"
     return NumericalError(message)
@@ -163,7 +174,7 @@ def _solve_steady(liouvillian: np.ndarray, dim: int) -> np.ndarray:
         vec, residual = None, np.inf
     if vec is None or residual > STEADY_TOL:
         # degenerate or ill-conditioned generator: inspect the kernel
-        null = linalg.null_space(liouvillian, rcond=KERNEL_RCOND)
+        null = _kernel(liouvillian)
         if null.shape[1] != 1:
             raise NumericalError(
                 f"steady state is not unique: generator kernel dimension {null.shape[1]}"

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, NumericalError
 from .lattice import (
@@ -193,10 +192,20 @@ def dimerized_profiles(n_atoms: int) -> np.ndarray:
     return np.array(rows)
 
 
-def _assigned_overlaps(columns: np.ndarray, family: np.ndarray) -> np.ndarray:
-    """Per-column best-assignment squared overlaps with the family rows."""
+def _assignment(columns: np.ndarray, family: np.ndarray):
+    """Squared overlaps |family* . columns|^2 and their maximal-overlap pairing."""
+    # imported here: scipy.optimize takes ~0.7 s to load (2-core host) and only these
+    # diagnostics need it
+    from scipy.optimize import linear_sum_assignment
+
     overlap = np.abs(family.conj() @ columns) ** 2
     rows, cols = linear_sum_assignment(-overlap)
+    return overlap, rows, cols
+
+
+def _assigned_overlaps(columns: np.ndarray, family: np.ndarray) -> np.ndarray:
+    """Per-column best-assignment squared overlaps with the family rows."""
+    overlap, rows, cols = _assignment(columns, family)
     out = np.zeros(columns.shape[1])
     for r, c in zip(rows, cols):
         out[c] = overlap[r, c]
@@ -215,8 +224,7 @@ def _degenerate_blocks(lam: np.ndarray, rtol: float) -> list[tuple[int, int]]:
 
 def _procrustes(columns: np.ndarray, family: np.ndarray) -> np.ndarray:
     """Rotate columns (unitarily) to best align with assigned family rows."""
-    overlap = np.abs(family.conj() @ columns) ** 2
-    rows, cols = linear_sum_assignment(-overlap)
+    _, rows, cols = _assignment(columns, family)
     target = np.zeros((columns.shape[0], columns.shape[1]), dtype=complex)
     for r, c in zip(rows, cols):
         target[:, c] = family[r]

@@ -84,20 +84,17 @@ def _parity_blocks(matrix: np.ndarray, mirror: np.ndarray):
         yield odd, pairs, mirror[pairs], np.sqrt(0.5), -np.sqrt(0.5)
 
 
-def diagonalize_sector(h: SectorHamiltonian) -> list[EigenState]:
-    """All eigenpairs, sorted by ascending gamma then ascending Re(eps).
+def _checked_blocks(h: SectorHamiltonian):
+    """Eigenpairs of each parity block of H, residual- and gamma-checked.
 
-    The mirror map j -> N-1-j commutes with H, so each parity block (see
-    ``_parity_blocks``) is diagonalized on its own and every state is a
-    mirror eigenvector.  Every eigenpair residual ||H v - lambda v|| is
+    Yields (eps, gammas, vectors, rows, images, row_coef, image_coef) per
+    block: unit-norm block eigenvectors as columns, lifted by the
+    ``_parity_blocks`` rule.  Every eigenpair residual ||H v - lambda v|| is
     checked against ``RESIDUAL_TOL`` * max(1, |lambda|), and every gamma
     against ``GAMMA_FLOOR``; failure raises NumericalError carrying the
     offending number and a fingerprint of the matrix.
     """
-    k = h.basis.n_excitations
-    scale = max(k, 1)
-    dim = h.basis.dim
-    states = []
+    scale = max(h.basis.n_excitations, 1)
     for block, rows, images, row_coef, image_coef in _parity_blocks(
         h.matrix, mirror_permutation(h.basis)
     ):
@@ -122,6 +119,21 @@ def diagonalize_sector(h: SectorHamiltonian) -> list[EigenState]:
             raise NumericalError(
                 f"negative decay rate {gammas.min():.3e} in sector matrix {_fingerprint(h.matrix)}"
             )
+        yield eps, gammas, vectors, rows, images, row_coef, image_coef
+
+
+def diagonalize_sector(h: SectorHamiltonian) -> list[EigenState]:
+    """All eigenpairs, sorted by ascending gamma then ascending Re(eps).
+
+    The mirror map j -> N-1-j commutes with H, so each parity block (see
+    ``_parity_blocks``) is diagonalized on its own and every state is a
+    mirror eigenvector.  The checks of ``_checked_blocks`` apply to every
+    eigenpair.
+    """
+    k = h.basis.n_excitations
+    dim = h.basis.dim
+    states = []
+    for eps, gammas, vectors, rows, images, row_coef, image_coef in _checked_blocks(h):
         for epsilon, gamma, y in zip(eps, gammas, vectors.T):
             vec = np.zeros(dim, dtype=complex)
             vec[rows] = row_coef * y
@@ -148,10 +160,15 @@ def sector_decay_rates(config: ArrayConfig, k: int) -> np.ndarray:
 
 
 def min_decay_rate(config: ArrayConfig, k: int) -> float:
-    """Smallest per-excitation decay rate in the k-excitation sector."""
+    """Smallest per-excitation decay rate in the k-excitation sector.
+
+    The same eigensolves and checks as :func:`diagonalize`, without lifting,
+    gauging and sorting the states.
+    """
     if not 1 <= k <= config.n_atoms:
         raise DomainError(f"k must satisfy 1 <= k <= {config.n_atoms}, got {k}")
-    gamma = min(s.gamma for s in diagonalize(config, k))
+    h = build_hamiltonian(config, enumerate_sector(config.n_atoms, k))
+    gamma = min(gammas.min() for _, gammas, *_ in _checked_blocks(h))
     return max(0.0, gamma)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 import wqed_subradiance.driven as driven_module
 from wqed_subradiance import (
@@ -247,6 +248,21 @@ def test_degenerate_generator_is_reported_as_not_unique(n, kernel):
         steady_states(config, drive)
     with pytest.raises(NumericalError, match=message):
         incoherent_spectrum(config, drive)
+
+
+@pytest.mark.parametrize("n, d, dim", [(2, 0.5, 2), (3, 0.5, 5), (3, 0.05, 1)])
+def test_kernel_spans_the_scipy_null_space(n, d, dim):
+    """The numpy kernel and scipy's null_space give the same subspace."""
+    config = ArrayConfig.from_period(n, d)
+    l_static, l_drive, detuning_diag = driven_module._liouvillian_pieces(config, True)
+    generator = l_static + _drive(1.0).amplitude(config.gamma_1d) * l_drive
+    generator += 0.1 * np.diag(detuning_diag)
+    kernel = driven_module._kernel(generator)
+    oracle = null_space(generator, rcond=driven_module.KERNEL_RCOND)
+    assert kernel.shape == oracle.shape == (4**n, dim)
+    np.testing.assert_allclose(
+        kernel @ kernel.conj().T, oracle @ oracle.conj().T, rtol=0, atol=1e-10
+    )
 
 
 def test_zero_power_gives_ground_state():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,9 +13,14 @@ from wqed_subradiance import (
     ArrayConfig,
     ConfigError,
     NumericalError,
+    ansatz_overlap,
+    enumerate_sector,
+    hosvd,
     min_decay_rate,
+    most_subradiant_state,
     resonance_grid,
     run_scan,
+    to_symmetric_tensor,
     validate_config,
 )
 from wqed_subradiance.cli import main
@@ -586,3 +594,38 @@ def test_every_mode_writes_expected_files_and_cell_params(tmp_path, mode):
     # exact keys and key order; floats to within the 12-digit output rounding
     assert [list(c["params"]) for c in data["cells"]] == [list(p) for p, _ in cells]
     assert [c["params"] for c in data["cells"]] == [pytest.approx(p, abs=1e-9) for p, _ in cells]
+
+
+_IMPORT_PROBE = """
+import json
+import sys
+
+import wqed_subradiance.cli
+
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+from wqed_subradiance import (
+    ArrayConfig, ansatz_overlap, enumerate_sector, hosvd, most_subradiant_state,
+    to_symmetric_tensor,
+)
+
+state = most_subradiant_state(ArrayConfig.from_period(6, 0.05), 3)
+result = hosvd(to_symmetric_tensor(state, enumerate_sector(6, 3)))
+overlaps = {name: ansatz_overlap(result, name) for name in ("fermionic", "dimerized")}
+print(json.dumps({"scipy": loaded, "overlaps": overlaps}))
+"""
+
+
+def test_cli_import_loads_no_scipy_and_overlaps_still_work():
+    src = str(Path(scan_module.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["scipy"] == []
+    state = most_subradiant_state(ArrayConfig.from_period(6, 0.05), 3)
+    result = hosvd(to_symmetric_tensor(state, enumerate_sector(6, 3)))
+    for name, overlaps in probe["overlaps"].items():
+        assert overlaps == pytest.approx(ansatz_overlap(result, name), rel=0, abs=1e-12)

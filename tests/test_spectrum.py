@@ -275,11 +275,36 @@ def test_min_decay_rate_matches_unblocked_solver_values():
         assert min_decay_rate(config, k) == pytest.approx(gamma, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_min_decay_rate_is_the_diagonalize_minimum_bitwise(n):
+    for d in (0.05, 0.13, 0.3):
+        config = ArrayConfig.from_period(n, d)
+        for k in range(1, n + 1):
+            expected = max(0.0, min(s.gamma for s in diagonalize(config, k)))
+            assert min_decay_rate(config, k) == expected
+
+
 def _sector(n=6, k=3, d=0.13):
     return build_hamiltonian(ArrayConfig.from_period(n, d), enumerate_sector(n, k))
 
 
-def test_corrupted_eigenvectors_raise_with_residual_and_fingerprint(monkeypatch):
+def _via_diagonalize_sector(ham, monkeypatch):
+    diagonalize_sector(ham)
+
+
+def _via_min_decay_rate(ham, monkeypatch):
+    monkeypatch.setattr(spectrum_module, "build_hamiltonian", lambda config, basis: ham)
+    min_decay_rate(ArrayConfig.from_period(ham.basis.n_atoms, 0.13), ham.basis.n_excitations)
+
+
+entry_points = pytest.mark.parametrize(
+    "solve", [_via_diagonalize_sector, _via_min_decay_rate],
+    ids=["diagonalize_sector", "min_decay_rate"],
+)
+
+
+@entry_points
+def test_corrupted_eigenvectors_raise_with_residual_and_fingerprint(solve, monkeypatch):
     real_eig = spectrum_module.np.linalg.eig
 
     def corrupted_eig(block, *args, **kwargs):
@@ -290,15 +315,16 @@ def test_corrupted_eigenvectors_raise_with_residual_and_fingerprint(monkeypatch)
     monkeypatch.setattr(spectrum_module.np.linalg, "eig", corrupted_eig)
     ham = _sector()
     with pytest.raises(NumericalError) as info:
-        diagonalize_sector(ham)
+        solve(ham, monkeypatch)
     message = str(info.value)
     residual = float(re.search(r"eigenpair residual (\S+) exceeds", message).group(1))
     assert residual > RESIDUAL_TOL
     assert spectrum_module._fingerprint(ham.matrix) in message
 
 
+@entry_points
 @pytest.mark.parametrize("parity", [1.0, -1.0])
-def test_negative_decay_rate_in_either_block_raises(parity):
+def test_negative_decay_rate_in_either_block_raises(parity, solve, monkeypatch):
     """Shift the decay rates of one parity block only below GAMMA_FLOOR."""
     ham = _sector()
     mirror = mirror_permutation(ham.basis)
@@ -306,7 +332,7 @@ def test_negative_decay_rate_in_either_block_raises(parity):
     projector = (projector + parity * projector[mirror]) / 2
     shifted = ham.matrix + 1j * 100.0 * projector
     with pytest.raises(NumericalError, match="negative decay rate") as info:
-        diagonalize_sector(SectorHamiltonian(basis=ham.basis, matrix=shifted))
+        solve(SectorHamiltonian(basis=ham.basis, matrix=shifted), monkeypatch)
     gamma = float(re.search(r"negative decay rate (\S+) in", str(info.value)).group(1))
     assert gamma < GAMMA_FLOOR
     assert spectrum_module._fingerprint(shifted) in str(info.value)
