@@ -16,6 +16,7 @@ limit to r = -i*gamma/(delta + i*gamma).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -44,11 +45,13 @@ class DriveConfig:
     amplitude_scale: float = 1.0
 
     def __post_init__(self):
-        if self.power < 0:
-            raise DomainError(f"power must be non-negative, got {self.power}")
+        if not 0 <= self.power < np.inf:
+            raise DomainError(f"power must be finite and non-negative, got {self.power}")
         grid = np.asarray(self.detuning_grid, dtype=float)
         if grid.ndim != 1 or len(grid) == 0:
             raise DomainError("detuning grid must be a non-empty 1-D array")
+        if not np.isfinite(grid).all():
+            raise DomainError("detuning grid must be finite")
         if len(grid) > 1 and not (np.diff(grid) > 0).all():
             raise DomainError("detuning grid must be strictly increasing")
         object.__setattr__(self, "detuning_grid", grid)
@@ -73,17 +76,16 @@ class ScatteringSpectrum:
 
 
 @lru_cache(maxsize=8)
-def _lowering_ops(n_atoms: int) -> tuple[np.ndarray, ...]:
-    """Site lowering operators in the 2^N product basis (do not mutate)."""
-    sigma = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    identity = np.eye(2, dtype=complex)
-    ops = []
-    for j in range(n_atoms):
-        op = np.array([[1.0]], dtype=complex)
-        for site in range(n_atoms):
-            op = np.kron(op, sigma if site == j else identity)
-        ops.append(op)
-    return tuple(ops)
+def _lowering_table(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Site lowering operators as product-state index pairs (do not mutate).
+
+    Returns int arrays ``(upper, lower)`` of shape (N, 2^(N-1)): sigma_j maps
+    product state ``upper[j, i]`` to ``lower[j, i]``, site 0 the most
+    significant bit as in ``_liouvillian_pieces``.
+    """
+    bits = 1 << (n_atoms - 1 - np.arange(n_atoms))
+    upper = np.nonzero(np.arange(2**n_atoms) & bits[:, None])[1].reshape(n_atoms, -1)
+    return upper, upper - bits[:, None]
 
 
 def _commutator_super(h: np.ndarray) -> np.ndarray:
@@ -100,50 +102,42 @@ def _liouvillian_pieces(config: ArrayConfig, phase_on_drive: bool):
     The static piece is -i(H rho - rho H^dag) + gamma_1d*sum_C C rho C^dag.
     H is the effective Hamiltonian, its sector blocks scattered into the 2^N
     product basis by site bitmask (site 0 the most significant bit, as in
-    ``_lowering_ops``).  Its anti-Hermitian part has the rank-two kernel
+    ``_lowering_table``).  Its anti-Hermitian part has the rank-two kernel
     gamma_1d*(exp(i*phase*(a-b)) + exp(-i*phase*(a-b))), so the jumps go into
     the two output channels C = sum_j exp(+-i*phase*j) sigma_j.
     The detuning piece, the commutator with -N (N the number operator), is
     diagonal and is returned as its diagonal, a vector of length 4^N.
     """
     n = config.n_atoms
-    ops = _lowering_ops(n)
-    h_eff = np.zeros((2**n, 2**n), dtype=complex)
+    dim = 2**n
+    upper, lower = _lowering_table(n)
+    h_eff = np.zeros((dim, dim), dtype=complex)
     for k in range(n + 1):
         basis = enumerate_sector(n, k)
         index = site_masks(n - 1 - occupied_sites(basis))
         h_eff[np.ix_(index, index)] = build_hamiltonian(config, basis).matrix
     l_static = _commutator_super(h_eff)
     phases = np.exp(1j * config.phase * np.arange(n))
+    # sum_j w_j sigma_j for the backward and forward channels and the phaseless sum
+    ops = np.zeros((3, dim, dim), dtype=complex)
+    ops[:, lower, upper] = np.array([phases, phases.conj(), np.ones(n)])[:, :, None]
+    backward, forward, phaseless = ops
     # reflection reads the backward channel, transmission the forward one
-    backward, forward = (sum(ph * op for ph, op in zip(p, ops)) for p in (phases, phases.conj()))
     for channel in (backward, forward):
         l_static += config.gamma_1d * np.kron(channel, channel.conj())
 
     # the left-incident drive is the forward mode
-    lowering = forward if phase_on_drive else sum(ops)
-    l_drive = _commutator_super(-(lowering + lowering.conj().T))
+    drive = forward if phase_on_drive else phaseless
+    l_drive = _commutator_super(-(drive + drive.conj().T))
 
     # excitation count of every product state, as the diagonal of -N
-    minus_counts = -np.diagonal(sum(op.conj().T @ op for op in ops))
+    minus_counts = -np.bincount(upper.ravel(), minlength=dim)
     detuning_diag = (-1j * (minus_counts[:, None] - minus_counts[None, :])).ravel()
     return l_static, l_drive, detuning_diag
 
 
-def _trace_indices(dim: int) -> np.ndarray:
-    return np.arange(0, dim * dim, dim + 1)
-
-
-def _with_trace_row(liouvillian: np.ndarray, dim: int) -> np.ndarray:
-    """The generator with row 0 replaced by the trace constraint."""
-    m = liouvillian.copy()
-    m[0, :] = 0.0
-    m[0, _trace_indices(dim)] = 1.0
-    return m
-
-
 def _kernel(matrix: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical null space of a square matrix.
+    """Orthonormal basis (columns) of the numerical null space of a matrix.
 
     The right singular vectors whose singular values are at most
     ``KERNEL_RCOND`` times the largest, the rule of scipy's ``null_space``,
@@ -152,62 +146,6 @@ def _kernel(matrix: np.ndarray) -> np.ndarray:
     _, s, vh = np.linalg.svd(matrix)
     rank = int(np.sum(s > KERNEL_RCOND * np.amax(s, initial=0.0)))
     return vh[rank:].conj().T
-
-
-def _steady_failure(liouvillian: np.ndarray, message: str) -> NumericalError:
-    """The error for a failed steady state, naming a degenerate kernel if there is one."""
-    kernel = _kernel(liouvillian).shape[1]
-    if kernel > 1:
-        message = f"steady state is not unique: generator kernel dimension {kernel}"
-    return NumericalError(message)
-
-
-def _solve_steady(liouvillian: np.ndarray, dim: int) -> np.ndarray:
-    """Unique trace-one kernel vector of the generator."""
-    m = _with_trace_row(liouvillian, dim)
-    rhs = np.zeros(dim * dim, dtype=complex)
-    rhs[0] = 1.0
-    try:
-        vec = np.linalg.solve(m, rhs)
-        residual = np.abs(liouvillian @ vec).max()
-    except np.linalg.LinAlgError:
-        vec, residual = None, np.inf
-    if vec is None or residual > STEADY_TOL:
-        # degenerate or ill-conditioned generator: inspect the kernel
-        null = _kernel(liouvillian)
-        if null.shape[1] != 1:
-            raise NumericalError(
-                f"steady state is not unique: generator kernel dimension {null.shape[1]}"
-            )
-        vec = null[:, 0]
-        trace = vec[_trace_indices(dim)].sum()
-        vec = vec / trace
-    return vec.reshape(dim, dim)
-
-
-def _check_atoms(config: ArrayConfig) -> None:
-    if config.n_atoms > MAX_DRIVEN_ATOMS:
-        raise DomainError(
-            f"master-equation solver limited to N <= {MAX_DRIVEN_ATOMS}, got {config.n_atoms}"
-        )
-
-
-def steady_state(config: ArrayConfig, drive: DriveConfig, detuning: float) -> np.ndarray:
-    """Steady-state density matrix in the rotating frame at the drive frequency."""
-    _check_atoms(config)
-    l_static, l_drive, detuning_diag = _liouvillian_pieces(config, drive.phase_on_drive)
-    amp = drive.amplitude(config.gamma_1d)
-    liouvillian = l_static + amp * l_drive
-    liouvillian.flat[:: len(detuning_diag) + 1] += float(detuning) * detuning_diag
-    dim = 2**config.n_atoms
-    rho = _solve_steady(liouvillian, dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    if not np.abs(liouvillian @ rho.reshape(-1)).max() <= STEADY_TOL:
-        raise _steady_failure(liouvillian, "steady-state generator residual exceeds 1e-9")
-    if np.linalg.eigvalsh(rho).min() < -PSD_TOL:
-        raise _steady_failure(liouvillian, "steady state is not positive semidefinite")
-    return rho
 
 
 def _hermitian_coordinates(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -301,35 +239,33 @@ def _pole_solve(m0: np.ndarray, d_support: np.ndarray, support: np.ndarray, grid
     return x, condition
 
 
-def steady_states(config: ArrayConfig, drive: DriveConfig) -> tuple[np.ndarray, dict]:
-    """Steady states over the whole detuning grid from one pole expansion.
+def _pencil(config: ArrayConfig, drive: DriveConfig):
+    """The complex generator l0 at zero detuning, its detuning diagonal, and the real pencil.
 
-    The pencil is solved in the real Hermitian coordinates of
-    ``_hermitian_coordinates``, where the generator and the detuning piece
-    are real.  With the trace row in place of row 0 the linear system is the
-    pencil M(delta) = M0 + delta*D, and D is zero off its support S (see
-    ``_real_detuning``), so one factorization of M0 and one eigensolve of
-    size |S| serve every point (see ``_pole_solve``).  Every point keeps the
-    checks of ``steady_state``: trace-normalized, residual against the
-    complex generator at most ``STEADY_TOL``, positive semidefinite.  A
-    point that fails them is re-solved by ``steady_state``.
-
-    Returns the stack of density matrices, shape (points, 2^N, 2^N), and the
-    solver health: the number of fallback points and the 1-norm condition of
-    the eigenvector matrix W.
+    The pencil is M0 (``_real_generator`` of l0 with the trace row in place
+    of row 0), the support S of D and D[:, S] (``_real_detuning``).
     """
-    _check_atoms(config)
+    if config.n_atoms > MAX_DRIVEN_ATOMS:
+        raise DomainError(
+            f"master-equation solver limited to N <= {MAX_DRIVEN_ATOMS}, got {config.n_atoms}"
+        )
     l_static, l_drive, detuning_diag = _liouvillian_pieces(config, drive.phase_on_drive)
     dim = 2**config.n_atoms
-    grid = drive.detuning_grid
     l0 = l_static + drive.amplitude(config.gamma_1d) * l_drive
     m0 = _real_generator(l0, dim)
     m0[0] = 0.0
     m0[0, :dim] = 1.0  # trace row: the diagonal coordinates sum to one
-    support, d_support = _real_detuning(detuning_diag, dim)
-    x, condition = _pole_solve(m0, d_support, support, grid)
+    return l0, detuning_diag, m0, *_real_detuning(detuning_diag, dim)
 
-    # rho from its real coordinates: Hermitian by construction
+
+def _states(x: np.ndarray, l0: np.ndarray, detuning_diag: np.ndarray, grid: np.ndarray):
+    """Trace-one density matrices from the real coordinates x[:, i] at each detuning grid[i].
+
+    Returns the stack, shape (points, 2^N, 2^N), Hermitian by construction,
+    and per point why it failed, or None: a residual against the complex
+    generator above ``STEADY_TOL``, or an eigenvalue below ``-PSD_TOL``.
+    """
+    dim = math.isqrt(len(x))
     diag, upper, lower = _hermitian_coordinates(dim)
     entries = np.sqrt(0.5) * (x[dim : dim + len(upper)] + 1j * x[dim + len(upper) :]).T
     vec = np.empty((len(grid), dim * dim), dtype=complex)
@@ -340,20 +276,76 @@ def steady_states(config: ArrayConfig, drive: DriveConfig) -> tuple[np.ndarray, 
         vec /= x[:dim].sum(axis=0)[:, None]
         residual = np.abs(vec @ l0.T + detuning_diag * vec * grid[:, None]).max(axis=1)
     rho = vec.reshape(len(grid), dim, dim)
-    failed = ~(residual <= STEADY_TOL)
-    passed = np.flatnonzero(~failed)
-    failed[passed] = np.linalg.eigvalsh(rho[passed]).min(axis=1) < -PSD_TOL
-    for i in np.flatnonzero(failed):
+    ok = residual <= STEADY_TOL
+    failures = [None if r else "steady-state generator residual exceeds 1e-9" for r in ok]
+    for i in np.flatnonzero(ok)[np.linalg.eigvalsh(rho[ok]).min(axis=1) < -PSD_TOL]:
+        failures[i] = "steady state is not positive semidefinite"
+    return rho, failures
+
+
+def steady_state(config: ArrayConfig, drive: DriveConfig, detuning: float) -> np.ndarray:
+    """Steady-state density matrix in the rotating frame at the drive frequency.
+
+    One real direct solve of M(delta) x = e0, M(delta) the pencil of
+    ``_pencil``, with the checks of ``_states``.  A fixed generic
+    right-hand side g rides along in the same solve, and
+    kappa = ||M||_1 ||M^-1 g||_1 / ||g||_1 estimates the condition of M.
+    When kappa*KERNEL_RCOND reaches 1, or the solve fails, the state comes
+    from the generator's kernel instead, which must be one-dimensional.
+    """
+    l0, detuning_diag, m, support, d_support = _pencil(config, drive)
+    rows, cols = np.nonzero(d_support)
+    m[rows, support[cols]] += detuning * d_support[rows, cols]
+    g = np.random.default_rng(0).standard_normal((len(m), 1))
+    try:
+        x = np.linalg.solve(m, np.hstack([np.eye(len(m), 1), g]))
+    except np.linalg.LinAlgError:
+        x = np.full((len(m), 2), np.nan)  # an exactly singular M: kappa is NaN
+    kappa = np.linalg.norm(m, 1) * np.abs(x[:, 1]).sum() / np.abs(g).sum()
+    if not kappa * KERNEL_RCOND < 1.0:
+        # the diagonal rows of a trace-preserving generator sum to zero, so
+        # without its trace row M(delta) has the generator's kernel
+        x = _kernel(m[1:])
+        if x.shape[1] != 1:
+            raise NumericalError(
+                f"steady state is not unique: generator kernel dimension {x.shape[1]}"
+            )
+    rho, failures = _states(x[:, :1], l0, detuning_diag, np.array([detuning], dtype=float))
+    if failures[0]:
+        raise NumericalError(failures[0])
+    return rho[0]
+
+
+def steady_states(config: ArrayConfig, drive: DriveConfig) -> tuple[np.ndarray, dict]:
+    """Steady states over the whole detuning grid from one pole expansion.
+
+    The pencil is solved in the real Hermitian coordinates of
+    ``_hermitian_coordinates``, where the generator and the detuning piece
+    are real.  With the trace row in place of row 0 the linear system is the
+    pencil M(delta) = M0 + delta*D, and D is zero off its support S (see
+    ``_real_detuning``), so one factorization of M0 and one eigensolve of
+    size |S| serve every point (see ``_pole_solve``).  A point that fails
+    the checks of ``_states`` is re-solved by ``steady_state``.
+
+    Returns the stack of density matrices, shape (points, 2^N, 2^N), and the
+    solver health: the number of fallback points and the 1-norm condition of
+    the eigenvector matrix W.
+    """
+    grid = drive.detuning_grid
+    l0, detuning_diag, m0, support, d_support = _pencil(config, drive)
+    x, condition = _pole_solve(m0, d_support, support, grid)
+    rho, failures = _states(x, l0, detuning_diag, grid)
+    failed = [i for i, failure in enumerate(failures) if failure]
+    for i in failed:
         rho[i] = steady_state(config, drive, grid[i])
-    return rho, {"fallback_points": int(failed.sum()), "v_condition": condition}
+    return rho, {"fallback_points": len(failed), "v_condition": condition}
 
 
 def occupations(config: ArrayConfig, rho: np.ndarray) -> np.ndarray:
     """Per-site excited-state populations <sigma^dag_j sigma_j>."""
-    # sigma^dag_j sigma_j is diagonal, holding the squared column norms of sigma_j
-    populations = np.diagonal(rho).real
-    ops = _lowering_ops(config.n_atoms)
-    return np.array([populations @ (np.abs(op) ** 2).sum(axis=0) for op in ops])
+    # sigma^dag_j sigma_j is diagonal, one on the states with site j excited
+    upper, _ = _lowering_table(config.n_atoms)
+    return np.diagonal(rho).real[upper].sum(axis=1)
 
 
 def transfer_matrix_amplitudes(
@@ -393,9 +385,12 @@ def _stacked_amplitudes(
     if amp_in == 0.0:
         r, t = np.array([transfer_matrix_amplitudes(config, delta) for delta in grid]).T
         return r, t * np.exp(-1j * phi * (n - 1))
-    ops = _lowering_ops(n)
-    # <sigma_j> = tr(rho sigma_j) = sum_ab rho_ab (sigma_j)_ba, for every rho at once
-    coherences = rhos.reshape(len(rhos), -1) @ np.array([op.T.ravel() for op in ops]).T
+    # <sigma_j> = tr(rho sigma_j) = sum_ab rho_ab (sigma_j)_ba, for every rho at
+    # once: weights[j] is sigma_j transposed and flattened, one at (upper, lower)
+    upper, lower = _lowering_table(n)
+    weights = np.zeros((n, 4**n), dtype=complex)
+    np.put_along_axis(weights, upper * 2**n + lower, 1.0, axis=1)
+    coherences = rhos.reshape(len(rhos), -1) @ weights.T
     phases = np.exp(1j * phi * np.arange(n))
     t = 1.0 + 1j * gamma / amp_in * (coherences @ np.conj(phases))
     r = 1j * gamma / amp_in * (coherences @ phases)

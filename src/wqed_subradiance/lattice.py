@@ -45,8 +45,8 @@ class ArrayConfig:
 
     @classmethod
     def from_period(cls, n_atoms: int, d_over_lambda: float, gamma_1d: float = 1.0) -> "ArrayConfig":
-        if d_over_lambda < 0:
-            raise DomainError(f"d/lambda0 must be non-negative, got {d_over_lambda}")
+        if not 0 <= d_over_lambda < math.inf:
+            raise DomainError(f"d/lambda0 must be finite and >= 0, got {d_over_lambda}")
         return cls(n_atoms=n_atoms, phase=TWO_PI * d_over_lambda, gamma_1d=gamma_1d)
 
     @property

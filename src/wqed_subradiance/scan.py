@@ -104,6 +104,8 @@ def _expect(mapping, key, kind, location, default=None, required=False):
             f"expected {kind.__name__}, got {type(value).__name__}",
             location=f"{location}.{key}",
         )
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {value}", location=f"{location}.{key}")
     return value
 
 
@@ -144,8 +146,8 @@ def _number_list(mapping, key, location, integer=False, required=False):
         values = [value]
     out = []
     for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError("expected a number", location=f"{location}.{key}[{i}]")
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ConfigError("expected a finite number", location=f"{location}.{key}[{i}]")
         out.append(int(v) if integer else float(v))
     if not out:
         raise ConfigError("grid must not be empty", location=f"{location}.{key}")

@@ -139,19 +139,26 @@ def waveguide_liouvillian(n, phi, omega, delta, gamma=1.0):
     return gen
 
 
-def incoherent_fraction(n, phi, omega, delta, gamma=1.0):
-    """Emitted incoherent flux over the input flux omega^2/gamma.
+def steady_density(n, phi, omega, delta, gamma=1.0):
+    """Steady state of ``waveguide_liouvillian``: its kernel vector, trace one.
 
-    The steady state is the generator's kernel vector, taken from its
-    singular value decomposition; the incoherent flux is
-    sum_nm Gamma_nm (<s+_n s-_m> - <s+_n><s-_m>) with Gamma_nm =
-    2*gamma*cos(phi*(n-m)), the photon flux into both output channels minus
-    its coherent part.
+    The kernel vector is the last right singular vector of the generator.
     """
     dim = 2**n
     _, _, vh = np.linalg.svd(waveguide_liouvillian(n, phi, omega, delta, gamma))
     rho = vh[-1].conj().reshape(dim, dim, order="F")
-    rho = rho / np.trace(rho)
+    return rho / np.trace(rho)
+
+
+def incoherent_fraction(n, phi, omega, delta, gamma=1.0):
+    """Emitted incoherent flux over the input flux omega^2/gamma.
+
+    The steady state is ``steady_density``; the incoherent flux is
+    sum_nm Gamma_nm (<s+_n s-_m> - <s+_n><s-_m>) with Gamma_nm =
+    2*gamma*cos(phi*(n-m)), the photon flux into both output channels minus
+    its coherent part.
+    """
+    rho = steady_density(n, phi, omega, delta, gamma)
     ops = lowering_ops_full(n)
     coherences = np.array([np.trace(rho @ op) for op in ops])
     pairs = np.array([[np.trace(rho @ a.conj().T @ b) for b in ops] for a in ops])

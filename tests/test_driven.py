@@ -27,6 +27,8 @@ from wqed_subradiance import (
 )
 from oracles import (
     incoherent_fraction,
+    lowering_ops_full,
+    steady_density,
     two_level_incoherent_fraction,
     two_level_population,
     waveguide_liouvillian,
@@ -46,6 +48,11 @@ def test_drive_config_validation():
         DriveConfig(power=1.0, detuning_grid=np.array([0.0, 0.0]))
     with pytest.raises(DomainError):
         DriveConfig(power=1.0, detuning_grid=np.array([[0.0]]))
+    for power in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            _drive(power)
+    with pytest.raises(DomainError):
+        DriveConfig(power=1.0, detuning_grid=np.array([-1.0, np.inf]))
 
 
 def test_atom_count_guard():
@@ -126,6 +133,45 @@ def test_five_atom_steady_states_match_pointwise_solves():
     assert health["fallback_points"] == 0
     for rho, delta in zip(rhos, grid):
         np.testing.assert_allclose(rho, steady_state(config, drive, delta), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("power", [1e-10, 1e-6, 0.3, 10.0])
+def test_steady_solvers_match_the_oracle_state(n, power):
+    """Both solvers reproduce the kernel vector of the independently built generator."""
+    config = ArrayConfig.from_period(n, 0.05)
+    drive = _drive(power, _POLE_GRID)
+    omega = drive.amplitude(config.gamma_1d)
+    rhos, _ = steady_states(config, drive)
+    for rho, delta in zip(rhos, _POLE_GRID):
+        oracle = steady_density(n, config.phase, omega, delta, config.gamma_1d)
+        np.testing.assert_allclose(rho, oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(steady_state(config, drive, delta), oracle, rtol=0, atol=1e-12)
+
+
+def test_failed_direct_solve_takes_the_one_dimensional_kernel(monkeypatch):
+    """When the direct solve fails, the state is the generator's unique kernel vector."""
+
+    def failing_solve(*args):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    config = ArrayConfig.from_period(3, 0.05)
+    drive = _drive(0.3)
+    omega = drive.amplitude(config.gamma_1d)
+    monkeypatch.setattr(driven_module.np.linalg, "solve", failing_solve)
+    for delta in (-1.0, -0.2, 0.4):
+        oracle = steady_density(3, config.phase, omega, delta, config.gamma_1d)
+        np.testing.assert_allclose(steady_state(config, drive, delta), oracle, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lowering_table_rebuilds_the_kronecker_operators(n):
+    upper, lower = driven_module._lowering_table(n)
+    assert upper.shape == lower.shape == (n, 2 ** (n - 1))
+    for j, oracle in enumerate(lowering_ops_full(n)):
+        op = np.zeros((2**n, 2**n), dtype=complex)
+        op[lower[j], upper[j]] = 1.0
+        assert np.array_equal(op, oracle)
 
 
 def _hermitian_basis(dim):
@@ -229,21 +275,35 @@ def test_generator_matches_waveguide_oracle(n, d, gamma):
 def test_detuning_piece_is_the_cached_diagonal(n):
     """The dense commutator with -N is exactly diagonal and equals the cached vector."""
     config = ArrayConfig.from_period(n, 0.05)
-    ops = driven_module._lowering_ops(n)
+    ops = lowering_ops_full(n)
     dense = driven_module._commutator_super(-sum(op.conj().T @ op for op in ops))
     detuning_diag = driven_module._liouvillian_pieces(config, True)[2]
     assert detuning_diag.shape == (4**n,)
     assert np.array_equal(dense, np.diag(detuning_diag))
 
 
-@pytest.mark.parametrize("n, kernel", [(2, 2), (3, 5)])
-def test_degenerate_generator_is_reported_as_not_unique(n, kernel):
-    """At d = lambda0/2 (phase pi) the generator kernel is degenerate."""
-    config = ArrayConfig.from_period(n, 0.5)
-    drive = _drive(1.0, np.linspace(-2.0, 2.0, 5))
+# (n, d, power, delta, grid, kernel dimension): d = lambda0/2 (phase pi) on a
+# five-point grid, and one-point grids at which a solve that accepts any
+# kernel vector returns an arbitrary state
+_DEGENERATE = {
+    "2-2": (2, 0.5, 1.0, 0.1, np.linspace(-2.0, 2.0, 5), 2),
+    "3-5": (3, 0.5, 1.0, 0.1, np.linspace(-2.0, 2.0, 5), 5),
+    "2-d0-P0.01-delta0.7": (2, 0.0, 0.01, 0.7, [0.7], 2),
+    "2-d0.5-P0.01-delta-0.3": (2, 0.5, 0.01, -0.3, [-0.3], 2),
+    "3-d1-P0.01-delta0.7": (3, 1.0, 0.01, 0.7, [0.7], 5),
+}
+
+
+@pytest.mark.parametrize(
+    "n, d, power, delta, grid, kernel", list(_DEGENERATE.values()), ids=list(_DEGENERATE)
+)
+def test_degenerate_generator_is_reported_as_not_unique(n, d, power, delta, grid, kernel):
+    """At d = 0, lambda0/2 and lambda0 (phase 0 or pi) the generator kernel is degenerate."""
+    config = ArrayConfig.from_period(n, d)
+    drive = _drive(power, grid)
     message = f"steady state is not unique: generator kernel dimension {kernel}"
     with pytest.raises(NumericalError, match=message):
-        steady_state(config, drive, 0.1)
+        steady_state(config, drive, delta)
     with pytest.raises(NumericalError, match=message):
         steady_states(config, drive)
     with pytest.raises(NumericalError, match=message):
@@ -551,7 +611,7 @@ def test_expectations_match_trace_of_product(n):
     a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
-    ops = driven_module._lowering_ops(n)
+    ops = lowering_ops_full(n)
     expected = [np.trace(rho @ op.conj().T @ op).real for op in ops]
     np.testing.assert_allclose(occupations(config, rho), expected, rtol=0, atol=1e-14)
     drive = _drive(0.7)

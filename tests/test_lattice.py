@@ -20,8 +20,9 @@ def test_config_validation():
         ArrayConfig(n_atoms=0, phase=0.1)
     with pytest.raises(DomainError):
         ArrayConfig(n_atoms=3, phase=0.1, gamma_1d=0.0)
-    with pytest.raises(DomainError):
-        ArrayConfig.from_period(3, -0.1)
+    for d in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            ArrayConfig.from_period(3, d)
 
 
 def test_phase_reduced_modulo_two_pi():

@@ -136,6 +136,9 @@ _BAD_DETUNING = {
     "non-increasing": ([-1, 1, 1], "drive.detuning"),
     "refined-stop-not-above-start": ({"start": 1, "stop": 1}, "drive.detuning.stop"),
     "coarse-below-one": ({"start": -1, "stop": 1, "coarse": -3}, "drive.detuning.coarse"),
+    "infinite-stop": ({"start": -1, "stop": float("inf")}, "drive.detuning.stop"),
+    "infinite-count-stop": ({"start": -1, "stop": float("inf"), "count": 5}, "drive.detuning.stop"),
+    "nan-point": ([-1, float("nan"), 1], "drive.detuning[1]"),
 }
 
 
@@ -164,6 +167,45 @@ def test_validate_rejects_boolean_for_float_key(tmp_path, section, key, location
     with pytest.raises(ConfigError) as err:
         validate_config(write_config(tmp_path / "bool.yaml", payload))
     assert err.value.location == location
+
+
+# non-finite numbers at every level, and the location each must be reported at
+_NON_FINITE = {
+    "power-nan": ("drive", "power", [float("nan")], "drive.power[0]"),
+    "gamma-nan": ("array", "gamma_1d", float("nan"), "array.gamma_1d"),
+    "d-nan-inf": ("grid", "d_over_lambda", [float("nan"), float("inf")], "grid.d_over_lambda[0]"),
+    "d-inf": ("grid", "d_over_lambda", [0.05, float("-inf")], "grid.d_over_lambda[1]"),
+    "k-inf": ("grid", "k", [float("inf")], "grid.k[0]"),
+    "amplitude-scale-inf": ("drive", "amplitude_scale", float("inf"), "drive.amplitude_scale"),
+}
+
+
+def _non_finite_config(tmp_path, section, key, value):
+    payload = yaml.safe_load(Path(driven_config(tmp_path, {"start": -1.0, "stop": 1.0})).read_text())
+    payload[section][key] = value
+    return write_config(tmp_path / "non_finite.yaml", payload)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, location", list(_NON_FINITE.values()), ids=list(_NON_FINITE)
+)
+def test_validate_rejects_non_finite_numbers(tmp_path, section, key, value, location):
+    with pytest.raises(ConfigError) as err:
+        validate_config(_non_finite_config(tmp_path, section, key, value))
+    assert err.value.location == location
+    assert "finite" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "section, key, value, location", list(_NON_FINITE.values())[:3], ids=list(_NON_FINITE)[:3]
+)
+def test_cli_non_finite_number_exit_two_without_traceback(tmp_path, section, key, value, location):
+    cfg = _non_finite_config(tmp_path, section, key, value)
+    result = CliRunner().invoke(main, ["driven-map", "--config", cfg])
+    assert result.exit_code == 2
+    assert f"error: {location}" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -204,8 +246,9 @@ def test_readme_config_sketch_validates(tmp_path):
         [-1, "a", 1],
         {"start": -1, "stop": 1, "coarse": -3},
         {"start": -1, "stop": 1, "coarsee": 5},
+        {"start": -1, "stop": float("inf")},
     ],
-    ids=["missing-start", "non-number", "negative-coarse", "misspelled-key"],
+    ids=["missing-start", "non-number", "negative-coarse", "misspelled-key", "infinite-stop"],
 )
 def test_cli_malformed_detuning_exit_two_without_traceback(tmp_path, detuning):
     result = CliRunner().invoke(main, ["driven-map", "--config", driven_config(tmp_path, detuning)])
@@ -629,3 +672,23 @@ def test_cli_import_loads_no_scipy_and_overlaps_still_work():
     result = hosvd(to_symmetric_tensor(state, enumerate_sector(6, 3)))
     for name, overlaps in probe["overlaps"].items():
         assert overlaps == pytest.approx(ansatz_overlap(result, name), rel=0, abs=1e-12)
+
+
+_WRAP_PROBE = """
+import child
+
+child.instrument(child.Tracer())
+print("instrumented")
+"""
+
+
+def test_benchmark_wrap_targets_exist():
+    """The benchmark's traced replay wraps program functions by name; each must exist."""
+    env = dict(os.environ)
+    paths = [str(_REPO / "src"), str(_REPO / "perfbench"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WRAP_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["instrumented"]
