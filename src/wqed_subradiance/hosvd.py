@@ -20,11 +20,11 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .lattice import (
     SectorBasis,
+    complement_masks,
     enumerate_sector,
     occupied_sites,
     rank_masks,
     reduced_unfolding,
-    site_masks,
 )
 from .spectrum import EigenState, gauge_pivot
 
@@ -276,17 +276,21 @@ def hole_transform(state: EigenState, basis: SectorBasis) -> tuple[EigenState, S
     The amplitude on subset S moves to the complement N\\S, multiplied by
     the parity of the permutation that sorts the concatenation (S, N\\S).
     Applying the transform twice returns the state up to a global sign.
+
+    The returned state keeps the particle state's ``epsilon`` and ``gamma``.
+    The parity sign turns each hop phase exp(i*phi*|m-n|) into
+    exp(i*(phi+pi)*|m-n|), so its amplitudes are an eigenvector of the N-k
+    sector at d/lambda0 + 1/2, with total eigenvalue
+    k*epsilon - i*gamma_1d*(N-2k).
     """
     n = basis.n_atoms
     k = basis.n_excitations
     hole_basis = enumerate_sector(n, n - k)
-    occupied = occupied_sites(basis)
-    complement = ((np.int64(1) << n) - 1) ^ site_masks(occupied)
     # inversions between the sorted blocks: sum_i (s_i - i)
-    inversions = occupied.sum(axis=1) - k * (k - 1) // 2
+    inversions = occupied_sites(basis).sum(axis=1) - k * (k - 1) // 2
     sign = np.where(inversions % 2, -1.0, 1.0)
     amplitudes = np.zeros(hole_basis.dim, dtype=complex)
-    amplitudes[rank_masks(hole_basis, complement)] = sign * state.amplitudes
+    amplitudes[rank_masks(hole_basis, complement_masks(basis))] = sign * state.amplitudes
     hole_state = EigenState(
         epsilon=state.epsilon, gamma=state.gamma, amplitudes=amplitudes, k=n - k
     )

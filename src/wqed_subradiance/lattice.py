@@ -134,6 +134,26 @@ def mirror_permutation(basis: SectorBasis) -> np.ndarray:
     return rank_masks(basis, site_masks(basis.n_atoms - 1 - occupied_sites(basis)))
 
 
+def complement_masks(basis: SectorBasis) -> np.ndarray:
+    """Site bitmask of the complement N\\S of every state S."""
+    return ((np.int64(1) << basis.n_atoms) - 1) ^ site_masks(occupied_sites(basis))
+
+
+def complement_permutation(basis: SectorBasis) -> np.ndarray:
+    """Index of the complement N\\S of every state S of a half-filled sector.
+
+    At N = 2k the map stays in the sector and commutes with the sector
+    Hamiltonian: it swaps the sites of each one-excitation hop, and the
+    coupling is symmetric in the two sites.
+    """
+    if 2 * basis.n_excitations != basis.n_atoms:
+        raise DomainError(
+            f"the complement map stays in the sector only at N = 2k, "
+            f"got N={basis.n_atoms}, k={basis.n_excitations}"
+        )
+    return rank_masks(basis, complement_masks(basis))
+
+
 def sector_table(basis: SectorBasis) -> tuple[np.ndarray, np.ndarray]:
     """Every sector state as one excitation added to a (k-1)-subset.
 

@@ -148,6 +148,8 @@ def _number_list(mapping, key, location, integer=False, required=False):
     for i, v in enumerate(values):
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
             raise ConfigError("expected a finite number", location=f"{location}.{key}[{i}]")
+        if integer and v != int(v):
+            raise ConfigError(f"expected an integer, got {v}", location=f"{location}.{key}[{i}]")
         out.append(int(v) if integer else float(v))
     if not out:
         raise ConfigError("grid must not be empty", location=f"{location}.{key}")

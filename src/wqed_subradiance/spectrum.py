@@ -16,8 +16,10 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .lattice import (
     ArrayConfig,
+    SectorBasis,
     SectorHamiltonian,
     build_hamiltonian,
+    complement_permutation,
     enumerate_sector,
     mirror_permutation,
 )
@@ -58,46 +60,75 @@ def _fingerprint(matrix: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(matrix).tobytes()).hexdigest()[:16]
 
 
-def _parity_blocks(matrix: np.ndarray, mirror: np.ndarray):
-    """Mirror-even and mirror-odd blocks of a mirror-symmetric matrix.
+def _symmetry_group(basis: SectorBasis):
+    """Basis permutations that commute with every sector Hamiltonian.
 
-    Each orbit of the mirror map is represented by its lower index r, with
-    image m.  The even basis vectors are |r> for a self-mirror state and
-    (|r> + |m>)/sqrt(2) for a pair, the odd ones (|r> - |m>)/sqrt(2) for a
-    pair, so the blocks are gathered from H[r, r] and H[r, m] by index and
-    stay complex symmetric.  Yields (block, rows, images, row_coef,
-    image_coef): a block eigenvector y lifts to v[rows] = row_coef*y,
-    v[images] = image_coef*y.
+    The mirror map, and at N = 2k also the complement map, generate an
+    abelian group of involutions.  Returns (elements, characters): the
+    elements as index arrays, identity first, and one row of +-1 character
+    values per irreducible representation, the trivial one first.
     """
-    index = np.arange(len(mirror))
-    rows = np.flatnonzero(index <= mirror)
-    single = mirror[rows] == rows
-    pairs = rows[~single]
-    even = matrix[np.ix_(rows, rows)] + matrix[np.ix_(rows, mirror[rows])]
-    # a self-mirror state enters the even block with weight 1, not sqrt(2)
-    even[single] *= np.sqrt(0.5)
-    even[:, single] *= np.sqrt(0.5)
-    coef = np.where(single, 1.0, np.sqrt(0.5))
-    yield even, rows, mirror[rows], coef, coef
-    if len(pairs):
-        odd = matrix[np.ix_(pairs, pairs)] - matrix[np.ix_(pairs, mirror[pairs])]
-        yield odd, pairs, mirror[pairs], np.sqrt(0.5), -np.sqrt(0.5)
+    elements = [np.arange(basis.dim)]
+    generators = [mirror_permutation(basis)]
+    if 2 * basis.n_excitations == basis.n_atoms:
+        generators.append(complement_permutation(basis))
+    for generator in generators:
+        elements += [generator[g] for g in elements]
+    # element b and character s of (Z2)^m: (-1)^(number of generators in both)
+    size = len(elements)
+    characters = [[(-1) ** bin(s & b).count("1") for b in range(size)] for s in range(size)]
+    return elements, characters
+
+
+def _symmetry_blocks(matrix: np.ndarray, basis: SectorBasis):
+    """One block of a symmetric matrix per character of ``_symmetry_group``.
+
+    Each orbit is represented by its lowest index r, with stabilizer size
+    |S|.  A character that is trivial on the stabilizer keeps the orbit,
+    with the unit basis vector sum_g chi(g)|g r> / sqrt(|G||S|).  So the
+    blocks are gathered from H by index,
+    block[i, j] = sum_g chi(g) H[r_i, g r_j] / sqrt(|S_i||S_j|), and stay
+    complex symmetric.  Yields (block, lifts): a block eigenvector y lifts
+    to v[index] = coef*y for every (index, coef) in ``lifts``, with
+    coef = chi(g)*sqrt(|S|/|G|) on the images g r.
+    """
+    elements, characters = _symmetry_group(basis)
+    images = np.array(elements)
+    reps = np.flatnonzero((images >= images[0]).all(axis=0))
+    fixed = images[:, reps] == reps
+    for chi in characters:
+        keep = ~fixed[np.array(chi) < 0].any(axis=0)
+        rows, stabilizer = reps[keep], fixed[:, keep].sum(axis=0)
+        if not len(rows):
+            continue
+        # subtract rather than scale by -1, and weigh rows then columns by
+        # sqrt(1/|S|): off half filling this is the arithmetic of the mirror
+        # blocks bit for bit, so those spectra do not move at roundoff
+        block = matrix[np.ix_(rows, rows)]
+        for g, sign in zip(elements[1:], chi[1:]):
+            if sign > 0:
+                block += matrix[np.ix_(rows, g[rows])]
+            else:
+                block -= matrix[np.ix_(rows, g[rows])]
+        weight = np.sqrt(1.0 / stabilizer)
+        block *= weight[:, None]
+        block *= weight
+        scale = np.sqrt(stabilizer / len(elements))
+        yield block, [(g[rows], sign * scale) for g, sign in zip(elements, chi)]
 
 
 def _checked_blocks(h: SectorHamiltonian):
-    """Eigenpairs of each parity block of H, residual- and gamma-checked.
+    """Eigenpairs of each symmetry block of H, residual- and gamma-checked.
 
-    Yields (eps, gammas, vectors, rows, images, row_coef, image_coef) per
-    block: unit-norm block eigenvectors as columns, lifted by the
-    ``_parity_blocks`` rule.  Every eigenpair residual ||H v - lambda v|| is
-    checked against ``RESIDUAL_TOL`` * max(1, |lambda|), and every gamma
-    against ``GAMMA_FLOOR``; failure raises NumericalError carrying the
-    offending number and a fingerprint of the matrix.
+    Yields (eps, gammas, vectors, lifts) per block: unit-norm block
+    eigenvectors as columns, lifted by the ``_symmetry_blocks`` rule.  Every
+    eigenpair residual ||H v - lambda v|| is checked against
+    ``RESIDUAL_TOL`` * max(1, |lambda|), and every gamma against
+    ``GAMMA_FLOOR``; failure raises NumericalError carrying the offending
+    number and a fingerprint of the matrix.
     """
     scale = max(h.basis.n_excitations, 1)
-    for block, rows, images, row_coef, image_coef in _parity_blocks(
-        h.matrix, mirror_permutation(h.basis)
-    ):
+    for block, lifts in _symmetry_blocks(h.matrix, h.basis):
         try:
             values, vectors = np.linalg.eig(block)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
@@ -119,26 +150,27 @@ def _checked_blocks(h: SectorHamiltonian):
             raise NumericalError(
                 f"negative decay rate {gammas.min():.3e} in sector matrix {_fingerprint(h.matrix)}"
             )
-        yield eps, gammas, vectors, rows, images, row_coef, image_coef
+        yield eps, gammas, vectors, lifts
 
 
 def diagonalize_sector(h: SectorHamiltonian) -> list[EigenState]:
     """All eigenpairs, sorted by ascending gamma then ascending Re(eps).
 
-    The mirror map j -> N-1-j commutes with H, so each parity block (see
-    ``_parity_blocks``) is diagonalized on its own and every state is a
-    mirror eigenvector.  The checks of ``_checked_blocks`` apply to every
-    eigenpair.
+    The mirror map j -> N-1-j commutes with H, and at half filling (N = 2k)
+    so does the complement map S -> N\\S.  Each symmetry block (see
+    ``_symmetry_blocks``) is diagonalized on its own: two blocks, mirror
+    even and odd, or four at half filling, one per joint mirror and
+    complement parity.  Every state is an eigenvector of each of these maps.
+    The checks of ``_checked_blocks`` apply to every eigenpair.
     """
     k = h.basis.n_excitations
-    dim = h.basis.dim
     states = []
-    for eps, gammas, vectors, rows, images, row_coef, image_coef in _checked_blocks(h):
-        for epsilon, gamma, y in zip(eps, gammas, vectors.T):
-            vec = np.zeros(dim, dtype=complex)
-            vec[rows] = row_coef * y
-            vec[images] = image_coef * y
-            vec *= np.exp(-1j * np.angle(vec[gauge_pivot(vec)]))
+    for eps, gammas, vectors, lifts in _checked_blocks(h):
+        lifted = np.zeros((h.basis.dim, len(eps)), dtype=complex)
+        for index, coef in lifts:
+            lifted[index] = coef[:, None] * vectors
+        for epsilon, gamma, vec in zip(eps, gammas, lifted.T):
+            vec = vec * np.exp(-1j * np.angle(vec[gauge_pivot(vec)]))
             states.append(EigenState(epsilon=epsilon, gamma=gamma, amplitudes=vec, k=k))
     states.sort(key=lambda s: (s.gamma, s.epsilon.real, int(np.argmax(np.abs(s.amplitudes)))))
     return states

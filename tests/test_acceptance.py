@@ -381,3 +381,31 @@ def test_criterion_11_determinism(tmp_path):
     ok = all(outcomes.values())
     _report(11, "determinism", ok, f"byte-identical repeat+parallel runs: {outcomes}")
     assert ok, outcomes
+
+
+def test_criterion_12_subradiance_ends_above_half_filling():
+    """Above f = 1/2 no state decays slower in total than gamma_1d*(2k - N).
+
+    Sector k is sector N-k relabelled by S -> N\\S, with the diagonal shifted
+    by -i*gamma_1d*(2k - N), so its smallest total rate is that of N-k plus
+    gamma_1d*(2k - N).  At d = 0 the N-k sector holds dark states and the
+    floor is reached; the slack is roundoff only.
+    """
+    gamma_1d = 0.7
+    margins = {}
+    for d in (0.0, D_REF, 0.13, 0.3):
+        for n in range(2, 11):
+            config = ArrayConfig.from_period(n, d, gamma_1d)
+            for k in range(n // 2 + 1, n + 1):
+                floor = gamma_1d * (2 * k - n)
+                margins[d, n, k] = (k * min_decay_rate(config, k) - floor) / floor
+    worst = min(margins, key=margins.get)
+    tight = max(abs(margins[0.0, n, k]) for (d, n, k) in margins if d == 0.0)
+    ok = margins[worst] >= -1e-12 and tight < 1e-12
+    _report(
+        12, "subradiance-ends-above-half-filling", ok,
+        f"N=2..10, k>N/2, 4 d: min (k*gamma - gamma_1d(2k-N))/(gamma_1d(2k-N)) "
+        f"{margins[worst]:.2e} at (d, N, k)={worst} (>= -1e-12); "
+        f"at d=0 the floor is reached to {tight:.1e}",
+    )
+    assert ok, (worst, margins[worst], tight)

@@ -11,7 +11,13 @@ from wqed_subradiance import (
     build_hamiltonian,
     enumerate_sector,
 )
-from wqed_subradiance.lattice import mirror_permutation, occupied_sites, rank_masks, site_masks
+from wqed_subradiance.lattice import (
+    complement_permutation,
+    mirror_permutation,
+    occupied_sites,
+    rank_masks,
+    site_masks,
+)
 from oracles import full_space_hamiltonian, project_to_sector
 
 
@@ -183,3 +189,30 @@ def test_hamiltonian_is_mirror_symmetric_bitwise(d):
             h = build_hamiltonian(config, basis).matrix
             mirror = mirror_permutation(basis)
             assert h[np.ix_(mirror, mirror)].tobytes() == h.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_complement_permutation_is_an_involution_commuting_with_the_mirror(n):
+    basis = enumerate_sector(n, n // 2)
+    complement = complement_permutation(basis)
+    images = [tuple(sorted(set(range(n)) - set(state))) for state in basis.states]
+    assert [basis.states[i] for i in complement] == images
+    np.testing.assert_array_equal(complement[complement], np.arange(basis.dim))
+    assert (complement != np.arange(basis.dim)).all()
+    mirror = mirror_permutation(basis)
+    np.testing.assert_array_equal(mirror[complement], complement[mirror])
+
+
+@pytest.mark.parametrize("d", [0.0, 0.05, 0.13, 0.25, 0.5])
+def test_hamiltonian_is_complement_symmetric_bitwise_at_half_filling(d):
+    for n in range(2, 11, 2):
+        basis = enumerate_sector(n, n // 2)
+        h = build_hamiltonian(ArrayConfig.from_period(n, d), basis).matrix
+        complement = complement_permutation(basis)
+        assert h[np.ix_(complement, complement)].tobytes() == h.tobytes()
+
+
+@pytest.mark.parametrize("n,k", [(1, 0), (3, 1), (5, 3), (6, 2)])
+def test_complement_permutation_needs_half_filling(n, k):
+    with pytest.raises(DomainError, match="N = 2k"):
+        complement_permutation(enumerate_sector(n, k))

@@ -119,6 +119,51 @@ def test_validate_linspace_grid(tmp_path):
     assert spec.d_values == pytest.approx([0.05, 0.15, 0.25])
 
 
+# non-integral values of the integer grids, and the location each must be reported at
+_NON_INTEGRAL = {
+    "k": ("decay-map", {"k": [1, 2.5]}, "grid.k[1]"),
+    "n-atoms": ("size-map", {"n_atoms": [4.7], "k": [1]}, "grid.n_atoms[0]"),
+    "k-linspace": ("decay-map", {"k": {"start": 1, "stop": 2, "count": 3}}, "grid.k[1]"),
+}
+
+
+def _integer_grid_config(tmp_path, mode, grid):
+    payload = {"mode": mode, "grid": {"d_over_lambda": [0.05], **grid},
+               "output": {"directory": str(tmp_path / "out")}}
+    if mode != "size-map":
+        payload["array"] = {"n_atoms": 6}
+    return write_config(tmp_path / "cfg.yaml", payload)
+
+
+@pytest.mark.parametrize(
+    "mode, grid, location", list(_NON_INTEGRAL.values()), ids=list(_NON_INTEGRAL)
+)
+def test_validate_rejects_non_integral_grid_values(tmp_path, mode, grid, location):
+    with pytest.raises(ConfigError) as err:
+        validate_config(_integer_grid_config(tmp_path, mode, grid))
+    assert err.value.location == location
+    assert "integer" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "mode, grid, location", list(_NON_INTEGRAL.values())[:2], ids=list(_NON_INTEGRAL)[:2]
+)
+def test_cli_non_integral_grid_value_exit_two(tmp_path, mode, grid, location):
+    result = CliRunner().invoke(main, [mode, "--config", _integer_grid_config(tmp_path, mode, grid)])
+    assert result.exit_code == 2
+    assert f"error: {location}" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_integral_linspace_and_float_grid_values(tmp_path):
+    grid = {"k": {"start": 1, "stop": 5, "count": 5}, "n_atoms": [6.0, 8]}
+    spec = validate_config(_integer_grid_config(tmp_path, "size-map", grid))
+    assert spec.k_values == [1, 2, 3, 4, 5]
+    assert spec.n_values == [6, 8]
+    assert all(type(v) is int for v in spec.k_values + spec.n_values)
+
+
 def driven_config(tmp_path, detuning, mode="driven-map"):
     return write_config(
         tmp_path / "cfg.yaml",

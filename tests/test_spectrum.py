@@ -23,7 +23,11 @@ from wqed_subradiance import (
     scaling_fit,
     sector_decay_rates,
 )
-from wqed_subradiance.lattice import SectorHamiltonian, mirror_permutation
+from wqed_subradiance.lattice import (
+    SectorHamiltonian,
+    complement_permutation,
+    mirror_permutation,
+)
 from wqed_subradiance.spectrum import GAMMA_FLOOR, PIVOT_ATOL, RESIDUAL_TOL
 from oracles import full_space_hamiltonian, project_to_sector
 
@@ -263,6 +267,42 @@ def test_lifted_states_are_mirror_eigenvectors_with_full_residual(n, k, d):
         np.testing.assert_allclose(v[mirror], np.sign(parity) * v, atol=1e-12)
 
 
+@pytest.mark.parametrize("n,k,d", [(6, 3, 0.13), (8, 4, 0.05), (10, 5, 0.3)])
+def test_half_filling_states_have_joint_mirror_and_complement_parity(n, k, d):
+    """At N = 2k every nondegenerate state is even or odd under both maps."""
+    ham = build_hamiltonian(ArrayConfig.from_period(n, d), enumerate_sector(n, k))
+    states = diagonalize_sector(ham)
+    values = np.array([s.epsilon * k for s in states])
+    gaps = np.abs(values[:, None] - values[None, :]) + np.diag(np.full(len(values), np.inf))
+    nondegenerate = gaps.min(axis=1) > 1e-6
+    assert nondegenerate.sum() > len(states) // 2
+    parities = set()
+    for state in np.array(states, dtype=object)[nondegenerate]:
+        v = state.amplitudes
+        signs = []
+        for perm in (mirror_permutation(ham.basis), complement_permutation(ham.basis)):
+            parity = np.vdot(v, v[perm]).real
+            assert abs(abs(parity) - 1.0) < 1e-12
+            np.testing.assert_allclose(v[perm], np.sign(parity) * v, atol=1e-12)
+            signs.append(np.sign(parity))
+        parities.add(tuple(signs))
+    assert len(parities) == 4
+
+
+@pytest.mark.parametrize("d", [0.05, 0.13, 0.3])
+def test_particle_hole_duality_of_sector_spectra(d):
+    """H of sector (N, N-k) is H of (N, k) relabelled by S -> N\\S, with the
+    diagonal -i*gamma_1d*k replaced by -i*gamma_1d*(N-k)."""
+    gamma_1d = 0.7
+    for n in range(1, 11):
+        config = ArrayConfig.from_period(n, d, gamma_1d)
+        for k in range(n + 1):
+            particle = np.array([s.epsilon * max(k, 1) for s in diagonalize(config, k)])
+            hole = np.array([s.epsilon * max(n - k, 1) for s in diagonalize(config, n - k)])
+            shifted = particle - 1j * gamma_1d * (n - 2 * k)
+            assert _multiset_distance(hole, shifted) < 1e-10
+
+
 def test_min_decay_rate_matches_unblocked_solver_values():
     """Frozen values of the single dense eig over the whole sector (d = 0.05)."""
     frozen = {
@@ -322,14 +362,35 @@ def test_corrupted_eigenvectors_raise_with_residual_and_fingerprint(solve, monke
     assert spectrum_module._fingerprint(ham.matrix) in message
 
 
+def _parity_projector(perm, parity):
+    identity = np.eye(len(perm))
+    return (identity + parity * identity[perm]) / 2
+
+
+# one mirror parity (two of the four blocks at (6, 3)), then each joint
+# mirror x complement parity block on its own
+_SHIFTED_PARITIES = {
+    "1.0": (1.0, None),
+    "-1.0": (-1.0, None),
+    "even-even": (1.0, 1.0),
+    "odd-even": (-1.0, 1.0),
+    "even-odd": (1.0, -1.0),
+    "odd-odd": (-1.0, -1.0),
+}
+
+
 @entry_points
-@pytest.mark.parametrize("parity", [1.0, -1.0])
-def test_negative_decay_rate_in_either_block_raises(parity, solve, monkeypatch):
-    """Shift the decay rates of one parity block only below GAMMA_FLOOR."""
+@pytest.mark.parametrize(
+    "parity, complement_parity", list(_SHIFTED_PARITIES.values()), ids=list(_SHIFTED_PARITIES)
+)
+def test_negative_decay_rate_in_either_block_raises(parity, complement_parity, solve, monkeypatch):
+    """Shift the decay rates of one parity sector only below GAMMA_FLOOR."""
     ham = _sector()
-    mirror = mirror_permutation(ham.basis)
-    projector = np.eye(ham.basis.dim)
-    projector = (projector + parity * projector[mirror]) / 2
+    projector = _parity_projector(mirror_permutation(ham.basis), parity)
+    if complement_parity is not None:
+        projector = projector @ _parity_projector(
+            complement_permutation(ham.basis), complement_parity
+        )
     shifted = ham.matrix + 1j * 100.0 * projector
     with pytest.raises(NumericalError, match="negative decay rate") as info:
         solve(SectorHamiltonian(basis=ham.basis, matrix=shifted), monkeypatch)
