@@ -2,7 +2,7 @@
 
 An array of N two-level atoms couples to a single waveguide mode; after the
 photons are integrated out (Markov + rotating wave) the dynamics within the
-k-excitation sector is generated by a dense complex-symmetric non-Hermitian
+k-excitation sector is generated by a sparse complex-symmetric non-Hermitian
 matrix.  Energies are measured from the atomic resonance and rates in units
 of the single-atom waveguide decay rate gamma_1d.
 """
@@ -179,13 +179,18 @@ def reduced_unfolding(amplitudes: np.ndarray, basis: SectorBasis) -> np.ndarray:
     return b
 
 
-def build_hamiltonian(config: ArrayConfig, basis: SectorBasis) -> SectorHamiltonian:
-    """Assemble the effective sector Hamiltonian.
+def hamiltonian_entries(
+    config: ArrayConfig, basis: SectorBasis
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every nonzero entry of the effective sector Hamiltonian, from the hop table.
 
     Matrix elements are -i*gamma_1d*exp(i*phase*|m-n|) for every transfer of
     one excitation from site m to site n; transfers onto an already excited
     site vanish (two-level atoms), so off-diagonal elements connect subsets
     differing in exactly one site and the diagonal is -i*gamma_1d*k.
+    Returns ``(row, col, value)``: each off-diagonal pair once (the two
+    states share one row of ``sector_table``), then the diagonal; k(N-k)+1
+    entries per row, and no position twice.
     """
     if basis.n_atoms != config.n_atoms:
         raise DomainError(
@@ -196,9 +201,21 @@ def build_hamiltonian(config: ArrayConfig, basis: SectorBasis) -> SectorHamilton
     # hop[m, n] = -i*gamma*exp(i*phi*|m-n|)
     sites = np.arange(n)
     hop = -1j * gamma * np.exp(1j * config.phase * np.abs(sites[:, None] - sites[None, :]))
-    h = np.zeros((basis.dim, basis.dim), dtype=complex)
-    # states differing in one site share one row; diagonal pairs are overwritten
     state, site = sector_table(basis)
-    h[state[:, :, None], state[:, None, :]] = hop[site[:, :, None], site[:, None, :]]
-    np.fill_diagonal(h, -1j * gamma * basis.n_excitations)
+    a, b = np.nonzero(~np.eye(n - basis.n_excitations + 1, dtype=bool))
+    diagonal = np.arange(basis.dim)
+    row = np.concatenate([state[:, a].ravel(), diagonal])
+    col = np.concatenate([state[:, b].ravel(), diagonal])
+    value = np.concatenate([
+        hop[site[:, a], site[:, b]].ravel(),
+        np.full(basis.dim, -1j * gamma * basis.n_excitations),
+    ])
+    return row, col, value
+
+
+def build_hamiltonian(config: ArrayConfig, basis: SectorBasis) -> SectorHamiltonian:
+    """The dense sector Hamiltonian: ``hamiltonian_entries`` scattered into a matrix."""
+    row, col, value = hamiltonian_entries(config, basis)
+    h = np.zeros((basis.dim, basis.dim), dtype=complex)
+    h[row, col] = value
     return SectorHamiltonian(basis=basis, matrix=h)

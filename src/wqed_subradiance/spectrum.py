@@ -8,6 +8,7 @@ sums of single-excitation rates are made on the total scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,10 +19,12 @@ from .lattice import (
     ArrayConfig,
     SectorBasis,
     SectorHamiltonian,
-    build_hamiltonian,
+    complement_masks,
     complement_permutation,
     enumerate_sector,
+    hamiltonian_entries,
     mirror_permutation,
+    rank_masks,
 )
 
 RESIDUAL_TOL = 1e-9
@@ -54,10 +57,26 @@ def gauge_pivot(vectors: np.ndarray) -> np.ndarray:
     return np.argmax(mags >= mags.max(axis=0) - PIVOT_ATOL, axis=0)
 
 
-def _fingerprint(matrix: np.ndarray) -> str:
+def _fingerprint(entries) -> str:
+    """Hash of a sector matrix given by its nonzero ``(row, col, value)`` entries.
+
+    The entries are hashed in row-major order, so a matrix has one
+    fingerprint whichever way its entries were listed.
+    """
     import hashlib
 
-    return hashlib.sha256(np.ascontiguousarray(matrix).tobytes()).hexdigest()[:16]
+    row, col, value = entries
+    order = np.lexsort((col, row))
+    digest = hashlib.sha256()
+    for part in (row.astype(np.int64), col.astype(np.int64), value.astype(complex)):
+        digest.update(np.ascontiguousarray(part[order]).tobytes())
+    return digest.hexdigest()[:16]
+
+
+def _matrix_entries(matrix: np.ndarray):
+    """The nonzero entries of a dense matrix, as ``(row, col, value)``."""
+    row, col = np.nonzero(matrix)
+    return row, col, matrix[row, col]
 
 
 def _symmetry_group(basis: SectorBasis):
@@ -80,17 +99,55 @@ def _symmetry_group(basis: SectorBasis):
     return elements, characters
 
 
-def _symmetry_blocks(matrix: np.ndarray, basis: SectorBasis):
-    """One block of a symmetric matrix per character of ``_symmetry_group``.
+def _character_sum(entries, elements, chi, rows, dim: int) -> np.ndarray:
+    """sum_g chi(g) H[rows, g rows] from the nonzero entries of H.
 
-    Each orbit is represented by its lowest index r, with stabilizer size
-    |S|.  A character that is trivial on the stabilizer keeps the orbit,
-    with the unit basis vector sum_g chi(g)|g r> / sqrt(|G||S|).  So the
-    blocks are gathered from H by index,
-    block[i, j] = sum_g chi(g) H[r_i, g r_j] / sqrt(|S_i||S_j|), and stay
-    complex symmetric.  Yields (block, lifts): a block eigenvector y lifts
-    to v[index] = coef*y for every (index, coef) in ``lifts``, with
-    coef = chi(g)*sqrt(|S|/|G|) on the images g r.
+    Only the entries in ``rows`` are read: for each g, in group order,
+    H[r_i, c] lands in column j with g r_j = c, i.e. r_j = g c (every g is
+    an involution).  The sum starts as H[rows, rows] and each further term
+    is a matrix with zeros off its entries, subtracted rather than scaled by
+    -1: the arithmetic of gathering the blocks from the dense H, bit for bit.
+    """
+    position = np.full(dim, -1)
+    position[rows] = np.arange(len(rows))
+    row, col, value = entries
+    mine = position[row] >= 0
+    i, c, v = position[row[mine]], col[mine], value[mine]
+
+    def scatter(out, g):
+        j = position[g[c]]
+        hit = j >= 0
+        at = i[hit] * len(rows) + j[hit]  # flat index: far faster than (i, j)
+        out.reshape(-1)[at] = v[hit]
+        return at
+
+    total = np.zeros((len(rows), len(rows)), dtype=complex)
+    scatter(total, elements[0])
+    term = np.zeros(total.shape, dtype=complex)
+    for g, sign in zip(elements[1:], chi[1:]):
+        at = scatter(term, g)
+        if sign > 0:
+            total += term
+        else:
+            total -= term
+        term.reshape(-1)[at] = 0
+    return total
+
+
+def _symmetry_blocks(entries, basis: SectorBasis):
+    """One block of a symmetric sector matrix per character of ``_symmetry_group``.
+
+    The matrix is given by its nonzero ``(row, col, value)`` entries, and
+    must commute with the group.  Each orbit is represented by its lowest
+    index r, with stabilizer size |S|.  A character that is trivial on the
+    stabilizer keeps the orbit, with the unit basis vector
+    sum_g chi(g)|g r> / sqrt(|G||S|), so
+    block[i, j] = sum_g chi(g) H[r_i, g r_j] / sqrt(|S_i||S_j|)
+    (``_character_sum``, weighed by rows then columns), and the block stays
+    complex symmetric.  No dim x dim array is formed.  Yields
+    (block, lifts): a block eigenvector y lifts to v[index] = coef*y for
+    every (index, coef) in ``lifts``, with coef = chi(g)*sqrt(|S|/|G|) on
+    the images g r.
     """
     elements, characters = _symmetry_group(basis)
     images = np.array(elements)
@@ -101,15 +158,7 @@ def _symmetry_blocks(matrix: np.ndarray, basis: SectorBasis):
         rows, stabilizer = reps[keep], fixed[:, keep].sum(axis=0)
         if not len(rows):
             continue
-        # subtract rather than scale by -1, and weigh rows then columns by
-        # sqrt(1/|S|): off half filling this is the arithmetic of the mirror
-        # blocks bit for bit, so those spectra do not move at roundoff
-        block = matrix[np.ix_(rows, rows)]
-        for g, sign in zip(elements[1:], chi[1:]):
-            if sign > 0:
-                block += matrix[np.ix_(rows, g[rows])]
-            else:
-                block -= matrix[np.ix_(rows, g[rows])]
+        block = _character_sum(entries, elements, chi, rows, basis.dim)
         weight = np.sqrt(1.0 / stabilizer)
         block *= weight[:, None]
         block *= weight
@@ -117,23 +166,24 @@ def _symmetry_blocks(matrix: np.ndarray, basis: SectorBasis):
         yield block, [(g[rows], sign * scale) for g, sign in zip(elements, chi)]
 
 
-def _checked_blocks(h: SectorHamiltonian):
+def _checked_blocks(entries, basis: SectorBasis):
     """Eigenpairs of each symmetry block of H, residual- and gamma-checked.
 
-    Yields (eps, gammas, vectors, lifts) per block: unit-norm block
-    eigenvectors as columns, lifted by the ``_symmetry_blocks`` rule.  Every
-    eigenpair residual ||H v - lambda v|| is checked against
-    ``RESIDUAL_TOL`` * max(1, |lambda|), and every gamma against
-    ``GAMMA_FLOOR``; failure raises NumericalError carrying the offending
-    number and a fingerprint of the matrix.
+    H is given by its nonzero ``(row, col, value)`` entries.  Yields
+    (eps, gammas, vectors, lifts) per block: unit-norm block eigenvectors as
+    columns, lifted by the ``_symmetry_blocks`` rule.  Every eigenpair
+    residual ||H v - lambda v|| is checked against ``RESIDUAL_TOL`` *
+    max(1, |lambda|), and every gamma against ``GAMMA_FLOOR``; failure
+    raises NumericalError carrying the offending number and the matrix's
+    ``_fingerprint``.
     """
-    scale = max(h.basis.n_excitations, 1)
-    for block, lifts in _symmetry_blocks(h.matrix, h.basis):
+    scale = max(basis.n_excitations, 1)
+    for block, lifts in _symmetry_blocks(entries, basis):
         try:
             values, vectors = np.linalg.eig(block)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
             raise NumericalError(
-                f"eigensolver failed on sector matrix {_fingerprint(h.matrix)}"
+                f"eigensolver failed on sector matrix {_fingerprint(entries)}"
             ) from exc
         vectors /= np.linalg.norm(vectors, axis=0)
         # the lift is an isometry onto an invariant subspace: block residual = full residual
@@ -142,31 +192,65 @@ def _checked_blocks(h: SectorHamiltonian):
         if residual[worst] > RESIDUAL_TOL * max(1.0, abs(values[worst])):
             raise NumericalError(
                 f"eigenpair residual {residual[worst]:.2e} exceeds {RESIDUAL_TOL} "
-                f"for sector matrix {_fingerprint(h.matrix)}"
+                f"for sector matrix {_fingerprint(entries)}"
             )
         eps = values / scale
         gammas = -eps.imag
         if gammas.min() < GAMMA_FLOOR:
             raise NumericalError(
-                f"negative decay rate {gammas.min():.3e} in sector matrix {_fingerprint(h.matrix)}"
+                f"negative decay rate {gammas.min():.3e} in sector matrix {_fingerprint(entries)}"
             )
         yield eps, gammas, vectors, lifts
 
 
-def diagonalize_sector(h: SectorHamiltonian) -> list[EigenState]:
-    """All eigenpairs, sorted by ascending gamma then ascending Re(eps).
+def _solved_blocks(config: ArrayConfig, basis: SectorBasis):
+    """``_checked_blocks`` of a sector with 2k <= N, straight from the hop table."""
+    return _checked_blocks(hamiltonian_entries(config, basis), basis)
 
-    The mirror map j -> N-1-j commutes with H, and at half filling (N = 2k)
-    so does the complement map S -> N\\S.  Each symmetry block (see
-    ``_symmetry_blocks``) is diagonalized on its own: two blocks, mirror
-    even and odd, or four at half filling, one per joint mirror and
-    complement parity.  Every state is an eigenvector of each of these maps.
-    The checks of ``_checked_blocks`` apply to every eigenpair.
+
+def _from_complement(gammas, config: ArrayConfig, k: int):
+    """Per-excitation rates of sector k > N/2 from those of its complement N - k.
+
+    S -> N\\S maps sector k onto N - k with every hop unchanged, so
+    H_k = P H_{N-k} P^T - i*gamma_1d*(2k - N): the total rate of each state
+    grows by gamma_1d*(2k - N).  The map is monotone, also in floating
+    point, so it carries the minimum rate over as well.
     """
-    k = h.basis.n_excitations
+    dual = config.n_atoms - k
+    return (dual * gammas + config.gamma_1d * (k - dual)) / k
+
+
+def _sector_blocks(config: ArrayConfig, basis: SectorBasis):
+    """Checked eigenpairs of the k-excitation sector, per symmetry block.
+
+    Yields (eps, gammas, vectors, lifts) as ``_checked_blocks`` does, with
+    lifts into ``basis``.  A sector with 2k > N is solved as its complement
+    N - k (see ``_from_complement``), and its states are the complement's,
+    moved to the complement subsets with no sign; sector k = N is the empty
+    sector, eps = -i*gamma_1d, with no eigensolve.
+    """
+    n, k = config.n_atoms, basis.n_excitations
+    if 2 * k <= n:
+        yield from _solved_blocks(config, basis)
+        return
+    if k == n:
+        lift = [(np.zeros(1, dtype=int), np.ones(1))]
+        yield np.array([-1j * config.gamma_1d]), np.array([config.gamma_1d]), np.ones((1, 1)), lift
+        return
+    dual = enumerate_sector(n, n - k)
+    to_basis = rank_masks(basis, complement_masks(dual))
+    for eps, gammas, vectors, lifts in _solved_blocks(config, dual):
+        gammas = _from_complement(gammas, config, k)
+        eps = (n - k) * eps.real / k - 1j * gammas
+        yield eps, gammas, vectors, [(to_basis[index], coef) for index, coef in lifts]
+
+
+def _lifted_states(basis: SectorBasis, blocks) -> list[EigenState]:
+    """Lift, phase-fix and sort the eigenpairs of ``blocks``."""
+    k = basis.n_excitations
     states = []
-    for eps, gammas, vectors, lifts in _checked_blocks(h):
-        lifted = np.zeros((h.basis.dim, len(eps)), dtype=complex)
+    for eps, gammas, vectors, lifts in blocks:
+        lifted = np.zeros((basis.dim, len(eps)), dtype=complex)
         for index, coef in lifts:
             lifted[index] = coef[:, None] * vectors
         for epsilon, gamma, vec in zip(eps, gammas, lifted.T):
@@ -176,10 +260,29 @@ def diagonalize_sector(h: SectorHamiltonian) -> list[EigenState]:
     return states
 
 
+def diagonalize_sector(h: SectorHamiltonian) -> list[EigenState]:
+    """All eigenpairs, sorted by ascending gamma then ascending Re(eps).
+
+    The mirror map j -> N-1-j commutes with H, and at half filling (N = 2k)
+    so does the complement map S -> N\\S.  Each symmetry block (see
+    ``_symmetry_blocks``) is built from the nonzero entries of ``h.matrix``
+    and diagonalized on its own: two blocks, mirror even and odd, or four at
+    half filling, one per joint mirror and complement parity.  Every state
+    is an eigenvector of each of these maps.  The checks of
+    ``_checked_blocks`` apply to every eigenpair.
+    """
+    return _lifted_states(h.basis, _checked_blocks(_matrix_entries(h.matrix), h.basis))
+
+
 def diagonalize(config: ArrayConfig, k: int) -> list[EigenState]:
-    """Build and diagonalize the k-excitation sector of ``config``."""
+    """Diagonalize the k-excitation sector of ``config``.
+
+    The blocks of ``diagonalize_sector`` come straight from the hop table
+    (``lattice.hamiltonian_entries``), with no dense H, and a sector with
+    2k > N is solved as its complement N - k (see ``_sector_blocks``).
+    """
     basis = enumerate_sector(config.n_atoms, k)
-    return diagonalize_sector(build_hamiltonian(config, basis))
+    return _lifted_states(basis, _sector_blocks(config, basis))
 
 
 def most_subradiant_state(config: ArrayConfig, k: int) -> EigenState:
@@ -191,16 +294,33 @@ def sector_decay_rates(config: ArrayConfig, k: int) -> np.ndarray:
     return np.array([s.gamma for s in diagonalize(config, k)])
 
 
+@functools.lru_cache(maxsize=16)
+def _min_gamma(config: ArrayConfig, k: int) -> float:
+    """Checked smallest gamma of sector k <= N/2, memoized per process.
+
+    A scan that asks for sectors k and N - k at one (N, d) solves the
+    sector once; the cached value is a float, so no caller can change it.
+    """
+    basis = enumerate_sector(config.n_atoms, k)
+    return min(gammas.min() for _, gammas, *_ in _solved_blocks(config, basis))
+
+
 def min_decay_rate(config: ArrayConfig, k: int) -> float:
     """Smallest per-excitation decay rate in the k-excitation sector.
 
-    The same eigensolves and checks as :func:`diagonalize`, without lifting,
-    gauging and sorting the states.
+    The same eigensolves and checks as :func:`diagonalize`, and the same
+    complement route for 2k > N, without lifting, gauging and sorting the
+    states; the result is bitwise the smallest gamma of ``diagonalize``.
     """
-    if not 1 <= k <= config.n_atoms:
-        raise DomainError(f"k must satisfy 1 <= k <= {config.n_atoms}, got {k}")
-    h = build_hamiltonian(config, enumerate_sector(config.n_atoms, k))
-    gamma = min(gammas.min() for _, gammas, *_ in _checked_blocks(h))
+    n = config.n_atoms
+    if not 1 <= k <= n:
+        raise DomainError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    if 2 * k <= n:
+        gamma = _min_gamma(config, k)
+    elif k == n:
+        gamma = config.gamma_1d
+    else:
+        gamma = _from_complement(_min_gamma(config, n - k), config, k)
     return max(0.0, gamma)
 
 

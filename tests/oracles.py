@@ -3,13 +3,17 @@
 The operators work in the full 2^N product space from raw Kronecker
 products, with no knowledge of the package's subset-transfer logic; the
 HOSVD reference works on the dense symmetric tensor, not the reduced
-unfolding.
+unfolding; the sector eigen references work on the dense sector matrix of
+``build_hamiltonian``, not on its hop-table entries.
 """
 
 import itertools
 
 import numpy as np
 from scipy import sparse
+
+from wqed_subradiance import build_hamiltonian, enumerate_sector
+from wqed_subradiance.spectrum import _symmetry_group
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -186,3 +190,42 @@ def hole_amplitudes(amplitudes, subsets, n):
         sign = -1.0 if inversions % 2 else 1.0
         out[index[comp]] = sign * amp
     return out
+
+
+def symmetry_blocks_by_gather(matrix, basis):
+    """Symmetry blocks of a dense sector matrix, gathered from it by index.
+
+    The dense reference for ``spectrum._symmetry_blocks``: over the orbit
+    representatives r of ``spectrum._symmetry_group``, with stabilizer size
+    |S|, block[i, j] = sum_g chi(g) H[r_i, g r_j] / sqrt(|S_i||S_j|), one
+    block per character that is trivial on every kept stabilizer.  Yields
+    (block, lifts) with lifts (g r, chi(g)*sqrt(|S|/|G|)).
+    """
+    elements, characters = _symmetry_group(basis)
+    images = np.array(elements)
+    reps = np.flatnonzero((images >= images[0]).all(axis=0))
+    fixed = images[:, reps] == reps
+    for chi in characters:
+        keep = ~fixed[np.array(chi) < 0].any(axis=0)
+        rows, stabilizer = reps[keep], fixed[:, keep].sum(axis=0)
+        if not len(rows):
+            continue
+        block = matrix[np.ix_(rows, rows)]
+        for g, sign in zip(elements[1:], chi[1:]):
+            if sign > 0:
+                block += matrix[np.ix_(rows, g[rows])]
+            else:
+                block -= matrix[np.ix_(rows, g[rows])]
+        weight = np.sqrt(1.0 / stabilizer)
+        block *= weight[:, None]
+        block *= weight
+        scale = np.sqrt(stabilizer / len(elements))
+        yield block, [(g[rows], sign * scale) for g, sign in zip(elements, chi)]
+
+
+def dense_min_decay_rate(config, k):
+    """Smallest per-excitation decay rate of sector k, from one dense
+    eigensolve of the whole sector matrix (no symmetry blocks, no
+    complement route)."""
+    h = build_hamiltonian(config, enumerate_sector(config.n_atoms, k)).matrix
+    return float(-np.linalg.eigvals(h).imag.max() / k)

@@ -25,11 +25,19 @@ from wqed_subradiance import (
 )
 from wqed_subradiance.lattice import (
     SectorHamiltonian,
+    complement_masks,
     complement_permutation,
+    hamiltonian_entries,
     mirror_permutation,
+    rank_masks,
 )
 from wqed_subradiance.spectrum import GAMMA_FLOOR, PIVOT_ATOL, RESIDUAL_TOL
-from oracles import full_space_hamiltonian, project_to_sector
+from oracles import (
+    dense_min_decay_rate,
+    full_space_hamiltonian,
+    project_to_sector,
+    symmetry_blocks_by_gather,
+)
 
 
 def test_dicke_limit_two_atoms():
@@ -324,6 +332,110 @@ def test_min_decay_rate_is_the_diagonalize_minimum_bitwise(n):
             assert min_decay_rate(config, k) == expected
 
 
+@pytest.mark.parametrize("gamma_1d", [1.0, 0.7])
+def test_hop_table_blocks_equal_the_dense_gather_bitwise(gamma_1d):
+    """Every sector N <= 10: blocks and lifts from the hop-table entries are
+    the blocks gathered from the dense H, byte for byte."""
+    for d in (0.0, 0.05, 0.13, 0.25, 0.5):
+        for n in range(1, 11):
+            config = ArrayConfig.from_period(n, d, gamma_1d)
+            for k in range(n + 1):
+                basis = enumerate_sector(n, k)
+                blocks = spectrum_module._symmetry_blocks(hamiltonian_entries(config, basis), basis)
+                gathered = symmetry_blocks_by_gather(build_hamiltonian(config, basis).matrix, basis)
+                for (block, lifts), (want, want_lifts) in zip(blocks, gathered, strict=True):
+                    assert block.tobytes() == want.tobytes(), (n, k, d)
+                    for (index, coef), (want_index, want_coef) in zip(lifts, want_lifts, strict=True):
+                        assert np.array_equal(index, want_index)
+                        assert coef.tobytes() == want_coef.tobytes()
+
+
+@pytest.mark.parametrize("d", [0.0, 0.05, 0.13, 0.25, 0.5])
+def test_sector_is_its_complement_sector_shifted(d):
+    """H_k = P H_{N-k} P^T - i*gamma_1d*(2k - N): every hop bitwise, the
+    diagonal within one ulp of the larger diagonal gamma_1d*max(k, N-k)
+    (the two sides round different products)."""
+    gamma_1d = 0.7
+    for n in range(1, 11):
+        config = ArrayConfig.from_period(n, d, gamma_1d)
+        for k in range(n + 1):
+            basis, dual = enumerate_sector(n, k), enumerate_sector(n, n - k)
+            perm = rank_masks(dual, complement_masks(basis))
+            h = build_hamiltonian(config, basis).matrix
+            moved = build_hamiltonian(config, dual).matrix[np.ix_(perm, perm)]
+            off = ~np.eye(basis.dim, dtype=bool)
+            assert h[off].tobytes() == moved[off].tobytes()
+            shifted = moved.diagonal() - 1j * gamma_1d * (2 * k - n)
+            assert (h.diagonal().real == shifted.real).all()
+            ulp = np.spacing(gamma_1d * max(k, n - k))
+            assert (np.abs(h.diagonal().imag - shifted.imag) <= ulp).all(), (n, k)
+
+
+@pytest.mark.parametrize("d", [0.0, 0.05, 0.13, 0.25, 0.5])
+def test_sectors_above_half_filling_match_a_direct_dense_solve(d):
+    """2k > N goes through sector N - k; k = N through the empty sector."""
+    gamma_1d = 0.7
+    for n in range(1, 11):
+        config = ArrayConfig.from_period(n, d, gamma_1d)
+        for k in range(n // 2 + 1, n + 1):
+            h = build_hamiltonian(config, enumerate_sector(n, k)).matrix
+            assert min_decay_rate(config, k) == pytest.approx(
+                dense_min_decay_rate(config, k), rel=1e-12, abs=0
+            )
+            states = diagonalize(config, k)
+            values = np.array([s.epsilon * k for s in states])
+            dense = np.linalg.eigvals(h)
+            cost = np.abs(values[:, None] - dense[None, :]) / np.abs(dense)
+            rows, cols = linear_sum_assignment(cost)
+            assert len(rows) == len(dense) and cost[rows, cols].max() < 1e-12, (n, k)
+            vectors = np.array([s.amplitudes for s in states]).T
+            residual = np.linalg.norm(h @ vectors - vectors * values, axis=0)
+            assert (residual <= RESIDUAL_TOL * np.maximum(1.0, np.abs(values))).all()
+            np.testing.assert_allclose(np.linalg.norm(vectors, axis=0), 1.0, atol=1e-12)
+
+
+def test_full_sector_needs_no_eigensolve(monkeypatch):
+    monkeypatch.setattr(spectrum_module.np.linalg, "eig", None)
+    config = ArrayConfig.from_period(5, 0.13, 0.7)
+    assert min_decay_rate(config, 5) == 0.7
+    (state,) = diagonalize(config, 5)
+    assert state.gamma == 0.7 and state.epsilon == -0.7j
+    assert state.amplitudes.tolist() == [1.0]
+
+
+def test_min_decay_rate_solves_a_sector_and_its_complement_once(monkeypatch):
+    solved = []
+    real = spectrum_module._solved_blocks
+    monkeypatch.setattr(
+        spectrum_module,
+        "_solved_blocks",
+        lambda config, basis: solved.append(basis.n_excitations) or real(config, basis),
+    )
+    spectrum_module._min_gamma.cache_clear()
+    config = ArrayConfig.from_period(9, 0.13)
+    first = [min_decay_rate(config, k) for k in (3, 6, 4, 5)]
+    assert solved == [3, 4]
+    spectrum_module._min_gamma.cache_clear()
+    # the memo does not change a result: k > N/2 always derives from N - k
+    assert [min_decay_rate(config, k) for k in (6, 5, 3, 4)] == [first[1], first[3], first[0], first[2]]
+    assert solved == [3, 4, 3, 4]
+
+
+def test_min_decay_rate_allocates_no_dense_sector_matrix():
+    """At (12, 6) the peak stays below one dense 924 x 924 complex H."""
+    import tracemalloc
+
+    config = ArrayConfig.from_period(12, 0.05)
+    spectrum_module._min_gamma.cache_clear()
+    tracemalloc.start()
+    try:
+        min_decay_rate(config, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < math.comb(12, 6) ** 2 * 16, peak
+
+
 def _sector(n=6, k=3, d=0.13):
     return build_hamiltonian(ArrayConfig.from_period(n, d), enumerate_sector(n, k))
 
@@ -333,8 +445,19 @@ def _via_diagonalize_sector(ham, monkeypatch):
 
 
 def _via_min_decay_rate(ham, monkeypatch):
-    monkeypatch.setattr(spectrum_module, "build_hamiltonian", lambda config, basis: ham)
-    min_decay_rate(ArrayConfig.from_period(ham.basis.n_atoms, 0.13), ham.basis.n_excitations)
+    # min_decay_rate reads the hop-table entries, never a dense matrix, and
+    # memoizes its result: inject the entries and start from an empty memo
+    entries = spectrum_module._matrix_entries(ham.matrix)
+    monkeypatch.setattr(spectrum_module, "hamiltonian_entries", lambda config, basis: entries)
+    spectrum_module._min_gamma.cache_clear()
+    try:
+        min_decay_rate(ArrayConfig.from_period(ham.basis.n_atoms, 0.13), ham.basis.n_excitations)
+    finally:
+        spectrum_module._min_gamma.cache_clear()
+
+
+def _fingerprint(matrix):
+    return spectrum_module._fingerprint(spectrum_module._matrix_entries(matrix))
 
 
 entry_points = pytest.mark.parametrize(
@@ -359,7 +482,7 @@ def test_corrupted_eigenvectors_raise_with_residual_and_fingerprint(solve, monke
     message = str(info.value)
     residual = float(re.search(r"eigenpair residual (\S+) exceeds", message).group(1))
     assert residual > RESIDUAL_TOL
-    assert spectrum_module._fingerprint(ham.matrix) in message
+    assert _fingerprint(ham.matrix) in message
 
 
 def _parity_projector(perm, parity):
@@ -396,4 +519,4 @@ def test_negative_decay_rate_in_either_block_raises(parity, complement_parity, s
         solve(SectorHamiltonian(basis=ham.basis, matrix=shifted), monkeypatch)
     gamma = float(re.search(r"negative decay rate (\S+) in", str(info.value)).group(1))
     assert gamma < GAMMA_FLOOR
-    assert spectrum_module._fingerprint(shifted) in str(info.value)
+    assert _fingerprint(shifted) in str(info.value)
