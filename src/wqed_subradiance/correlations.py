@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .lattice import SectorBasis, reduced_unfolding
+from .lattice import reduced_unfolding
 from .spectrum import EigenState
 
 CORR_TOL = 1e-10
@@ -43,18 +43,19 @@ class CorrelationMatrix:
                 yield m + 1, j + 1, float(z.real), float(z.imag)
 
 
-def correlation_matrix(state: EigenState, basis: SectorBasis) -> CorrelationMatrix:
+def correlation_matrix(state: EigenState) -> CorrelationMatrix:
     """Expectation values <sigma^dag_m sigma_n> in the (right-eigenvector) state.
 
     Diagonal entries are site occupations.  Lowering site n leaves a
     (k-1)-subset R, so the (m, n) entry is sum_R conj(B[m, R]) B[n, R] with
-    B the reduced unfolding (:func:`~wqed_subradiance.lattice.reduced_unfolding`).
+    B the reduced unfolding (:func:`~wqed_subradiance.lattice.reduced_unfolding`)
+    over the state's own ``basis``, which also fixes N and k.
     """
     amps = state.amplitudes
     if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
         raise DomainError("correlation_matrix expects a unit-norm state")
-    b = reduced_unfolding(amps, basis)
-    return CorrelationMatrix(values=b.conj() @ b.T, k=basis.n_excitations)
+    b = reduced_unfolding(amps, state.basis)
+    return CorrelationMatrix(values=b.conj() @ b.T, k=state.k)
 
 
 def dimerization_score(corr: CorrelationMatrix, offset: int = 0) -> float:

@@ -75,9 +75,8 @@ class ScatteringSpectrum:
     health: dict = field(default_factory=dict)
 
 
-@lru_cache(maxsize=8)
 def _lowering_table(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Site lowering operators as product-state index pairs (do not mutate).
+    """Site lowering operators as product-state index pairs.
 
     Returns int arrays ``(upper, lower)`` of shape (N, 2^(N-1)): sigma_j maps
     product state ``upper[j, i]`` to ``lower[j, i]``, site 0 the most

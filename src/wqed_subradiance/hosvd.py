@@ -41,15 +41,22 @@ ANSATZ_DIMERIZED = "dimerized"
 class SymmetricWavefunction:
     """Subset amplitudes of a k-excitation state plus symmetrization rules.
 
-    The dense tensor entry for an index permutation of the subset
-    {n1 < ... < nk} is ``amplitude / sqrt(k!)``, which makes the dense
-    Frobenius norm equal the amplitude 2-norm.
+    ``amplitudes`` lives on ``basis``, which fixes N and k.  The dense
+    tensor entry for an index permutation of the subset {n1 < ... < nk} is
+    ``amplitude / sqrt(k!)``, which makes the dense Frobenius norm equal the
+    amplitude 2-norm.
     """
 
-    n_atoms: int
-    k: int
     amplitudes: np.ndarray
     basis: SectorBasis
+
+    @property
+    def n_atoms(self) -> int:
+        return self.basis.n_atoms
+
+    @property
+    def k(self) -> int:
+        return self.basis.n_excitations
 
     def to_dense(self) -> np.ndarray:
         if self.k > MAX_DENSE_K or self.n_atoms > MAX_DENSE_N:
@@ -68,18 +75,13 @@ class SymmetricWavefunction:
         return tensor
 
 
-def to_symmetric_tensor(state: EigenState, basis: SectorBasis) -> SymmetricWavefunction:
-    """Wrap a unit-norm eigenvector as a symmetric tensor."""
+def to_symmetric_tensor(state: EigenState) -> SymmetricWavefunction:
+    """Wrap a unit-norm eigenstate as a symmetric tensor over its own sector."""
     norm = np.linalg.norm(state.amplitudes)
     if abs(norm - 1.0) > 1e-9:
         raise DomainError(f"state amplitudes must be unit norm, got {norm}")
-    if len(state.amplitudes) != basis.dim:
-        raise DomainError("amplitude vector does not match basis dimension")
     return SymmetricWavefunction(
-        n_atoms=basis.n_atoms,
-        k=basis.n_excitations,
-        amplitudes=np.array(state.amplitudes, dtype=complex),
-        basis=basis,
+        amplitudes=np.array(state.amplitudes, dtype=complex), basis=state.basis
     )
 
 
@@ -212,10 +214,10 @@ def _assigned_overlaps(columns: np.ndarray, family: np.ndarray) -> np.ndarray:
     return out
 
 
-def _degenerate_blocks(lam: np.ndarray, rtol: float) -> list[tuple[int, int]]:
+def _degenerate_blocks(lam: np.ndarray) -> list[tuple[int, int]]:
     blocks, start = [], 0
     for i in range(1, len(lam)):
-        if (lam[i - 1] - lam[i]) > rtol * max(lam[i - 1], 1e-300):
+        if (lam[i - 1] - lam[i]) > DEGENERACY_RTOL * max(lam[i - 1], 1e-300):
             blocks.append((start, i))
             start = i
     blocks.append((start, len(lam)))
@@ -233,15 +235,11 @@ def _procrustes(columns: np.ndarray, family: np.ndarray) -> np.ndarray:
     return columns @ (w @ vh)
 
 
-def ansatz_overlap(
-    result: HosvdResult,
-    ansatz: str,
-    block_rtol: float = DEGENERACY_RTOL,
-) -> list[float]:
+def ansatz_overlap(result: HosvdResult, ansatz: str) -> list[float]:
     """Squared overlaps of the k dominant factor columns with an analytic family.
 
     Columns inside a near-degenerate singular-value block (consecutive
-    relative gaps below ``block_rtol``) are only defined up to rotation;
+    relative gaps below ``DEGENERACY_RTOL``) are only defined up to rotation;
     each such block is first rotated toward whichever analytic family
     matches it best in aggregate, independently of ``ansatz``, so both
     families are evaluated in one common gauge.  Family vectors are paired
@@ -258,7 +256,7 @@ def ansatz_overlap(
         families[ANSATZ_DIMERIZED] = dimerized_profiles(n)
     columns = result.factor[:, :k].copy()
     lam = result.singular_values[:k]
-    for a, b in _degenerate_blocks(lam, block_rtol):
+    for a, b in _degenerate_blocks(lam):
         if b - a < 2:
             continue
         block = columns[:, a:b]
@@ -270,12 +268,13 @@ def ansatz_overlap(
     return [float(v) for v in _assigned_overlaps(columns, families[ansatz])]
 
 
-def hole_transform(state: EigenState, basis: SectorBasis) -> tuple[EigenState, SectorBasis]:
+def hole_transform(state: EigenState) -> EigenState:
     """Re-express a k-excitation state as N-k holes in the inverted array.
 
     The amplitude on subset S moves to the complement N\\S, multiplied by
     the parity of the permutation that sorts the concatenation (S, N\\S).
-    Applying the transform twice returns the state up to a global sign.
+    The returned state's ``basis`` is the N-k sector.  Applying the
+    transform twice returns the state to sector k, up to a global sign.
 
     The returned state keeps the particle state's ``epsilon`` and ``gamma``.
     The parity sign turns each hop phase exp(i*phi*|m-n|) into
@@ -287,15 +286,14 @@ def hole_transform(state: EigenState, basis: SectorBasis) -> tuple[EigenState, S
     (H_k = P H_{N-k} P^T - i*gamma_1d*(2k-N)); ``spectrum.diagonalize``
     solves sectors above half filling that way.
     """
-    n = basis.n_atoms
-    k = basis.n_excitations
+    basis = state.basis
+    n, k = basis.n_atoms, state.k
     hole_basis = enumerate_sector(n, n - k)
     # inversions between the sorted blocks: sum_i (s_i - i)
     inversions = occupied_sites(basis).sum(axis=1) - k * (k - 1) // 2
     sign = np.where(inversions % 2, -1.0, 1.0)
     amplitudes = np.zeros(hole_basis.dim, dtype=complex)
     amplitudes[rank_masks(hole_basis, complement_masks(basis))] = sign * state.amplitudes
-    hole_state = EigenState(
-        epsilon=state.epsilon, gamma=state.gamma, amplitudes=amplitudes, k=n - k
+    return EigenState(
+        epsilon=state.epsilon, gamma=state.gamma, amplitudes=amplitudes, basis=hole_basis
     )
-    return hole_state, hole_basis

@@ -58,8 +58,7 @@ class ArrayConfig:
 class SectorBasis:
     """Ordered basis of the k-excitation sector of an N-atom array.
 
-    States are the k-subsets of sites in lexicographic order.  Sites are
-    0-based internally; use :attr:`states_1based` at I/O boundaries.
+    States are the k-subsets of 0-based sites in lexicographic order.
     """
 
     n_atoms: int
@@ -69,10 +68,6 @@ class SectorBasis:
     @property
     def dim(self) -> int:
         return len(self.states)
-
-    @property
-    def states_1based(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(s + 1 for s in state) for state in self.states)
 
 
 def enumerate_sector(n_atoms: int, k: int) -> SectorBasis:
@@ -89,17 +84,6 @@ class SectorHamiltonian:
 
     basis: SectorBasis
     matrix: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        """Debug dump; matrix as row-major [re, im] pairs."""
-        flat = self.matrix.ravel()
-        return {
-            "n_atoms": self.basis.n_atoms,
-            "n_excitations": self.basis.n_excitations,
-            "dim": self.basis.dim,
-            "states": [list(s) for s in self.basis.states_1based],
-            "matrix": [[float(z.real), float(z.imag)] for z in flat],
-        }
 
 
 def occupied_sites(basis: SectorBasis) -> np.ndarray:

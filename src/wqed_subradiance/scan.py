@@ -23,7 +23,7 @@ from .correlations import correlation_matrix, dimerization_score
 from .driven import MAX_DRIVEN_ATOMS, DriveConfig, incoherent_spectrum, resonance_grid
 from .errors import ConfigError, DomainError, NumericalError
 from .hosvd import HosvdResult, hosvd, to_symmetric_tensor
-from .lattice import ArrayConfig, enumerate_sector
+from .lattice import ArrayConfig
 from .serialize import fmt_float, rows_to_json_payload, write_csv, write_json
 from .spectrum import min_decay_rate, most_subradiant_state
 
@@ -309,13 +309,13 @@ def _cell_min_gamma(args):
 
 
 def _subradiant_state(args):
-    """The most subradiant state of a sector cell, with its basis."""
+    """The most subradiant state of a sector cell."""
     d, n, k, gamma_1d = args
-    return most_subradiant_state(ArrayConfig.from_period(n, d, gamma_1d), k), enumerate_sector(n, k)
+    return most_subradiant_state(ArrayConfig.from_period(n, d, gamma_1d), k)
 
 
 def _subradiant_hosvd(args) -> HosvdResult:
-    return hosvd(to_symmetric_tensor(*_subradiant_state(args)))
+    return hosvd(to_symmetric_tensor(_subradiant_state(args)))
 
 
 def _cell_hosvd(args):
@@ -327,9 +327,8 @@ def _cell_entropy(args):
 
 
 def _cell_correlations(args):
-    state, basis = _subradiant_state(args)
-    corr = correlation_matrix(state, basis)
-    scores = [dimerization_score(corr, offset) for offset in (0, 1)] if basis.n_atoms % 2 == 0 else None
+    corr = correlation_matrix(_subradiant_state(args))
+    scores = [dimerization_score(corr, offset) for offset in (0, 1)] if corr.n_atoms % 2 == 0 else None
     return ("ok", (list(corr.rows()), scores))
 
 

@@ -34,16 +34,28 @@ PIVOT_ATOL = 1e-8
 
 @dataclass(frozen=True)
 class EigenState:
-    """One eigenpair of a sector Hamiltonian.
+    """One eigenpair of a sector Hamiltonian, together with its sector.
 
-    ``amplitudes`` is the unit-norm right eigenvector over the sector basis,
-    phase-fixed so its :func:`gauge_pivot` entry is real positive.
+    ``amplitudes`` is the unit-norm right eigenvector over ``basis``,
+    phase-fixed so its :func:`gauge_pivot` entry is real positive.  The
+    number of amplitudes must equal ``basis.dim``; consumers read N and k
+    from ``basis``, so a state cannot be paired with another sector.
     """
 
     epsilon: complex
     gamma: float
     amplitudes: np.ndarray
-    k: int
+    basis: SectorBasis
+
+    def __post_init__(self):
+        if len(self.amplitudes) != self.basis.dim:
+            raise DomainError(
+                f"{len(self.amplitudes)} amplitudes for a sector of dimension {self.basis.dim}"
+            )
+
+    @property
+    def k(self) -> int:
+        return self.basis.n_excitations
 
 
 def gauge_pivot(vectors: np.ndarray) -> np.ndarray:
@@ -247,7 +259,6 @@ def _sector_blocks(config: ArrayConfig, basis: SectorBasis):
 
 def _lifted_states(basis: SectorBasis, blocks) -> list[EigenState]:
     """Lift, phase-fix and sort the eigenpairs of ``blocks``."""
-    k = basis.n_excitations
     states = []
     for eps, gammas, vectors, lifts in blocks:
         lifted = np.zeros((basis.dim, len(eps)), dtype=complex)
@@ -255,7 +266,7 @@ def _lifted_states(basis: SectorBasis, blocks) -> list[EigenState]:
             lifted[index] = coef[:, None] * vectors
         for epsilon, gamma, vec in zip(eps, gammas, lifted.T):
             vec = vec * np.exp(-1j * np.angle(vec[gauge_pivot(vec)]))
-            states.append(EigenState(epsilon=epsilon, gamma=gamma, amplitudes=vec, k=k))
+            states.append(EigenState(epsilon=epsilon, gamma=gamma, amplitudes=vec, basis=basis))
     states.sort(key=lambda s: (s.gamma, s.epsilon.real, int(np.argmax(np.abs(s.amplitudes)))))
     return states
 

@@ -16,7 +16,6 @@ from wqed_subradiance import (
     darkness_bound,
     diagonalize,
     dimerization_score,
-    enumerate_sector,
     fermionic_sum_rule,
     hosvd,
     incoherent_spectrum,
@@ -159,9 +158,7 @@ def _analysis_states():
 def test_criterion_05_hosvd_exactness():
     worst = {"reconstruction": 0.0, "unitarity": 0.0, "quasidiag": 0.0, "weights": 0.0, "schmidt": 0.0}
     for config, k, which in _analysis_states():
-        basis = enumerate_sector(config.n_atoms, k)
-        state = diagonalize(config, k)[which]
-        psi = to_symmetric_tensor(state, basis)
+        psi = to_symmetric_tensor(diagonalize(config, k)[which])
         result = hosvd(psi)
         n = config.n_atoms
         dense = psi.to_dense()
@@ -195,13 +192,13 @@ def test_criterion_05_hosvd_exactness():
 
 def test_criterion_06_dimer_benchmark():
     config = ArrayConfig.from_period(4, 0.01)
-    basis = enumerate_sector(4, 2)
     state = most_subradiant_state(config, 2)
+    basis = state.basis
     ansatz = np.zeros(basis.dim, dtype=complex)
     for subset, value in {(0, 2): 0.5, (0, 3): -0.5, (1, 2): -0.5, (1, 3): 0.5}.items():
         ansatz[basis.states.index(subset)] = value
     overlap = abs(np.vdot(ansatz, state.amplitudes)) ** 2
-    result = hosvd(to_symmetric_tensor(state, basis))
+    result = hosvd(to_symmetric_tensor(state))
     lam = result.singular_values
     lam_ok = abs(lam[0] - 1 / math.sqrt(2)) < 0.05 and abs(lam[1] - 1 / math.sqrt(2)) < 0.05
     entropy_ok = abs(result.entropy - math.log(2)) < 0.1
@@ -216,16 +213,15 @@ def test_criterion_06_dimer_benchmark():
 
 def test_criterion_07_dimerization_at_half_filling():
     config = ArrayConfig.from_period(10, D_REF)
-    basis = enumerate_sector(10, 5)
     state = most_subradiant_state(config, 5)
-    corr = correlation_matrix(state, basis)
+    corr = correlation_matrix(state)
     values = corr.values
     diag_dev = float(np.abs(np.diag(values).real - 0.5).max())
     offset = int(np.argmax([dimerization_score(corr, o) for o in (0, 1)]))
     pair_dev = max(
         abs(values[j, j + 1].real + 0.5) for j in range(offset, 9, 2)
     )
-    result = hosvd(to_symmetric_tensor(state, basis))
+    result = hosvd(to_symmetric_tensor(state))
     ferm = ansatz_overlap(result, "fermionic")
     dim = ansatz_overlap(result, "dimerized")
     overlap_ok = all(d > f for d, f in zip(dim, ferm))
@@ -243,9 +239,7 @@ def test_criterion_08_entropy_map_sanity():
     config = ArrayConfig.from_period(10, D_REF)
     entropies = {}
     for k in range(1, 6):
-        basis = enumerate_sector(10, k)
-        state = most_subradiant_state(config, k)
-        entropies[k] = hosvd(to_symmetric_tensor(state, basis)).entropy
+        entropies[k] = hosvd(to_symmetric_tensor(most_subradiant_state(config, k))).entropy
     values = [entropies[k] for k in range(1, 6)]
     monotone = all(a <= b + 1e-9 for a, b in zip(values, values[1:]))
     ok = monotone and entropies[1] < 0.1 and entropies[5] > entropies[2]

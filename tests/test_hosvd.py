@@ -26,9 +26,9 @@ from wqed_subradiance import (
 from oracles import core_tensor, dense_hosvd_weights, hole_amplitudes
 
 
-def _state(amplitudes, k):
+def _state(amplitudes, basis):
     amps = np.asarray(amplitudes, dtype=complex)
-    return EigenState(epsilon=0j, gamma=0.0, amplitudes=amps, k=k)
+    return EigenState(epsilon=0j, gamma=0.0, amplitudes=amps, basis=basis)
 
 
 def dimer_product_state(basis):
@@ -36,12 +36,12 @@ def dimer_product_state(basis):
     amps = np.zeros(basis.dim, dtype=complex)
     for subset, value in {(0, 2): 0.5, (0, 3): -0.5, (1, 2): -0.5, (1, 3): 0.5}.items():
         amps[basis.states.index(subset)] = value
-    return _state(amps, 2)
+    return _state(amps, basis)
 
 
 def test_symmetric_tensor_single_excitation_identity():
     basis = enumerate_sector(2, 1)
-    psi = to_symmetric_tensor(_state([1 / math.sqrt(2), -1 / math.sqrt(2)], 1), basis)
+    psi = to_symmetric_tensor(_state([1 / math.sqrt(2), -1 / math.sqrt(2)], basis))
     np.testing.assert_allclose(psi.to_dense(), [1 / math.sqrt(2), -1 / math.sqrt(2)])
 
 
@@ -49,7 +49,7 @@ def test_symmetric_tensor_distributes_permutations():
     basis = enumerate_sector(4, 2)
     amps = np.zeros(basis.dim, dtype=complex)
     amps[basis.states.index((0, 2))] = 1.0
-    dense = to_symmetric_tensor(_state(amps, 2), basis).to_dense()
+    dense = to_symmetric_tensor(_state(amps, basis)).to_dense()
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 2] = expected[2, 0] = 1 / math.sqrt(2)
     np.testing.assert_allclose(dense, expected, atol=1e-15)
@@ -58,7 +58,7 @@ def test_symmetric_tensor_distributes_permutations():
 
 def test_symmetric_tensor_dimer_product_entries():
     basis = enumerate_sector(4, 2)
-    dense = to_symmetric_tensor(dimer_product_state(basis), basis).to_dense()
+    dense = to_symmetric_tensor(dimer_product_state(basis)).to_dense()
     magnitudes = np.abs(dense[np.abs(dense) > 1e-14])
     assert len(magnitudes) == 8
     np.testing.assert_allclose(magnitudes, 1 / (2 * math.sqrt(2)), atol=1e-14)
@@ -66,16 +66,15 @@ def test_symmetric_tensor_dimer_product_entries():
 
 
 def test_symmetric_tensor_requires_unit_norm():
-    basis = enumerate_sector(3, 1)
     with pytest.raises(DomainError):
-        to_symmetric_tensor(_state([1.0, 1.0, 0.0], 1), basis)
+        to_symmetric_tensor(_state([1.0, 1.0, 0.0], enumerate_sector(3, 1)))
 
 
 def test_dense_guard():
     basis = enumerate_sector(13, 1)
     amps = np.zeros(basis.dim)
     amps[0] = 1.0
-    psi = to_symmetric_tensor(_state(amps, 1), basis)
+    psi = to_symmetric_tensor(_state(amps, basis))
     with pytest.raises(DomainError):
         psi.to_dense()
 
@@ -84,14 +83,13 @@ def test_hosvd_single_excitation_is_trivial():
     basis = enumerate_sector(5, 1)
     amps = np.exp(1j * np.linspace(0, 2, 5))
     amps /= np.linalg.norm(amps)
-    result = hosvd(to_symmetric_tensor(_state(amps, 1), basis))
+    result = hosvd(to_symmetric_tensor(_state(amps, basis)))
     np.testing.assert_allclose(result.singular_values, [1, 0, 0, 0, 0], atol=1e-12)
     assert result.entropy == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hosvd_dimer_product_two_equal_weights():
-    basis = enumerate_sector(4, 2)
-    result = hosvd(to_symmetric_tensor(dimer_product_state(basis), basis))
+    result = hosvd(to_symmetric_tensor(dimer_product_state(enumerate_sector(4, 2))))
     np.testing.assert_allclose(
         result.singular_values, [1 / math.sqrt(2), 1 / math.sqrt(2), 0, 0], atol=1e-12
     )
@@ -100,9 +98,7 @@ def test_hosvd_dimer_product_two_equal_weights():
 
 def test_hosvd_invariants_and_matrix_svd_reduction():
     config = ArrayConfig.from_period(8, 0.07)
-    basis = enumerate_sector(8, 2)
-    state = most_subradiant_state(config, 2)
-    psi = to_symmetric_tensor(state, basis)
+    psi = to_symmetric_tensor(most_subradiant_state(config, 2))
     result = hosvd(psi)
     n = 8
     np.testing.assert_allclose(
@@ -120,9 +116,7 @@ def test_hosvd_invariants_and_matrix_svd_reduction():
 def test_hosvd_reconstruction_across_sectors():
     config = ArrayConfig.from_period(6, 0.05)
     for k in (1, 2, 3):
-        basis = enumerate_sector(6, k)
-        state = most_subradiant_state(config, k)
-        psi = to_symmetric_tensor(state, basis)
+        psi = to_symmetric_tensor(most_subradiant_state(config, k))
         result = hosvd(psi)
         rec = core_tensor(psi, result)
         for _ in range(k):
@@ -135,10 +129,9 @@ def test_hosvd_reconstruction_across_sectors():
 def test_hosvd_weights_are_correlation_eigenvalues(n, k, d):
     """The mode-1 unfolding's Gram matrix is the correlation matrix over k."""
     config = ArrayConfig.from_period(n, d)
-    basis = enumerate_sector(n, k)
     state = most_subradiant_state(config, k)
-    weights = hosvd(to_symmetric_tensor(state, basis)).singular_values ** 2
-    occupations = np.linalg.eigvalsh(correlation_matrix(state, basis).values)[::-1] / k
+    weights = hosvd(to_symmetric_tensor(state)).singular_values ** 2
+    occupations = np.linalg.eigvalsh(correlation_matrix(state).values)[::-1] / k
     np.testing.assert_allclose(weights, occupations, rtol=0, atol=1e-12)
 
 
@@ -149,8 +142,7 @@ def test_hosvd_weights_are_correlation_eigenvalues(n, k, d):
 @pytest.mark.parametrize("d", [0.05, 0.25])
 def test_hosvd_matches_dense_unfolding_svd(n, k, d):
     config = ArrayConfig.from_period(n, d)
-    basis = enumerate_sector(n, k)
-    psi = to_symmetric_tensor(most_subradiant_state(config, k), basis)
+    psi = to_symmetric_tensor(most_subradiant_state(config, k))
     result = hosvd(psi)
     lam, entropy = dense_hosvd_weights(psi.to_dense())
     np.testing.assert_allclose(result.singular_values, lam, rtol=0, atol=1e-12)
@@ -160,13 +152,12 @@ def test_hosvd_matches_dense_unfolding_svd(n, k, d):
 def test_hosvd_beyond_dense_limit_k2_is_matrix_svd():
     """At N=14 the dense tensor is refused, but k=2 weights are matrix singular values."""
     n = 14
-    basis = enumerate_sector(n, 2)
     state = most_subradiant_state(ArrayConfig.from_period(n, 0.05), 2)
-    psi = to_symmetric_tensor(state, basis)
+    psi = to_symmetric_tensor(state)
     with pytest.raises(DomainError):
         psi.to_dense()
     matrix = np.zeros((n, n), dtype=complex)
-    for amp, (a, b) in zip(state.amplitudes, basis.states):
+    for amp, (a, b) in zip(state.amplitudes, state.basis.states):
         matrix[a, b] = matrix[b, a] = amp / math.sqrt(2)
     result = hosvd(psi)
     np.testing.assert_allclose(
@@ -178,15 +169,14 @@ def test_factor_gauge_breaks_near_ties_by_index():
     """The pivot is the first entry within tolerance of the largest, not argmax."""
     basis = enumerate_sector(2, 1)
     amps = np.array([1.0, -(1.0 + 1e-13)])
-    result = hosvd(to_symmetric_tensor(_state(amps / np.linalg.norm(amps), 1), basis))
+    result = hosvd(to_symmetric_tensor(_state(amps / np.linalg.norm(amps), basis)))
     assert result.factor[0, 0] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
 
 def test_most_subradiant_n10_k2_dominant_pair():
     """Frozen from exact diagonalization plus HOSVD at N=10, d=0.05."""
     config = ArrayConfig.from_period(10, 0.05)
-    basis = enumerate_sector(10, 2)
-    result = hosvd(to_symmetric_tensor(most_subradiant_state(config, 2), basis))
+    result = hosvd(to_symmetric_tensor(most_subradiant_state(config, 2)))
     lam = result.singular_values
     assert lam[0] == pytest.approx(0.811217, abs=1e-4)
     assert lam[1] == pytest.approx(0.551748, abs=1e-4)
@@ -220,21 +210,20 @@ def test_entropy_examples():
 
 def test_entropy_mirror_invariance():
     config = ArrayConfig.from_period(8, 0.05)
-    basis = enumerate_sector(8, 3)
     state = most_subradiant_state(config, 3)
+    basis = state.basis
     mirrored = np.zeros_like(state.amplitudes)
     for amp, subset in zip(state.amplitudes, basis.states):
         target = tuple(sorted(8 - 1 - s for s in subset))
         mirrored[basis.states.index(target)] = amp
-    s_orig = hosvd(to_symmetric_tensor(state, basis)).entropy
-    s_mirror = hosvd(to_symmetric_tensor(_state(mirrored, 3), basis)).entropy
+    s_orig = hosvd(to_symmetric_tensor(state)).entropy
+    s_mirror = hosvd(to_symmetric_tensor(_state(mirrored, basis))).entropy
     assert s_orig == pytest.approx(s_mirror, abs=1e-9)
 
 
 def test_ansatz_self_overlap_is_one():
     profiles = fermionic_profiles(6)
-    basis = enumerate_sector(6, 1)
-    result = hosvd(to_symmetric_tensor(_state(profiles[0], 1), basis))
+    result = hosvd(to_symmetric_tensor(_state(profiles[0], enumerate_sector(6, 1))))
     assert ansatz_overlap(result, "fermionic")[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -248,10 +237,9 @@ def test_ansatz_families_normalized():
 
 
 def test_dimerized_ansatz_odd_n_rejected():
-    basis = enumerate_sector(5, 1)
     amps = np.zeros(5)
     amps[0] = 1.0
-    result = hosvd(to_symmetric_tensor(_state(amps, 1), basis))
+    result = hosvd(to_symmetric_tensor(_state(amps, enumerate_sector(5, 1))))
     with pytest.raises(DomainError):
         ansatz_overlap(result, "dimerized")
     with pytest.raises(DomainError):
@@ -260,8 +248,7 @@ def test_dimerized_ansatz_odd_n_rejected():
 
 def test_half_filling_dimerized_beats_fermionic():
     config = ArrayConfig.from_period(10, 0.05)
-    basis = enumerate_sector(10, 5)
-    result = hosvd(to_symmetric_tensor(most_subradiant_state(config, 5), basis))
+    result = hosvd(to_symmetric_tensor(most_subradiant_state(config, 5)))
     ferm = ansatz_overlap(result, "fermionic")
     dim = ansatz_overlap(result, "dimerized")
     assert all(d > f for d, f in zip(dim, ferm))
@@ -272,18 +259,15 @@ def test_dominant_weight_concentration():
     """First k weights carry >90% for subradiant states below half filling."""
     config = ArrayConfig.from_period(10, 0.05)
     for k in (1, 2, 3, 4, 5):
-        basis = enumerate_sector(10, k)
-        result = hosvd(to_symmetric_tensor(most_subradiant_state(config, k), basis))
+        result = hosvd(to_symmetric_tensor(most_subradiant_state(config, k)))
         weights = np.sort(result.singular_values**2)[::-1]
         assert weights[:k].sum() > 0.9
 
 
 def test_hole_transform_full_inversion_to_vacuum():
-    basis = enumerate_sector(2, 2)
-    state = _state([1.0], 2)
-    hole_state, hole_basis = hole_transform(state, basis)
-    assert hole_basis.n_excitations == 0
-    assert hole_basis.dim == 1
+    hole_state = hole_transform(_state([1.0], enumerate_sector(2, 2)))
+    assert hole_state.basis.n_excitations == 0
+    assert hole_state.basis.dim == 1
     assert abs(hole_state.amplitudes[0]) == pytest.approx(1.0)
 
 
@@ -296,10 +280,10 @@ def test_hole_transform_involution_and_norm(n, data):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     amps /= np.linalg.norm(amps)
-    state = _state(amps, k)
-    once, basis_once = hole_transform(state, basis)
+    once = hole_transform(_state(amps, basis))
     assert np.linalg.norm(once.amplitudes) == pytest.approx(1.0, abs=1e-12)
-    twice, _ = hole_transform(once, basis_once)
+    twice = hole_transform(once)
+    assert twice.basis.states == basis.states
     sign = -1.0 if (k * (n - k)) % 2 else 1.0
     np.testing.assert_allclose(twice.amplitudes, sign * amps, atol=1e-12)
 
@@ -307,25 +291,34 @@ def test_hole_transform_involution_and_norm(n, data):
 def test_hole_picture_compresses_above_half_filling():
     """A 7-excitation state of 10 atoms is a 3-orbital state in hole language."""
     config = ArrayConfig.from_period(10, 0.05)
-    basis = enumerate_sector(10, 7)
-    state = most_subradiant_state(config, 7)
-    hole_state, hole_basis = hole_transform(state, basis)
-    assert hole_basis.n_excitations == 3
-    result = hosvd(to_symmetric_tensor(hole_state, hole_basis))
+    hole_state = hole_transform(most_subradiant_state(config, 7))
+    assert hole_state.basis.n_excitations == 3
+    result = hosvd(to_symmetric_tensor(hole_state))
     weights = np.sort(result.singular_values**2)[::-1]
     assert weights[:3].sum() > 0.9
+
+
+def test_hole_state_hosvd_reads_the_hole_sector():
+    """The hole state of the (10, 7) state is analysed in sector 3, not 7."""
+    config = ArrayConfig.from_period(10, 0.05)
+    psi = to_symmetric_tensor(hole_transform(most_subradiant_state(config, 7)))
+    result = hosvd(psi)
+    assert result.k == 3
+    lam, entropy = dense_hosvd_weights(psi.to_dense())
+    np.testing.assert_allclose(result.singular_values, lam, rtol=0, atol=1e-12)
+    assert result.entropy == pytest.approx(entropy, abs=1e-12)
+    assert result.entropy == pytest.approx(1.2157, abs=1e-4)
 
 
 @pytest.mark.parametrize("n,k,d", [(9, 3, 0.13), (8, 5, 0.05), (7, 2, 0.3), (6, 3, 0.13)])
 def test_hole_state_is_an_eigenvector_of_the_shifted_hole_sector(n, k, d):
     """Hole amplitudes solve sector N-k at d/lambda0 + 1/2 with k*eps - i*gamma_1d*(N-2k)."""
     gamma_1d = 0.7
-    basis = enumerate_sector(n, k)
     shifted = build_hamiltonian(
         ArrayConfig.from_period(n, d + 0.5, gamma_1d), enumerate_sector(n, n - k)
     ).matrix
     for state in diagonalize(ArrayConfig.from_period(n, d, gamma_1d), k):
-        hole_state, hole_basis = hole_transform(state, basis)
+        hole_state = hole_transform(state)
         assert hole_state.epsilon == state.epsilon
         assert hole_state.gamma == state.gamma
         value = k * state.epsilon - 1j * gamma_1d * (n - 2 * k)
@@ -340,7 +333,7 @@ def test_hole_transform_bitwise_matches_per_state_loop(n):
         basis = enumerate_sector(n, k)
         amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
         amps[::3] = -0.0  # signed zeros pass through unchanged too
-        hole_state, hole_basis = hole_transform(_state(amps, k), basis)
+        hole_state = hole_transform(_state(amps, basis))
         expected = hole_amplitudes(amps, basis.states, n)
-        assert hole_basis.n_excitations == n - k
+        assert hole_state.basis.n_excitations == n - k
         assert hole_state.amplitudes.tobytes() == expected.tobytes()

@@ -41,7 +41,6 @@ def test_phase_reduced_modulo_two_pi():
 def test_enumerate_two_sites_single_excitation():
     basis = enumerate_sector(2, 1)
     assert basis.states == ((0,), (1,))
-    assert basis.states_1based == ((1,), (2,))
     assert basis.dim == 2
 
 
@@ -51,7 +50,7 @@ def test_enumerate_dimension_ten_choose_five():
 
 def test_enumerate_four_choose_two_listing():
     basis = enumerate_sector(4, 2)
-    assert basis.states_1based == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+    assert basis.states == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def test_enumerate_out_of_range():
@@ -138,16 +137,6 @@ def test_basis_config_mismatch():
     config = ArrayConfig(n_atoms=4, phase=0.1)
     with pytest.raises(DomainError):
         build_hamiltonian(config, enumerate_sector(5, 2))
-
-
-def test_json_dump_shape():
-    config = ArrayConfig(n_atoms=3, phase=0.2)
-    ham = build_hamiltonian(config, enumerate_sector(3, 1))
-    payload = ham.to_json_dict()
-    assert payload["dim"] == 3
-    assert len(payload["matrix"]) == 9
-    assert payload["states"] == [[1], [2], [3]]
-    assert all(len(pair) == 2 for pair in payload["matrix"])
 
 
 def test_hop_table_bitmask_limit():

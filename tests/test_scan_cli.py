@@ -14,7 +14,6 @@ from wqed_subradiance import (
     ConfigError,
     NumericalError,
     ansatz_overlap,
-    enumerate_sector,
     hosvd,
     min_decay_rate,
     most_subradiant_state,
@@ -692,12 +691,11 @@ import wqed_subradiance.cli
 
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 from wqed_subradiance import (
-    ArrayConfig, ansatz_overlap, enumerate_sector, hosvd, most_subradiant_state,
-    to_symmetric_tensor,
+    ArrayConfig, ansatz_overlap, hosvd, most_subradiant_state, to_symmetric_tensor,
 )
 
 state = most_subradiant_state(ArrayConfig.from_period(6, 0.05), 3)
-result = hosvd(to_symmetric_tensor(state, enumerate_sector(6, 3)))
+result = hosvd(to_symmetric_tensor(state))
 overlaps = {name: ansatz_overlap(result, name) for name in ("fermionic", "dimerized")}
 print(json.dumps({"scipy": loaded, "overlaps": overlaps}))
 """
@@ -714,7 +712,7 @@ def test_cli_import_loads_no_scipy_and_overlaps_still_work():
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe["scipy"] == []
     state = most_subradiant_state(ArrayConfig.from_period(6, 0.05), 3)
-    result = hosvd(to_symmetric_tensor(state, enumerate_sector(6, 3)))
+    result = hosvd(to_symmetric_tensor(state))
     for name, overlaps in probe["overlaps"].items():
         assert overlaps == pytest.approx(ansatz_overlap(result, name), rel=0, abs=1e-12)
 
@@ -727,13 +725,58 @@ print("instrumented")
 """
 
 
-def test_benchmark_wrap_targets_exist():
-    """The benchmark's traced replay wraps program functions by name; each must exist."""
+def _perfbench_env():
     env = dict(os.environ)
     paths = [str(_REPO / "src"), str(_REPO / "perfbench"), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    return env
+
+
+def test_benchmark_wrap_targets_exist():
+    """The benchmark's traced replay wraps program functions by name; each must exist."""
     proc = subprocess.run(
-        [sys.executable, "-c", _WRAP_PROBE], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", _WRAP_PROBE],
+        env=_perfbench_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["instrumented"]
+
+
+_REPLAY_PROBE = """
+import json, sys
+
+import child
+
+scans = json.loads(sys.argv[1])
+result = child.replay(scans, sys.argv[2])
+print(json.dumps({"failed": result["failed_cells"], "counts": result["counts"]}))
+"""
+
+
+def test_benchmark_replay_runs_the_state_analysis_hooks(tmp_path):
+    """The traced replay's HOSVD and correlation hooks read each state they wrap."""
+    payloads = {
+        "entropy": {
+            "mode": "entropy-map",
+            "array": {"n_atoms": 4},
+            "grid": {"d_over_lambda": [0.05, 0.13], "k": [1, 2, 3]},
+        },
+        "correlations": {
+            "mode": "correlations",
+            "array": {"n_atoms": 4},
+            "grid": {"d_over_lambda": 0.05, "k": [1, 2]},
+        },
+    }
+    scans = [
+        {"config": write_config(tmp_path / f"{name}.yaml", payload), "out": str(tmp_path / name)}
+        for name, payload in payloads.items()
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPLAY_PROBE, json.dumps(scans), str(tmp_path / "trace.json")],
+        env=_perfbench_env(), capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["failed"] == 0
+    assert probe["counts"]["hosvd.calls"] == 6
+    assert probe["counts"]["correlations.calls"] == 2

@@ -11,6 +11,7 @@ import wqed_subradiance.spectrum as spectrum_module
 from wqed_subradiance import (
     ArrayConfig,
     DomainError,
+    EigenState,
     NumericalError,
     build_hamiltonian,
     darkness_bound,
@@ -53,6 +54,25 @@ def test_two_atoms_double_excitation_sector():
     assert len(states) == 1
     assert states[0].epsilon == pytest.approx(-1j, abs=1e-12)
     assert states[0].gamma == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_eigenstate_rejects_amplitudes_of_another_dimension(extra):
+    basis = enumerate_sector(6, 2)
+    amps = np.zeros(basis.dim + extra, dtype=complex)
+    amps[0] = 1.0
+    with pytest.raises(DomainError):
+        EigenState(epsilon=0j, gamma=0.0, amplitudes=amps, basis=basis)
+
+
+def test_every_state_carries_its_own_sector_basis():
+    """Including 2k > N, solved through sector N - k, and k = N."""
+    for n in range(1, 9):
+        config = ArrayConfig.from_period(n, 0.13)
+        for k in range(1, n + 1):
+            states = enumerate_sector(n, k).states
+            for state in diagonalize(config, k):
+                assert state.basis.states == states and state.k == k, (n, k)
 
 
 def test_eigenstates_unit_norm_residual_and_gauge():
