@@ -5,7 +5,20 @@ multilinear-SVD entanglement analysis of eigenstates, spin-spin
 correlations, and driven-dissipative scattering spectra, plus a scan CLI.
 """
 
+import os
+import sys
+
 __version__ = "0.1.0"
+
+# Each sector eigensolve is a few hundred to ~1000 states, where a threaded
+# BLAS saves little wall time but spin-waits on a second core and
+# oversubscribes the process pool; scans get their parallelism from cells
+# (``workers``). So pin BLAS to one thread unless the user set a thread count
+# or numpy was loaded first (then the setting would come too late to apply).
+# Set before the submodules load numpy; pool workers inherit it.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(var in os.environ for var in BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 from .correlations import CorrelationMatrix, correlation_matrix, dimerization_score
 from .driven import (

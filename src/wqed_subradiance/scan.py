@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Any, Callable
 import numpy as np
 import yaml
 
-from . import __version__
+from . import BLAS_THREAD_VARS, __version__
 from .correlations import correlation_matrix, dimerization_score
 from .driven import MAX_DRIVEN_ATOMS, DriveConfig, incoherent_spectrum, resonance_grid
 from .errors import ConfigError, DomainError, NumericalError
@@ -77,6 +78,7 @@ class RunManifest:
     mode: str
     version: str
     workers: int
+    blas_threads: dict[str, str | None]  # each BLAS thread variable as the scan saw it
     wall_time_s: float
     seed: int | None
     config: dict
@@ -498,6 +500,7 @@ def run_scan(spec: ScanSpec) -> RunManifest:
         mode=spec.mode,
         version=__version__,
         workers=spec.workers,
+        blas_threads={var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         wall_time_s=time.perf_counter() - start,
         seed=spec.seed,
         config=spec.raw_config,

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 import wqed_subradiance.scan as scan_module
 from wqed_subradiance import (
+    BLAS_THREAD_VARS,
     ArrayConfig,
     ConfigError,
     NumericalError,
@@ -483,9 +484,10 @@ def test_manifest_contents(tmp_path):
     assert all(c["status"] == "ok" for c in data["cells"])
     assert data["outputs"] == [str(tmp_path / "out" / "decay_vs_k.csv")]
     assert list(data) == [
-        "mode", "version", "workers", "wall_time_s", "seed", "config", "outputs", "cells",
-        "success",
+        "mode", "version", "workers", "blas_threads", "wall_time_s", "seed", "config",
+        "outputs", "cells", "success",
     ]
+    assert list(data["blas_threads"]) == list(BLAS_THREAD_VARS)
     assert data["seed"] is None and data["workers"] == 1
     assert all(list(c) == ["index", "params", "status"] for c in data["cells"])
 
@@ -715,6 +717,85 @@ def test_cli_import_loads_no_scipy_and_overlaps_still_work():
     result = hosvd(to_symmetric_tensor(state))
     for name, overlaps in probe["overlaps"].items():
         assert overlaps == pytest.approx(ansatz_overlap(result, name), rel=0, abs=1e-12)
+
+
+def _env_without_blas_vars(**extra):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    src = str(Path(scan_module.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return {**env, **extra}
+
+
+_BLAS_PROBE = """
+import json
+import os
+import sys
+
+seen = []
+
+
+def hook(event, args):
+    if event == "import" and args[0] == "numpy" and not seen:
+        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+
+sys.addaudithook(hook)
+if sys.argv[1:] == ["numpy-first"]:
+    import numpy
+import wqed_subradiance
+
+after = [os.environ.get(var) for var in wqed_subradiance.BLAS_THREAD_VARS]
+print(json.dumps({"at_numpy_import": seen[0], "after": after}))
+"""
+
+
+@pytest.mark.parametrize(
+    "extra, numpy_first, at_numpy_import, after",
+    [
+        ({}, False, "1", ["1", "1", "1"]),
+        ({"OMP_NUM_THREADS": "2"}, False, None, [None, "2", None]),
+        ({}, True, None, [None, None, None]),
+    ],
+    ids=["unset", "user-omp", "numpy-first"],
+)
+def test_package_pins_blas_threads_only_by_default(extra, numpy_first, at_numpy_import, after):
+    """Importing the package pins BLAS to one thread before numpy loads, unless
+    the user set any thread variable or numpy was already loaded."""
+    assert BLAS_THREAD_VARS == ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE] + (["numpy-first"] if numpy_first else []),
+        env=_env_without_blas_vars(**extra), capture_output=True, text=True, timeout=120,
+        check=True,
+    )
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe == {"at_numpy_import": at_numpy_import, "after": after}
+
+
+def test_cli_output_same_with_default_and_pinned_blas(tmp_path):
+    """(10,4) at d = 0 and 0.5 has degenerate cells whose entropy depended on
+    the BLAS thread count; the default must give the pinned bytes. On a
+    one-core host both runs are single-threaded anyway."""
+    config = write_config(
+        tmp_path / "cfg.yaml",
+        {"mode": "entropy-map", "array": {"n_atoms": 10},
+         "grid": {"d_over_lambda": [0.0, 0.5], "k": [4]}},
+    )
+    runs = {}
+    for name, extra in (("default", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / name
+        subprocess.run(
+            [sys.executable, "-m", "wqed_subradiance.cli", "entropy-map", "--config", config,
+             "--out", str(out)],
+            env=_env_without_blas_vars(**extra), capture_output=True, text=True, timeout=120,
+            check=True,
+        )
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        runs[name] = ((out / "entropy_map.csv").read_bytes(), manifest["blas_threads"])
+    assert runs["default"][0] == runs["pinned"][0]
+    assert runs["default"][1] == dict.fromkeys(BLAS_THREAD_VARS, "1")
+    assert runs["pinned"][1] == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None,
+    }
 
 
 _WRAP_PROBE = """
