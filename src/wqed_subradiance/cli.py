@@ -23,7 +23,7 @@ def main():
     of waveguide-coupled atom arrays."""
 
 
-def _execute(mode: str, config_path: str, out_dir, workers, seed, fmt):
+def _execute(mode: str, config_path: str, out_dir, workers, fmt):
     try:
         spec = validate_config(config_path)
         if spec.mode != mode:
@@ -37,8 +37,6 @@ def _execute(mode: str, config_path: str, out_dir, workers, seed, fmt):
             spec.workers = workers
         if fmt is not None:
             spec.fmt = fmt
-        if seed is not None:
-            spec.seed = seed
     except ConfigError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
@@ -65,12 +63,10 @@ def _register(mode: str):
                   type=click.Path(file_okay=False), help="Output directory (overrides config).")
     @click.option("--workers", default=None, type=click.IntRange(min=1),
                   help="Worker count (overrides config).")
-    @click.option("--seed", default=None, type=int,
-                  help="Reserved; recorded in the manifest (no stochastic paths).")
     @click.option("--format", "fmt", default=None, type=click.Choice(["csv", "json"]),
                   help="Data file format (overrides config).")
-    def command(config_path, out_dir, workers, seed, fmt, _mode=mode):
-        _execute(_mode, config_path, out_dir, workers, seed, fmt)
+    def command(config_path, out_dir, workers, fmt, _mode=mode):
+        _execute(_mode, config_path, out_dir, workers, fmt)
 
 
 for _mode in MODES:

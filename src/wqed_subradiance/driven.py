@@ -99,7 +99,7 @@ def _liouvillian_pieces(config: ArrayConfig, phase_on_drive: bool):
     """Static and per-unit-drive superoperators, and the per-unit-detuning one.
 
     The static piece is -i(H rho - rho H^dag) + gamma_1d*sum_C C rho C^dag.
-    H is the effective Hamiltonian, its sector blocks scattered into the 2^N
+    H is the effective Hamiltonian, its sector entries scattered into the 2^N
     product basis by site bitmask (site 0 the most significant bit, as in
     ``_lowering_table``).  Its anti-Hermitian part has the rank-two kernel
     gamma_1d*(exp(i*phase*(a-b)) + exp(-i*phase*(a-b))), so the jumps go into
@@ -114,7 +114,8 @@ def _liouvillian_pieces(config: ArrayConfig, phase_on_drive: bool):
     for k in range(n + 1):
         basis = enumerate_sector(n, k)
         index = site_masks(n - 1 - occupied_sites(basis))
-        h_eff[np.ix_(index, index)] = build_hamiltonian(config, basis).matrix
+        h = build_hamiltonian(config, basis)
+        h_eff[index[h.row], index[h.col]] = h.value
     l_static = _commutator_super(h_eff)
     phases = np.exp(1j * config.phase * np.arange(n))
     # sum_j w_j sigma_j for the backward and forward channels and the phaseless sum

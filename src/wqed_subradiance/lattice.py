@@ -80,10 +80,23 @@ def enumerate_sector(n_atoms: int, k: int) -> SectorBasis:
 
 @dataclass(frozen=True)
 class SectorHamiltonian:
-    """Dense complex-symmetric sector matrix together with its basis."""
+    """Nonzero entries ``(row, col, value)`` of a sector matrix, with its basis.
+
+    Each position is listed once; the order of the entries carries no
+    meaning.
+    """
 
     basis: SectorBasis
-    matrix: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    value: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The entries scattered into a dense dim x dim array."""
+        h = np.zeros((self.basis.dim, self.basis.dim), dtype=complex)
+        h[self.row, self.col] = self.value
+        return h
 
 
 def occupied_sites(basis: SectorBasis) -> np.ndarray:
@@ -163,18 +176,15 @@ def reduced_unfolding(amplitudes: np.ndarray, basis: SectorBasis) -> np.ndarray:
     return b
 
 
-def hamiltonian_entries(
-    config: ArrayConfig, basis: SectorBasis
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def build_hamiltonian(config: ArrayConfig, basis: SectorBasis) -> SectorHamiltonian:
     """Every nonzero entry of the effective sector Hamiltonian, from the hop table.
 
     Matrix elements are -i*gamma_1d*exp(i*phase*|m-n|) for every transfer of
     one excitation from site m to site n; transfers onto an already excited
     site vanish (two-level atoms), so off-diagonal elements connect subsets
     differing in exactly one site and the diagonal is -i*gamma_1d*k.
-    Returns ``(row, col, value)``: each off-diagonal pair once (the two
-    states share one row of ``sector_table``), then the diagonal; k(N-k)+1
-    entries per row, and no position twice.
+    Each off-diagonal pair is listed once (the two states share one row of
+    ``sector_table``), then the diagonal: k(N-k)+1 entries per row.
     """
     if basis.n_atoms != config.n_atoms:
         raise DomainError(
@@ -194,12 +204,4 @@ def hamiltonian_entries(
         hop[site[:, a], site[:, b]].ravel(),
         np.full(basis.dim, -1j * gamma * basis.n_excitations),
     ])
-    return row, col, value
-
-
-def build_hamiltonian(config: ArrayConfig, basis: SectorBasis) -> SectorHamiltonian:
-    """The dense sector Hamiltonian: ``hamiltonian_entries`` scattered into a matrix."""
-    row, col, value = hamiltonian_entries(config, basis)
-    h = np.zeros((basis.dim, basis.dim), dtype=complex)
-    h[row, col] = value
-    return SectorHamiltonian(basis=basis, matrix=h)
+    return SectorHamiltonian(basis=basis, row=row, col=col, value=value)

@@ -34,7 +34,7 @@ _RESONANCE_GRID_KEYS = {
     "start": float, "stop": float, "coarse": int, "refine_points": int, "refine_span": float,
 }
 # the keys a config may hold, at the top level and in each section
-_TOP_KEYS = ("mode", "array", "grid", "drive", "output", "workers", "seed")
+_TOP_KEYS = ("mode", "array", "grid", "drive", "output", "workers")
 _SECTION_KEYS = {
     "array": ("n_atoms", "gamma_1d"),
     "grid": ("d_over_lambda", "k", "n_atoms"),
@@ -58,7 +58,6 @@ class ScanSpec:
     out_dir: Path
     fmt: str = "csv"
     workers: int = 1
-    seed: int | None = None
     raw_config: dict = field(default_factory=dict)
 
 
@@ -80,7 +79,6 @@ class RunManifest:
     workers: int
     blas_threads: dict[str, str | None]  # each BLAS thread variable as the scan saw it
     wall_time_s: float
-    seed: int | None
     config: dict
     outputs: list[str]
     cells: list[CellStatus]
@@ -196,12 +194,18 @@ def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
             f"unknown mode {mode!r}; allowed modes: {', '.join(MODES)}", location="mode"
         )
     array = _section(data, "array")
+    if mode == "size-map" and "n_atoms" in array:
+        raise ConfigError("size-map takes its sizes from grid.n_atoms", location="array.n_atoms")
     n_atoms = _expect(array, "n_atoms", int, "array", required=(mode != "size-map"))
     gamma_1d = _expect(array, "gamma_1d", float, "array", default=1.0)
     if gamma_1d <= 0:
         raise ConfigError("gamma_1d must be positive", location="array.gamma_1d")
 
     grid = _section(data, "grid")
+    if mode != "size-map" and "n_atoms" in grid:
+        raise ConfigError(
+            f"only size-map sweeps N; mode {mode} reads array.n_atoms", location="grid.n_atoms"
+        )
     d_values = _number_list(grid, "d_over_lambda", "grid", required=True)
     for i, d in enumerate(d_values):
         if d < 0:
@@ -213,13 +217,14 @@ def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
         )
 
     k_values = _number_list(grid, "k", "grid", integer=True, required=mode not in _DRIVEN_MODES)
-    n_values = _number_list(grid, "n_atoms", "grid", integer=True, required=(mode == "size-map"))
-    if mode != "size-map":
+    if mode == "size-map":
+        n_values = _number_list(grid, "n_atoms", "grid", integer=True, required=True)
+    else:
         n_values = [n_atoms] if n_atoms else []
     for i, k in enumerate(k_values):
         if k < 1:
             raise ConfigError("k must be >= 1", location=f"grid.k[{i}]")
-        if mode != "size-map" and n_atoms is not None and k > n_atoms:
+        if n_atoms is not None and k > n_atoms:
             raise ConfigError(
                 f"k={k} exceeds n_atoms={n_atoms}", location=f"grid.k[{i}]"
             )
@@ -249,7 +254,6 @@ def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
     workers = _expect(data, "workers", int, source, default=1)
     if workers < 1:
         raise ConfigError("workers must be >= 1", location="workers")
-    seed = _expect(data, "seed", int, source, default=None)
 
     return ScanSpec(
         mode=mode,
@@ -265,7 +269,6 @@ def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
         out_dir=out_dir,
         fmt=fmt,
         workers=workers,
-        seed=seed,
         raw_config=data,
     )
 
@@ -502,7 +505,6 @@ def run_scan(spec: ScanSpec) -> RunManifest:
         workers=spec.workers,
         blas_threads={var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         wall_time_s=time.perf_counter() - start,
-        seed=spec.seed,
         config=spec.raw_config,
         outputs=[str(p) for p in outputs],
         cells=statuses,

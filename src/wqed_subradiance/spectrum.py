@@ -19,10 +19,10 @@ from .lattice import (
     ArrayConfig,
     SectorBasis,
     SectorHamiltonian,
+    build_hamiltonian,
     complement_masks,
     complement_permutation,
     enumerate_sector,
-    hamiltonian_entries,
     mirror_permutation,
     rank_masks,
 )
@@ -69,26 +69,20 @@ def gauge_pivot(vectors: np.ndarray) -> np.ndarray:
     return np.argmax(mags >= mags.max(axis=0) - PIVOT_ATOL, axis=0)
 
 
-def _fingerprint(entries) -> str:
-    """Hash of a sector matrix given by its nonzero ``(row, col, value)`` entries.
+def _fingerprint(h: SectorHamiltonian) -> str:
+    """Hash of a sector matrix, from its nonzero entries.
 
     The entries are hashed in row-major order, so a matrix has one
     fingerprint whichever way its entries were listed.
     """
     import hashlib
 
-    row, col, value = entries
+    row, col, value = h.row, h.col, h.value
     order = np.lexsort((col, row))
     digest = hashlib.sha256()
     for part in (row.astype(np.int64), col.astype(np.int64), value.astype(complex)):
         digest.update(np.ascontiguousarray(part[order]).tobytes())
     return digest.hexdigest()[:16]
-
-
-def _matrix_entries(matrix: np.ndarray):
-    """The nonzero entries of a dense matrix, as ``(row, col, value)``."""
-    row, col = np.nonzero(matrix)
-    return row, col, matrix[row, col]
 
 
 def _symmetry_group(basis: SectorBasis):
@@ -111,7 +105,7 @@ def _symmetry_group(basis: SectorBasis):
     return elements, characters
 
 
-def _character_sum(entries, elements, chi, rows, dim: int) -> np.ndarray:
+def _character_sum(h: SectorHamiltonian, elements, chi, rows) -> np.ndarray:
     """sum_g chi(g) H[rows, g rows] from the nonzero entries of H.
 
     Only the entries in ``rows`` are read: for each g, in group order,
@@ -120,11 +114,10 @@ def _character_sum(entries, elements, chi, rows, dim: int) -> np.ndarray:
     is a matrix with zeros off its entries, subtracted rather than scaled by
     -1: the arithmetic of gathering the blocks from the dense H, bit for bit.
     """
-    position = np.full(dim, -1)
+    position = np.full(h.basis.dim, -1)
     position[rows] = np.arange(len(rows))
-    row, col, value = entries
-    mine = position[row] >= 0
-    i, c, v = position[row[mine]], col[mine], value[mine]
+    mine = position[h.row] >= 0
+    i, c, v = position[h.row[mine]], h.col[mine], h.value[mine]
 
     def scatter(out, g):
         j = position[g[c]]
@@ -146,13 +139,12 @@ def _character_sum(entries, elements, chi, rows, dim: int) -> np.ndarray:
     return total
 
 
-def _symmetry_blocks(entries, basis: SectorBasis):
+def _symmetry_blocks(h: SectorHamiltonian):
     """One block of a symmetric sector matrix per character of ``_symmetry_group``.
 
-    The matrix is given by its nonzero ``(row, col, value)`` entries, and
-    must commute with the group.  Each orbit is represented by its lowest
-    index r, with stabilizer size |S|.  A character that is trivial on the
-    stabilizer keeps the orbit, with the unit basis vector
+    The matrix must commute with the group.  Each orbit is represented by
+    its lowest index r, with stabilizer size |S|.  A character that is
+    trivial on the stabilizer keeps the orbit, with the unit basis vector
     sum_g chi(g)|g r> / sqrt(|G||S|), so
     block[i, j] = sum_g chi(g) H[r_i, g r_j] / sqrt(|S_i||S_j|)
     (``_character_sum``, weighed by rows then columns), and the block stays
@@ -161,7 +153,7 @@ def _symmetry_blocks(entries, basis: SectorBasis):
     every (index, coef) in ``lifts``, with coef = chi(g)*sqrt(|S|/|G|) on
     the images g r.
     """
-    elements, characters = _symmetry_group(basis)
+    elements, characters = _symmetry_group(h.basis)
     images = np.array(elements)
     reps = np.flatnonzero((images >= images[0]).all(axis=0))
     fixed = images[:, reps] == reps
@@ -170,7 +162,7 @@ def _symmetry_blocks(entries, basis: SectorBasis):
         rows, stabilizer = reps[keep], fixed[:, keep].sum(axis=0)
         if not len(rows):
             continue
-        block = _character_sum(entries, elements, chi, rows, basis.dim)
+        block = _character_sum(h, elements, chi, rows)
         weight = np.sqrt(1.0 / stabilizer)
         block *= weight[:, None]
         block *= weight
@@ -178,24 +170,23 @@ def _symmetry_blocks(entries, basis: SectorBasis):
         yield block, [(g[rows], sign * scale) for g, sign in zip(elements, chi)]
 
 
-def _checked_blocks(entries, basis: SectorBasis):
+def _checked_blocks(h: SectorHamiltonian):
     """Eigenpairs of each symmetry block of H, residual- and gamma-checked.
 
-    H is given by its nonzero ``(row, col, value)`` entries.  Yields
-    (eps, gammas, vectors, lifts) per block: unit-norm block eigenvectors as
-    columns, lifted by the ``_symmetry_blocks`` rule.  Every eigenpair
+    Yields (eps, gammas, vectors, lifts) per block: unit-norm block
+    eigenvectors as columns, lifted by the ``_symmetry_blocks`` rule.  Every eigenpair
     residual ||H v - lambda v|| is checked against ``RESIDUAL_TOL`` *
     max(1, |lambda|), and every gamma against ``GAMMA_FLOOR``; failure
     raises NumericalError carrying the offending number and the matrix's
     ``_fingerprint``.
     """
-    scale = max(basis.n_excitations, 1)
-    for block, lifts in _symmetry_blocks(entries, basis):
+    scale = max(h.basis.n_excitations, 1)
+    for block, lifts in _symmetry_blocks(h):
         try:
             values, vectors = np.linalg.eig(block)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
             raise NumericalError(
-                f"eigensolver failed on sector matrix {_fingerprint(entries)}"
+                f"eigensolver failed on sector matrix {_fingerprint(h)}"
             ) from exc
         vectors /= np.linalg.norm(vectors, axis=0)
         # the lift is an isometry onto an invariant subspace: block residual = full residual
@@ -204,20 +195,15 @@ def _checked_blocks(entries, basis: SectorBasis):
         if residual[worst] > RESIDUAL_TOL * max(1.0, abs(values[worst])):
             raise NumericalError(
                 f"eigenpair residual {residual[worst]:.2e} exceeds {RESIDUAL_TOL} "
-                f"for sector matrix {_fingerprint(entries)}"
+                f"for sector matrix {_fingerprint(h)}"
             )
         eps = values / scale
         gammas = -eps.imag
         if gammas.min() < GAMMA_FLOOR:
             raise NumericalError(
-                f"negative decay rate {gammas.min():.3e} in sector matrix {_fingerprint(entries)}"
+                f"negative decay rate {gammas.min():.3e} in sector matrix {_fingerprint(h)}"
             )
         yield eps, gammas, vectors, lifts
-
-
-def _solved_blocks(config: ArrayConfig, basis: SectorBasis):
-    """``_checked_blocks`` of a sector with 2k <= N, straight from the hop table."""
-    return _checked_blocks(hamiltonian_entries(config, basis), basis)
 
 
 def _from_complement(gammas, config: ArrayConfig, k: int):
@@ -232,26 +218,23 @@ def _from_complement(gammas, config: ArrayConfig, k: int):
     return (dual * gammas + config.gamma_1d * (k - dual)) / k
 
 
-def _sector_blocks(config: ArrayConfig, basis: SectorBasis):
-    """Checked eigenpairs of the k-excitation sector, per symmetry block.
+def _complement_blocks(config: ArrayConfig, basis: SectorBasis):
+    """Checked eigenpairs of a sector with 2k > N, per symmetry block.
 
     Yields (eps, gammas, vectors, lifts) as ``_checked_blocks`` does, with
-    lifts into ``basis``.  A sector with 2k > N is solved as its complement
-    N - k (see ``_from_complement``), and its states are the complement's,
-    moved to the complement subsets with no sign; sector k = N is the empty
-    sector, eps = -i*gamma_1d, with no eigensolve.
+    lifts into ``basis``.  The sector is solved as its complement N - k (see
+    ``_from_complement``), and its states are the complement's, moved to the
+    complement subsets with no sign; sector k = N is the empty sector,
+    eps = -i*gamma_1d, with no eigensolve.
     """
     n, k = config.n_atoms, basis.n_excitations
-    if 2 * k <= n:
-        yield from _solved_blocks(config, basis)
-        return
     if k == n:
         lift = [(np.zeros(1, dtype=int), np.ones(1))]
         yield np.array([-1j * config.gamma_1d]), np.array([config.gamma_1d]), np.ones((1, 1)), lift
         return
     dual = enumerate_sector(n, n - k)
     to_basis = rank_masks(basis, complement_masks(dual))
-    for eps, gammas, vectors, lifts in _solved_blocks(config, dual):
+    for eps, gammas, vectors, lifts in _checked_blocks(build_hamiltonian(config, dual)):
         gammas = _from_complement(gammas, config, k)
         eps = (n - k) * eps.real / k - 1j * gammas
         yield eps, gammas, vectors, [(to_basis[index], coef) for index, coef in lifts]
@@ -276,24 +259,26 @@ def diagonalize_sector(h: SectorHamiltonian) -> list[EigenState]:
 
     The mirror map j -> N-1-j commutes with H, and at half filling (N = 2k)
     so does the complement map S -> N\\S.  Each symmetry block (see
-    ``_symmetry_blocks``) is built from the nonzero entries of ``h.matrix``
-    and diagonalized on its own: two blocks, mirror even and odd, or four at
+    ``_symmetry_blocks``) is built from the entries of ``h`` and
+    diagonalized on its own: two blocks, mirror even and odd, or four at
     half filling, one per joint mirror and complement parity.  Every state
     is an eigenvector of each of these maps.  The checks of
     ``_checked_blocks`` apply to every eigenpair.
     """
-    return _lifted_states(h.basis, _checked_blocks(_matrix_entries(h.matrix), h.basis))
+    return _lifted_states(h.basis, _checked_blocks(h))
 
 
 def diagonalize(config: ArrayConfig, k: int) -> list[EigenState]:
     """Diagonalize the k-excitation sector of ``config``.
 
-    The blocks of ``diagonalize_sector`` come straight from the hop table
-    (``lattice.hamiltonian_entries``), with no dense H, and a sector with
-    2k > N is solved as its complement N - k (see ``_sector_blocks``).
+    A sector with 2k <= N is ``diagonalize_sector`` of ``build_hamiltonian``;
+    one with 2k > N is solved as its complement N - k (see
+    ``_complement_blocks``).
     """
     basis = enumerate_sector(config.n_atoms, k)
-    return _lifted_states(basis, _sector_blocks(config, basis))
+    if 2 * k <= config.n_atoms:
+        return diagonalize_sector(build_hamiltonian(config, basis))
+    return _lifted_states(basis, _complement_blocks(config, basis))
 
 
 def most_subradiant_state(config: ArrayConfig, k: int) -> EigenState:
@@ -313,7 +298,7 @@ def _min_gamma(config: ArrayConfig, k: int) -> float:
     sector once; the cached value is a float, so no caller can change it.
     """
     basis = enumerate_sector(config.n_atoms, k)
-    return min(gammas.min() for _, gammas, *_ in _solved_blocks(config, basis))
+    return min(gammas.min() for _, gammas, *_ in _checked_blocks(build_hamiltonian(config, basis)))
 
 
 def min_decay_rate(config: ArrayConfig, k: int) -> float:

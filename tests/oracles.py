@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 from scipy import sparse
 
-from wqed_subradiance import build_hamiltonian, enumerate_sector
+from wqed_subradiance import SectorHamiltonian, build_hamiltonian, enumerate_sector
 from wqed_subradiance.spectrum import _symmetry_group
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -221,6 +221,13 @@ def symmetry_blocks_by_gather(matrix, basis):
         block *= weight
         scale = np.sqrt(stabilizer / len(elements))
         yield block, [(g[rows], sign * scale) for g, sign in zip(elements, chi)]
+
+
+def sector_hamiltonian(basis, matrix):
+    """The ``SectorHamiltonian`` of a dense sector matrix: its nonzero
+    entries, listed row-major."""
+    row, col = np.nonzero(matrix)
+    return SectorHamiltonian(basis=basis, row=row, col=col, value=matrix[row, col])
 
 
 def dense_min_decay_rate(config, k):

@@ -9,6 +9,7 @@ import yaml
 from click.testing import CliRunner
 
 import wqed_subradiance.scan as scan_module
+import wqed_subradiance.spectrum as spectrum_module
 from wqed_subradiance import (
     BLAS_THREAD_VARS,
     ArrayConfig,
@@ -164,6 +165,43 @@ def test_validate_integral_linspace_and_float_grid_values(tmp_path):
     assert all(type(v) is int for v in spec.k_values + spec.n_values)
 
 
+def _unread_n_atoms_config(tmp_path, mode):
+    """Both an array.n_atoms and a grid.n_atoms; each mode reads only one."""
+    return write_config(
+        tmp_path / "cfg.yaml",
+        {"mode": mode, "array": {"n_atoms": 4},
+         "grid": {"d_over_lambda": [0.05], "k": [1], "n_atoms": [4, 8]},
+         "output": {"directory": str(tmp_path / "out")}},
+    )
+
+
+# the size key each mode does not read, and so must reject
+_UNREAD_N_ATOMS = {
+    "decay-map": "grid.n_atoms",
+    "entropy-map": "grid.n_atoms",
+    "driven-spectrum": "grid.n_atoms",
+    "size-map": "array.n_atoms",
+}
+
+
+@pytest.mark.parametrize("mode, location", list(_UNREAD_N_ATOMS.items()))
+def test_validate_rejects_n_atoms_the_mode_does_not_read(tmp_path, mode, location):
+    with pytest.raises(ConfigError) as err:
+        validate_config(_unread_n_atoms_config(tmp_path, mode))
+    assert err.value.location == location
+
+
+@pytest.mark.parametrize(
+    "mode, location", [("decay-map", "grid.n_atoms"), ("size-map", "array.n_atoms")]
+)
+def test_cli_unread_n_atoms_exit_two(tmp_path, mode, location):
+    result = CliRunner().invoke(main, [mode, "--config", _unread_n_atoms_config(tmp_path, mode)])
+    assert result.exit_code == 2
+    assert f"error: {location}" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def driven_config(tmp_path, detuning, mode="driven-map"):
     return write_config(
         tmp_path / "cfg.yaml",
@@ -256,7 +294,7 @@ def test_cli_non_finite_number_exit_two_without_traceback(tmp_path, section, key
 @pytest.mark.parametrize(
     "section, key",
     [(None, "workrs"), ("array", "gama_1d"), ("grid", "kk"), ("drive", "phase_on_driv"),
-     ("output", "formt")],
+     ("output", "formt"), (None, "seed")],
 )
 def test_validate_rejects_unknown_keys(tmp_path, section, key):
     payload = yaml.safe_load(Path(driven_config(tmp_path, [-1.0, 1.0])).read_text())
@@ -484,12 +522,46 @@ def test_manifest_contents(tmp_path):
     assert all(c["status"] == "ok" for c in data["cells"])
     assert data["outputs"] == [str(tmp_path / "out" / "decay_vs_k.csv")]
     assert list(data) == [
-        "mode", "version", "workers", "blas_threads", "wall_time_s", "seed", "config",
+        "mode", "version", "workers", "blas_threads", "wall_time_s", "config",
         "outputs", "cells", "success",
     ]
     assert list(data["blas_threads"]) == list(BLAS_THREAD_VARS)
-    assert data["seed"] is None and data["workers"] == 1
+    assert data["workers"] == 1
     assert all(list(c) == ["index", "params", "status"] for c in data["cells"])
+
+
+def test_sector_scans_assemble_each_sector_once_through_the_public_path(tmp_path, monkeypatch):
+    """Every sector solved reads one ``build_hamiltonian``, and every entropy
+    cell solves it through ``diagonalize_sector`` (2k <= N here)."""
+    built, solved = [], []
+    real_build, real_solve = spectrum_module.build_hamiltonian, spectrum_module.diagonalize_sector
+    monkeypatch.setattr(
+        spectrum_module,
+        "build_hamiltonian",
+        lambda config, basis: built.append(basis.n_excitations) or real_build(config, basis),
+    )
+    monkeypatch.setattr(
+        spectrum_module,
+        "diagonalize_sector",
+        lambda h: solved.append(h.basis.n_excitations) or real_solve(h),
+    )
+    spectrum_module._min_gamma.cache_clear()
+    sectors = [1, 2, 3] * 2  # (d, k) in grid order
+    try:
+        for mode, eigensolves in (("decay-map", []), ("entropy-map", sectors)):
+            built.clear()
+            solved.clear()
+            path = write_config(
+                tmp_path / f"{mode}.yaml",
+                {"mode": mode, "array": {"n_atoms": 6},
+                 "grid": {"d_over_lambda": [0.05, 0.1], "k": [1, 2, 3]},
+                 "output": {"directory": str(tmp_path / mode)}},
+            )
+            assert run_scan(validate_config(path)).success
+            assert built == sectors, mode
+            assert solved == eigensolves, mode
+    finally:
+        spectrum_module._min_gamma.cache_clear()
 
 
 def test_json_format_option(tmp_path):

@@ -25,10 +25,8 @@ from wqed_subradiance import (
     sector_decay_rates,
 )
 from wqed_subradiance.lattice import (
-    SectorHamiltonian,
     complement_masks,
     complement_permutation,
-    hamiltonian_entries,
     mirror_permutation,
     rank_masks,
 )
@@ -37,6 +35,7 @@ from oracles import (
     dense_min_decay_rate,
     full_space_hamiltonian,
     project_to_sector,
+    sector_hamiltonian,
     symmetry_blocks_by_gather,
 )
 
@@ -361,7 +360,7 @@ def test_hop_table_blocks_equal_the_dense_gather_bitwise(gamma_1d):
             config = ArrayConfig.from_period(n, d, gamma_1d)
             for k in range(n + 1):
                 basis = enumerate_sector(n, k)
-                blocks = spectrum_module._symmetry_blocks(hamiltonian_entries(config, basis), basis)
+                blocks = spectrum_module._symmetry_blocks(build_hamiltonian(config, basis))
                 gathered = symmetry_blocks_by_gather(build_hamiltonian(config, basis).matrix, basis)
                 for (block, lifts), (want, want_lifts) in zip(blocks, gathered, strict=True):
                     assert block.tobytes() == want.tobytes(), (n, k, d)
@@ -425,10 +424,10 @@ def test_full_sector_needs_no_eigensolve(monkeypatch):
 
 def test_min_decay_rate_solves_a_sector_and_its_complement_once(monkeypatch):
     solved = []
-    real = spectrum_module._solved_blocks
+    real = spectrum_module.build_hamiltonian
     monkeypatch.setattr(
         spectrum_module,
-        "_solved_blocks",
+        "build_hamiltonian",
         lambda config, basis: solved.append(basis.n_excitations) or real(config, basis),
     )
     spectrum_module._min_gamma.cache_clear()
@@ -465,10 +464,9 @@ def _via_diagonalize_sector(ham, monkeypatch):
 
 
 def _via_min_decay_rate(ham, monkeypatch):
-    # min_decay_rate reads the hop-table entries, never a dense matrix, and
-    # memoizes its result: inject the entries and start from an empty memo
-    entries = spectrum_module._matrix_entries(ham.matrix)
-    monkeypatch.setattr(spectrum_module, "hamiltonian_entries", lambda config, basis: entries)
+    # min_decay_rate assembles its own sector and memoizes its result:
+    # inject ``ham`` and start from an empty memo
+    monkeypatch.setattr(spectrum_module, "build_hamiltonian", lambda config, basis: ham)
     spectrum_module._min_gamma.cache_clear()
     try:
         min_decay_rate(ArrayConfig.from_period(ham.basis.n_atoms, 0.13), ham.basis.n_excitations)
@@ -476,8 +474,9 @@ def _via_min_decay_rate(ham, monkeypatch):
         spectrum_module._min_gamma.cache_clear()
 
 
-def _fingerprint(matrix):
-    return spectrum_module._fingerprint(spectrum_module._matrix_entries(matrix))
+def _fingerprint(ham):
+    """The fingerprint of ``ham`` with its entries listed row-major."""
+    return spectrum_module._fingerprint(sector_hamiltonian(ham.basis, ham.matrix))
 
 
 entry_points = pytest.mark.parametrize(
@@ -502,7 +501,7 @@ def test_corrupted_eigenvectors_raise_with_residual_and_fingerprint(solve, monke
     message = str(info.value)
     residual = float(re.search(r"eigenpair residual (\S+) exceeds", message).group(1))
     assert residual > RESIDUAL_TOL
-    assert _fingerprint(ham.matrix) in message
+    assert _fingerprint(ham) in message
 
 
 def _parity_projector(perm, parity):
@@ -534,9 +533,9 @@ def test_negative_decay_rate_in_either_block_raises(parity, complement_parity, s
         projector = projector @ _parity_projector(
             complement_permutation(ham.basis), complement_parity
         )
-    shifted = ham.matrix + 1j * 100.0 * projector
+    shifted = sector_hamiltonian(ham.basis, ham.matrix + 1j * 100.0 * projector)
     with pytest.raises(NumericalError, match="negative decay rate") as info:
-        solve(SectorHamiltonian(basis=ham.basis, matrix=shifted), monkeypatch)
+        solve(shifted, monkeypatch)
     gamma = float(re.search(r"negative decay rate (\S+) in", str(info.value)).group(1))
     assert gamma < GAMMA_FLOOR
     assert _fingerprint(shifted) in str(info.value)
