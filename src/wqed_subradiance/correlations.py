@@ -72,5 +72,7 @@ def dimerization_score(corr: CorrelationMatrix, offset: int = 0) -> float:
     if offset not in (0, 1):
         raise DomainError(f"offset must be 0 or 1, got {offset}")
     pairs = [(j, j + 1) for j in range(offset, n - 1, 2)]
+    if not pairs:
+        raise DomainError(f"offset {offset} leaves no dimer pair among {n} atoms")
     total = sum(corr.values[a, b].real for a, b in pairs)
     return float(-2.0 * total / len(pairs))

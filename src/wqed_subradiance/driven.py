@@ -9,7 +9,7 @@ whose rates make up its anti-Hermitian part.  Coherent reflection and
 transmission follow from input-output relations; whatever photon flux is
 missing from them, I = 1 - |r|^2 - |t|^2, was scattered incoherently.
 
-Conventions: the drive amplitude is ``amplitude_scale*gamma_1d*sqrt(power)``
+Conventions: the drive amplitude is ``gamma_1d*sqrt(power)``
 and phases are referenced to the first atom, fixing the single-atom linear
 limit to r = -i*gamma/(delta + i*gamma).
 """
@@ -37,12 +37,11 @@ GRID_MERGE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DriveConfig:
-    """Coherent pump: normalized power, detuning grid, and phase options."""
+    """Coherent pump: normalized power, detuning grid, and phase option."""
 
     power: float
     detuning_grid: np.ndarray
     phase_on_drive: bool = True
-    amplitude_scale: float = 1.0
 
     def __post_init__(self):
         if not 0 <= self.power < np.inf:
@@ -57,7 +56,7 @@ class DriveConfig:
         object.__setattr__(self, "detuning_grid", grid)
 
     def amplitude(self, gamma_1d: float) -> float:
-        return self.amplitude_scale * gamma_1d * np.sqrt(self.power)
+        return gamma_1d * np.sqrt(self.power)
 
 
 @dataclass(frozen=True)

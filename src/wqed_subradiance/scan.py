@@ -38,7 +38,7 @@ _TOP_KEYS = ("mode", "array", "grid", "drive", "output", "workers")
 _SECTION_KEYS = {
     "array": ("n_atoms", "gamma_1d"),
     "grid": ("d_over_lambda", "k", "n_atoms"),
-    "drive": ("power", "detuning", "phase_on_drive", "amplitude_scale"),
+    "drive": ("power", "detuning", "phase_on_drive"),
     "output": ("directory", "format"),
 }
 
@@ -46,7 +46,6 @@ _SECTION_KEYS = {
 @dataclass
 class ScanSpec:
     mode: str
-    n_atoms: int | None
     gamma_1d: float
     d_values: list[float]
     n_values: list[int]
@@ -54,7 +53,6 @@ class ScanSpec:
     powers: list[float]
     detuning: list[float] | dict | None  # grid points, or resonance_grid keywords
     phase_on_drive: bool
-    amplitude_scale: float
     out_dir: Path
     fmt: str = "csv"
     workers: int = 1
@@ -217,10 +215,15 @@ def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
         )
 
     k_values = _number_list(grid, "k", "grid", integer=True, required=mode not in _DRIVEN_MODES)
+    if mode in _DRIVEN_MODES and k_values:
+        raise ConfigError(f"mode {mode} sweeps drive.power and reads no k", location="grid.k")
     if mode == "size-map":
         n_values = _number_list(grid, "n_atoms", "grid", integer=True, required=True)
     else:
-        n_values = [n_atoms] if n_atoms else []
+        n_values = [n_atoms]
+    if min(n_values) < 1:
+        where = "grid.n_atoms" if mode == "size-map" else "array.n_atoms"
+        raise ConfigError("n_atoms must be >= 1", location=where)
     for i, k in enumerate(k_values):
         if k < 1:
             raise ConfigError("k must be >= 1", location=f"grid.k[{i}]")
@@ -228,23 +231,24 @@ def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
             raise ConfigError(
                 f"k={k} exceeds n_atoms={n_atoms}", location=f"grid.k[{i}]"
             )
-    if mode == "size-map" and k_values and n_values and min(n_values) < 1:
-        raise ConfigError("n_atoms must be >= 1", location="grid.n_atoms")
 
     drive = _section(data, "drive")
     powers = _number_list(drive, "power", "drive", required=(mode in _DRIVEN_MODES))
     for i, p in enumerate(powers):
         if p < 0:
             raise ConfigError("power must be >= 0", location=f"drive.power[{i}]")
+    phase_on_drive = _expect(drive, "phase_on_drive", bool, "drive", default=True)
     detuning = None
     if mode in _DRIVEN_MODES:
         detuning = _detuning_grid(drive)
-        if n_atoms is not None and n_atoms > MAX_DRIVEN_ATOMS:
+        if n_atoms > MAX_DRIVEN_ATOMS:
             raise ConfigError(
                 f"driven modes need n_atoms <= {MAX_DRIVEN_ATOMS}", location="array.n_atoms"
             )
-    phase_on_drive = _expect(drive, "phase_on_drive", bool, "drive", default=True)
-    amplitude_scale = _expect(drive, "amplitude_scale", float, "drive", default=1.0)
+    elif drive:
+        raise ConfigError(
+            f"mode {mode} reads no drive section", location=f"drive.{next(iter(drive))}"
+        )
 
     output = _section(data, "output")
     out_dir = Path(_expect(output, "directory", str, "output", default="out"))
@@ -257,7 +261,6 @@ def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
 
     return ScanSpec(
         mode=mode,
-        n_atoms=n_atoms,
         gamma_1d=gamma_1d,
         d_values=d_values,
         n_values=n_values,
@@ -265,7 +268,6 @@ def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
         powers=powers,
         detuning=detuning,
         phase_on_drive=phase_on_drive,
-        amplitude_scale=amplitude_scale,
         out_dir=out_dir,
         fmt=fmt,
         workers=workers,
@@ -333,20 +335,18 @@ def _cell_entropy(args):
 
 def _cell_correlations(args):
     corr = correlation_matrix(_subradiant_state(args))
-    scores = [dimerization_score(corr, offset) for offset in (0, 1)] if corr.n_atoms % 2 == 0 else None
+    n = corr.n_atoms
+    scores = None
+    if n % 2 == 0:  # each dimer registration that has a pair; at N = 2 only offset 0
+        scores = [dimerization_score(corr, offset) for offset in (0, 1) if offset < n - 1]
     return ("ok", (list(corr.rows()), scores))
 
 
 def _cell_driven(args):
-    d, n, power, gamma_1d, detuning, phase_on_drive, amplitude_scale, want_spectrum = args
+    d, n, power, gamma_1d, detuning, phase_on_drive, want_spectrum = args
     config = ArrayConfig.from_period(n, d, gamma_1d)
     grid = resonance_grid(config, **detuning) if isinstance(detuning, dict) else detuning
-    drive = DriveConfig(
-        power=power,
-        detuning_grid=grid,
-        phase_on_drive=phase_on_drive,
-        amplitude_scale=amplitude_scale,
-    )
+    drive = DriveConfig(power=power, detuning_grid=grid, phase_on_drive=phase_on_drive)
     spectrum = incoherent_spectrum(config, drive)
     if want_spectrum:
         rows = [
@@ -460,11 +460,11 @@ def _cells(spec: ScanSpec) -> list[tuple[dict, tuple]]:
     """
     if spec.mode in _DRIVEN_MODES:
         spectrum = spec.mode == "driven-spectrum"
-        drive = (spec.detuning, spec.phase_on_drive, spec.amplitude_scale, spectrum)
+        drive = (spec.detuning, spec.phase_on_drive, spectrum)
         return [
             (
                 {"power": p, "d_over_lambda": d, **({"index": i} if spectrum else {})},
-                (d, spec.n_atoms, p, spec.gamma_1d, *drive),
+                (d, spec.n_values[0], p, spec.gamma_1d, *drive),
             )
             for i, (p, d) in enumerate(itertools.product(spec.powers, spec.d_values))
         ]

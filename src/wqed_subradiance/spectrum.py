@@ -110,32 +110,26 @@ def _character_sum(h: SectorHamiltonian, elements, chi, rows) -> np.ndarray:
 
     Only the entries in ``rows`` are read: for each g, in group order,
     H[r_i, c] lands in column j with g r_j = c, i.e. r_j = g c (every g is
-    an involution).  The sum starts as H[rows, rows] and each further term
-    is a matrix with zeros off its entries, subtracted rather than scaled by
-    -1: the arithmetic of gathering the blocks from the dense H, bit for bit.
+    an involution).  Each entry is added to, or subtracted from, the block
+    in place.  Within one g no two entries share a position (H has one entry
+    per (row, col), and g is a permutation), so every position sums its
+    terms in group order: the arithmetic of gathering the blocks from the
+    dense H, bit for bit, as no entry of H is a signed zero.
     """
     position = np.full(h.basis.dim, -1)
     position[rows] = np.arange(len(rows))
     mine = position[h.row] >= 0
     i, c, v = position[h.row[mine]], h.col[mine], h.value[mine]
-
-    def scatter(out, g):
+    total = np.zeros((len(rows), len(rows)), dtype=complex)
+    flat = total.reshape(-1)
+    for g, sign in zip(elements, chi):
         j = position[g[c]]
         hit = j >= 0
         at = i[hit] * len(rows) + j[hit]  # flat index: far faster than (i, j)
-        out.reshape(-1)[at] = v[hit]
-        return at
-
-    total = np.zeros((len(rows), len(rows)), dtype=complex)
-    scatter(total, elements[0])
-    term = np.zeros(total.shape, dtype=complex)
-    for g, sign in zip(elements[1:], chi[1:]):
-        at = scatter(term, g)
         if sign > 0:
-            total += term
+            flat[at] += v[hit]
         else:
-            total -= term
-        term.reshape(-1)[at] = 0
+            flat[at] -= v[hit]
     return total
 
 

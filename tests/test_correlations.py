@@ -107,6 +107,10 @@ def test_dimerization_score_bounds_and_errors():
     odd = correlation_matrix(_state([1.0, 0.0, 0.0], enumerate_sector(3, 1)))
     with pytest.raises(DomainError):
         dimerization_score(odd)
+    pair = _ideal_dimer_corr(2)  # the staggered partition of two atoms has no pair
+    assert dimerization_score(pair) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(DomainError, match="no dimer pair"):
+        dimerization_score(pair, offset=1)
 
 
 def test_low_filling_correlations_long_ranged():

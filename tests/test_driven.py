@@ -81,11 +81,12 @@ def test_steady_states_match_pointwise_solves(n, power):
 
 
 @pytest.mark.parametrize(
-    "options", [{"phase_on_drive": False}, {"amplitude_scale": 0.37}, {"amplitude_scale": 2.5}]
+    "options",
+    [{"phase_on_drive": False}, {"power": 0.3 * 0.37**2}, {"power": 0.3 * 2.5**2}],
 )
 def test_steady_states_match_pointwise_solves_drive_options(options):
     config = ArrayConfig.from_period(3, 0.13, gamma_1d=0.8)
-    drive = _drive(0.3, _POLE_GRID, **options)
+    drive = _drive(grid=_POLE_GRID, **{"power": 0.3, **options})
     rhos, health = steady_states(config, drive)
     assert health["fallback_points"] == 0
     for rho, delta in zip(rhos, _POLE_GRID):

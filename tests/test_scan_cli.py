@@ -202,6 +202,58 @@ def test_cli_unread_n_atoms_exit_two(tmp_path, mode, location):
     assert not (tmp_path / "out").exists()
 
 
+_SECTOR = {"array": {"n_atoms": 4}, "grid": {"d_over_lambda": [0.05], "k": [1]}}
+_DRIVEN = {"array": {"n_atoms": 2}, "grid": {"d_over_lambda": [0.05]},
+           "drive": {"power": [0.1], "detuning": [-1.0, 1.0]}}
+
+# a key the mode does not read, or an array of no atoms, and the location each
+# must be reported at: a drive section in a sector mode is named at its first
+# key (the dump sorts keys, so "detuning" comes before "power")
+_UNREAD_OR_EMPTY = {
+    "decay-map-drive": ("decay-map", {**_SECTOR, "drive": {"power": [0.1]}}, "drive.power"),
+    "entropy-map-drive": (
+        "entropy-map", {**_SECTOR, "drive": _DRIVEN["drive"]}, "drive.detuning"
+    ),
+    "driven-map-k": (
+        "driven-map", {**_DRIVEN, "grid": {"d_over_lambda": [0.05], "k": [1]}}, "grid.k"
+    ),
+    "driven-map-zero-atoms": ("driven-map", {**_DRIVEN, "array": {"n_atoms": 0}}, "array.n_atoms"),
+    "driven-map-negative-atoms": (
+        "driven-map", {**_DRIVEN, "array": {"n_atoms": -3}}, "array.n_atoms"
+    ),
+}
+
+
+def _unread_or_empty_config(tmp_path, mode, payload):
+    return write_config(
+        tmp_path / "cfg.yaml",
+        {"mode": mode, **payload, "output": {"directory": str(tmp_path / "out")}},
+    )
+
+
+@pytest.mark.parametrize(
+    "mode, payload, location", list(_UNREAD_OR_EMPTY.values()), ids=list(_UNREAD_OR_EMPTY)
+)
+def test_validate_rejects_keys_the_mode_does_not_read_and_empty_arrays(
+    tmp_path, mode, payload, location
+):
+    with pytest.raises(ConfigError) as err:
+        validate_config(_unread_or_empty_config(tmp_path, mode, payload))
+    assert err.value.location == location
+
+
+@pytest.mark.parametrize(
+    "mode, payload, location", list(_UNREAD_OR_EMPTY.values()), ids=list(_UNREAD_OR_EMPTY)
+)
+def test_cli_unread_key_or_empty_array_exit_two(tmp_path, mode, payload, location):
+    cfg = _unread_or_empty_config(tmp_path, mode, payload)
+    result = CliRunner().invoke(main, [mode, "--config", cfg])
+    assert result.exit_code == 2
+    assert f"error: {location}" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def driven_config(tmp_path, detuning, mode="driven-map"):
     return write_config(
         tmp_path / "cfg.yaml",
@@ -238,7 +290,6 @@ def test_validate_rejects_malformed_detuning_grid(tmp_path, detuning, location):
     "section, key, location",
     [
         ("array", "gamma_1d", "array.gamma_1d"),
-        ("drive", "amplitude_scale", "drive.amplitude_scale"),
         ("detuning", "start", "drive.detuning.start"),
         ("detuning", "refine_span", "drive.detuning.refine_span"),
     ],
@@ -259,7 +310,6 @@ _NON_FINITE = {
     "d-nan-inf": ("grid", "d_over_lambda", [float("nan"), float("inf")], "grid.d_over_lambda[0]"),
     "d-inf": ("grid", "d_over_lambda", [0.05, float("-inf")], "grid.d_over_lambda[1]"),
     "k-inf": ("grid", "k", [float("inf")], "grid.k[0]"),
-    "amplitude-scale-inf": ("drive", "amplitude_scale", float("inf"), "drive.amplitude_scale"),
 }
 
 
@@ -294,7 +344,7 @@ def test_cli_non_finite_number_exit_two_without_traceback(tmp_path, section, key
 @pytest.mark.parametrize(
     "section, key",
     [(None, "workrs"), ("array", "gama_1d"), ("grid", "kk"), ("drive", "phase_on_driv"),
-     ("output", "formt"), (None, "seed")],
+     ("output", "formt"), (None, "seed"), ("drive", "amplitude_scale")],
 )
 def test_validate_rejects_unknown_keys(tmp_path, section, key):
     payload = yaml.safe_load(Path(driven_config(tmp_path, [-1.0, 1.0])).read_text())
@@ -316,10 +366,13 @@ def test_shipped_configs_validate(path):
 
 def test_readme_config_sketch_validates(tmp_path):
     readme = (_REPO / "README.md").read_text()
-    sketch = readme.split("Config sketch:", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
-    path = tmp_path / "sketch.yaml"
-    path.write_text(sketch)
-    assert validate_config(path).mode == "entropy-map"
+    blocks = readme.split("Config sketch:", 1)[1].split("```yaml\n")[1:3]
+    modes = []
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"sketch{i}.yaml"
+        path.write_text(block.split("```", 1)[0])
+        modes.append(validate_config(path).mode)
+    assert modes == ["entropy-map", "driven-map"]
 
 
 @pytest.mark.parametrize(
@@ -455,6 +508,20 @@ def test_correlations_mode_schema(tmp_path):
     assert lines[0] == "m,n,re,im"
     assert len(lines) == 17
     assert "dimerization_score" in manifest.cells[0].params
+
+
+def test_cli_correlations_of_two_atoms_scores_the_one_dimer(tmp_path):
+    cfg = write_config(
+        tmp_path / "cfg.yaml",
+        {"mode": "correlations", "array": {"n_atoms": 2},
+         "grid": {"d_over_lambda": [0.05], "k": [1]},
+         "output": {"directory": str(tmp_path / "out")}},
+    )
+    result = CliRunner().invoke(main, ["correlations", "--config", cfg])
+    assert result.exit_code == 0, result.output
+    cells = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["cells"]
+    assert [c["status"] for c in cells] == ["ok"]
+    assert "dimerization_score" in cells[0]["params"]
 
 
 def test_driven_spectrum_files_and_schema(tmp_path):
