@@ -23,7 +23,7 @@ def main():
     of waveguide-coupled atom arrays."""
 
 
-def _execute(mode: str, config_path: str, out_dir, workers, fmt):
+def _execute(mode: str, config_path: str, out_dir, workers):
     try:
         spec = validate_config(config_path)
         if spec.mode != mode:
@@ -35,13 +35,10 @@ def _execute(mode: str, config_path: str, out_dir, workers, fmt):
             spec.out_dir = Path(out_dir)
         if workers is not None:
             spec.workers = workers
-        if fmt is not None:
-            spec.fmt = fmt
+        manifest = run_scan(spec)
     except ConfigError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    try:
-        manifest = run_scan(spec)
     except NumericalError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(3)
@@ -63,10 +60,8 @@ def _register(mode: str):
                   type=click.Path(file_okay=False), help="Output directory (overrides config).")
     @click.option("--workers", default=None, type=click.IntRange(min=1),
                   help="Worker count (overrides config).")
-    @click.option("--format", "fmt", default=None, type=click.Choice(["csv", "json"]),
-                  help="Data file format (overrides config).")
-    def command(config_path, out_dir, workers, fmt, _mode=mode):
-        _execute(_mode, config_path, out_dir, workers, fmt)
+    def command(config_path, out_dir, workers, _mode=mode):
+        _execute(_mode, config_path, out_dir, workers)
 
 
 for _mode in MODES:

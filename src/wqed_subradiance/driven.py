@@ -9,9 +9,10 @@ whose rates make up its anti-Hermitian part.  Coherent reflection and
 transmission follow from input-output relations; whatever photon flux is
 missing from them, I = 1 - |r|^2 - |t|^2, was scattered incoherently.
 
-Conventions: the drive amplitude is ``gamma_1d*sqrt(power)``
-and phases are referenced to the first atom, fixing the single-atom linear
-limit to r = -i*gamma/(delta + i*gamma).
+Conventions: rates, detunings and linewidths are in units of gamma_1d (see
+``lattice``), the drive amplitude is ``sqrt(power)``, and phases are
+referenced to the first atom, fixing the single-atom linear limit to
+r = -i/(delta + i).
 """
 
 from __future__ import annotations
@@ -55,9 +56,6 @@ class DriveConfig:
             raise DomainError("detuning grid must be strictly increasing")
         object.__setattr__(self, "detuning_grid", grid)
 
-    def amplitude(self, gamma_1d: float) -> float:
-        return gamma_1d * np.sqrt(self.power)
-
 
 @dataclass(frozen=True)
 class ScatteringSpectrum:
@@ -97,11 +95,11 @@ def _commutator_super(h: np.ndarray) -> np.ndarray:
 def _liouvillian_pieces(config: ArrayConfig, phase_on_drive: bool):
     """Static and per-unit-drive superoperators, and the per-unit-detuning one.
 
-    The static piece is -i(H rho - rho H^dag) + gamma_1d*sum_C C rho C^dag.
+    The static piece is -i(H rho - rho H^dag) + sum_C C rho C^dag.
     H is the effective Hamiltonian, its sector entries scattered into the 2^N
     product basis by site bitmask (site 0 the most significant bit, as in
     ``_lowering_table``).  Its anti-Hermitian part has the rank-two kernel
-    gamma_1d*(exp(i*phase*(a-b)) + exp(-i*phase*(a-b))), so the jumps go into
+    exp(i*phase*(a-b)) + exp(-i*phase*(a-b)), so the jumps go into
     the two output channels C = sum_j exp(+-i*phase*j) sigma_j.
     The detuning piece, the commutator with -N (N the number operator), is
     diagonal and is returned as its diagonal, a vector of length 4^N.
@@ -123,7 +121,7 @@ def _liouvillian_pieces(config: ArrayConfig, phase_on_drive: bool):
     backward, forward, phaseless = ops
     # reflection reads the backward channel, transmission the forward one
     for channel in (backward, forward):
-        l_static += config.gamma_1d * np.kron(channel, channel.conj())
+        l_static += np.kron(channel, channel.conj())
 
     # the left-incident drive is the forward mode
     drive = forward if phase_on_drive else phaseless
@@ -250,7 +248,7 @@ def _pencil(config: ArrayConfig, drive: DriveConfig):
         )
     l_static, l_drive, detuning_diag = _liouvillian_pieces(config, drive.phase_on_drive)
     dim = 2**config.n_atoms
-    l0 = l_static + drive.amplitude(config.gamma_1d) * l_drive
+    l0 = l_static + np.sqrt(drive.power) * l_drive
     m0 = _real_generator(l0, dim)
     m0[0] = 0.0
     m0[0, :dim] = 1.0  # trace row: the diagonal coordinates sum to one
@@ -355,8 +353,7 @@ def transfer_matrix_amplitudes(
     Independent of the master-equation route; the transmission phase is
     referenced to the plane of the last atom.
     """
-    gamma = config.gamma_1d
-    r_atom = -1j * gamma / (detuning + 1j * gamma)
+    r_atom = -1j / (detuning + 1j)
     t_atom = 1.0 + r_atom
     if t_atom == 0:
         # exact resonance: each atom is a perfect mirror, the first one wins
@@ -378,9 +375,8 @@ def _stacked_amplitudes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reflection and transmission for a stack of steady states, one per detuning."""
     n = config.n_atoms
-    gamma = config.gamma_1d
     phi = config.phase
-    amp_in = drive.amplitude(gamma)
+    amp_in = np.sqrt(drive.power)
     if amp_in == 0.0:
         r, t = np.array([transfer_matrix_amplitudes(config, delta) for delta in grid]).T
         return r, t * np.exp(-1j * phi * (n - 1))
@@ -391,8 +387,8 @@ def _stacked_amplitudes(
     np.put_along_axis(weights, upper * 2**n + lower, 1.0, axis=1)
     coherences = rhos.reshape(len(rhos), -1) @ weights.T
     phases = np.exp(1j * phi * np.arange(n))
-    t = 1.0 + 1j * gamma / amp_in * (coherences @ np.conj(phases))
-    r = 1j * gamma / amp_in * (coherences @ phases)
+    t = 1.0 + 1j / amp_in * (coherences @ np.conj(phases))
+    r = 1j / amp_in * (coherences @ phases)
     return r, t
 
 
@@ -485,7 +481,7 @@ def resonance_grid(
         raise DomainError("grid needs stop > start")
     pieces = [np.linspace(start, stop, coarse)]
     for state in diagonalize(config, 1):
-        width = max(refine_span * state.gamma, 1e-3 * config.gamma_1d)
+        width = max(refine_span * state.gamma, 1e-3)
         pieces.append(np.linspace(state.epsilon.real - width, state.epsilon.real + width, refine_points))
     grid = np.unique(np.concatenate(pieces))
     grid = grid[(grid >= start) & (grid <= stop)]

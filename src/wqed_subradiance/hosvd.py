@@ -280,10 +280,10 @@ def hole_transform(state: EigenState) -> EigenState:
     The parity sign turns each hop phase exp(i*phi*|m-n|) into
     exp(i*(phi+pi)*|m-n|), so its amplitudes are an eigenvector of the N-k
     sector at d/lambda0 + 1/2, with total eigenvalue
-    k*epsilon - i*gamma_1d*(N-2k).  Without the sign the complement map
+    k*epsilon - i*(N-2k).  Without the sign the complement map
     leaves every hop unchanged: the moved amplitudes are an eigenvector of
     the N-k sector at the same d/lambda0, with the same total eigenvalue
-    (H_k = P H_{N-k} P^T - i*gamma_1d*(2k-N)); ``spectrum.diagonalize``
+    (H_k = P H_{N-k} P^T - i*(2k-N)); ``spectrum.diagonalize``
     solves sectors above half filling that way.
     """
     basis = state.basis

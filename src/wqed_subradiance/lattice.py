@@ -3,8 +3,9 @@
 An array of N two-level atoms couples to a single waveguide mode; after the
 photons are integrated out (Markov + rotating wave) the dynamics within the
 k-excitation sector is generated by a sparse complex-symmetric non-Hermitian
-matrix.  Energies are measured from the atomic resonance and rates in units
-of the single-atom waveguide decay rate gamma_1d.
+matrix.  Energies are measured from the atomic resonance, and energies and
+rates are in units of the single-atom waveguide decay rate gamma_1d, the
+model's unit: H = -i sum_mn exp(i*phase*|m-n|) sigma^dag_m sigma_n.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    """Geometry and coupling of the atom array.
+    """Geometry of the atom array.
 
     ``phase`` is the optical phase accumulated between neighbouring atoms,
     2*pi*d/lambda0; it is stored reduced modulo 2*pi (site distances are
@@ -32,22 +33,18 @@ class ArrayConfig:
 
     n_atoms: int
     phase: float
-    gamma_1d: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.n_atoms, (int, np.integer)) or self.n_atoms < 1:
             raise DomainError(f"n_atoms must be a positive integer, got {self.n_atoms!r}")
-        if not self.gamma_1d > 0:
-            raise DomainError(f"gamma_1d must be positive, got {self.gamma_1d!r}")
         object.__setattr__(self, "n_atoms", int(self.n_atoms))
         object.__setattr__(self, "phase", float(self.phase) % TWO_PI)
-        object.__setattr__(self, "gamma_1d", float(self.gamma_1d))
 
     @classmethod
-    def from_period(cls, n_atoms: int, d_over_lambda: float, gamma_1d: float = 1.0) -> "ArrayConfig":
+    def from_period(cls, n_atoms: int, d_over_lambda: float) -> "ArrayConfig":
         if not 0 <= d_over_lambda < math.inf:
             raise DomainError(f"d/lambda0 must be finite and >= 0, got {d_over_lambda}")
-        return cls(n_atoms=n_atoms, phase=TWO_PI * d_over_lambda, gamma_1d=gamma_1d)
+        return cls(n_atoms=n_atoms, phase=TWO_PI * d_over_lambda)
 
     @property
     def d_over_lambda(self) -> float:
@@ -179,10 +176,10 @@ def reduced_unfolding(amplitudes: np.ndarray, basis: SectorBasis) -> np.ndarray:
 def build_hamiltonian(config: ArrayConfig, basis: SectorBasis) -> SectorHamiltonian:
     """Every nonzero entry of the effective sector Hamiltonian, from the hop table.
 
-    Matrix elements are -i*gamma_1d*exp(i*phase*|m-n|) for every transfer of
+    Matrix elements are -i*exp(i*phase*|m-n|) for every transfer of
     one excitation from site m to site n; transfers onto an already excited
     site vanish (two-level atoms), so off-diagonal elements connect subsets
-    differing in exactly one site and the diagonal is -i*gamma_1d*k.
+    differing in exactly one site and the diagonal is -i*k.
     Each off-diagonal pair is listed once (the two states share one row of
     ``sector_table``), then the diagonal: k(N-k)+1 entries per row.
     """
@@ -191,10 +188,9 @@ def build_hamiltonian(config: ArrayConfig, basis: SectorBasis) -> SectorHamilton
             f"basis is for N={basis.n_atoms} but config has N={config.n_atoms}"
         )
     n = config.n_atoms
-    gamma = config.gamma_1d
-    # hop[m, n] = -i*gamma*exp(i*phi*|m-n|)
+    # hop[m, n] = -i*exp(i*phi*|m-n|)
     sites = np.arange(n)
-    hop = -1j * gamma * np.exp(1j * config.phase * np.abs(sites[:, None] - sites[None, :]))
+    hop = -1j * np.exp(1j * config.phase * np.abs(sites[:, None] - sites[None, :]))
     state, site = sector_table(basis)
     a, b = np.nonzero(~np.eye(n - basis.n_excitations + 1, dtype=bool))
     diagonal = np.arange(basis.dim)
@@ -202,6 +198,6 @@ def build_hamiltonian(config: ArrayConfig, basis: SectorBasis) -> SectorHamilton
     col = np.concatenate([state[:, b].ravel(), diagonal])
     value = np.concatenate([
         hop[site[:, a], site[:, b]].ravel(),
-        np.full(basis.dim, -1j * gamma * basis.n_excitations),
+        np.full(basis.dim, -1j * basis.n_excitations),
     ])
     return SectorHamiltonian(basis=basis, row=row, col=col, value=value)

@@ -25,7 +25,7 @@ from .driven import MAX_DRIVEN_ATOMS, DriveConfig, incoherent_spectrum, resonanc
 from .errors import ConfigError, DomainError, NumericalError
 from .hosvd import HosvdResult, hosvd, to_symmetric_tensor
 from .lattice import ArrayConfig
-from .serialize import fmt_float, rows_to_json_payload, write_csv, write_json
+from .serialize import fmt_float, write_csv, write_json
 from .spectrum import min_decay_rate, most_subradiant_state
 
 _DRIVEN_MODES = ("driven-map", "driven-spectrum")
@@ -36,17 +36,16 @@ _RESONANCE_GRID_KEYS = {
 # the keys a config may hold, at the top level and in each section
 _TOP_KEYS = ("mode", "array", "grid", "drive", "output", "workers")
 _SECTION_KEYS = {
-    "array": ("n_atoms", "gamma_1d"),
+    "array": ("n_atoms",),
     "grid": ("d_over_lambda", "k", "n_atoms"),
     "drive": ("power", "detuning", "phase_on_drive"),
-    "output": ("directory", "format"),
+    "output": ("directory",),
 }
 
 
 @dataclass
 class ScanSpec:
     mode: str
-    gamma_1d: float
     d_values: list[float]
     n_values: list[int]
     k_values: list[int]
@@ -54,7 +53,6 @@ class ScanSpec:
     detuning: list[float] | dict | None  # grid points, or resonance_grid keywords
     phase_on_drive: bool
     out_dir: Path
-    fmt: str = "csv"
     workers: int = 1
     raw_config: dict = field(default_factory=dict)
 
@@ -124,7 +122,12 @@ def _section(data: dict, name: str) -> dict:
     return section
 
 
-def _number_list(mapping, key, location, integer=False, required=False):
+def _number_list(mapping, key, location, integer=False, required=False, distinct=True):
+    """The numbers of a list, a {start, stop, count} range or a single value.
+
+    With ``distinct`` a value that repeats an earlier one is an error: a grid
+    cell would be solved and written twice.
+    """
     if key not in mapping or mapping[key] is None:
         if required:
             raise ConfigError("missing required grid", location=f"{location}.{key}")
@@ -148,7 +151,10 @@ def _number_list(mapping, key, location, integer=False, required=False):
             raise ConfigError("expected a finite number", location=f"{location}.{key}[{i}]")
         if integer and v != int(v):
             raise ConfigError(f"expected an integer, got {v}", location=f"{location}.{key}[{i}]")
-        out.append(int(v) if integer else float(v))
+        number = int(v) if integer else float(v)
+        if distinct and number in out:
+            raise ConfigError(f"repeats the value {number}", location=f"{location}.{key}[{i}]")
+        out.append(number)
     if not out:
         raise ConfigError("grid must not be empty", location=f"{location}.{key}")
     return out
@@ -164,7 +170,7 @@ def _detuning_grid(drive: dict) -> list[float] | dict:
             location=location,
         )
     if isinstance(value, list) or "count" in value:
-        grid = _number_list(drive, "detuning", "drive")
+        grid = _number_list(drive, "detuning", "drive", distinct=False)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("detuning grid must be strictly increasing", location=location)
         return grid
@@ -195,9 +201,6 @@ def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
     if mode == "size-map" and "n_atoms" in array:
         raise ConfigError("size-map takes its sizes from grid.n_atoms", location="array.n_atoms")
     n_atoms = _expect(array, "n_atoms", int, "array", required=(mode != "size-map"))
-    gamma_1d = _expect(array, "gamma_1d", float, "array", default=1.0)
-    if gamma_1d <= 0:
-        raise ConfigError("gamma_1d must be positive", location="array.gamma_1d")
 
     grid = _section(data, "grid")
     if mode != "size-map" and "n_atoms" in grid:
@@ -252,16 +255,12 @@ def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
 
     output = _section(data, "output")
     out_dir = Path(_expect(output, "directory", str, "output", default="out"))
-    fmt = _expect(output, "format", str, "output", default="csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError("format must be 'csv' or 'json'", location="output.format")
     workers = _expect(data, "workers", int, source, default=1)
     if workers < 1:
         raise ConfigError("workers must be >= 1", location="workers")
 
     return ScanSpec(
         mode=mode,
-        gamma_1d=gamma_1d,
         d_values=d_values,
         n_values=n_values,
         k_values=k_values,
@@ -269,7 +268,6 @@ def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
         detuning=detuning,
         phase_on_drive=phase_on_drive,
         out_dir=out_dir,
-        fmt=fmt,
         workers=workers,
         raw_config=data,
     )
@@ -309,16 +307,16 @@ def _run_cell(task):
 
 
 def _cell_min_gamma(args):
-    d, n, k, gamma_1d = args
+    d, n, k = args
     if k > n:
         return ("skipped", None)
-    return ("ok", min_decay_rate(ArrayConfig.from_period(n, d, gamma_1d), k))
+    return ("ok", min_decay_rate(ArrayConfig.from_period(n, d), k))
 
 
 def _subradiant_state(args):
     """The most subradiant state of a sector cell."""
-    d, n, k, gamma_1d = args
-    return most_subradiant_state(ArrayConfig.from_period(n, d, gamma_1d), k)
+    d, n, k = args
+    return most_subradiant_state(ArrayConfig.from_period(n, d), k)
 
 
 def _subradiant_hosvd(args) -> HosvdResult:
@@ -343,8 +341,8 @@ def _cell_correlations(args):
 
 
 def _cell_driven(args):
-    d, n, power, gamma_1d, detuning, phase_on_drive, want_spectrum = args
-    config = ArrayConfig.from_period(n, d, gamma_1d)
+    d, n, power, detuning, phase_on_drive, want_spectrum = args
+    config = ArrayConfig.from_period(n, d)
     grid = resonance_grid(config, **detuning) if isinstance(detuning, dict) else detuning
     drive = DriveConfig(power=power, detuning_grid=grid, phase_on_drive=phase_on_drive)
     spectrum = incoherent_spectrum(config, drive)
@@ -394,13 +392,8 @@ class _Mode:
 
 
 def _write_table(spec: ScanSpec, stem: str, header: list[str], rows) -> Path:
-    rows = list(rows)
-    if spec.fmt == "json":
-        path = spec.out_dir / f"{stem}.json"
-        write_json(path, rows_to_json_payload(header, rows))
-    else:
-        path = spec.out_dir / f"{stem}.csv"
-        write_csv(path, header, rows)
+    path = spec.out_dir / f"{stem}.csv"
+    write_csv(path, header, rows)
     return path
 
 
@@ -464,20 +457,27 @@ def _cells(spec: ScanSpec) -> list[tuple[dict, tuple]]:
         return [
             (
                 {"power": p, "d_over_lambda": d, **({"index": i} if spectrum else {})},
-                (d, spec.n_values[0], p, spec.gamma_1d, *drive),
+                (d, spec.n_values[0], p, *drive),
             )
             for i, (p, d) in enumerate(itertools.product(spec.powers, spec.d_values))
         ]
     return [
-        ({"d_over_lambda": d, "n_atoms": n, "k": k}, (d, n, k, spec.gamma_1d))
+        ({"d_over_lambda": d, "n_atoms": n, "k": k}, (d, n, k))
         for d, n, k in itertools.product(spec.d_values, spec.n_values, spec.k_values)
     ]
 
 
 def run_scan(spec: ScanSpec) -> RunManifest:
-    """Execute a validated scan; write data files and a run manifest."""
+    """Execute a validated scan; write data files and a run manifest.
+
+    An output directory that cannot be created raises ``ConfigError`` at
+    ``output.directory``, before any cell runs.
+    """
     start = time.perf_counter()
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        spec.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory: {exc}", location="output.directory") from exc
     mode = _MODE_TABLE[spec.mode]
     cells = _cells(spec)
     results = _map_cells(_run_cell, [(mode.worker, args) for _, args in cells], spec.workers)

@@ -33,16 +33,3 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 def write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
-
-def rows_to_json_payload(header: list[str], rows) -> dict:
-    # round-trip through the CSV formatting so both formats carry the same values
-    out = []
-    for row in rows:
-        rendered = []
-        for cell in row:
-            if isinstance(cell, bool) or isinstance(cell, int) or isinstance(cell, str):
-                rendered.append(cell)
-            else:
-                rendered.append(float(fmt_float(cell)))
-        out.append(rendered)
-    return {"columns": list(header), "rows": out}

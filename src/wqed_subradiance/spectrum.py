@@ -3,7 +3,8 @@
 Eigenproblem convention: H|psi> = k*eps|psi>, so ``epsilon`` is the energy
 per excitation and ``gamma = -Im(eps)`` the per-excitation decay rate.  The
 total decay rate of a k-excitation eigenstate is k*gamma; comparisons with
-sums of single-excitation rates are made on the total scale.
+sums of single-excitation rates are made on the total scale.  Energies and
+rates are in units of gamma_1d (see ``lattice``).
 """
 
 from __future__ import annotations
@@ -200,16 +201,16 @@ def _checked_blocks(h: SectorHamiltonian):
         yield eps, gammas, vectors, lifts
 
 
-def _from_complement(gammas, config: ArrayConfig, k: int):
+def _from_complement(gammas, n_atoms: int, k: int):
     """Per-excitation rates of sector k > N/2 from those of its complement N - k.
 
     S -> N\\S maps sector k onto N - k with every hop unchanged, so
-    H_k = P H_{N-k} P^T - i*gamma_1d*(2k - N): the total rate of each state
-    grows by gamma_1d*(2k - N).  The map is monotone, also in floating
+    H_k = P H_{N-k} P^T - i*(2k - N): the total rate of each state
+    grows by 2k - N.  The map is monotone, also in floating
     point, so it carries the minimum rate over as well.
     """
-    dual = config.n_atoms - k
-    return (dual * gammas + config.gamma_1d * (k - dual)) / k
+    dual = n_atoms - k
+    return (dual * gammas + (k - dual)) / k
 
 
 def _complement_blocks(config: ArrayConfig, basis: SectorBasis):
@@ -219,17 +220,17 @@ def _complement_blocks(config: ArrayConfig, basis: SectorBasis):
     lifts into ``basis``.  The sector is solved as its complement N - k (see
     ``_from_complement``), and its states are the complement's, moved to the
     complement subsets with no sign; sector k = N is the empty sector,
-    eps = -i*gamma_1d, with no eigensolve.
+    eps = -i, with no eigensolve.
     """
     n, k = config.n_atoms, basis.n_excitations
     if k == n:
         lift = [(np.zeros(1, dtype=int), np.ones(1))]
-        yield np.array([-1j * config.gamma_1d]), np.array([config.gamma_1d]), np.ones((1, 1)), lift
+        yield np.array([-1j]), np.array([1.0]), np.ones((1, 1)), lift
         return
     dual = enumerate_sector(n, n - k)
     to_basis = rank_masks(basis, complement_masks(dual))
     for eps, gammas, vectors, lifts in _checked_blocks(build_hamiltonian(config, dual)):
-        gammas = _from_complement(gammas, config, k)
+        gammas = _from_complement(gammas, n, k)
         eps = (n - k) * eps.real / k - 1j * gammas
         yield eps, gammas, vectors, [(to_basis[index], coef) for index, coef in lifts]
 
@@ -308,9 +309,9 @@ def min_decay_rate(config: ArrayConfig, k: int) -> float:
     if 2 * k <= n:
         gamma = _min_gamma(config, k)
     elif k == n:
-        gamma = config.gamma_1d
+        gamma = 1.0
     else:
-        gamma = _from_complement(_min_gamma(config, n - k), config, k)
+        gamma = _from_complement(_min_gamma(config, n - k), n, k)
     return max(0.0, gamma)
 
 
@@ -381,7 +382,7 @@ class ScalingFit:
     exponent_d: float
 
 
-def scaling_fit(n_range, d_range, gamma_1d: float = 1.0) -> ScalingFit:
+def scaling_fit(n_range, d_range) -> ScalingFit:
     """Log-log power-law exponents of the k=1 minimum decay rate.
 
     The exponent in N is fitted at the smallest period of ``d_range`` and
@@ -400,12 +401,8 @@ def scaling_fit(n_range, d_range, gamma_1d: float = 1.0) -> ScalingFit:
         )
     d_small = min(d_values)
     n_large = max(n_values)
-    g_vs_n = [
-        min_decay_rate(ArrayConfig.from_period(n, d_small, gamma_1d), 1) for n in n_values
-    ]
-    g_vs_d = [
-        min_decay_rate(ArrayConfig.from_period(n_large, d, gamma_1d), 1) for d in d_values
-    ]
+    g_vs_n = [min_decay_rate(ArrayConfig.from_period(n, d_small), 1) for n in n_values]
+    g_vs_d = [min_decay_rate(ArrayConfig.from_period(n_large, d), 1) for d in d_values]
     exp_n = np.polyfit(np.log(n_values), np.log(g_vs_n), 1)[0]
     exp_d = np.polyfit(np.log(d_values), np.log(g_vs_d), 1)[0]
     return ScalingFit(exponent_n=float(exp_n), exponent_d=float(exp_d))

@@ -101,11 +101,10 @@ def test_criterion_03_half_filling_transition():
     for d in tol:
         for n in sizes:
             config = ArrayConfig.from_period(n, d)
-            gamma = config.gamma_1d
             low = min_decay_rate(config, n // 2)
             high = min_decay_rate(config, n // 2 + 1)
-            dimer[d, n] = low / (gamma * (1.0 - math.cos(config.phase)))
-            total[d, n] = (n // 2 + 1) * high / (2.0 * gamma)
+            dimer[d, n] = low / (1.0 - math.cos(config.phase))
+            total[d, n] = (n // 2 + 1) * high / 2.0
             floors[d, n] = high
             ratios[d, n] = high / low
     ok_dimer = all(abs(v - 1.0) < tol[d] for (d, _), v in dimer.items())
@@ -286,10 +285,10 @@ def test_criterion_09_driven_linear_limit():
     # c(delta) against the flux oracle, on and off the subradiant resonances
     probes = np.sort([-1.0, 0.0] + [mode.epsilon.real for mode in subradiant])
     probed = incoherent_spectrum(config, DriveConfig(power=weak, detuning_grid=probes))
-    omega = config.gamma_1d * math.sqrt(weak)
+    omega = math.sqrt(weak)
     c_program = probed.incoherent / weak
     c_oracle = np.array(
-        [incoherent_fraction(4, config.phase, omega, delta, config.gamma_1d) for delta in probes]
+        [incoherent_fraction(4, config.phase, omega, delta) for delta in probes]
     ) / weak
     oracle_dev = float(np.abs(c_program / c_oracle - 1.0).max())
     ok_rt = dev_r < 1e-4 and dev_t < 1e-4
@@ -387,13 +386,12 @@ def test_criterion_12_subradiance_ends_above_half_filling():
     k > N/2 through that very identity, so the rates here come from a direct
     dense eigensolve of sector k instead.
     """
-    gamma_1d = 0.7
     margins = {}
     for d in (0.0, D_REF, 0.13, 0.3):
         for n in range(2, 11):
-            config = ArrayConfig.from_period(n, d, gamma_1d)
+            config = ArrayConfig.from_period(n, d)
             for k in range(n // 2 + 1, n + 1):
-                floor = gamma_1d * (2 * k - n)
+                floor = 2 * k - n
                 margins[d, n, k] = (k * dense_min_decay_rate(config, k) - floor) / floor
     worst = min(margins, key=margins.get)
     tight = max(abs(margins[0.0, n, k]) for (d, n, k) in margins if d == 0.0)

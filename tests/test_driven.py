@@ -85,7 +85,7 @@ def test_steady_states_match_pointwise_solves(n, power):
     [{"phase_on_drive": False}, {"power": 0.3 * 0.37**2}, {"power": 0.3 * 2.5**2}],
 )
 def test_steady_states_match_pointwise_solves_drive_options(options):
-    config = ArrayConfig.from_period(3, 0.13, gamma_1d=0.8)
+    config = ArrayConfig.from_period(3, 0.13)
     drive = _drive(grid=_POLE_GRID, **{"power": 0.3, **options})
     rhos, health = steady_states(config, drive)
     assert health["fallback_points"] == 0
@@ -142,10 +142,10 @@ def test_steady_solvers_match_the_oracle_state(n, power):
     """Both solvers reproduce the kernel vector of the independently built generator."""
     config = ArrayConfig.from_period(n, 0.05)
     drive = _drive(power, _POLE_GRID)
-    omega = drive.amplitude(config.gamma_1d)
+    omega = np.sqrt(power)
     rhos, _ = steady_states(config, drive)
     for rho, delta in zip(rhos, _POLE_GRID):
-        oracle = steady_density(n, config.phase, omega, delta, config.gamma_1d)
+        oracle = steady_density(n, config.phase, omega, delta)
         np.testing.assert_allclose(rho, oracle, rtol=0, atol=1e-12)
         np.testing.assert_allclose(steady_state(config, drive, delta), oracle, rtol=0, atol=1e-12)
 
@@ -158,10 +158,10 @@ def test_failed_direct_solve_takes_the_one_dimensional_kernel(monkeypatch):
 
     config = ArrayConfig.from_period(3, 0.05)
     drive = _drive(0.3)
-    omega = drive.amplitude(config.gamma_1d)
+    omega = np.sqrt(drive.power)
     monkeypatch.setattr(driven_module.np.linalg, "solve", failing_solve)
     for delta in (-1.0, -0.2, 0.4):
-        oracle = steady_density(3, config.phase, omega, delta, config.gamma_1d)
+        oracle = steady_density(3, config.phase, omega, delta)
         np.testing.assert_allclose(steady_state(config, drive, delta), oracle, rtol=0, atol=1e-12)
 
 
@@ -191,7 +191,7 @@ def _hermitian_basis(dim):
 def test_real_coordinates_match_dense_change_of_basis(n):
     """Gathered real generator and detuning piece equal Q^dag L Q and Q^dag D Q, which are real."""
     dim = 2**n
-    config = ArrayConfig.from_period(n, 0.13, gamma_1d=0.8)
+    config = ArrayConfig.from_period(n, 0.13)
     l_static, l_drive, detuning_diag = driven_module._liouvillian_pieces(config, True)
     l0 = l_static + 0.7 * l_drive
     q = _hermitian_basis(dim)
@@ -258,11 +258,15 @@ def test_driven_output_does_not_depend_on_blas_threads(tmp_path):
 @pytest.mark.parametrize("d", [0.0, 0.05, 0.13, 0.25, 0.5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_generator_matches_waveguide_oracle(n, d, gamma):
-    """The cached pieces assemble the oracle's Lindblad generator, row-major vec."""
-    config = ArrayConfig.from_period(n, d, gamma_1d=gamma)
+    """The cached pieces assemble the oracle's Lindblad generator, row-major vec.
+
+    gamma_1d is the unit: the oracle's generator at rate gamma is gamma times
+    the one at rate 1, with drive amplitude and detuning divided by gamma.
+    """
+    config = ArrayConfig.from_period(n, d)
     amp, delta = 0.37, -0.29
     l_static, l_drive, detuning_diag = driven_module._liouvillian_pieces(config, True)
-    generator = l_static + amp * l_drive + delta * np.diag(detuning_diag)
+    generator = gamma * (l_static + amp / gamma * l_drive + delta / gamma * np.diag(detuning_diag))
     dim = 2**n
     # row-major index a*dim + b holds rho_ab, column-stacked index a + b*dim
     column_stacked = np.arange(dim * dim).reshape(dim, dim).T.ravel()
@@ -316,7 +320,7 @@ def test_kernel_spans_the_scipy_null_space(n, d, dim):
     """The numpy kernel and scipy's null_space give the same subspace."""
     config = ArrayConfig.from_period(n, d)
     l_static, l_drive, detuning_diag = driven_module._liouvillian_pieces(config, True)
-    generator = l_static + _drive(1.0).amplitude(config.gamma_1d) * l_drive
+    generator = l_static + l_drive
     generator += 0.1 * np.diag(detuning_diag)
     kernel = driven_module._kernel(generator)
     oracle = null_space(generator, rcond=driven_module.KERNEL_RCOND)
@@ -382,17 +386,18 @@ def test_elastic_unitarity_in_linear_limit():
 
 @pytest.mark.parametrize("power", [1e-6, 0.01, 0.3, 5.0])
 def test_single_atom_incoherent_fraction_closed_form(power):
-    """I = 4*P*gamma^4/(delta^2+gamma^2+2*P*gamma^2)^2, weak to saturating drive."""
-    config = ArrayConfig.from_period(1, 0.05, gamma_1d=1.3)
+    """I = 4*P/(delta^2+1+2*P)^2 (units of gamma_1d), weak to saturating drive."""
+    config = ArrayConfig.from_period(1, 0.05)
     grid = np.array([-1.3, 0.0, 0.7])
     spectrum = incoherent_spectrum(config, _drive(power, grid))
-    omega = config.gamma_1d * np.sqrt(power)
+    omega = np.sqrt(power)
     for i, delta in enumerate(grid):
-        expected = two_level_incoherent_fraction(omega, config.gamma_1d, delta)
+        expected = two_level_incoherent_fraction(omega, 1.0, delta)
         assert spectrum.incoherent[i] == pytest.approx(expected, rel=1e-6)
-        # the flux oracle reproduces the closed form on its own
-        oracle = incoherent_fraction(1, config.phase, omega, delta, config.gamma_1d)
-        assert oracle == pytest.approx(expected, rel=1e-5)
+        # the flux oracle reproduces the closed form on its own, also at a rate other than 1
+        oracle = incoherent_fraction(1, config.phase, 1.3 * omega, delta, 1.3)
+        closed_form = two_level_incoherent_fraction(1.3 * omega, 1.3, delta)
+        assert oracle == pytest.approx(closed_form, rel=1e-5)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -403,9 +408,9 @@ def test_incoherent_fraction_matches_flux_oracle(n, power):
     subradiant = sorted(diagonalize(config, 1), key=lambda s: s.gamma)[:2]
     grid = np.sort([-1.0, 0.0, 1.4] + [s.epsilon.real for s in subradiant])
     spectrum = incoherent_spectrum(config, _drive(power, grid))
-    omega = config.gamma_1d * np.sqrt(power)
+    omega = np.sqrt(power)
     for i, delta in enumerate(grid):
-        oracle = incoherent_fraction(n, config.phase, omega, delta, config.gamma_1d)
+        oracle = incoherent_fraction(n, config.phase, omega, delta)
         assert spectrum.incoherent[i] == pytest.approx(oracle, rel=1e-5)
 
 
@@ -616,7 +621,7 @@ def test_expectations_match_trace_of_product(n):
     expected = [np.trace(rho @ op.conj().T @ op).real for op in ops]
     np.testing.assert_allclose(occupations(config, rho), expected, rtol=0, atol=1e-14)
     drive = _drive(0.7)
-    amp = drive.amplitude(config.gamma_1d)
+    amp = np.sqrt(drive.power)
     coherences = np.array([np.trace(rho @ op) for op in ops])
     phases = np.exp(1j * config.phase * np.arange(n))
     r_old = 1j / amp * np.sum(phases * coherences)

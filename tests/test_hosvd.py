@@ -312,16 +312,15 @@ def test_hole_state_hosvd_reads_the_hole_sector():
 
 @pytest.mark.parametrize("n,k,d", [(9, 3, 0.13), (8, 5, 0.05), (7, 2, 0.3), (6, 3, 0.13)])
 def test_hole_state_is_an_eigenvector_of_the_shifted_hole_sector(n, k, d):
-    """Hole amplitudes solve sector N-k at d/lambda0 + 1/2 with k*eps - i*gamma_1d*(N-2k)."""
-    gamma_1d = 0.7
+    """Hole amplitudes solve sector N-k at d/lambda0 + 1/2 with k*eps - i*(N-2k)."""
     shifted = build_hamiltonian(
-        ArrayConfig.from_period(n, d + 0.5, gamma_1d), enumerate_sector(n, n - k)
+        ArrayConfig.from_period(n, d + 0.5), enumerate_sector(n, n - k)
     ).matrix
-    for state in diagonalize(ArrayConfig.from_period(n, d, gamma_1d), k):
+    for state in diagonalize(ArrayConfig.from_period(n, d), k):
         hole_state = hole_transform(state)
         assert hole_state.epsilon == state.epsilon
         assert hole_state.gamma == state.gamma
-        value = k * state.epsilon - 1j * gamma_1d * (n - 2 * k)
+        value = k * state.epsilon - 1j * (n - 2 * k)
         v = hole_state.amplitudes
         assert np.linalg.norm(shifted @ v - value * v) < 1e-12 * max(1.0, abs(value))
 

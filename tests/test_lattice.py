@@ -24,8 +24,6 @@ from oracles import full_space_hamiltonian, project_to_sector
 def test_config_validation():
     with pytest.raises(DomainError):
         ArrayConfig(n_atoms=0, phase=0.1)
-    with pytest.raises(DomainError):
-        ArrayConfig(n_atoms=3, phase=0.1, gamma_1d=0.0)
     for d in (-0.1, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             ArrayConfig.from_period(3, d)
@@ -74,17 +72,16 @@ def test_basis_roundtrip_and_order(n, data):
 
 def test_hamiltonian_two_sites_single_excitation():
     phi = 0.777
-    config = ArrayConfig(n_atoms=2, phase=phi, gamma_1d=1.3)
+    config = ArrayConfig(n_atoms=2, phase=phi)
     h = build_hamiltonian(config, enumerate_sector(2, 1)).matrix
-    g = 1.3
-    expected = -1j * g * np.array([[1.0, np.exp(1j * phi)], [np.exp(1j * phi), 1.0]])
+    expected = -1j * np.array([[1.0, np.exp(1j * phi)], [np.exp(1j * phi), 1.0]])
     np.testing.assert_allclose(h, expected, atol=1e-14)
 
 
 def test_hamiltonian_two_sites_double_excitation_pauli_blocked():
-    config = ArrayConfig(n_atoms=2, phase=0.3, gamma_1d=0.7)
+    config = ArrayConfig(n_atoms=2, phase=0.3)
     h = build_hamiltonian(config, enumerate_sector(2, 2)).matrix
-    np.testing.assert_allclose(h, [[-2j * 0.7]], atol=1e-14)
+    np.testing.assert_allclose(h, [[-2j]], atol=1e-14)
 
 
 def test_hamiltonian_three_sites_double_vs_full_space_oracle():
@@ -127,10 +124,10 @@ def test_complex_symmetry_and_periodicity(n, phi, data):
 
 
 def test_diagonal_counts_excitations():
-    config = ArrayConfig(n_atoms=6, phase=0.9, gamma_1d=2.0)
+    config = ArrayConfig(n_atoms=6, phase=0.9)
     for k in (1, 2, 3):
         h = build_hamiltonian(config, enumerate_sector(6, k)).matrix
-        np.testing.assert_allclose(np.diag(h), -1j * 2.0 * k * np.ones(math.comb(6, k)))
+        np.testing.assert_allclose(np.diag(h), -1j * k * np.ones(math.comb(6, k)))
 
 
 def test_basis_config_mismatch():

@@ -38,7 +38,7 @@ def decay_vs_k_config(tmp_path, out="out", workers=1):
         tmp_path / "cfg.yaml",
         {
             "mode": "decay-vs-k",
-            "array": {"n_atoms": 10, "gamma_1d": 1.0},
+            "array": {"n_atoms": 10},
             "grid": {"d_over_lambda": [0.05], "k": list(range(1, 11))},
             "output": {"directory": str(tmp_path / out)},
             "workers": workers,
@@ -254,6 +254,46 @@ def test_cli_unread_key_or_empty_array_exit_two(tmp_path, mode, payload, locatio
     assert not (tmp_path / "out").exists()
 
 
+# a grid value that repeats an earlier one, and the location it must be reported at
+_REPEATED = {
+    "k": ("correlations", {**_SECTOR, "grid": {"d_over_lambda": [0.05], "k": [2, 2]}}, "grid.k[1]"),
+    "d": (
+        "decay-map", {**_SECTOR, "grid": {"d_over_lambda": [0.05, 0.1, 0.05], "k": [1]}},
+        "grid.d_over_lambda[2]",
+    ),
+    "d-linspace": (
+        "entropy-map",
+        {**_SECTOR, "grid": {"d_over_lambda": {"start": 0.1, "stop": 0.1, "count": 2}, "k": [1]}},
+        "grid.d_over_lambda[1]",
+    ),
+    "n-atoms": (
+        "size-map", {"grid": {"d_over_lambda": [0.05], "k": [1], "n_atoms": [4, 6, 4.0]}},
+        "grid.n_atoms[2]",
+    ),
+    "power": ("driven-map", {**_DRIVEN, "drive": {**_DRIVEN["drive"], "power": [0.1, 0.1]}},
+              "drive.power[1]"),
+}
+
+
+@pytest.mark.parametrize(
+    "mode, payload, location", list(_REPEATED.values()), ids=list(_REPEATED)
+)
+def test_validate_rejects_repeated_grid_values(tmp_path, mode, payload, location):
+    with pytest.raises(ConfigError) as err:
+        validate_config(_unread_or_empty_config(tmp_path, mode, payload))
+    assert err.value.location == location
+    assert "repeats" in str(err.value)
+
+
+def test_cli_repeated_k_exit_two_and_writes_nothing(tmp_path):
+    mode, payload, location = _REPEATED["k"]
+    cfg = _unread_or_empty_config(tmp_path, mode, payload)
+    result = CliRunner().invoke(main, [mode, "--config", cfg])
+    assert result.exit_code == 2
+    assert f"error: {location}" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def driven_config(tmp_path, detuning, mode="driven-map"):
     return write_config(
         tmp_path / "cfg.yaml",
@@ -289,7 +329,6 @@ def test_validate_rejects_malformed_detuning_grid(tmp_path, detuning, location):
 @pytest.mark.parametrize(
     "section, key, location",
     [
-        ("array", "gamma_1d", "array.gamma_1d"),
         ("detuning", "start", "drive.detuning.start"),
         ("detuning", "refine_span", "drive.detuning.refine_span"),
     ],
@@ -306,7 +345,6 @@ def test_validate_rejects_boolean_for_float_key(tmp_path, section, key, location
 # non-finite numbers at every level, and the location each must be reported at
 _NON_FINITE = {
     "power-nan": ("drive", "power", [float("nan")], "drive.power[0]"),
-    "gamma-nan": ("array", "gamma_1d", float("nan"), "array.gamma_1d"),
     "d-nan-inf": ("grid", "d_over_lambda", [float("nan"), float("inf")], "grid.d_over_lambda[0]"),
     "d-inf": ("grid", "d_over_lambda", [0.05, float("-inf")], "grid.d_over_lambda[1]"),
     "k-inf": ("grid", "k", [float("inf")], "grid.k[0]"),
@@ -330,7 +368,7 @@ def test_validate_rejects_non_finite_numbers(tmp_path, section, key, value, loca
 
 
 @pytest.mark.parametrize(
-    "section, key, value, location", list(_NON_FINITE.values())[:3], ids=list(_NON_FINITE)[:3]
+    "section, key, value, location", list(_NON_FINITE.values())[:2], ids=list(_NON_FINITE)[:2]
 )
 def test_cli_non_finite_number_exit_two_without_traceback(tmp_path, section, key, value, location):
     cfg = _non_finite_config(tmp_path, section, key, value)
@@ -344,7 +382,8 @@ def test_cli_non_finite_number_exit_two_without_traceback(tmp_path, section, key
 @pytest.mark.parametrize(
     "section, key",
     [(None, "workrs"), ("array", "gama_1d"), ("grid", "kk"), ("drive", "phase_on_driv"),
-     ("output", "formt"), (None, "seed"), ("drive", "amplitude_scale")],
+     ("output", "formt"), (None, "seed"), ("drive", "amplitude_scale"), ("array", "gamma_1d"),
+     ("output", "format")],
 )
 def test_validate_rejects_unknown_keys(tmp_path, section, key):
     payload = yaml.safe_load(Path(driven_config(tmp_path, [-1.0, 1.0])).read_text())
@@ -631,20 +670,6 @@ def test_sector_scans_assemble_each_sector_once_through_the_public_path(tmp_path
         spectrum_module._min_gamma.cache_clear()
 
 
-def test_json_format_option(tmp_path):
-    path = write_config(
-        tmp_path / "cfg.yaml",
-        {"mode": "decay-vs-k", "array": {"n_atoms": 4},
-         "grid": {"d_over_lambda": [0.05], "k": [1, 2]},
-         "output": {"directory": str(tmp_path / "out"), "format": "json"}},
-    )
-    manifest = run_scan(validate_config(path))
-    assert manifest.success
-    payload = json.loads((tmp_path / "out" / "decay_vs_k.json").read_text())
-    assert payload["columns"] == ["d_over_lambda", "k", "n_atoms", "min_gamma"]
-    assert len(payload["rows"]) == 2
-
-
 def test_cli_success_exit_zero(tmp_path):
     runner = CliRunner()
     cfg = write_config(
@@ -655,6 +680,32 @@ def test_cli_success_exit_zero(tmp_path):
     )
     result = runner.invoke(main, ["decay-vs-k", "--config", cfg])
     assert result.exit_code == 0, result.output
+
+
+def test_cli_rejects_the_removed_format_flag(tmp_path):
+    cfg = decay_vs_k_config(tmp_path)
+    result = CliRunner().invoke(main, ["decay-vs-k", "--config", cfg, "--format", "json"])
+    assert result.exit_code == 2
+    assert "--format" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("via", ["config", "flag"])
+def test_cli_uncreatable_output_directory_exit_two(tmp_path, via):
+    """A regular file in place of the output directory, or of one of its parents."""
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken if via == "config" else tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "cfg.yaml", {"mode": "decay-vs-k", **_SECTOR, "output": {"directory": str(out)}}
+    )
+    flags = ["--out", str(taken / "sub")] if via == "flag" else []
+    result = CliRunner().invoke(main, ["decay-vs-k", "--config", cfg, *flags])
+    assert result.exit_code == 2
+    assert "error: output.directory: " in result.output
+    assert "Traceback" not in result.output
+    assert taken.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "taken"]
 
 
 def test_cli_mode_mismatch_exit_two(tmp_path):
@@ -960,6 +1011,34 @@ def test_benchmark_wrap_targets_exist():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["instrumented"]
+
+
+_DRIVEN_HOOK_PROBE = """
+import json
+
+import child
+
+tracer = child.Tracer()
+child.instrument(tracer)
+config = child.lattice.ArrayConfig.from_period(2, 0.13)
+drive = child.driven.DriveConfig(power=0.1, detuning_grid=[0.0])
+rho = child.driven.steady_state(config, drive, 0.0)
+child.driven.coherent_amplitudes(config, drive, rho, 0.0)
+print(json.dumps(dict(tracer.counts)))
+"""
+
+
+def test_benchmark_driven_hooks_read_the_configs_they_wrap():
+    """No workload reaches the steady-state and coherent-amplitude hooks, so call each once."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _DRIVEN_HOOK_PROBE],
+        env=_perfbench_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    assert counts["driven.points"] == 1
+    assert counts["driven.liouvillian_dim"] == 16
+    assert 0.0 <= counts["driven.incoherent_min"] <= 1.0
 
 
 _REPLAY_PROBE = """

@@ -97,12 +97,12 @@ def test_sorting_ascending_gamma():
 
 
 def test_trace_preservation():
-    config = ArrayConfig.from_period(7, 0.11, gamma_1d=1.7)
+    config = ArrayConfig.from_period(7, 0.11)
     for k in (1, 2, 3, 4):
         ham = build_hamiltonian(config, enumerate_sector(7, k))
         states = diagonalize_sector(ham)
         total = sum(s.epsilon * k for s in states)
-        expected = -1j * 1.7 * k * math.comb(7, k)
+        expected = -1j * k * math.comb(7, k)
         assert abs(total - expected) < 1e-9 * abs(expected)
 
 
@@ -319,14 +319,13 @@ def test_half_filling_states_have_joint_mirror_and_complement_parity(n, k, d):
 @pytest.mark.parametrize("d", [0.05, 0.13, 0.3])
 def test_particle_hole_duality_of_sector_spectra(d):
     """H of sector (N, N-k) is H of (N, k) relabelled by S -> N\\S, with the
-    diagonal -i*gamma_1d*k replaced by -i*gamma_1d*(N-k)."""
-    gamma_1d = 0.7
+    diagonal -i*k replaced by -i*(N-k)."""
     for n in range(1, 11):
-        config = ArrayConfig.from_period(n, d, gamma_1d)
+        config = ArrayConfig.from_period(n, d)
         for k in range(n + 1):
             particle = np.array([s.epsilon * max(k, 1) for s in diagonalize(config, k)])
             hole = np.array([s.epsilon * max(n - k, 1) for s in diagonalize(config, n - k)])
-            shifted = particle - 1j * gamma_1d * (n - 2 * k)
+            shifted = particle - 1j * (n - 2 * k)
             assert _multiset_distance(hole, shifted) < 1e-10
 
 
@@ -351,13 +350,12 @@ def test_min_decay_rate_is_the_diagonalize_minimum_bitwise(n):
             assert min_decay_rate(config, k) == expected
 
 
-@pytest.mark.parametrize("gamma_1d", [1.0, 0.7])
-def test_hop_table_blocks_equal_the_dense_gather_bitwise(gamma_1d):
+def test_hop_table_blocks_equal_the_dense_gather_bitwise():
     """Every sector N <= 10: blocks and lifts from the hop-table entries are
     the blocks gathered from the dense H, byte for byte."""
     for d in (0.0, 0.05, 0.13, 0.25, 0.5):
         for n in range(1, 11):
-            config = ArrayConfig.from_period(n, d, gamma_1d)
+            config = ArrayConfig.from_period(n, d)
             for k in range(n + 1):
                 basis = enumerate_sector(n, k)
                 blocks = spectrum_module._symmetry_blocks(build_hamiltonian(config, basis))
@@ -371,12 +369,10 @@ def test_hop_table_blocks_equal_the_dense_gather_bitwise(gamma_1d):
 
 @pytest.mark.parametrize("d", [0.0, 0.05, 0.13, 0.25, 0.5])
 def test_sector_is_its_complement_sector_shifted(d):
-    """H_k = P H_{N-k} P^T - i*gamma_1d*(2k - N): every hop bitwise, the
-    diagonal within one ulp of the larger diagonal gamma_1d*max(k, N-k)
-    (the two sides round different products)."""
-    gamma_1d = 0.7
+    """H_k = P H_{N-k} P^T - i*(2k - N): every hop bitwise, the
+    diagonal within one ulp of the larger diagonal max(k, N-k)."""
     for n in range(1, 11):
-        config = ArrayConfig.from_period(n, d, gamma_1d)
+        config = ArrayConfig.from_period(n, d)
         for k in range(n + 1):
             basis, dual = enumerate_sector(n, k), enumerate_sector(n, n - k)
             perm = rank_masks(dual, complement_masks(basis))
@@ -384,18 +380,17 @@ def test_sector_is_its_complement_sector_shifted(d):
             moved = build_hamiltonian(config, dual).matrix[np.ix_(perm, perm)]
             off = ~np.eye(basis.dim, dtype=bool)
             assert h[off].tobytes() == moved[off].tobytes()
-            shifted = moved.diagonal() - 1j * gamma_1d * (2 * k - n)
+            shifted = moved.diagonal() - 1j * (2 * k - n)
             assert (h.diagonal().real == shifted.real).all()
-            ulp = np.spacing(gamma_1d * max(k, n - k))
+            ulp = np.spacing(float(max(k, n - k)))
             assert (np.abs(h.diagonal().imag - shifted.imag) <= ulp).all(), (n, k)
 
 
 @pytest.mark.parametrize("d", [0.0, 0.05, 0.13, 0.25, 0.5])
 def test_sectors_above_half_filling_match_a_direct_dense_solve(d):
     """2k > N goes through sector N - k; k = N through the empty sector."""
-    gamma_1d = 0.7
     for n in range(1, 11):
-        config = ArrayConfig.from_period(n, d, gamma_1d)
+        config = ArrayConfig.from_period(n, d)
         for k in range(n // 2 + 1, n + 1):
             h = build_hamiltonian(config, enumerate_sector(n, k)).matrix
             assert min_decay_rate(config, k) == pytest.approx(
@@ -415,10 +410,10 @@ def test_sectors_above_half_filling_match_a_direct_dense_solve(d):
 
 def test_full_sector_needs_no_eigensolve(monkeypatch):
     monkeypatch.setattr(spectrum_module.np.linalg, "eig", None)
-    config = ArrayConfig.from_period(5, 0.13, 0.7)
-    assert min_decay_rate(config, 5) == 0.7
+    config = ArrayConfig.from_period(5, 0.13)
+    assert min_decay_rate(config, 5) == 1.0
     (state,) = diagonalize(config, 5)
-    assert state.gamma == 0.7 and state.epsilon == -0.7j
+    assert state.gamma == 1.0 and state.epsilon == -1j
     assert state.amplitudes.tolist() == [1.0]
 
 
