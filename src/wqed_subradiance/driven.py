@@ -31,6 +31,7 @@ MAX_DRIVEN_ATOMS = 5
 STEADY_TOL = 1e-9
 PSD_TOL = 1e-9
 KERNEL_RCOND = 1e-10
+PROBE_TOL = 1e-10
 PEAK_FLOOR = 1e-9
 INCOHERENT_SLACK = 1e-8
 GRID_MERGE_TOL = 1e-12
@@ -91,7 +92,6 @@ def _commutator_super(h: np.ndarray) -> np.ndarray:
     return -1j * (np.kron(h, eye) - np.kron(eye, h.conj()))
 
 
-@lru_cache(maxsize=8)
 def _liouvillian_pieces(config: ArrayConfig, phase_on_drive: bool):
     """Static and per-unit-drive superoperators, and the per-unit-detuning one.
 
@@ -167,9 +167,15 @@ def _real_generator(liouvillian: np.ndarray, dim: int) -> np.ndarray:
     """
     diag, upper, lower = _hermitian_coordinates(dim)
     half = np.sqrt(0.5)
-    upper_cols, lower_cols = liouvillian[:, upper], liouvillian[:, lower]
+    # np.take gathers columns about twice as fast as fancy indexing, same bytes
+    upper_cols = np.take(liouvillian, upper, axis=1)
+    lower_cols = np.take(liouvillian, lower, axis=1)
     cols = np.concatenate(
-        [liouvillian[:, diag], half * (upper_cols + lower_cols), 1j * half * (upper_cols - lower_cols)],
+        [
+            np.take(liouvillian, diag, axis=1),
+            half * (upper_cols + lower_cols),
+            1j * half * (upper_cols - lower_cols),
+        ],
         axis=1,
     )
     upper_rows, lower_rows = cols[upper], cols[lower]
@@ -197,16 +203,98 @@ def _real_detuning(detuning_diag: np.ndarray, dim: int) -> tuple[np.ndarray, np.
     return np.concatenate([real_rows, imag_rows]), d_support
 
 
+def _vectors(x: np.ndarray) -> np.ndarray:
+    """Q x: row i is the row-major vec of the Hermitian matrix with real coordinates x[:, i]."""
+    dim = math.isqrt(len(x))
+    diag, upper, lower = _hermitian_coordinates(dim)
+    entries = np.sqrt(0.5) * (x[dim : dim + len(upper)] + 1j * x[dim + len(upper) :]).T
+    vec = np.empty((x.shape[1], dim * dim), dtype=complex)
+    vec[:, diag] = x[:dim].T
+    vec[:, upper] = entries
+    vec[:, lower] = entries.conj()
+    return vec
+
+
+def _probe(pieces, generators) -> None:
+    """Check the real generators against the complex pieces they were gathered from.
+
+    For the fixed real y = (sin 1, sin 2, ...), which has no zero entry,
+    Q (G y) must equal L (Q y) for the static and the drive piece, and
+    Q (D y) must equal the detuning diagonal times Q y, to ``PROBE_TOL``;
+    otherwise the change of basis is wrong and ``NumericalError`` is raised.
+    """
+    l_static, l_drive, detuning_diag = pieces
+    g_static, g_drive, support, d_support = generators
+    # not numpy.random: importing it costs a scan ~6 MB of resident memory
+    y = np.sin(np.arange(1.0, len(g_static) + 1.0))[:, None]
+    qy = _vectors(y)[0]
+    images = [
+        (l_static @ qy, g_static @ y),
+        (l_drive @ qy, g_drive @ y),
+        (detuning_diag * qy, d_support @ y[support]),
+    ]
+    error = max(np.abs(image - _vectors(real)[0]).max() for image, real in images)
+    if not error <= PROBE_TOL:
+        raise NumericalError(f"real generator fails the probe: max |L Qy - Q Gy| = {error:.3g}")
+
+
+@lru_cache(maxsize=1)
+def _generators(config: ArrayConfig, phase_on_drive: bool):
+    """The real generators of one array period, shared by every power.
+
+    Returns G_s and G_d, the static and per-unit-drive pieces of
+    ``_liouvillian_pieces`` in real coordinates (``_real_generator``), and
+    the support S of the detuning piece with D[:, S] (``_real_detuning``),
+    all read-only.  The complex pieces are dropped once ``_probe`` has
+    checked the real ones against them.  The cache holds one period: scans
+    evaluate driven cells grouped by period.
+    """
+    pieces = _liouvillian_pieces(config, phase_on_drive)
+    l_static, l_drive, detuning_diag = pieces
+    dim = 2**config.n_atoms
+    generators = (
+        _real_generator(l_static, dim),
+        _real_generator(l_drive, dim),
+        *_real_detuning(detuning_diag, dim),
+    )
+    _probe(pieces, generators)
+    for array in generators:
+        array.setflags(write=False)
+    return generators
+
+
+def _real_eigenbasis(matrix: np.ndarray):
+    """Real eigenvalues, one of each conjugate pair of eigenvalues, and a real eigenbasis V.
+
+    V holds the eigenvectors of the real eigenvalues, then the real parts
+    and then the imaginary parts u, v of one eigenvector u + iv of each pair
+    a + ib (b > 0).  With A = ``matrix``, A u = a u - b v and A v = b u + a v,
+    so A V = V B with B a 2x2 rotation block [[a, b], [-b, a]] per pair.
+    Eigenvalues are paired by exact conjugacy; when they do not all pair (or
+    are not finite) V is no basis, and ``LinAlgError`` is raised.
+    """
+    lam, w = np.linalg.eig(matrix)
+    real, upper = np.flatnonzero(lam.imag == 0), np.flatnonzero(lam.imag > 0)
+    conjugates = lam[lam.imag < 0].conj()
+    if not np.isfinite(lam).all() or not np.array_equal(
+        np.sort_complex(lam[upper]), np.sort_complex(conjugates)
+    ):
+        raise np.linalg.LinAlgError("eigenvalues do not come in conjugate pairs")
+    v = np.hstack([w[:, real].real, w[:, upper].real, w[:, upper].imag])
+    return lam[real].real, lam[upper], v
+
+
 def _pole_solve(m0: np.ndarray, d_support: np.ndarray, support: np.ndarray, grid: np.ndarray):
     """Real columns x(delta) with (M0 + delta*D) x = e0 for every delta of the grid.
 
     D is zero outside the columns ``support`` and given as d_support =
-    D[:, support].  With K = M0^-1 D[:, S] and eig(K[S]) = W Lambda W^-1 the
-    Woodbury identity gives every point as P(delta) e0, where P(delta) b =
-    z - delta*K W diag(1/(1 + delta*Lambda)) W^-1 z[S] and z = M0^-1 b; one
-    refinement step x += P(delta)(e0 - M(delta) x) against the exact pencil
-    follows.  Returns x and the 1-norm condition of W; x is NaN (and the
-    condition None) when M0 cannot be expanded.
+    D[:, support].  With K = M0^-1 D[:, S] and K[S] = V B V^-1, V and B the
+    real eigenbasis and rotation blocks of ``_real_eigenbasis``, the Woodbury
+    identity gives every point as P(delta) e0, where P(delta) b = z -
+    delta*K V (1 + delta*B)^-1 V^-1 z[S] and z = M0^-1 b; one refinement
+    step x += P(delta)(e0 - M(delta) x) against the exact pencil follows.
+    Every step is real.  Returns x and the 1-norm condition of V; x is NaN
+    (and the condition None) when M0 cannot be expanded.
 
     Every dense kernel here is numpy's: its BLAS is a different library from
     scipy's, and under threaded BLAS each switch between the two costs
@@ -215,65 +303,78 @@ def _pole_solve(m0: np.ndarray, d_support: np.ndarray, support: np.ndarray, grid
     size = len(m0)
     e0 = np.zeros((size, 1))
     e0[0] = 1.0
-    # a singular M0 or W is not an error here: the caller sends the NaN
-    # points to the fallback, which reports the degenerate kernel
+    # a singular M0 or V, or unpaired eigenvalues, are not an error here: the
+    # caller sends the NaN points to the fallback, which reports the degenerate kernel
     try:
         solved = np.linalg.solve(m0, np.hstack([e0, d_support]))
-        lam, w = np.linalg.eig(solved[support, 1:])
-        w_inv = np.linalg.inv(w)
+        lam, pairs, v = _real_eigenbasis(solved[support, 1:])
+        v_inv = np.linalg.inv(v)
     except np.linalg.LinAlgError:
         return np.full((size, len(grid)), np.nan), None
-    kw = solved[:, 1:] @ w
+    kv = solved[:, 1:] @ v
     poles = 1.0 + np.outer(lam, grid)
+    # (1 + delta*B)^-1 on a pair's block: [[p, -q], [q, p]] / (p^2 + q^2)
+    p, q = 1.0 + np.outer(pairs.real, grid), np.outer(pairs.imag, grid)
+    norm = p * p + q * q
+    split = [len(lam), len(lam) + len(pairs)]
 
     def expand(z):
-        return z - grid * (kw @ ((w_inv @ z[support]) / poles)).real
+        c_real, c_u, c_v = np.split(v_inv @ z[support], split)
+        y = np.concatenate([c_real / poles, (p * c_u - q * c_v) / norm, (q * c_u + p * c_v) / norm])
+        return z - grid * (kv @ y)
 
     with np.errstate(all="ignore"):
         x = expand(solved[:, :1])
         x += expand(np.linalg.solve(m0, e0 - m0 @ x - grid * (d_support @ x[support])))
-    condition = float(np.abs(w).sum(axis=0).max() * np.abs(w_inv).sum(axis=0).max())
+    condition = float(np.abs(v).sum(axis=0).max() * np.abs(v_inv).sum(axis=0).max())
     return x, condition
 
 
 def _pencil(config: ArrayConfig, drive: DriveConfig):
-    """The complex generator l0 at zero detuning, its detuning diagonal, and the real pencil.
+    """The real pencil of one cell: M0, row 0 of the generator, S and D[:, S].
 
-    The pencil is M0 (``_real_generator`` of l0 with the trace row in place
-    of row 0), the support S of D and D[:, S] (``_real_detuning``).
+    M0 is the generator G_s + sqrt(P)*G_d of ``_generators`` at zero
+    detuning, with the trace row in place of its row 0.
     """
     if config.n_atoms > MAX_DRIVEN_ATOMS:
         raise DomainError(
             f"master-equation solver limited to N <= {MAX_DRIVEN_ATOMS}, got {config.n_atoms}"
         )
-    l_static, l_drive, detuning_diag = _liouvillian_pieces(config, drive.phase_on_drive)
-    dim = 2**config.n_atoms
-    l0 = l_static + np.sqrt(drive.power) * l_drive
-    m0 = _real_generator(l0, dim)
+    g_static, g_drive, support, d_support = _generators(config, drive.phase_on_drive)
+    m0 = np.sqrt(drive.power) * g_drive
+    m0 += g_static
+    row0 = m0[0].copy()
     m0[0] = 0.0
-    m0[0, :dim] = 1.0  # trace row: the diagonal coordinates sum to one
-    return l0, detuning_diag, m0, *_real_detuning(detuning_diag, dim)
+    m0[0, : 2**config.n_atoms] = 1.0  # trace row: the diagonal coordinates sum to one
+    return m0, row0, support, d_support
 
 
-def _states(x: np.ndarray, l0: np.ndarray, detuning_diag: np.ndarray, grid: np.ndarray):
+def _residual(x: np.ndarray, pencil, grid: np.ndarray) -> np.ndarray:
+    """max |entry| of L(delta) vec rho at each point, rho of real coordinates x[:, i] at grid[i].
+
+    L(delta) vec rho = Q G(delta) x, and G(delta) x is M0 x with row 0 of the
+    generator in place of the trace row, plus delta*D x.
+    """
+    m0, row0, support, d_support = pencil
+    with np.errstate(all="ignore"):
+        gx = m0 @ x
+        gx[0] = row0 @ x
+        gx += grid * (d_support @ x[support])
+    return np.abs(_vectors(gx)).max(axis=1)
+
+
+def _states(x: np.ndarray, pencil, grid: np.ndarray):
     """Trace-one density matrices from the real coordinates x[:, i] at each detuning grid[i].
 
     Returns the stack, shape (points, 2^N, 2^N), Hermitian by construction,
-    and per point why it failed, or None: a residual against the complex
-    generator above ``STEADY_TOL``, or an eigenvalue below ``-PSD_TOL``.
+    and per point why it failed, or None: a generator residual (``_residual``)
+    above ``STEADY_TOL``, or an eigenvalue below ``-PSD_TOL``.
     """
     dim = math.isqrt(len(x))
-    diag, upper, lower = _hermitian_coordinates(dim)
-    entries = np.sqrt(0.5) * (x[dim : dim + len(upper)] + 1j * x[dim + len(upper) :]).T
-    vec = np.empty((len(grid), dim * dim), dtype=complex)
-    vec[:, diag] = x[:dim].T
-    vec[:, upper] = entries
-    vec[:, lower] = entries.conj()
     with np.errstate(all="ignore"):
-        vec /= x[:dim].sum(axis=0)[:, None]
-        residual = np.abs(vec @ l0.T + detuning_diag * vec * grid[:, None]).max(axis=1)
-    rho = vec.reshape(len(grid), dim, dim)
-    ok = residual <= STEADY_TOL
+        x = x / x[:dim].sum(axis=0)
+    rho = _vectors(x).reshape(len(grid), dim, dim)
+    ok = _residual(x, pencil, grid) <= STEADY_TOL
     failures = [None if r else "steady-state generator residual exceeds 1e-9" for r in ok]
     for i in np.flatnonzero(ok)[np.linalg.eigvalsh(rho[ok]).min(axis=1) < -PSD_TOL]:
         failures[i] = "steady state is not positive semidefinite"
@@ -290,7 +391,9 @@ def steady_state(config: ArrayConfig, drive: DriveConfig, detuning: float) -> np
     When kappa*KERNEL_RCOND reaches 1, or the solve fails, the state comes
     from the generator's kernel instead, which must be one-dimensional.
     """
-    l0, detuning_diag, m, support, d_support = _pencil(config, drive)
+    pencil = _pencil(config, drive)
+    m0, _, support, d_support = pencil
+    m = m0.copy()
     rows, cols = np.nonzero(d_support)
     m[rows, support[cols]] += detuning * d_support[rows, cols]
     g = np.random.default_rng(0).standard_normal((len(m), 1))
@@ -307,7 +410,7 @@ def steady_state(config: ArrayConfig, drive: DriveConfig, detuning: float) -> np
             raise NumericalError(
                 f"steady state is not unique: generator kernel dimension {x.shape[1]}"
             )
-    rho, failures = _states(x[:, :1], l0, detuning_diag, np.array([detuning], dtype=float))
+    rho, failures = _states(x[:, :1], pencil, np.array([detuning], dtype=float))
     if failures[0]:
         raise NumericalError(failures[0])
     return rho[0]
@@ -326,12 +429,13 @@ def steady_states(config: ArrayConfig, drive: DriveConfig) -> tuple[np.ndarray, 
 
     Returns the stack of density matrices, shape (points, 2^N, 2^N), and the
     solver health: the number of fallback points and the 1-norm condition of
-    the eigenvector matrix W.
+    the real eigenbasis V.
     """
     grid = drive.detuning_grid
-    l0, detuning_diag, m0, support, d_support = _pencil(config, drive)
+    pencil = _pencil(config, drive)
+    m0, _, support, d_support = pencil
     x, condition = _pole_solve(m0, d_support, support, grid)
-    rho, failures = _states(x, l0, detuning_diag, grid)
+    rho, failures = _states(x, pencil, grid)
     failed = [i for i, failure in enumerate(failures) if failure]
     for i in failed:
         rho[i] = steady_state(config, drive, grid[i])

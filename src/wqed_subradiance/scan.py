@@ -467,6 +467,20 @@ def _cells(spec: ScanSpec) -> list[tuple[dict, tuple]]:
     ]
 
 
+def _evaluation_order(spec: ScanSpec, cells) -> list[int]:
+    """The order in which the cells of ``_cells`` are solved.
+
+    Driven cells are grouped by period, in the order the d values first
+    appear and in output order within a period, since a process caches the
+    generators of one period only (``driven._generators``).  Sector cells
+    are solved in output order.
+    """
+    if spec.mode not in _DRIVEN_MODES:
+        return list(range(len(cells)))
+    period = {d: i for i, d in enumerate(spec.d_values)}
+    return sorted(range(len(cells)), key=lambda i: period[cells[i][0]["d_over_lambda"]])
+
+
 def run_scan(spec: ScanSpec) -> RunManifest:
     """Execute a validated scan; write data files and a run manifest.
 
@@ -480,7 +494,9 @@ def run_scan(spec: ScanSpec) -> RunManifest:
         raise ConfigError(f"cannot create directory: {exc}", location="output.directory") from exc
     mode = _MODE_TABLE[spec.mode]
     cells = _cells(spec)
-    results = _map_cells(_run_cell, [(mode.worker, args) for _, args in cells], spec.workers)
+    order = _evaluation_order(spec, cells)
+    done = _map_cells(_run_cell, [(mode.worker, cells[i][1]) for i in order], spec.workers)
+    results = [result for _, result in sorted(zip(order, done))]
     outputs, rows, statuses = [], [], []
     for i, ((params, _), (status, payload, *health)) in enumerate(zip(cells, results)):
         if status == "ok":

@@ -26,6 +26,7 @@ from wqed_subradiance import (
     transfer_matrix_amplitudes,
 )
 from oracles import (
+    complex_residual,
     incoherent_fraction,
     lowering_ops_full,
     steady_density,
@@ -187,24 +188,101 @@ def _hermitian_basis(dim):
     return q
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_real_coordinates_match_dense_change_of_basis(n):
-    """Gathered real generator and detuning piece equal Q^dag L Q and Q^dag D Q, which are real."""
+# (n, phase_on_drive) with ids n for the forward drive and n-phaseless without the drive phases
+_PERIODS = {
+    **{str(n): (n, True) for n in (1, 2, 3, 4)},
+    **{f"{n}-phaseless": (n, False) for n in (1, 2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("n, phase_on_drive", list(_PERIODS.values()), ids=list(_PERIODS))
+def test_real_coordinates_match_dense_change_of_basis(n, phase_on_drive):
+    """Cached real generators, detuning piece and pencil equal Q^dag L Q, which is real."""
     dim = 2**n
     config = ArrayConfig.from_period(n, 0.13)
-    l_static, l_drive, detuning_diag = driven_module._liouvillian_pieces(config, True)
-    l0 = l_static + 0.7 * l_drive
+    l_static, l_drive, detuning_diag = driven_module._liouvillian_pieces(config, phase_on_drive)
+    g_static, g_drive, support, d_support = driven_module._generators(config, phase_on_drive)
     q = _hermitian_basis(dim)
     np.testing.assert_allclose(q.conj().T @ q, np.eye(dim * dim), rtol=0, atol=1e-15)
-    dense = q.conj().T @ l0 @ q
-    assert np.abs(dense.imag).max() < 1e-14
-    np.testing.assert_allclose(driven_module._real_generator(l0, dim), dense.real, rtol=0, atol=1e-14)
-    support, d_support = driven_module._real_detuning(detuning_diag, dim)
+    for real, piece in ((g_static, l_static), (g_drive, l_drive)):
+        dense = q.conj().T @ piece @ q
+        assert np.abs(dense.imag).max() < 1e-14
+        np.testing.assert_allclose(real, dense.real, rtol=0, atol=1e-14)
     d_real = np.zeros((dim * dim, dim * dim))
     d_real[:, support] = d_support
     dense_d = q.conj().T @ np.diag(detuning_diag) @ q
     np.testing.assert_allclose(d_real, dense_d.real, rtol=0, atol=1e-14)
     assert np.abs(dense_d[:, np.setdiff1d(np.arange(dim * dim), support)]).max() < 1e-14
+    # the pencil of one cell: G_s + sqrt(P) G_d with the trace row in place of row 0
+    m0, row0, _, _ = driven_module._pencil(config, _drive(0.49, phase_on_drive=phase_on_drive))
+    dense = (q.conj().T @ (l_static + 0.7 * l_drive) @ q).real
+    np.testing.assert_allclose(m0[1:], dense[1:], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(row0, dense[0], rtol=0, atol=1e-14)
+    assert np.array_equal(m0[0], np.repeat([1.0, 0.0], [dim, dim * dim - dim]))
+
+
+@pytest.mark.parametrize("n, phase_on_drive", list(_PERIODS.values()), ids=list(_PERIODS))
+def test_real_residual_matches_the_complex_formula(n, phase_on_drive):
+    """max |L vec rho| from Q (G x) equals the complex generator's, on generic and on solved x."""
+    config = ArrayConfig.from_period(n, 0.05)
+    drive = _drive(0.3, _POLE_GRID, phase_on_drive=phase_on_drive)
+    l_static, l_drive, detuning_diag = driven_module._liouvillian_pieces(config, phase_on_drive)
+    l0 = l_static + np.sqrt(drive.power) * l_drive
+    pencil = driven_module._pencil(config, drive)
+    generic = np.random.default_rng(n).standard_normal((4**n, len(_POLE_GRID)))
+    solved, _ = driven_module._pole_solve(pencil[0], pencil[3], pencil[2], _POLE_GRID)
+    for x in (generic, solved):
+        normalized = x / x[: 2**n].sum(axis=0)
+        residual = driven_module._residual(normalized, pencil, _POLE_GRID)
+        oracle = complex_residual(x, l0, detuning_diag, _POLE_GRID)
+        np.testing.assert_allclose(residual, oracle, rtol=1e-12, atol=1e-13)
+    assert oracle.max() < driven_module.STEADY_TOL
+    assert complex_residual(generic, l0, detuning_diag, _POLE_GRID).min() > 1e-3
+
+
+def test_probe_rejects_a_perturbed_generator(monkeypatch):
+    """One wrong entry in any cached real piece fails the probe; the period builder runs it."""
+    config = ArrayConfig.from_period(3, 0.05)
+    pieces = driven_module._liouvillian_pieces(config, True)
+    generators = driven_module._generators(config, True)
+    driven_module._probe(pieces, generators)
+    for which, entry in ((0, (5, 17)), (1, (40, 3)), (3, tuple(np.argwhere(generators[3])[7]))):
+        perturbed = list(generators)
+        perturbed[which] = generators[which].copy()
+        perturbed[which][entry] += 1e-6
+        with pytest.raises(NumericalError, match="real generator fails the probe"):
+            driven_module._probe(pieces, perturbed)
+
+    gather = driven_module._real_generator
+
+    def off_by_one_entry(liouvillian, dim):
+        real = gather(liouvillian, dim)
+        real[5, 17] += 1e-6
+        return real
+
+    monkeypatch.setattr(driven_module, "_real_generator", off_by_one_entry)
+    driven_module._generators.cache_clear()
+    with pytest.raises(NumericalError, match="real generator fails the probe"):
+        steady_states(config, _drive(0.3, _POLE_GRID))
+    assert driven_module._generators.cache_info().currsize == 0
+
+
+def test_unpaired_eigenvalues_fall_back_at_every_point(monkeypatch):
+    """Eigenvalues without an exact conjugate give no real basis; each point is re-solved."""
+    eig = np.linalg.eig
+
+    def unpaired_eig(matrix):
+        lam, v = eig(matrix)
+        lam[np.flatnonzero(lam.imag > 0)[0]] += 1e-9
+        return lam, v
+
+    config = ArrayConfig.from_period(3, 0.05)
+    drive = _drive(0.3, _POLE_GRID)
+    monkeypatch.setattr(driven_module.np.linalg, "eig", unpaired_eig)
+    rhos, health = steady_states(config, drive)
+    assert health == {"fallback_points": len(_POLE_GRID), "v_condition": None}
+    for rho, delta in zip(rhos, _POLE_GRID):
+        np.testing.assert_allclose(rho, steady_state(config, drive, delta), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -258,7 +336,7 @@ def test_driven_output_does_not_depend_on_blas_threads(tmp_path):
 @pytest.mark.parametrize("d", [0.0, 0.05, 0.13, 0.25, 0.5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_generator_matches_waveguide_oracle(n, d, gamma):
-    """The cached pieces assemble the oracle's Lindblad generator, row-major vec.
+    """The complex pieces assemble the oracle's Lindblad generator, row-major vec.
 
     gamma_1d is the unit: the oracle's generator at rate gamma is gamma times
     the one at rate 1, with drive amplitude and detuning divided by gamma.
@@ -278,7 +356,7 @@ def test_generator_matches_waveguide_oracle(n, d, gamma):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_detuning_piece_is_the_cached_diagonal(n):
-    """The dense commutator with -N is exactly diagonal and equals the cached vector."""
+    """The dense commutator with -N is exactly diagonal and equals the returned vector."""
     config = ArrayConfig.from_period(n, 0.05)
     ops = lowering_ops_full(n)
     dense = driven_module._commutator_super(-sum(op.conj().T @ op for op in ops))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+import wqed_subradiance.driven as driven_module
 import wqed_subradiance.scan as scan_module
 import wqed_subradiance.spectrum as spectrum_module
 from wqed_subradiance import (
@@ -618,6 +620,103 @@ def test_driven_manifest_reports_solver_health(tmp_path):
         assert 1.0 <= cell["health"]["v_condition"] < 1e8
 
 
+# three periods listed out of order, two powers: cells run grouped by period
+_BY_PERIOD = {
+    "array": {"n_atoms": 2},
+    "grid": {"d_over_lambda": [0.25, 0.05, 0.1]},
+    "drive": {
+        "power": [0.5, 0.05],
+        "detuning": {"start": -6.0, "stop": 2.0, "coarse": 41, "refine_points": 11},
+    },
+}
+
+
+def _driven_run(tmp_path, name, mode="driven-map", workers=1, d_over_lambda=None, power=None):
+    """Run the ``_BY_PERIOD`` scan, or a part of its grid, into ``tmp_path / name``."""
+    grid = {"d_over_lambda": d_over_lambda or _BY_PERIOD["grid"]["d_over_lambda"]}
+    drive = {**_BY_PERIOD["drive"], "power": power or _BY_PERIOD["drive"]["power"]}
+    path = write_config(
+        tmp_path / f"{name}.yaml",
+        {"mode": mode, **_BY_PERIOD, "grid": grid, "drive": drive,
+         "output": {"directory": str(tmp_path / name)}, "workers": workers},
+    )
+    assert run_scan(validate_config(path)).success
+    return tmp_path / name
+
+
+def test_driven_outputs_keep_config_order_when_cells_run_by_period(tmp_path):
+    """Rows, spectrum file numbers and manifest cells follow (power, d), whatever the
+    order in which the cells are solved."""
+    powers, periods = _BY_PERIOD["drive"]["power"], _BY_PERIOD["grid"]["d_over_lambda"]
+    cells = list(itertools.product(powers, periods))
+    csv = [(_driven_run(tmp_path, f"w{w}", workers=w) / "driven_map.csv").read_bytes() for w in (1, 2)]
+    assert csv[0] == csv[1]
+    manifest = json.loads((tmp_path / "w2" / "run_manifest.json").read_text())
+    assert [(c["index"], c["params"]) for c in manifest["cells"]] == [
+        (i, {"power": p, "d_over_lambda": d}) for i, (p, d) in enumerate(cells)
+    ]
+    rows = csv[0].decode().splitlines()[1:]
+    assert len({row.split(",")[2] for row in rows}) == len(cells)  # every cell its own FWHM
+    for (p, d), row in zip(cells, rows, strict=True):
+        single = _driven_run(tmp_path, f"{p}-{d}", power=[p], d_over_lambda=[d])
+        assert (single / "driven_map.csv").read_text().splitlines()[1] == row
+
+    # driven-spectrum takes one d: its files and cells are numbered in power order
+    spectra = _driven_run(tmp_path, "spectra", "driven-spectrum", d_over_lambda=[0.25])
+    manifest = json.loads((spectra / "run_manifest.json").read_text())
+    assert [(c["index"], c["params"]) for c in manifest["cells"]] == [
+        (i, {"power": p, "d_over_lambda": 0.25, "index": i}) for i, p in enumerate(powers)
+    ]
+    names = [f"spectrum_p{i:02d}.csv" for i in range(len(powers))]
+    assert manifest["outputs"] == [str(spectra / name) for name in names]
+    for i, p in enumerate(powers):
+        single = _driven_run(tmp_path, f"p{i}", "driven-spectrum", d_over_lambda=[0.25], power=[p])
+        assert (spectra / names[i]).read_bytes() == (single / "spectrum_p00.csv").read_bytes()
+
+
+def test_driven_map_builds_each_period_once(tmp_path, monkeypatch):
+    """Three periods at two powers: three generator builds, and one period left cached."""
+    builds = []
+    pieces = driven_module._liouvillian_pieces
+    monkeypatch.setattr(
+        driven_module,
+        "_liouvillian_pieces",
+        lambda config, phase_on_drive: builds.append(config) or pieces(config, phase_on_drive),
+    )
+    driven_module._generators.cache_clear()
+    _driven_run(tmp_path, "out")
+    periods = [ArrayConfig.from_period(2, d) for d in _BY_PERIOD["grid"]["d_over_lambda"]]
+    assert builds == periods
+    info = driven_module._generators.cache_info()
+    assert info.misses == 3 and info.currsize <= 1
+
+
+def test_five_atom_driven_map_cell_keeps_its_values(tmp_path, monkeypatch):
+    """One N = 5 cell, a size no benchmark workload runs: its narrowest FWHM and
+    max I as the complex-arithmetic solver gave them."""
+    spectra = []
+    solve = scan_module.incoherent_spectrum
+    monkeypatch.setattr(
+        scan_module,
+        "incoherent_spectrum",
+        lambda config, drive: spectra.append(solve(config, drive)) or spectra[-1],
+    )
+    path = write_config(
+        tmp_path / "cfg.yaml",
+        {"mode": "driven-map", "array": {"n_atoms": 5},
+         "grid": {"d_over_lambda": [0.05]},
+         "drive": {"power": [1.0], "detuning": {"start": -25.0, "stop": 5.0, "coarse": 61}},
+         "output": {"directory": str(tmp_path / "out")}},
+    )
+    assert run_scan(validate_config(path)).success
+    (spectrum,) = spectra
+    assert spectrum.health["fallback_points"] == 0
+    assert spectrum.narrowest_fwhm == pytest.approx(2.5838426432391888, rel=1e-9)
+    assert spectrum.incoherent.max() == pytest.approx(0.781158588784444, rel=1e-9)
+    row = (tmp_path / "out" / "driven_map.csv").read_text().splitlines()[1].split(",")
+    assert row[2] == fmt_float(spectrum.narrowest_fwhm)
+
+
 def test_manifest_contents(tmp_path):
     spec = validate_config(decay_vs_k_config(tmp_path))
     manifest = run_scan(spec)
@@ -917,6 +1016,7 @@ def _env_without_blas_vars(**extra):
 
 
 _BLAS_PROBE = """
+import itertools
 import json
 import os
 import sys
