@@ -14,7 +14,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -28,18 +28,34 @@ from .lattice import ArrayConfig
 from .serialize import fmt_float, write_csv, write_json
 from .spectrum import min_decay_rate, most_subradiant_state
 
-_DRIVEN_MODES = ("driven-map", "driven-spectrum")
-# keyword types of the refined detuning grid, passed on to ``resonance_grid``
-_RESONANCE_GRID_KEYS = {
-    "start": float, "stop": float, "coarse": int, "refine_points": int, "refine_span": float,
-}
-# the keys a config may hold, at the top level and in each section
-_TOP_KEYS = ("mode", "array", "grid", "drive", "output", "workers")
-_SECTION_KEYS = {
-    "array": ("n_atoms",),
-    "grid": ("d_over_lambda", "k", "n_atoms"),
-    "drive": ("power", "detuning", "phase_on_drive"),
-    "output": ("directory",),
+
+class _Key(NamedTuple):
+    """How a config key is checked, whatever the mode."""
+
+    kind: type
+    grid: bool = False  # a list, {start, stop, count} range or single value of distinct numbers
+    low: float | None = None  # lower bound of a number
+    default: Any = None  # None: required by each mode that reads it
+
+
+# every config key by its path; drive.detuning is a grid or the keywords under
+# it, passed on to ``resonance_grid`` (see ``_detuning_grid``)
+_KEYS = {
+    "mode": _Key(str),
+    "workers": _Key(int, low=1, default=1),
+    "array.n_atoms": _Key(int, low=1),
+    "grid.d_over_lambda": _Key(float, grid=True, low=0),
+    "grid.k": _Key(int, grid=True, low=1),
+    "grid.n_atoms": _Key(int, grid=True, low=1),
+    "drive.power": _Key(float, grid=True, low=0),
+    "drive.detuning": _Key(dict),
+    "drive.detuning.start": _Key(float),
+    "drive.detuning.stop": _Key(float),
+    "drive.detuning.coarse": _Key(int, low=1),
+    "drive.detuning.refine_points": _Key(int, low=1),
+    "drive.detuning.refine_span": _Key(float, low=0),
+    "drive.phase_on_drive": _Key(bool, default=True),
+    "output.directory": _Key(str, default="out"),
 }
 
 
@@ -84,27 +100,6 @@ class RunManifest:
 # ---------------------------------------------------------------- validation
 
 
-def _expect(mapping, key, kind, location, default=None, required=False):
-    if key not in mapping or mapping[key] is None:
-        if required:
-            raise ConfigError("missing required key", location=f"{location}.{key}")
-        return default
-    value = mapping[key]
-    # bool is an int subtype: `true` is no number for an int or float key
-    if kind in (int, float) and isinstance(value, bool):
-        raise ConfigError(f"expected {kind.__name__}, got bool", location=f"{location}.{key}")
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(
-            f"expected {kind.__name__}, got {type(value).__name__}",
-            location=f"{location}.{key}",
-        )
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {value}", location=f"{location}.{key}")
-    return value
-
-
 def _reject_unknown(mapping, allowed, location):
     for key in mapping:
         if key not in allowed:
@@ -113,162 +108,147 @@ def _reject_unknown(mapping, allowed, location):
             )
 
 
-def _section(data: dict, name: str) -> dict:
-    """The mapping ``data[name]`` (empty if absent), holding only its known keys."""
-    section = data.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError("expected a mapping", location=name)
-    _reject_unknown(section, _SECTION_KEYS[name], name)
-    return section
+def _names(prefix: str) -> tuple[str, ...]:
+    """The names of the config keys right under ``prefix`` ("" for the top level)."""
+    names = (path[len(prefix):].split(".")[0] for path in _KEYS if path.startswith(prefix))
+    return tuple(dict.fromkeys(names))
 
 
-def _number_list(mapping, key, location, integer=False, required=False, distinct=True):
+def _required(mapping, key, location):
+    if mapping.get(key) is None:
+        raise ConfigError("missing required key", location=f"{location}.{key}")
+    return mapping[key]
+
+
+def _number(value, kind, low, location):
+    """``value`` as a finite number of type ``kind`` (int or float), at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {value!r}", location=location)
+    if kind is int and value != int(value):
+        raise ConfigError(f"expected an integer, got {value}", location=location)
+    if low is not None and value < low:
+        raise ConfigError(f"must be >= {low}", location=location)
+    return kind(value)
+
+
+def _grid(value, kind, low, location, distinct=True) -> list:
     """The numbers of a list, a {start, stop, count} range or a single value.
 
     With ``distinct`` a value that repeats an earlier one is an error: a grid
     cell would be solved and written twice.
     """
-    if key not in mapping or mapping[key] is None:
-        if required:
-            raise ConfigError("missing required grid", location=f"{location}.{key}")
-        return []
-    value = mapping[key]
     if isinstance(value, dict):
-        _reject_unknown(value, ("start", "stop", "count"), f"{location}.{key}")
-        start = _expect(value, "start", float, f"{location}.{key}", required=True)
-        stop = _expect(value, "stop", float, f"{location}.{key}", required=True)
-        count = _expect(value, "count", int, f"{location}.{key}", required=True)
-        if count < 1:
-            raise ConfigError("count must be >= 1", location=f"{location}.{key}.count")
-        values = np.linspace(start, stop, count).tolist()
-    elif isinstance(value, list):
-        values = value
-    else:
-        values = [value]
+        _reject_unknown(value, ("start", "stop", "count"), location)
+        start, stop = (
+            _number(_required(value, key, location), float, None, f"{location}.{key}")
+            for key in ("start", "stop")
+        )
+        count = _number(_required(value, "count", location), int, 1, f"{location}.count")
+        value = np.linspace(start, stop, count).tolist()
     out = []
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ConfigError("expected a finite number", location=f"{location}.{key}[{i}]")
-        if integer and v != int(v):
-            raise ConfigError(f"expected an integer, got {v}", location=f"{location}.{key}[{i}]")
-        number = int(v) if integer else float(v)
+    for i, v in enumerate(value if isinstance(value, list) else [value]):
+        number = _number(v, kind, low, f"{location}[{i}]")
         if distinct and number in out:
-            raise ConfigError(f"repeats the value {number}", location=f"{location}.{key}[{i}]")
+            raise ConfigError(f"repeats the value {number}", location=f"{location}[{i}]")
         out.append(number)
     if not out:
-        raise ConfigError("grid must not be empty", location=f"{location}.{key}")
+        raise ConfigError("grid must not be empty", location=location)
     return out
 
 
-def _detuning_grid(drive: dict) -> list[float] | dict:
+def _detuning_grid(value) -> list[float] | dict:
     """Detuning points of a list or {start, stop, count}, else resonance_grid keywords."""
-    value, location = drive.get("detuning"), "drive.detuning"
-    if not isinstance(value, (dict, list)):
-        raise ConfigError(
-            "missing detuning grid (list or {start, stop, count} or "
-            "{start, stop, coarse, refine_points, refine_span})",
-            location=location,
-        )
-    if isinstance(value, list) or "count" in value:
-        grid = _number_list(drive, "detuning", "drive", distinct=False)
+    location = "drive.detuning"
+    if isinstance(value, list) or isinstance(value, dict) and "count" in value:
+        grid = _grid(value, float, None, location, distinct=False)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("detuning grid must be strictly increasing", location=location)
         return grid
-    _reject_unknown(value, tuple(_RESONANCE_GRID_KEYS), location)
-    keywords = {
-        key: _expect(value, key, kind, location, required=key in ("start", "stop"))
-        for key, kind in _RESONANCE_GRID_KEYS.items()
-    }
-    keywords = {key: v for key, v in keywords.items() if v is not None}
+    if not isinstance(value, dict):
+        raise ConfigError("expected a list or a mapping", location=location)
+    _reject_unknown(value, _names(f"{location}."), location)
+    for key in ("start", "stop"):
+        _required(value, key, location)
+    keywords = {key: _checked(f"{location}.{key}", v) for key, v in value.items() if v is not None}
     if not keywords["stop"] > keywords["start"]:
         raise ConfigError("stop must exceed start", location=f"{location}.stop")
-    for key in ("coarse", "refine_points"):
-        if keywords.get(key, 1) < 1:
-            raise ConfigError(f"{key} must be >= 1", location=f"{location}.{key}")
     return keywords
 
 
+def _checked(path: str, value):
+    """``value`` of the config key at ``path``, checked against its ``_KEYS`` entry."""
+    key = _KEYS[path]
+    if path == "drive.detuning":
+        return _detuning_grid(value)
+    if key.grid:
+        return _grid(value, key.kind, key.low, path)
+    if key.kind in (int, float):
+        return _number(value, key.kind, key.low, path)
+    if not isinstance(value, key.kind):
+        raise ConfigError(
+            f"expected {key.kind.__name__}, got {type(value).__name__}", location=path
+        )
+    return value
+
+
 def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
+    """Check a config against ``_KEYS`` and the ``_MODE_TABLE`` entry of its mode.
+
+    The checks run in a fixed order, so a config with several faults reports
+    the first: unknown keys; each key's own type, repeats and lower bound;
+    keys the mode does not read; missing keys; rules across keys.
+    """
     if not isinstance(data, dict):
         raise ConfigError("top level must be a mapping", location=source)
-    _reject_unknown(data, _TOP_KEYS, source)
-    mode = _expect(data, "mode", str, source, required=True)
-    if mode not in MODES:
-        raise ConfigError(
-            f"unknown mode {mode!r}; allowed modes: {', '.join(MODES)}", location="mode"
-        )
-    array = _section(data, "array")
-    if mode == "size-map" and "n_atoms" in array:
-        raise ConfigError("size-map takes its sizes from grid.n_atoms", location="array.n_atoms")
-    n_atoms = _expect(array, "n_atoms", int, "array", required=(mode != "size-map"))
+    _reject_unknown(data, _names(""), source)
+    config = {}  # each key present, by its path ("grid.k"), in config order
+    for name, value in data.items():
+        if name in _KEYS:
+            config[name] = value
+        elif not isinstance(value, dict):
+            raise ConfigError("expected a mapping", location=name)
+        else:
+            _reject_unknown(value, _names(f"{name}."), name)
+            config.update((f"{name}.{key}", v) for key, v in value.items())
+    values = {path: _checked(path, v) for path, v in config.items() if v is not None}
+    name = values.get("mode")
+    if name not in MODES:
+        raise ConfigError(f"mode must be one of {', '.join(MODES)}; got {name!r}", location="mode")
+    mode = _MODE_TABLE[name]
 
-    grid = _section(data, "grid")
-    if mode != "size-map" and "n_atoms" in grid:
-        raise ConfigError(
-            f"only size-map sweeps N; mode {mode} reads array.n_atoms", location="grid.n_atoms"
-        )
-    d_values = _number_list(grid, "d_over_lambda", "grid", required=True)
-    for i, d in enumerate(d_values):
-        if d < 0:
-            raise ConfigError("d/lambda0 must be >= 0", location=f"grid.d_over_lambda[{i}]")
-    single_d_modes = ("decay-vs-k", "size-map", "hosvd-analyze", "correlations", "driven-spectrum")
-    if mode in single_d_modes and len(d_values) != 1:
-        raise ConfigError(
-            f"mode {mode} needs exactly one d_over_lambda value", location="grid.d_over_lambda"
-        )
+    unread = [path for path in config if path not in _EVERY_MODE_READS + mode.reads]
+    if unread:  # a size key in the wrong section first, then in config order
+        path = min(unread, key=lambda path: not path.endswith(".n_atoms"))
+        raise ConfigError(f"mode {name} reads only {', '.join(mode.reads)} here", location=path)
+    for path in mode.reads:
+        if path not in values and _KEYS[path].default is None:
+            raise ConfigError("missing required key", location=path)
+    values = {path: key.default for path, key in _KEYS.items() if key.default is not None} | values
 
-    k_values = _number_list(grid, "k", "grid", integer=True, required=mode not in _DRIVEN_MODES)
-    if mode in _DRIVEN_MODES and k_values:
-        raise ConfigError(f"mode {mode} sweeps drive.power and reads no k", location="grid.k")
-    if mode == "size-map":
-        n_values = _number_list(grid, "n_atoms", "grid", integer=True, required=True)
-    else:
-        n_values = [n_atoms]
-    if min(n_values) < 1:
-        where = "grid.n_atoms" if mode == "size-map" else "array.n_atoms"
-        raise ConfigError("n_atoms must be >= 1", location=where)
-    for i, k in enumerate(k_values):
-        if k < 1:
-            raise ConfigError("k must be >= 1", location=f"grid.k[{i}]")
-        if n_atoms is not None and k > n_atoms:
-            raise ConfigError(
-                f"k={k} exceeds n_atoms={n_atoms}", location=f"grid.k[{i}]"
-            )
-
-    drive = _section(data, "drive")
-    powers = _number_list(drive, "power", "drive", required=(mode in _DRIVEN_MODES))
-    for i, p in enumerate(powers):
-        if p < 0:
-            raise ConfigError("power must be >= 0", location=f"drive.power[{i}]")
-    phase_on_drive = _expect(drive, "phase_on_drive", bool, "drive", default=True)
-    detuning = None
-    if mode in _DRIVEN_MODES:
-        detuning = _detuning_grid(drive)
-        if n_atoms > MAX_DRIVEN_ATOMS:
-            raise ConfigError(
-                f"driven modes need n_atoms <= {MAX_DRIVEN_ATOMS}", location="array.n_atoms"
-            )
-    elif drive:
+    d_values = values["grid.d_over_lambda"]
+    if mode.single_d and len(d_values) != 1:
         raise ConfigError(
-            f"mode {mode} reads no drive section", location=f"drive.{next(iter(drive))}"
+            f"mode {name} needs exactly one d_over_lambda value", location="grid.d_over_lambda"
         )
-
-    output = _section(data, "output")
-    out_dir = Path(_expect(output, "directory", str, "output", default="out"))
-    workers = _expect(data, "workers", int, source, default=1)
-    if workers < 1:
-        raise ConfigError("workers must be >= 1", location="workers")
+    n_key = "grid.n_atoms" if "grid.n_atoms" in values else "array.n_atoms"
+    n_values = values.get("grid.n_atoms") or [values["array.n_atoms"]]
+    if max(n_values) > mode.max_atoms:
+        raise ConfigError(f"mode {name} needs n_atoms <= {mode.max_atoms}", location=n_key)
+    for i, k in enumerate(values.get("grid.k", [])):
+        # a size-map cell with k > N is skipped instead
+        if k > values.get("array.n_atoms", math.inf):
+            raise ConfigError(f"k={k} exceeds n_atoms={n_values[0]}", location=f"grid.k[{i}]")
 
     return ScanSpec(
-        mode=mode,
+        mode=name,
         d_values=d_values,
         n_values=n_values,
-        k_values=k_values,
-        powers=powers,
-        detuning=detuning,
-        phase_on_drive=phase_on_drive,
-        out_dir=out_dir,
-        workers=workers,
+        k_values=values.get("grid.k", []),
+        powers=values.get("drive.power", []),
+        detuning=values.get("drive.detuning"),
+        phase_on_drive=values["drive.phase_on_drive"],
+        out_dir=Path(values["output.directory"]),
+        workers=values["workers"],
         raw_config=data,
     )
 
@@ -296,43 +276,42 @@ def validate_config(path) -> ScanSpec:
 def _run_cell(task):
     """Run one grid cell; a domain or numerical failure becomes its error status.
 
-    ``task`` is (worker name, worker arguments); the worker is looked up when
-    the cell runs and returns (status, payload) or (status, payload, health).
+    ``task`` is (worker name, cell), the cell being the scan's settings
+    (``n_atoms``, ``detuning``, ``phase_on_drive``) overlaid by its params; the
+    worker is looked up when the cell runs and returns (status, payload) or
+    (status, payload, health).
     """
-    worker, args = task
+    worker, cell = task
     try:
-        return globals()[worker](args)
+        return globals()[worker](cell)
     except (DomainError, NumericalError) as exc:
         return ("error", str(exc))
 
 
-def _cell_min_gamma(args):
-    d, n, k = args
-    if k > n:
+def _array(cell) -> ArrayConfig:
+    return ArrayConfig.from_period(cell["n_atoms"], cell["d_over_lambda"])
+
+
+def _cell_min_gamma(cell):
+    if cell["k"] > cell["n_atoms"]:
         return ("skipped", None)
-    return ("ok", min_decay_rate(ArrayConfig.from_period(n, d), k))
+    return ("ok", min_decay_rate(_array(cell), cell["k"]))
 
 
-def _subradiant_state(args):
-    """The most subradiant state of a sector cell."""
-    d, n, k = args
-    return most_subradiant_state(ArrayConfig.from_period(n, d), k)
+def _subradiant_hosvd(cell) -> HosvdResult:
+    return hosvd(to_symmetric_tensor(most_subradiant_state(_array(cell), cell["k"])))
 
 
-def _subradiant_hosvd(args) -> HosvdResult:
-    return hosvd(to_symmetric_tensor(_subradiant_state(args)))
+def _cell_hosvd(cell):
+    return ("ok", _subradiant_hosvd(cell).to_json_dict())
 
 
-def _cell_hosvd(args):
-    return ("ok", _subradiant_hosvd(args).to_json_dict())
+def _cell_entropy(cell):
+    return ("ok", _subradiant_hosvd(cell).entropy)
 
 
-def _cell_entropy(args):
-    return ("ok", _subradiant_hosvd(args).entropy)
-
-
-def _cell_correlations(args):
-    corr = correlation_matrix(_subradiant_state(args))
+def _cell_correlations(cell):
+    corr = correlation_matrix(most_subradiant_state(_array(cell), cell["k"]))
     n = corr.n_atoms
     scores = None
     if n % 2 == 0:  # each dimer registration that has a pair; at N = 2 only offset 0
@@ -340,26 +319,15 @@ def _cell_correlations(args):
     return ("ok", (list(corr.rows()), scores))
 
 
-def _cell_driven(args):
-    d, n, power, detuning, phase_on_drive, want_spectrum = args
-    config = ArrayConfig.from_period(n, d)
+def _cell_driven(cell):
+    config = _array(cell)
+    detuning = cell["detuning"]
     grid = resonance_grid(config, **detuning) if isinstance(detuning, dict) else detuning
-    drive = DriveConfig(power=power, detuning_grid=grid, phase_on_drive=phase_on_drive)
+    drive = DriveConfig(
+        power=cell["power"], detuning_grid=grid, phase_on_drive=cell["phase_on_drive"]
+    )
     spectrum = incoherent_spectrum(config, drive)
-    if want_spectrum:
-        rows = [
-            (
-                float(delta),
-                spectrum.reflection[i].real,
-                spectrum.reflection[i].imag,
-                spectrum.transmission[i].real,
-                spectrum.transmission[i].imag,
-                float(spectrum.incoherent[i]),
-            )
-            for i, delta in enumerate(spectrum.detunings)
-        ]
-        return ("ok", rows, spectrum.health)
-    return ("ok", spectrum.narrowest_fwhm, spectrum.health)
+    return ("ok", spectrum, spectrum.health)
 
 
 def _map_cells(fn, cells, workers):
@@ -367,21 +335,32 @@ def _map_cells(fn, cells, workers):
         return [fn(cell) for cell in cells]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # Linux forks every worker at the first submit: start no idle ones
+    with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
         return list(pool.map(fn, cells, chunksize=1))
 
 
 # -------------------------------------------------------------------- modes
+# the keys every mode reads, and the three key sets a mode reads besides them
+_EVERY_MODE_READS = ("mode", "output.directory", "workers")
+_SECTOR_KEYS = ("array.n_atoms", "grid.d_over_lambda", "grid.k")
+_SIZE_MAP_KEYS = ("grid.n_atoms", "grid.d_over_lambda", "grid.k")
+_DRIVEN_KEYS = (
+    "array.n_atoms", "grid.d_over_lambda", "drive.power", "drive.detuning", "drive.phase_on_drive"
+)
 
 
 @dataclass(frozen=True)
 class _Mode:
-    """What a scan mode computes per grid cell and how it writes results.
+    """What a scan mode reads, computes per grid cell and writes.
 
-    ``worker`` names a module-level cell function, looked up by
-    :func:`_run_cell` when each cell runs.  A mode either gathers one row per
-    ok cell into a single table (``stem``, ``header``, ``row``) or writes one
-    file per ok cell (``write``, which may add entries to the cell's params).
+    A config may hold only the keys in ``reads`` and ``_EVERY_MODE_READS``.
+    The cells cross the grids named in ``sweep``, outermost first, and
+    ``numbered`` adds each cell's index to its params.  ``worker`` names a
+    module-level cell function, looked up by :func:`_run_cell` when each cell
+    runs.  A mode either gathers one row per ok cell into a single table
+    (``stem``, ``header``, ``row``) or writes one file per ok cell (``write``,
+    which may add entries to the cell's params).
     """
 
     worker: str
@@ -389,6 +368,11 @@ class _Mode:
     header: list[str] | None = None
     row: Callable[[dict, Any], tuple] | None = None
     write: Callable[[ScanSpec, dict, Any], Path] | None = None
+    reads: tuple[str, ...] = _SECTOR_KEYS
+    single_d: bool = False  # exactly one d_over_lambda value
+    max_atoms: float = math.inf  # the cap on N
+    sweep: tuple[str, ...] = ("d_over_lambda", "n_atoms", "k")
+    numbered: bool = False
 
 
 def _write_table(spec: ScanSpec, stem: str, header: list[str], rows) -> Path:
@@ -410,8 +394,19 @@ def _write_correlations(spec: ScanSpec, params: dict, payload) -> Path:
     return _write_table(spec, f"correlations_k{params['k']}", ["m", "n", "re", "im"], rows)
 
 
-def _write_spectrum(spec: ScanSpec, params: dict, rows) -> Path:
+def _write_spectrum(spec: ScanSpec, params: dict, spectrum) -> Path:
     header = ["detuning", "re_r", "im_r", "re_t", "im_t", "incoherent"]
+    rows = [
+        (
+            float(delta),
+            spectrum.reflection[i].real,
+            spectrum.reflection[i].imag,
+            spectrum.transmission[i].real,
+            spectrum.transmission[i].imag,
+            float(spectrum.incoherent[i]),
+        )
+        for i, delta in enumerate(spectrum.detunings)
+    ]
     return _write_table(spec, f"spectrum_p{params['index']:02d}", header, rows)
 
 
@@ -419,66 +414,63 @@ def _decay_row(params: dict, min_gamma: float) -> tuple:
     return (params["d_over_lambda"], params["k"], params["n_atoms"], min_gamma)
 
 
-def _fwhm_row(params: dict, fwhm: float | None) -> tuple:
+def _fwhm_row(params: dict, spectrum) -> tuple:
+    fwhm = spectrum.narrowest_fwhm
     found = fwhm is not None
     return (params["power"], params["d_over_lambda"], fwhm if found else math.nan, found)
 
 
 _DECAY_HEADER = ["d_over_lambda", "k", "n_atoms", "min_gamma"]
+# what both driven modes share: their keys, the solver's N cap and the (power, d) sweep
+_DRIVEN = dict(reads=_DRIVEN_KEYS, max_atoms=MAX_DRIVEN_ATOMS, sweep=("power", "d_over_lambda"))
 _MODE_TABLE = {
     "decay-map": _Mode("_cell_min_gamma", "decay_map", _DECAY_HEADER, _decay_row),
-    "decay-vs-k": _Mode("_cell_min_gamma", "decay_vs_k", _DECAY_HEADER, _decay_row),
-    "size-map": _Mode("_cell_min_gamma", "size_map", _DECAY_HEADER, _decay_row),
-    "hosvd-analyze": _Mode("_cell_hosvd", write=_write_hosvd),
+    "decay-vs-k": _Mode("_cell_min_gamma", "decay_vs_k", _DECAY_HEADER, _decay_row, single_d=True),
+    "size-map": _Mode(
+        "_cell_min_gamma", "size_map", _DECAY_HEADER, _decay_row, reads=_SIZE_MAP_KEYS,
+        single_d=True,
+    ),
+    "hosvd-analyze": _Mode("_cell_hosvd", write=_write_hosvd, single_d=True),
     "entropy-map": _Mode(
         "_cell_entropy",
         "entropy_map",
         ["d_over_lambda", "k", "entropy"],
         lambda params, entropy: (params["d_over_lambda"], params["k"], entropy),
     ),
-    "correlations": _Mode("_cell_correlations", write=_write_correlations),
+    "correlations": _Mode("_cell_correlations", write=_write_correlations, single_d=True),
     "driven-map": _Mode(
-        "_cell_driven", "driven_map", ["power", "d_over_lambda", "narrowest_fwhm", "found"], _fwhm_row
+        "_cell_driven", "driven_map", ["power", "d_over_lambda", "narrowest_fwhm", "found"],
+        _fwhm_row, **_DRIVEN,
     ),
-    "driven-spectrum": _Mode("_cell_driven", write=_write_spectrum),
+    "driven-spectrum": _Mode(
+        "_cell_driven", write=_write_spectrum, single_d=True, numbered=True, **_DRIVEN
+    ),
 }
 MODES = tuple(_MODE_TABLE)
 
 
-def _cells(spec: ScanSpec) -> list[tuple[dict, tuple]]:
-    """(params, worker arguments) of every grid cell, in output order.
-
-    Sector modes sweep (d, N, k); driven modes sweep (power, d), and
-    driven-spectrum numbers its cells, one spectrum file each.
-    """
-    if spec.mode in _DRIVEN_MODES:
-        spectrum = spec.mode == "driven-spectrum"
-        drive = (spec.detuning, spec.phase_on_drive, spectrum)
-        return [
-            (
-                {"power": p, "d_over_lambda": d, **({"index": i} if spectrum else {})},
-                (d, spec.n_values[0], p, *drive),
-            )
-            for i, (p, d) in enumerate(itertools.product(spec.powers, spec.d_values))
-        ]
+def _cells(spec: ScanSpec, mode: _Mode) -> list[dict]:
+    """The params of every grid cell, in output order."""
+    grids = {
+        "power": spec.powers, "d_over_lambda": spec.d_values, "n_atoms": spec.n_values,
+        "k": spec.k_values,
+    }
     return [
-        ({"d_over_lambda": d, "n_atoms": n, "k": k}, (d, n, k))
-        for d, n, k in itertools.product(spec.d_values, spec.n_values, spec.k_values)
+        {**dict(zip(mode.sweep, values)), **({"index": i} if mode.numbered else {})}
+        for i, values in enumerate(itertools.product(*(grids[key] for key in mode.sweep)))
     ]
 
 
-def _evaluation_order(spec: ScanSpec, cells) -> list[int]:
+def _evaluation_order(spec: ScanSpec, cells: list[dict]) -> list[int]:
     """The order in which the cells of ``_cells`` are solved.
 
-    Driven cells are grouped by period, in the order the d values first
-    appear and in output order within a period, since a process caches the
-    generators of one period only (``driven._generators``).  Sector cells
-    are solved in output order.
+    Cells are grouped by period, in the order the d values first appear and
+    in output order within a period, since a process caches the generators
+    of one driven period only (``driven._generators``).  A sector sweep has
+    d outermost, so its cells are solved in output order.
     """
-    if spec.mode not in _DRIVEN_MODES:
-        return list(range(len(cells)))
     period = {d: i for i, d in enumerate(spec.d_values)}
-    return sorted(range(len(cells)), key=lambda i: period[cells[i][0]["d_over_lambda"]])
+    return sorted(range(len(cells)), key=lambda i: period[cells[i]["d_over_lambda"]])
 
 
 def run_scan(spec: ScanSpec) -> RunManifest:
@@ -493,12 +485,17 @@ def run_scan(spec: ScanSpec) -> RunManifest:
     except OSError as exc:
         raise ConfigError(f"cannot create directory: {exc}", location="output.directory") from exc
     mode = _MODE_TABLE[spec.mode]
-    cells = _cells(spec)
+    cells = _cells(spec, mode)
     order = _evaluation_order(spec, cells)
-    done = _map_cells(_run_cell, [(mode.worker, cells[i][1]) for i in order], spec.workers)
+    settings = {
+        "n_atoms": spec.n_values[0], "detuning": spec.detuning,
+        "phase_on_drive": spec.phase_on_drive,
+    }
+    tasks = [(mode.worker, {**settings, **cells[i]}) for i in order]
+    done = _map_cells(_run_cell, tasks, spec.workers)
     results = [result for _, result in sorted(zip(order, done))]
     outputs, rows, statuses = [], [], []
-    for i, ((params, _), (status, payload, *health)) in enumerate(zip(cells, results)):
+    for i, (params, (status, payload, *health)) in enumerate(zip(cells, results)):
         if status == "ok":
             if mode.write:
                 outputs.append(mode.write(spec, params, payload))

@@ -1,5 +1,7 @@
+import concurrent.futures
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -296,6 +298,61 @@ def test_cli_repeated_k_exit_two_and_writes_nothing(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def _two_periods(mode):
+    """A valid config of ``mode`` but for two d values."""
+    base = _DRIVEN if mode.startswith("driven") else _SECTOR
+    grid = {**base["grid"], "d_over_lambda": [0.05, 0.1]}
+    if mode == "size-map":
+        return {"grid": {**grid, "n_atoms": [4]}}
+    return {**base, "grid": grid}
+
+
+# a value below its lower bound, several d values where the mode takes one, or
+# an array beyond the driven solver's cap, and the location each must be reported at
+_OUT_OF_BOUNDS = {
+    **{
+        f"{mode}-two-d": (mode, _two_periods(mode), "grid.d_over_lambda")
+        for mode in ("decay-vs-k", "size-map", "hosvd-analyze", "correlations", "driven-spectrum")
+    },
+    "negative-d": (
+        "decay-map", {**_SECTOR, "grid": {"d_over_lambda": [0.05, -0.1], "k": [1]}},
+        "grid.d_over_lambda[1]",
+    ),
+    "negative-power": (
+        "driven-map", {**_DRIVEN, "drive": {**_DRIVEN["drive"], "power": [-1]}}, "drive.power[0]"
+    ),
+    "zero-k": ("decay-map", {**_SECTOR, "grid": {"d_over_lambda": [0.05], "k": [0]}}, "grid.k[0]"),
+    "driven-map-six-atoms": ("driven-map", {**_DRIVEN, "array": {"n_atoms": 6}}, "array.n_atoms"),
+    "driven-spectrum-six-atoms": (
+        "driven-spectrum", {**_DRIVEN, "array": {"n_atoms": 6}}, "array.n_atoms"
+    ),
+    "size-map-zero-atoms": (
+        "size-map", {"grid": {"d_over_lambda": [0.05], "k": [1], "n_atoms": [4, 0]}},
+        "grid.n_atoms[1]",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "mode, payload, location", list(_OUT_OF_BOUNDS.values()), ids=list(_OUT_OF_BOUNDS)
+)
+def test_validate_rejects_values_out_of_bounds(tmp_path, mode, payload, location):
+    with pytest.raises(ConfigError) as err:
+        validate_config(_unread_or_empty_config(tmp_path, mode, payload))
+    assert err.value.location == location
+
+
+@pytest.mark.parametrize("case", ["negative-power", "size-map-two-d", "driven-map-six-atoms"])
+def test_cli_value_out_of_bounds_exit_two(tmp_path, case):
+    mode, payload, location = _OUT_OF_BOUNDS[case]
+    cfg = _unread_or_empty_config(tmp_path, mode, payload)
+    result = CliRunner().invoke(main, [mode, "--config", cfg])
+    assert result.exit_code == 2
+    assert f"error: {location}" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def driven_config(tmp_path, detuning, mode="driven-map"):
     return write_config(
         tmp_path / "cfg.yaml",
@@ -313,6 +370,9 @@ _BAD_DETUNING = {
     "non-increasing": ([-1, 1, 1], "drive.detuning"),
     "refined-stop-not-above-start": ({"start": 1, "stop": 1}, "drive.detuning.stop"),
     "coarse-below-one": ({"start": -1, "stop": 1, "coarse": -3}, "drive.detuning.coarse"),
+    "negative-refine-span": (
+        {"start": -1, "stop": 1, "refine_span": -8}, "drive.detuning.refine_span"
+    ),
     "infinite-stop": ({"start": -1, "stop": float("inf")}, "drive.detuning.stop"),
     "infinite-count-stop": ({"start": -1, "stop": float("inf"), "count": 5}, "drive.detuning.stop"),
     "nan-point": ([-1, float("nan"), 1], "drive.detuning[1]"),
@@ -416,6 +476,27 @@ def test_readme_config_sketch_validates(tmp_path):
     assert modes == ["entropy-map", "driven-map"]
 
 
+def test_readme_mode_table_matches_the_modes():
+    readme = (_REPO / "README.md").read_text()
+    every = ", ".join(f"`{key}`" for key in scan_module._EVERY_MODE_READS[:-1])
+    assert f"Every mode reads {every} and `{scan_module._EVERY_MODE_READS[-1]}`." in " ".join(
+        readme.split()
+    )
+    header = "| mode | keys read | single d | N cap |\n|---|---|---|---|\n"
+    table = {}
+    for line in readme.split(header, 1)[1].split("\n\n", 1)[0].splitlines():
+        mode, keys, single_d, cap = (cell.strip() for cell in line.strip("|").split("|"))
+        table[mode.strip("`")] = (
+            [key.strip(" `") for key in keys.split(",")],
+            {"yes": True, "no": False}[single_d],
+            math.inf if cap == "none" else int(cap),
+        )
+    assert table == {
+        name: (list(mode.reads), mode.single_d, mode.max_atoms)
+        for name, mode in scan_module._MODE_TABLE.items()
+    }
+
+
 @pytest.mark.parametrize(
     "detuning",
     [
@@ -424,8 +505,12 @@ def test_readme_config_sketch_validates(tmp_path):
         {"start": -1, "stop": 1, "coarse": -3},
         {"start": -1, "stop": 1, "coarsee": 5},
         {"start": -1, "stop": float("inf")},
+        {"start": -1, "stop": 1, "refine_span": -8},
     ],
-    ids=["missing-start", "non-number", "negative-coarse", "misspelled-key", "infinite-stop"],
+    ids=[
+        "missing-start", "non-number", "negative-coarse", "misspelled-key", "infinite-stop",
+        "negative-refine-span",
+    ],
 )
 def test_cli_malformed_detuning_exit_two_without_traceback(tmp_path, detuning):
     result = CliRunner().invoke(main, ["driven-map", "--config", driven_config(tmp_path, detuning)])
@@ -442,6 +527,11 @@ def test_refined_detuning_grid_defaults_to_resonance_grid(tmp_path):
     lines = (tmp_path / "out" / "spectrum_p00.csv").read_text().strip().split("\n")[1:]
     expected = resonance_grid(ArrayConfig.from_period(2, 0.05), -3.0, 1.0)
     assert [line.split(",")[0] for line in lines] == [fmt_float(x) for x in expected]
+
+
+def test_refined_detuning_grid_accepts_zero_span(tmp_path):
+    detuning = {"start": -3, "stop": 1, "refine_span": 0}
+    assert validate_config(driven_config(tmp_path, detuning)).detuning["refine_span"] == 0.0
 
 
 def test_decay_vs_k_scan_matches_figure_cross_section(tmp_path):
@@ -476,6 +566,35 @@ def test_parallel_run_matches_serial(tmp_path):
     assert (tmp_path / "serial" / "decay_vs_k.csv").read_bytes() == (
         tmp_path / "par" / "decay_vs_k.csv"
     ).read_bytes()
+
+
+def test_pool_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    """Four workers asked for, two cells: the pool is sized to two, the manifest says four."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells, chunksize):
+            return map(fn, cells)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    path = write_config(
+        tmp_path / "cfg.yaml",
+        {"mode": "decay-vs-k", "array": {"n_atoms": 4},
+         "grid": {"d_over_lambda": [0.05], "k": [1, 2]},
+         "output": {"directory": str(tmp_path / "out")}, "workers": 4},
+    )
+    assert run_scan(validate_config(path)).success
+    assert sizes == [2]
+    assert json.loads((tmp_path / "out" / "run_manifest.json").read_text())["workers"] == 4
 
 
 def test_size_map_skips_invalid_cells(tmp_path):
