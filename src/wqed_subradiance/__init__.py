@@ -5,8 +5,10 @@ multilinear-SVD entanglement analysis of eigenstates, spin-spin
 correlations, and driven-dissipative scattering spectra, plus a scan CLI.
 """
 
+import importlib
 import os
 import sys
+import types
 
 __version__ = "0.1.0"
 
@@ -15,102 +17,102 @@ __version__ = "0.1.0"
 # oversubscribes the process pool; scans get their parallelism from cells
 # (``workers``). So pin BLAS to one thread unless the user set a thread count
 # or numpy was loaded first (then the setting would come too late to apply).
-# Set before the submodules load numpy; pool workers inherit it.
+# Set at package import, before any compute module loads numpy (on the first
+# use of one of its names, or when ``run_scan`` starts); pool workers inherit it.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if "numpy" not in sys.modules and not any(var in os.environ for var in BLAS_THREAD_VARS):
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
-from .correlations import CorrelationMatrix, correlation_matrix, dimerization_score
-from .driven import (
-    DriveConfig,
-    ScatteringSpectrum,
-    coherent_amplitudes,
-    incoherent_spectrum,
-    narrowest_linewidth,
-    occupations,
-    resonance_grid,
-    steady_state,
-    steady_states,
-    transfer_matrix_amplitudes,
-)
+# the master-equation solver's cap on N (``driven``); here so that config
+# checking knows it without loading numpy
+MAX_DRIVEN_ATOMS = 5
+
 from .errors import ConfigError, DomainError, NumericalError
-from .hosvd import (
-    HosvdResult,
-    SymmetricWavefunction,
-    ansatz_overlap,
-    dimerized_profiles,
-    entanglement_entropy,
-    fermionic_profiles,
-    hole_transform,
-    hosvd,
-    to_symmetric_tensor,
-)
-from .lattice import (
-    ArrayConfig,
-    SectorBasis,
-    SectorHamiltonian,
-    build_hamiltonian,
-    enumerate_sector,
-)
 from .scan import RunManifest, ScanSpec, run_scan, validate_config
-from .spectrum import (
-    EigenState,
-    ScalingFit,
-    SumRuleResult,
-    darkness_bound,
-    diagonalize,
-    diagonalize_sector,
-    fermionic_sum_rule,
-    min_decay_rate,
-    most_subradiant_state,
-    scaling_fit,
-    sector_decay_rates,
+
+# every other public name by its module, which loads (and with it numpy) on
+# the first use of one of its names
+_LAZY = {
+    "correlations": ("CorrelationMatrix", "correlation_matrix", "dimerization_score"),
+    "driven": (
+        "DriveConfig",
+        "ScatteringSpectrum",
+        "coherent_amplitudes",
+        "incoherent_spectrum",
+        "narrowest_linewidth",
+        "occupations",
+        "resonance_grid",
+        "steady_state",
+        "steady_states",
+        "transfer_matrix_amplitudes",
+    ),
+    "hosvd": (
+        "HosvdResult",
+        "SymmetricWavefunction",
+        "ansatz_overlap",
+        "dimerized_profiles",
+        "entanglement_entropy",
+        "fermionic_profiles",
+        "hole_transform",
+        "hosvd",
+        "to_symmetric_tensor",
+    ),
+    "lattice": (
+        "ArrayConfig",
+        "SectorBasis",
+        "SectorHamiltonian",
+        "build_hamiltonian",
+        "enumerate_sector",
+    ),
+    "spectrum": (
+        "EigenState",
+        "ScalingFit",
+        "SumRuleResult",
+        "darkness_bound",
+        "diagonalize",
+        "diagonalize_sector",
+        "fermionic_sum_rule",
+        "min_decay_rate",
+        "most_subradiant_state",
+        "scaling_fit",
+        "sector_decay_rates",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+__all__ = sorted(
+    [
+        "ConfigError",
+        "DomainError",
+        "NumericalError",
+        "RunManifest",
+        "ScanSpec",
+        "run_scan",
+        "validate_config",
+        *_HOME,
+    ]
 )
 
-__all__ = [
-    "ArrayConfig",
-    "ConfigError",
-    "CorrelationMatrix",
-    "DomainError",
-    "DriveConfig",
-    "EigenState",
-    "HosvdResult",
-    "NumericalError",
-    "RunManifest",
-    "ScalingFit",
-    "ScanSpec",
-    "ScatteringSpectrum",
-    "SectorBasis",
-    "SectorHamiltonian",
-    "SumRuleResult",
-    "SymmetricWavefunction",
-    "ansatz_overlap",
-    "build_hamiltonian",
-    "coherent_amplitudes",
-    "correlation_matrix",
-    "darkness_bound",
-    "diagonalize",
-    "diagonalize_sector",
-    "dimerization_score",
-    "dimerized_profiles",
-    "entanglement_entropy",
-    "enumerate_sector",
-    "fermionic_profiles",
-    "fermionic_sum_rule",
-    "hole_transform",
-    "hosvd",
-    "incoherent_spectrum",
-    "min_decay_rate",
-    "most_subradiant_state",
-    "narrowest_linewidth",
-    "occupations",
-    "resonance_grid",
-    "run_scan",
-    "scaling_fit",
-    "sector_decay_rates",
-    "steady_state",
-    "steady_states",
-    "to_symmetric_tensor",
-    "transfer_matrix_amplitudes",
-    "validate_config",
-]
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    """The package, whose name ``hosvd`` stays the function once its module loads."""
+
+    def __setattr__(self, name, value):
+        # the import system binds each submodule it loads on the package
+        if name == "hosvd" and isinstance(value, types.ModuleType):
+            value = value.hosvd
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

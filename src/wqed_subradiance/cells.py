@@ -1,0 +1,72 @@
+"""The grid-cell functions of the scan modes, and the compute layers they call.
+
+``scan`` imports this module when a scan starts, before its process pool
+forks, so the workers inherit numpy and the layers already loaded; config
+checking never imports it.
+"""
+
+from __future__ import annotations
+
+from .correlations import correlation_matrix, dimerization_score
+from .driven import DriveConfig, incoherent_spectrum, resonance_grid
+from .errors import DomainError, NumericalError
+from .hosvd import HosvdResult, hosvd, to_symmetric_tensor
+from .lattice import ArrayConfig
+from .spectrum import min_decay_rate, most_subradiant_state
+
+
+def _run_cell(task):
+    """Run one grid cell; a domain or numerical failure becomes its error status.
+
+    ``task`` is (worker name, cell), the cell being the scan's settings
+    (``n_atoms``, ``detuning``, ``phase_on_drive``) overlaid by its params; the
+    worker is looked up when the cell runs and returns (status, payload) or
+    (status, payload, health).
+    """
+    worker, cell = task
+    try:
+        return globals()[worker](cell)
+    except (DomainError, NumericalError) as exc:
+        return ("error", str(exc))
+
+
+def _array(cell) -> ArrayConfig:
+    return ArrayConfig.from_period(cell["n_atoms"], cell["d_over_lambda"])
+
+
+def _cell_min_gamma(cell):
+    if cell["k"] > cell["n_atoms"]:
+        return ("skipped", None)
+    return ("ok", min_decay_rate(_array(cell), cell["k"]))
+
+
+def _subradiant_hosvd(cell) -> HosvdResult:
+    return hosvd(to_symmetric_tensor(most_subradiant_state(_array(cell), cell["k"])))
+
+
+def _cell_hosvd(cell):
+    return ("ok", _subradiant_hosvd(cell).to_json_dict())
+
+
+def _cell_entropy(cell):
+    return ("ok", _subradiant_hosvd(cell).entropy)
+
+
+def _cell_correlations(cell):
+    corr = correlation_matrix(most_subradiant_state(_array(cell), cell["k"]))
+    n = corr.n_atoms
+    scores = None
+    if n % 2 == 0:  # each dimer registration that has a pair; at N = 2 only offset 0
+        scores = [dimerization_score(corr, offset) for offset in (0, 1) if offset < n - 1]
+    return ("ok", (list(corr.rows()), scores))
+
+
+def _cell_driven(cell):
+    config = _array(cell)
+    detuning = cell["detuning"]
+    grid = resonance_grid(config, **detuning) if isinstance(detuning, dict) else detuning
+    drive = DriveConfig(
+        power=cell["power"], detuning_grid=grid, phase_on_drive=cell["phase_on_drive"]
+    )
+    spectrum = incoherent_spectrum(config, drive)
+    return ("ok", spectrum, spectrum.health)

@@ -4,6 +4,10 @@ A scan is described by a YAML file (key-value sections); every mode expands
 into independent grid cells whose results are assembled in grid order, so
 output files are byte-identical for any worker count.  Data files carry no
 timestamps; run metadata lives in a separate manifest.
+
+This module checks configs and runs scans without numpy: the grid-cell
+functions and the compute layers live in ``cells``, which ``run_scan``
+imports when a scan starts.
 """
 
 from __future__ import annotations
@@ -16,17 +20,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-import numpy as np
 import yaml
 
-from . import BLAS_THREAD_VARS, __version__
-from .correlations import correlation_matrix, dimerization_score
-from .driven import MAX_DRIVEN_ATOMS, DriveConfig, incoherent_spectrum, resonance_grid
-from .errors import ConfigError, DomainError, NumericalError
-from .hosvd import HosvdResult, hosvd, to_symmetric_tensor
-from .lattice import ArrayConfig
+from . import BLAS_THREAD_VARS, MAX_DRIVEN_ATOMS, __version__
+from .errors import ConfigError
 from .serialize import fmt_float, write_csv, write_json
-from .spectrum import min_decay_rate, most_subradiant_state
 
 
 class _Key(NamedTuple):
@@ -144,7 +142,13 @@ def _grid(value, kind, low, location, distinct=True) -> list:
             for key in ("start", "stop")
         )
         count = _number(_required(value, "count", location), int, 1, f"{location}.count")
-        value = np.linspace(start, stop, count).tolist()
+        # the operations of np.linspace, its branch for a step that underflows
+        # to zero included, so the points are bitwise numpy's
+        span, div = stop - start, max(count - 1, 1)
+        step = span / div
+        value = [start + (i / div * span if step == 0 else i * step) for i in range(count)]
+        if count > 1:
+            value[-1] = stop
     out = []
     for i, v in enumerate(value if isinstance(value, list) else [value]):
         number = _number(v, kind, low, f"{location}[{i}]")
@@ -235,9 +239,9 @@ def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
     if max(n_values) > mode.max_atoms:
         raise ConfigError(f"mode {name} needs n_atoms <= {mode.max_atoms}", location=n_key)
     for i, k in enumerate(values.get("grid.k", [])):
-        # a size-map cell with k > N is skipped instead
-        if k > values.get("array.n_atoms", math.inf):
-            raise ConfigError(f"k={k} exceeds n_atoms={n_values[0]}", location=f"grid.k[{i}]")
+        # a size-map cell with k > N is skipped instead, while another N fits k
+        if k > max(n_values):
+            raise ConfigError(f"k={k} exceeds n_atoms={max(n_values)}", location=f"grid.k[{i}]")
 
     return ScanSpec(
         mode=name,
@@ -269,67 +273,6 @@ def validate_config(path) -> ScanSpec:
     return parse_config_dict(data, source=str(path))
 
 
-# ------------------------------------------------------------------ workers
-# module-level functions with picklable arguments so process pools can run them
-
-
-def _run_cell(task):
-    """Run one grid cell; a domain or numerical failure becomes its error status.
-
-    ``task`` is (worker name, cell), the cell being the scan's settings
-    (``n_atoms``, ``detuning``, ``phase_on_drive``) overlaid by its params; the
-    worker is looked up when the cell runs and returns (status, payload) or
-    (status, payload, health).
-    """
-    worker, cell = task
-    try:
-        return globals()[worker](cell)
-    except (DomainError, NumericalError) as exc:
-        return ("error", str(exc))
-
-
-def _array(cell) -> ArrayConfig:
-    return ArrayConfig.from_period(cell["n_atoms"], cell["d_over_lambda"])
-
-
-def _cell_min_gamma(cell):
-    if cell["k"] > cell["n_atoms"]:
-        return ("skipped", None)
-    return ("ok", min_decay_rate(_array(cell), cell["k"]))
-
-
-def _subradiant_hosvd(cell) -> HosvdResult:
-    return hosvd(to_symmetric_tensor(most_subradiant_state(_array(cell), cell["k"])))
-
-
-def _cell_hosvd(cell):
-    return ("ok", _subradiant_hosvd(cell).to_json_dict())
-
-
-def _cell_entropy(cell):
-    return ("ok", _subradiant_hosvd(cell).entropy)
-
-
-def _cell_correlations(cell):
-    corr = correlation_matrix(most_subradiant_state(_array(cell), cell["k"]))
-    n = corr.n_atoms
-    scores = None
-    if n % 2 == 0:  # each dimer registration that has a pair; at N = 2 only offset 0
-        scores = [dimerization_score(corr, offset) for offset in (0, 1) if offset < n - 1]
-    return ("ok", (list(corr.rows()), scores))
-
-
-def _cell_driven(cell):
-    config = _array(cell)
-    detuning = cell["detuning"]
-    grid = resonance_grid(config, **detuning) if isinstance(detuning, dict) else detuning
-    drive = DriveConfig(
-        power=cell["power"], detuning_grid=grid, phase_on_drive=cell["phase_on_drive"]
-    )
-    spectrum = incoherent_spectrum(config, drive)
-    return ("ok", spectrum, spectrum.health)
-
-
 def _map_cells(fn, cells, workers):
     if workers <= 1 or len(cells) <= 1:
         return [fn(cell) for cell in cells]
@@ -357,8 +300,8 @@ class _Mode:
     A config may hold only the keys in ``reads`` and ``_EVERY_MODE_READS``.
     The cells cross the grids named in ``sweep``, outermost first, and
     ``numbered`` adds each cell's index to its params.  ``worker`` names a
-    module-level cell function, looked up by :func:`_run_cell` when each cell
-    runs.  A mode either gathers one row per ok cell into a single table
+    cell function of ``cells``, looked up by ``cells._run_cell`` when each
+    cell runs.  A mode either gathers one row per ok cell into a single table
     (``stem``, ``header``, ``row``) or writes one file per ok cell (``write``,
     which may add entries to the cell's params).
     """
@@ -492,6 +435,9 @@ def run_scan(spec: ScanSpec) -> RunManifest:
         "phase_on_drive": spec.phase_on_drive,
     }
     tasks = [(mode.worker, {**settings, **cells[i]}) for i in order]
+    # loads numpy and the compute layers here, so forked workers inherit them
+    from .cells import _run_cell
+
     done = _map_cells(_run_cell, tasks, spec.workers)
     results = [result for _, result in sorted(zip(order, done))]
     outputs, rows, statuses = [], [], []

@@ -277,7 +277,22 @@ def diagonalize(config: ArrayConfig, k: int) -> list[EigenState]:
 
 
 def most_subradiant_state(config: ArrayConfig, k: int) -> EigenState:
-    return diagonalize(config, k)[0]
+    """The first state of :func:`diagonalize`, bitwise.
+
+    The same eigensolves and checks, but only the pairs at the smallest
+    gamma of each symmetry block are lifted, gauged and sorted; gamma leads
+    the sort key, so the first state is among them.
+    """
+    basis = enumerate_sector(config.n_atoms, k)
+    if 2 * k <= config.n_atoms:
+        blocks = _checked_blocks(build_hamiltonian(config, basis))
+    else:
+        blocks = _complement_blocks(config, basis)
+    lowest = []
+    for eps, gammas, vectors, lifts in blocks:
+        hit = gammas == gammas.min()  # a copy: the block's other vectors are freed
+        lowest.append((eps[hit], gammas[hit], vectors[:, hit], lifts))
+    return _lifted_states(basis, lowest)[0]
 
 
 def sector_decay_rates(config: ArrayConfig, k: int) -> np.ndarray:

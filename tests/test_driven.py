@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -330,6 +331,42 @@ def test_driven_output_does_not_depend_on_blas_threads(tmp_path):
         results[threads] = (np.load(out), int(proc.stdout.split()[-1]))
     np.testing.assert_allclose(results["1"][0], results["2"][0], rtol=0, atol=1e-12)
     assert results["1"][1] == results["2"][1]
+
+
+_RANDOM_PROBE = """
+import json
+import sys
+
+import numpy as np
+from wqed_subradiance import ArrayConfig, DriveConfig, steady_state
+
+
+def failing_solve(*args):
+    raise np.linalg.LinAlgError("singular matrix")
+
+
+config = ArrayConfig.from_period(2, 0.05)
+drive = DriveConfig(power=0.3, detuning_grid=np.array([-0.2]))
+direct = steady_state(config, drive, -0.2)
+np.linalg.solve = failing_solve
+fallback = steady_state(config, drive, -0.2)
+print(json.dumps({
+    "numpy.random": "numpy.random" in sys.modules,
+    "same": bool(np.allclose(direct, fallback, rtol=0, atol=1e-12)),
+}))
+"""
+
+
+def test_steady_state_and_its_fallback_leave_numpy_random_unloaded():
+    """The condition probe of ``steady_state`` is a fixed vector, not a random draw."""
+    src = str(Path(driven_module.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RANDOM_PROBE],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"numpy.random": False, "same": True}
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.8])

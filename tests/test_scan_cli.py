@@ -7,10 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import wqed_subradiance.cells as cells_module
 import wqed_subradiance.driven as driven_module
 import wqed_subradiance.scan as scan_module
 import wqed_subradiance.spectrum as spectrum_module
@@ -78,6 +82,22 @@ def test_validate_k_exceeding_n(tmp_path):
     assert "grid.k[1]" in str(err.value)
 
 
+def test_size_map_k_above_every_n_atoms_exit_two(tmp_path):
+    """A k that no N of the grid fits would only write skipped cells."""
+    cfg = write_config(
+        tmp_path / "cfg.yaml",
+        {"mode": "size-map", "grid": {"d_over_lambda": [0.05], "n_atoms": [2, 3], "k": [1, 5]},
+         "output": {"directory": str(tmp_path / "out")}},
+    )
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert err.value.location == "grid.k[1]"
+    result = CliRunner().invoke(main, ["size-map", "--config", cfg])
+    assert result.exit_code == 2
+    assert "grid.k[1]" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_empty_grid(tmp_path):
     path = write_config(
         tmp_path / "bad.yaml",
@@ -122,6 +142,27 @@ def test_validate_linspace_grid(tmp_path):
     )
     spec = validate_config(path)
     assert spec.d_values == pytest.approx([0.05, 0.15, 0.25])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.floats(allow_nan=False, allow_infinity=False),
+    stop=st.floats(allow_nan=False, allow_infinity=False),
+    count=st.integers(1, 40),
+)
+@example(start=0.0, stop=5e-324, count=4)  # a step that underflows to zero
+@example(start=-0.0, stop=1.0, count=1)
+@example(start=0.05, stop=0.25, count=3)
+def test_range_grid_is_numpys_linspace_bitwise(start, stop, count):
+    value = {"start": start, "stop": stop, "count": count}
+    with np.errstate(all="ignore"):
+        expected = np.linspace(start, stop, count).tolist()
+    if not all(map(math.isfinite, expected)):
+        with pytest.raises(ConfigError):
+            scan_module._grid(value, float, None, "grid", distinct=False)
+        return
+    got = scan_module._grid(value, float, None, "grid", distinct=False)
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
 # non-integral values of the integer grids, and the location each must be reported at
@@ -814,9 +855,9 @@ def test_five_atom_driven_map_cell_keeps_its_values(tmp_path, monkeypatch):
     """One N = 5 cell, a size no benchmark workload runs: its narrowest FWHM and
     max I as the complex-arithmetic solver gave them."""
     spectra = []
-    solve = scan_module.incoherent_spectrum
+    solve = cells_module.incoherent_spectrum
     monkeypatch.setattr(
-        scan_module,
+        cells_module,
         "incoherent_spectrum",
         lambda config, drive: spectra.append(solve(config, drive)) or spectra[-1],
     )
@@ -855,8 +896,9 @@ def test_manifest_contents(tmp_path):
 
 
 def test_sector_scans_assemble_each_sector_once_through_the_public_path(tmp_path, monkeypatch):
-    """Every sector solved reads one ``build_hamiltonian``, and every entropy
-    cell solves it through ``diagonalize_sector`` (2k <= N here)."""
+    """Every sector solved reads one ``build_hamiltonian``, and no cell solves
+    it through ``diagonalize_sector``: decay cells keep only the smallest
+    gamma, and entropy cells lift only the most subradiant pairs."""
     built, solved = [], []
     real_build, real_solve = spectrum_module.build_hamiltonian, spectrum_module.diagonalize_sector
     monkeypatch.setattr(
@@ -872,7 +914,7 @@ def test_sector_scans_assemble_each_sector_once_through_the_public_path(tmp_path
     spectrum_module._min_gamma.cache_clear()
     sectors = [1, 2, 3] * 2  # (d, k) in grid order
     try:
-        for mode, eigensolves in (("decay-map", []), ("entropy-map", sectors)):
+        for mode in ("decay-map", "entropy-map"):
             built.clear()
             solved.clear()
             path = write_config(
@@ -883,7 +925,7 @@ def test_sector_scans_assemble_each_sector_once_through_the_public_path(tmp_path
             )
             assert run_scan(validate_config(path)).success
             assert built == sectors, mode
-            assert solved == eigensolves, mode
+            assert solved == [], mode
     finally:
         spectrum_module._min_gamma.cache_clear()
 
@@ -952,7 +994,7 @@ def test_cli_missing_config_exit_two(tmp_path):
 
 
 def test_cli_numerical_failure_exit_three(tmp_path, monkeypatch):
-    monkeypatch.setattr(scan_module, "_cell_min_gamma", lambda args: ("error", "synthetic failure"))
+    monkeypatch.setattr(cells_module, "_cell_min_gamma", lambda args: ("error", "synthetic failure"))
     runner = CliRunner()
     cfg = write_config(
         tmp_path / "cfg.yaml",
@@ -971,7 +1013,7 @@ def test_cell_failure_raised_by_worker_is_recorded(tmp_path, monkeypatch):
     def fail(args):
         raise NumericalError("synthetic residual 1e-3")
 
-    monkeypatch.setattr(scan_module, "_cell_min_gamma", fail)
+    monkeypatch.setattr(cells_module, "_cell_min_gamma", fail)
     manifest = run_scan(validate_config(decay_vs_k_config(tmp_path)))
     assert not manifest.success
     cells = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["cells"]
@@ -1098,6 +1140,7 @@ import json
 import sys
 
 import wqed_subradiance.cli
+import wqed_subradiance.cells
 
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 from wqed_subradiance import (
@@ -1127,6 +1170,110 @@ def test_cli_import_loads_no_scipy_and_overlaps_still_work():
         assert overlaps == pytest.approx(ansatz_overlap(result, name), rel=0, abs=1e-12)
 
 
+_COLD_START_PROBE = """
+import json
+import sys
+
+import wqed_subradiance
+
+loaded = {"import": "numpy" in sys.modules}
+for path in sys.argv[2:]:
+    wqed_subradiance.validate_config(path)
+loaded["validate"] = "numpy" in sys.modules
+from wqed_subradiance.cli import main
+
+try:
+    main(["decay-map", "--config", sys.argv[1]])
+except SystemExit as exc:
+    loaded["exit"] = exc.code
+loaded["cli_error"] = "numpy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def _run_probe(source, *args):
+    proc = subprocess.run(
+        [sys.executable, "-c", source, *map(str, args)],
+        env=_env_without_blas_vars(), capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_validation_and_cli_config_error_load_no_numpy(tmp_path):
+    """Config checking and the CLI's error path run without numpy."""
+    configs = sorted(Path(scan_module.__file__).parents[2].glob("configs/*.yaml"))
+    assert len(configs) == 5
+    typo = write_config(
+        tmp_path / "typo.yaml",
+        {"mode": "decay-map", "array": {"n_atom": 4}, "grid": {"d_over_lambda": [0.05], "k": [1]}},
+    )
+    probe = _run_probe(_COLD_START_PROBE, typo, *configs)
+    assert probe == {"import": False, "validate": False, "exit": 2, "cli_error": False}
+    assert not (tmp_path / "out").exists()
+
+
+_LAYERS = ["numpy"] + [
+    f"wqed_subradiance.{name}"
+    for name in ("cells", "correlations", "driven", "hosvd", "lattice", "spectrum")
+]
+_POOL_PROBE = """
+import concurrent.futures
+import json
+import sys
+
+from wqed_subradiance import run_scan, validate_config
+
+layers = json.loads(sys.argv[2])
+seen = [[m for m in layers if m in sys.modules]]
+
+
+class RecordingPool:
+    def __init__(self, max_workers):
+        seen.append([m for m in layers if m in sys.modules])
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, cells, chunksize):
+        return map(fn, cells)
+
+
+concurrent.futures.ProcessPoolExecutor = RecordingPool
+assert run_scan(validate_config(sys.argv[1])).success
+print(json.dumps(seen))
+"""
+
+
+def test_compute_layers_load_before_the_pool_starts(tmp_path):
+    """A scan loads numpy and the layers once, in the parent, so forked workers
+    inherit them instead of each importing its own."""
+    path = write_config(
+        tmp_path / "cfg.yaml",
+        {"mode": "decay-vs-k", "array": {"n_atoms": 4},
+         "grid": {"d_over_lambda": [0.05], "k": [1, 2]},
+         "output": {"directory": str(tmp_path / "out")}, "workers": 2},
+    )
+    assert _run_probe(_POOL_PROBE, path, json.dumps(_LAYERS)) == [[], _LAYERS]
+
+
+def test_every_public_name_resolves_and_is_listed():
+    import wqed_subradiance
+    import wqed_subradiance.hosvd as hosvd_name
+
+    for name in wqed_subradiance.__all__:
+        value = getattr(wqed_subradiance, name)
+        home = getattr(value, "__module__", "wqed_subradiance")
+        assert home.startswith("wqed_subradiance"), name
+    assert set(wqed_subradiance.__all__) <= set(dir(wqed_subradiance))
+    # the function keeps the name its module shares, also once the module loaded
+    assert hosvd_name is hosvd is sys.modules["wqed_subradiance.hosvd"].hosvd
+    with pytest.raises(AttributeError):
+        wqed_subradiance.no_such_name
+
+
 def _env_without_blas_vars(**extra):
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     src = str(Path(scan_module.__file__).parents[1])
@@ -1154,6 +1301,7 @@ if sys.argv[1:] == ["numpy-first"]:
 import wqed_subradiance
 
 after = [os.environ.get(var) for var in wqed_subradiance.BLAS_THREAD_VARS]
+wqed_subradiance.ArrayConfig  # the first compute name loads numpy
 print(json.dumps({"at_numpy_import": seen[0], "after": after}))
 """
 
@@ -1168,8 +1316,9 @@ print(json.dumps({"at_numpy_import": seen[0], "after": after}))
     ids=["unset", "user-omp", "numpy-first"],
 )
 def test_package_pins_blas_threads_only_by_default(extra, numpy_first, at_numpy_import, after):
-    """Importing the package pins BLAS to one thread before numpy loads, unless
-    the user set any thread variable or numpy was already loaded."""
+    """Importing the package pins BLAS to one thread before numpy loads (on the
+    first compute name), unless the user set any thread variable or numpy was
+    already loaded."""
     assert BLAS_THREAD_VARS == ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     proc = subprocess.run(
         [sys.executable, "-c", _BLAS_PROBE] + (["numpy-first"] if numpy_first else []),
