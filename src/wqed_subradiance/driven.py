@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +34,7 @@ PROBE_TOL = 1e-10
 PEAK_FLOOR = 1e-9
 INCOHERENT_SLACK = 1e-8
 GRID_MERGE_TOL = 1e-12
+GATHER_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -85,16 +85,32 @@ def _lowering_table(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, upper - bits[:, None]
 
 
-def _commutator_super(h: np.ndarray) -> np.ndarray:
-    """-i(h rho - rho h^dag): the commutator for Hermitian h."""
-    # row-major vec: vec(A rho B) = kron(A, B.T) vec(rho)
-    eye = np.eye(h.shape[0])
-    return -1j * (np.kron(h, eye) - np.kron(eye, h.conj()))
+def _lindblad_super(h: np.ndarray, jumps=()) -> np.ndarray:
+    """-i(h rho - rho h^dag) + sum_C C rho C^dag, built in place in one array.
+
+    Row-major vec: vec(A rho B) = kron(A, B.T) vec(rho), so entry (ab, cd)
+    is A[a, c] B[d, b]; each term is added by strided slices of one 4-index
+    view, and no Kronecker product is formed.
+    """
+    dim = len(h)
+    out = np.zeros((dim,) * 4, dtype=complex)
+    left, right = -1j * h, 1j * h.conj()
+    for k in range(dim):
+        out[:, k, :, k] += left
+        out[k, :, k, :] += right
+    for c in jumps:
+        c_conj = c.conj()[:, None, :]
+        for a in range(dim):
+            out[a] += c[a][None, :, None] * c_conj
+    return out.reshape(dim * dim, dim * dim)
 
 
 def _liouvillian_pieces(config: ArrayConfig, phase_on_drive: bool):
-    """Static and per-unit-drive superoperators, and the per-unit-detuning one.
+    """Yield the static piece, the per-unit-drive piece and the per-unit-detuning one.
 
+    The pieces are yielded one at a time and the generator keeps none of
+    them, so a caller that drops each before asking for the next holds one
+    4^N x 4^N array at a time.
     The static piece is -i(H rho - rho H^dag) + sum_C C rho C^dag.
     H is the effective Hamiltonian, its sector entries scattered into the 2^N
     product basis by site bitmask (site 0 the most significant bit, as in
@@ -102,7 +118,7 @@ def _liouvillian_pieces(config: ArrayConfig, phase_on_drive: bool):
     exp(i*phase*(a-b)) + exp(-i*phase*(a-b)), so the jumps go into
     the two output channels C = sum_j exp(+-i*phase*j) sigma_j.
     The detuning piece, the commutator with -N (N the number operator), is
-    diagonal and is returned as its diagonal, a vector of length 4^N.
+    diagonal and is yielded as its diagonal, a vector of length 4^N.
     """
     n = config.n_atoms
     dim = 2**n
@@ -113,24 +129,21 @@ def _liouvillian_pieces(config: ArrayConfig, phase_on_drive: bool):
         index = site_masks(n - 1 - occupied_sites(basis))
         h = build_hamiltonian(config, basis)
         h_eff[index[h.row], index[h.col]] = h.value
-    l_static = _commutator_super(h_eff)
     phases = np.exp(1j * config.phase * np.arange(n))
     # sum_j w_j sigma_j for the backward and forward channels and the phaseless sum
     ops = np.zeros((3, dim, dim), dtype=complex)
     ops[:, lower, upper] = np.array([phases, phases.conj(), np.ones(n)])[:, :, None]
     backward, forward, phaseless = ops
     # reflection reads the backward channel, transmission the forward one
-    for channel in (backward, forward):
-        l_static += np.kron(channel, channel.conj())
+    yield _lindblad_super(h_eff, (backward, forward))
 
     # the left-incident drive is the forward mode
     drive = forward if phase_on_drive else phaseless
-    l_drive = _commutator_super(-(drive + drive.conj().T))
+    yield _lindblad_super(-(drive + drive.conj().T))
 
     # excitation count of every product state, as the diagonal of -N
     minus_counts = -np.bincount(upper.ravel(), minlength=dim)
-    detuning_diag = (-1j * (minus_counts[:, None] - minus_counts[None, :])).ravel()
-    return l_static, l_drive, detuning_diag
+    yield (-1j * (minus_counts[:, None] - minus_counts[None, :])).ravel()
 
 
 def _kernel(matrix: np.ndarray) -> np.ndarray:
@@ -163,25 +176,37 @@ def _real_generator(liouvillian: np.ndarray, dim: int) -> np.ndarray:
     A Lindblad generator maps Hermitian rho to Hermitian rho (J conj(L) J =
     L, J the swap of entries ab and ba), so Q^dag L Q is real, Q the basis of
     ``_hermitian_coordinates``.  The columns of L Q and then the rows of
-    Q^dag (L Q) are sums and differences of gathered columns and rows.
+    Q^dag (L Q) are sums and differences of gathered columns and rows.  The
+    rows are combined ``GATHER_ROWS`` pairs at a time, so the complex
+    temporaries stay a small fraction of L.
     """
     diag, upper, lower = _hermitian_coordinates(dim)
     half = np.sqrt(0.5)
-    # np.take gathers columns about twice as fast as fancy indexing, same bytes
-    upper_cols = np.take(liouvillian, upper, axis=1)
-    lower_cols = np.take(liouvillian, lower, axis=1)
-    cols = np.concatenate(
-        [
-            np.take(liouvillian, diag, axis=1),
-            half * (upper_cols + lower_cols),
-            1j * half * (upper_cols - lower_cols),
-        ],
-        axis=1,
-    )
-    upper_rows, lower_rows = cols[upper], cols[lower]
-    return np.concatenate(
-        [cols[diag].real, half * (upper_rows + lower_rows).real, half * (upper_rows - lower_rows).imag]
-    )
+
+    def columns(rows):
+        """The rows ``rows`` of L Q."""
+        block = liouvillian[rows]
+        # np.take gathers columns about twice as fast as fancy indexing, same bytes
+        upper_cols = np.take(block, upper, axis=1)
+        lower_cols = np.take(block, lower, axis=1)
+        return np.concatenate(
+            [
+                np.take(block, diag, axis=1),
+                half * (upper_cols + lower_cols),
+                1j * half * (upper_cols - lower_cols),
+            ],
+            axis=1,
+        )
+
+    real = np.empty(liouvillian.shape)
+    real[:dim] = columns(diag).real
+    for start in range(0, len(upper), GATHER_ROWS):
+        pairs = slice(start, start + GATHER_ROWS)
+        upper_rows, lower_rows = columns(upper[pairs]), columns(lower[pairs])
+        re, im = dim + start, dim + len(upper) + start
+        real[re : re + len(upper_rows)] = half * (upper_rows + lower_rows).real
+        real[im : im + len(upper_rows)] = half * (upper_rows - lower_rows).imag
+    return real
 
 
 def _real_detuning(detuning_diag: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -215,52 +240,72 @@ def _vectors(x: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _probe(pieces, generators) -> None:
-    """Check the real generators against the complex pieces they were gathered from.
+def _probe_vector(size: int) -> np.ndarray:
+    """The fixed real vector y = (sin 1, sin 2, ...), which has no zero entry."""
+    # not numpy.random: importing it costs a scan ~6 MB of resident memory
+    return np.sin(np.arange(1.0, size + 1.0))
 
-    For the fixed real y = (sin 1, sin 2, ...), which has no zero entry,
-    Q (G y) must equal L (Q y) for the static and the drive piece, and
-    Q (D y) must equal the detuning diagonal times Q y, to ``PROBE_TOL``;
+
+def _probe(image: np.ndarray, real_image: np.ndarray) -> None:
+    """Check a real piece G against the complex piece L it was gathered from.
+
+    ``image`` is L (Q y) and ``real_image`` is G y, y from
+    ``_probe_vector``; Q (G y) must equal L (Q y) to ``PROBE_TOL``,
     otherwise the change of basis is wrong and ``NumericalError`` is raised.
     """
-    l_static, l_drive, detuning_diag = pieces
-    g_static, g_drive, support, d_support = generators
-    # not numpy.random: importing it costs a scan ~6 MB of resident memory
-    y = np.sin(np.arange(1.0, len(g_static) + 1.0))[:, None]
-    qy = _vectors(y)[0]
-    images = [
-        (l_static @ qy, g_static @ y),
-        (l_drive @ qy, g_drive @ y),
-        (detuning_diag * qy, d_support @ y[support]),
-    ]
-    error = max(np.abs(image - _vectors(real)[0]).max() for image, real in images)
+    error = np.abs(image - _vectors(real_image[:, None])[0]).max()
     if not error <= PROBE_TOL:
         raise NumericalError(f"real generator fails the probe: max |L Qy - Q Gy| = {error:.3g}")
 
 
-@lru_cache(maxsize=1)
+def _real_piece(piece: np.ndarray, y: np.ndarray, qy: np.ndarray) -> np.ndarray:
+    """``_real_generator`` of one complex piece, checked against it by ``_probe``."""
+    real = _real_generator(piece, math.isqrt(len(piece)))
+    _probe(piece @ qy, real @ y)
+    return real
+
+
 def _generators(config: ArrayConfig, phase_on_drive: bool):
     """The real generators of one array period, shared by every power.
 
     Returns G_s and G_d, the static and per-unit-drive pieces of
     ``_liouvillian_pieces`` in real coordinates (``_real_generator``), and
     the support S of the detuning piece with D[:, S] (``_real_detuning``),
-    all read-only.  The complex pieces are dropped once ``_probe`` has
-    checked the real ones against them.  The cache holds one period: scans
-    evaluate driven cells grouped by period.
+    all read-only.  The pieces are built one at a time: each complex piece
+    is gathered to real coordinates, probed against its gather
+    (``_probe``) and dropped before the next is built.
     """
-    pieces = _liouvillian_pieces(config, phase_on_drive)
-    l_static, l_drive, detuning_diag = pieces
     dim = 2**config.n_atoms
-    generators = (
-        _real_generator(l_static, dim),
-        _real_generator(l_drive, dim),
-        *_real_detuning(detuning_diag, dim),
-    )
-    _probe(pieces, generators)
+    y = _probe_vector(dim * dim)
+    qy = _vectors(y[:, None])[0]
+    pieces = _liouvillian_pieces(config, phase_on_drive)
+    g_static = _real_piece(next(pieces), y, qy)
+    g_drive = _real_piece(next(pieces), y, qy)
+    detuning_diag = next(pieces)
+    support, d_support = _real_detuning(detuning_diag, dim)
+    _probe(detuning_diag * qy, d_support @ y[support])
+    generators = (g_static, g_drive, support, d_support)
     for array in generators:
         array.setflags(write=False)
     return generators
+
+
+# the one cached period: {(config, phase_on_drive): its ``_generators``}
+_PERIOD: dict = {}
+
+
+def _period_generators(config: ArrayConfig, phase_on_drive: bool):
+    """``_generators`` of one period, cached for one period per process.
+
+    Scans evaluate driven cells grouped by period.  The cached period is
+    released before the next one is built, so two periods' generators are
+    never alive at once, and a build that fails leaves the cache empty.
+    """
+    key = (config, phase_on_drive)
+    if key not in _PERIOD:
+        _PERIOD.clear()
+        _PERIOD[key] = _generators(config, phase_on_drive)
+    return _PERIOD[key]
 
 
 def _real_eigenbasis(matrix: np.ndarray):
@@ -293,8 +338,11 @@ def _pole_solve(m0: np.ndarray, d_support: np.ndarray, support: np.ndarray, grid
     identity gives every point as P(delta) e0, where P(delta) b = z -
     delta*K V (1 + delta*B)^-1 V^-1 z[S] and z = M0^-1 b; one refinement
     step x += P(delta)(e0 - M(delta) x) against the exact pencil follows.
-    Every step is real.  Returns x and the 1-norm condition of V; x is NaN
-    (and the condition None) when M0 cannot be expanded.
+    M0 is factored once, as one inverse: each column of D[:, S] has one
+    nonzero, so K is M0^-1 with its columns gathered and scaled, and the
+    refinement's M0^-1 is a matrix product.  Every step is real.  Returns
+    x and the 1-norm condition of V; x is NaN (and the condition None) when
+    M0 cannot be expanded.
 
     Every dense kernel here is numpy's: its BLAS is a different library from
     scipy's, and under threaded BLAS each switch between the two costs
@@ -303,15 +351,19 @@ def _pole_solve(m0: np.ndarray, d_support: np.ndarray, support: np.ndarray, grid
     size = len(m0)
     e0 = np.zeros((size, 1))
     e0[0] = 1.0
+    # column j of D[:, S] has its one nonzero, scale[j], in row rows[j]
+    rows = np.argmax(d_support != 0, axis=0)
+    scale = d_support[rows, np.arange(len(rows))]
     # a singular M0 or V, or unpaired eigenvalues, are not an error here: the
     # caller sends the NaN points to the fallback, which reports the degenerate kernel
     try:
-        solved = np.linalg.solve(m0, np.hstack([e0, d_support]))
-        lam, pairs, v = _real_eigenbasis(solved[support, 1:])
+        m0_inv = np.linalg.inv(m0)
+        lam, pairs, v = _real_eigenbasis(m0_inv[np.ix_(support, rows)] * scale)
         v_inv = np.linalg.inv(v)
     except np.linalg.LinAlgError:
         return np.full((size, len(grid)), np.nan), None
-    kv = solved[:, 1:] @ v
+    # K lives only inside this product: held beside M0^-1 it adds ~6 MB to an N = 5 cell's peak
+    kv = (m0_inv[:, rows] * scale) @ v
     poles = 1.0 + np.outer(lam, grid)
     # (1 + delta*B)^-1 on a pair's block: [[p, -q], [q, p]] / (p^2 + q^2)
     p, q = 1.0 + np.outer(pairs.real, grid), np.outer(pairs.imag, grid)
@@ -324,8 +376,8 @@ def _pole_solve(m0: np.ndarray, d_support: np.ndarray, support: np.ndarray, grid
         return z - grid * (kv @ y)
 
     with np.errstate(all="ignore"):
-        x = expand(solved[:, :1])
-        x += expand(np.linalg.solve(m0, e0 - m0 @ x - grid * (d_support @ x[support])))
+        x = expand(m0_inv[:, :1])
+        x += expand(m0_inv @ (e0 - m0 @ x - grid * (d_support @ x[support])))
     condition = float(np.abs(v).sum(axis=0).max() * np.abs(v_inv).sum(axis=0).max())
     return x, condition
 
@@ -340,7 +392,7 @@ def _pencil(config: ArrayConfig, drive: DriveConfig):
         raise DomainError(
             f"master-equation solver limited to N <= {MAX_DRIVEN_ATOMS}, got {config.n_atoms}"
         )
-    g_static, g_drive, support, d_support = _generators(config, drive.phase_on_drive)
+    g_static, g_drive, support, d_support = _period_generators(config, drive.phase_on_drive)
     m0 = np.sqrt(drive.power) * g_drive
     m0 += g_static
     row0 = m0[0].copy()
@@ -386,8 +438,9 @@ def steady_state(config: ArrayConfig, drive: DriveConfig, detuning: float) -> np
 
     One real direct solve of M(delta) x = e0, M(delta) the pencil of
     ``_pencil``, with the checks of ``_states``.  The fixed right-hand side
-    g = (sin 1, sin 2, ...) of ``_probe`` rides along in the same solve, and
-    kappa = ||M||_1 ||M^-1 g||_1 / ||g||_1 estimates the condition of M.
+    g = (sin 1, sin 2, ...) of ``_probe_vector`` rides along in the same
+    solve, and kappa = ||M||_1 ||M^-1 g||_1 / ||g||_1 estimates the
+    condition of M.
     When kappa*KERNEL_RCOND reaches 1, or the solve fails, the state comes
     from the generator's kernel instead, which must be one-dimensional.
     """
@@ -396,7 +449,7 @@ def steady_state(config: ArrayConfig, drive: DriveConfig, detuning: float) -> np
     m = m0.copy()
     rows, cols = np.nonzero(d_support)
     m[rows, support[cols]] += detuning * d_support[rows, cols]
-    g = np.sin(np.arange(1.0, len(m) + 1.0))[:, None]
+    g = _probe_vector(len(m))[:, None]
     try:
         x = np.linalg.solve(m, np.hstack([np.eye(len(m), 1), g]))
     except np.linalg.LinAlgError:
@@ -423,9 +476,11 @@ def steady_states(config: ArrayConfig, drive: DriveConfig) -> tuple[np.ndarray, 
     ``_hermitian_coordinates``, where the generator and the detuning piece
     are real.  With the trace row in place of row 0 the linear system is the
     pencil M(delta) = M0 + delta*D, and D is zero off its support S (see
-    ``_real_detuning``), so one factorization of M0 and one eigensolve of
-    size |S| serve every point (see ``_pole_solve``).  A point that fails
-    the checks of ``_states`` is re-solved by ``steady_state``.
+    ``_real_detuning``), so one inverse of M0, its only factorization, and
+    one eigensolve of size |S| serve every point (see ``_pole_solve``).  The
+    generators come from the one-period cache of ``_period_generators``.  A
+    point that fails the checks of ``_states`` is re-solved by
+    ``steady_state``, which factors its own M(delta).
 
     Returns the stack of density matrices, shape (points, 2^N, 2^N), and the
     solver health: the number of fallback points and the 1-norm condition of
@@ -587,7 +642,9 @@ def resonance_grid(
     for state in diagonalize(config, 1):
         width = max(refine_span * state.gamma, 1e-3)
         pieces.append(np.linspace(state.epsilon.real - width, state.epsilon.real + width, refine_points))
-    grid = np.unique(np.concatenate(pieces))
-    grid = grid[(grid >= start) & (grid <= stop)]
+    # sorted, first of each run of equal values: np.unique's result, without
+    # the numpy.ma import np.unique makes on its first call
+    grid = np.sort(np.concatenate(pieces))
+    grid = grid[np.insert(grid[1:] != grid[:-1], 0, True) & (grid >= start) & (grid <= stop)]
     # modes sharing Re(eps) to roundoff would leave detunings ~1e-16 apart
     return grid[np.insert(np.diff(grid) > GRID_MERGE_TOL * (stop - start), 0, True)]

@@ -409,8 +409,8 @@ def _evaluation_order(spec: ScanSpec, cells: list[dict]) -> list[int]:
 
     Cells are grouped by period, in the order the d values first appear and
     in output order within a period, since a process caches the generators
-    of one driven period only (``driven._generators``).  A sector sweep has
-    d outermost, so its cells are solved in output order.
+    of one driven period only (``driven._period_generators``).  A sector
+    sweep has d outermost, so its cells are solved in output order.
     """
     period = {d: i for i, d in enumerate(spec.d_values)}
     return sorted(range(len(cells)), key=lambda i: period[cells[i]["d_over_lambda"]])

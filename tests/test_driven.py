@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -202,7 +204,8 @@ def test_real_coordinates_match_dense_change_of_basis(n, phase_on_drive):
     dim = 2**n
     config = ArrayConfig.from_period(n, 0.13)
     l_static, l_drive, detuning_diag = driven_module._liouvillian_pieces(config, phase_on_drive)
-    g_static, g_drive, support, d_support = driven_module._generators(config, phase_on_drive)
+    cached = driven_module._period_generators(config, phase_on_drive)
+    g_static, g_drive, support, d_support = cached
     q = _hermitian_basis(dim)
     np.testing.assert_allclose(q.conj().T @ q, np.eye(dim * dim), rtol=0, atol=1e-15)
     for real, piece in ((g_static, l_static), (g_drive, l_drive)):
@@ -242,30 +245,89 @@ def test_real_residual_matches_the_complex_formula(n, phase_on_drive):
 
 
 def test_probe_rejects_a_perturbed_generator(monkeypatch):
-    """One wrong entry in any cached real piece fails the probe; the period builder runs it."""
+    """One wrong entry in any real piece fails the probe; the period builder
+    runs it on each piece, and a failed build caches nothing."""
     config = ArrayConfig.from_period(3, 0.05)
-    pieces = driven_module._liouvillian_pieces(config, True)
-    generators = driven_module._generators(config, True)
-    driven_module._probe(pieces, generators)
-    for which, entry in ((0, (5, 17)), (1, (40, 3)), (3, tuple(np.argwhere(generators[3])[7]))):
-        perturbed = list(generators)
-        perturbed[which] = generators[which].copy()
-        perturbed[which][entry] += 1e-6
+    l_static, l_drive, detuning_diag = driven_module._liouvillian_pieces(config, True)
+    g_static, g_drive, support, d_support = driven_module._generators(config, True)
+    y = driven_module._probe_vector(len(g_static))
+    qy = driven_module._vectors(y[:, None])[0]
+    checks = [
+        (lambda real: driven_module._probe(l_static @ qy, real @ y), g_static, (5, 17)),
+        (lambda real: driven_module._probe(l_drive @ qy, real @ y), g_drive, (40, 3)),
+        (
+            lambda real: driven_module._probe(detuning_diag * qy, real @ y[support]),
+            d_support,
+            tuple(np.argwhere(d_support)[7]),
+        ),
+    ]
+    for probe, real, entry in checks:
+        probe(real)
+        perturbed = real.copy()
+        perturbed[entry] += 1e-6
         with pytest.raises(NumericalError, match="real generator fails the probe"):
-            driven_module._probe(pieces, perturbed)
+            probe(perturbed)
 
-    gather = driven_module._real_generator
+    gather, detuning = driven_module._real_generator, driven_module._real_detuning
 
-    def off_by_one_entry(liouvillian, dim):
-        real = gather(liouvillian, dim)
-        real[5, 17] += 1e-6
-        return real
+    def nth_gather_off(n):
+        calls = []
 
-    monkeypatch.setattr(driven_module, "_real_generator", off_by_one_entry)
-    driven_module._generators.cache_clear()
-    with pytest.raises(NumericalError, match="real generator fails the probe"):
+        def off_by_one_entry(liouvillian, dim):
+            real = gather(liouvillian, dim)
+            calls.append(dim)
+            if len(calls) == n:
+                real[5, 17] += 1e-6
+            return real
+
+        return off_by_one_entry
+
+    def detuning_off(detuning_diag, dim):
+        support, d_support = detuning(detuning_diag, dim)
+        d_support[tuple(np.argwhere(d_support)[7])] += 1e-6
+        return support, d_support
+
+    patches = [("_real_generator", nth_gather_off(1)), ("_real_generator", nth_gather_off(2))]
+    for name, patched in patches + [("_real_detuning", detuning_off)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(driven_module, name, patched)
+            driven_module._PERIOD.clear()
+            with pytest.raises(NumericalError, match="real generator fails the probe"):
+                steady_states(config, _drive(0.3, _POLE_GRID))
+            assert driven_module._PERIOD == {}
         steady_states(config, _drive(0.3, _POLE_GRID))
-    assert driven_module._generators.cache_info().currsize == 0
+        assert list(driven_module._PERIOD) == [(config, True)]
+
+
+def test_period_build_peak_stays_under_twice_what_it_keeps():
+    """The pieces are built, gathered and probed one at a time, so the traced
+    peak of a build (numpy reports its buffers to tracemalloc) stays under
+    twice the bytes it keeps: 1.8 times at N = 4, where holding all three
+    complex pieces at once peaked at 4.7 times."""
+    config = ArrayConfig.from_period(4, 0.05)
+    driven_module._generators(config, True)  # first-call caches of the lattice layer
+    tracemalloc.start()
+    try:
+        kept = driven_module._generators(config, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * sum(array.nbytes for array in kept)
+
+
+def test_cached_period_is_released_before_the_next_build(monkeypatch):
+    """The one-period cache drops the old period's arrays before it builds the next."""
+    old = weakref.ref(driven_module._period_generators(ArrayConfig.from_period(3, 0.05), True)[0])
+    alive_at_build = []
+    build = driven_module._generators
+    monkeypatch.setattr(
+        driven_module,
+        "_generators",
+        lambda config, phase_on_drive: alive_at_build.append(old() is not None)
+        or build(config, phase_on_drive),
+    )
+    driven_module._period_generators(ArrayConfig.from_period(3, 0.1), True)
+    assert alive_at_build == [False]
 
 
 def test_unpaired_eigenvalues_fall_back_at_every_point(monkeypatch):
@@ -396,8 +458,8 @@ def test_detuning_piece_is_the_cached_diagonal(n):
     """The dense commutator with -N is exactly diagonal and equals the returned vector."""
     config = ArrayConfig.from_period(n, 0.05)
     ops = lowering_ops_full(n)
-    dense = driven_module._commutator_super(-sum(op.conj().T @ op for op in ops))
-    detuning_diag = driven_module._liouvillian_pieces(config, True)[2]
+    dense = driven_module._lindblad_super(-sum(op.conj().T @ op for op in ops))
+    _, _, detuning_diag = driven_module._liouvillian_pieces(config, True)
     assert detuning_diag.shape == (4**n,)
     assert np.array_equal(dense, np.diag(detuning_diag))
 
@@ -722,6 +784,23 @@ def test_resonance_grid_merges_tied_mode_windows(coarse, refine_points):
     grid = resonance_grid(config, -25.0, 5.0, coarse=coarse, refine_points=refine_points)
     assert np.diff(grid).min() > driven_module.GRID_MERGE_TOL * 30.0
     assert grid[0] == -25.0 and grid[-1] == 5.0
+
+
+@pytest.mark.parametrize("n, d", [(1, 0.05), (3, 0.13), (4, 0.05), (4, 0.25), (5, 0.5)])
+def test_resonance_grid_keeps_the_bits_of_np_unique(n, d):
+    """The sort-and-first-of-run grid is np.unique's, bit for bit."""
+    config = ArrayConfig.from_period(n, d)
+    start, stop = -25.0, 5.0
+    pieces = [np.linspace(start, stop, 61)] + [
+        np.linspace(s.epsilon.real - w, s.epsilon.real + w, 31)
+        for s in diagonalize(config, 1)
+        for w in [max(8.0 * s.gamma, 1e-3)]
+    ]
+    unique = np.unique(np.concatenate(pieces))
+    unique = unique[(unique >= start) & (unique <= stop)]
+    unique = unique[np.insert(np.diff(unique) > driven_module.GRID_MERGE_TOL * 30.0, 0, True)]
+    grid = resonance_grid(config, start, stop, coarse=61, refine_points=31)
+    assert grid.tobytes() == unique.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

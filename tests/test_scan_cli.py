@@ -837,18 +837,37 @@ def test_driven_outputs_keep_config_order_when_cells_run_by_period(tmp_path):
 def test_driven_map_builds_each_period_once(tmp_path, monkeypatch):
     """Three periods at two powers: three generator builds, and one period left cached."""
     builds = []
-    pieces = driven_module._liouvillian_pieces
+    build = driven_module._generators
     monkeypatch.setattr(
         driven_module,
-        "_liouvillian_pieces",
-        lambda config, phase_on_drive: builds.append(config) or pieces(config, phase_on_drive),
+        "_generators",
+        lambda config, phase_on_drive: builds.append(config) or build(config, phase_on_drive),
     )
-    driven_module._generators.cache_clear()
+    driven_module._PERIOD.clear()
     _driven_run(tmp_path, "out")
     periods = [ArrayConfig.from_period(2, d) for d in _BY_PERIOD["grid"]["d_over_lambda"]]
     assert builds == periods
-    info = driven_module._generators.cache_info()
-    assert info.misses == 3 and info.currsize <= 1
+    assert list(driven_module._PERIOD) == [(periods[-1], True)]
+
+
+def test_driven_cell_without_fallback_factors_m0_once(tmp_path, monkeypatch):
+    """Each cell makes one dense factorization of its 4^N x 4^N matrix M0:
+    one ``inv`` or ``solve`` call of that size per cell."""
+    factored = []
+    linalg = driven_module.np.linalg
+    for name in ("inv", "solve"):
+        dense = getattr(linalg, name)
+
+        def counted(a, *args, _name=name, _dense=dense):
+            if a.shape == (16, 16):
+                factored.append(_name)
+            return _dense(a, *args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    out = _driven_run(tmp_path, "out")
+    cells = json.loads((out / "run_manifest.json").read_text())["cells"]
+    assert [c["health"]["fallback_points"] for c in cells] == [0] * 6
+    assert factored == ["inv"] * 6
 
 
 def test_five_atom_driven_map_cell_keeps_its_values(tmp_path, monkeypatch):
@@ -1210,6 +1229,30 @@ def test_import_validation_and_cli_config_error_load_no_numpy(tmp_path):
     probe = _run_probe(_COLD_START_PROBE, typo, *configs)
     assert probe == {"import": False, "validate": False, "exit": 2, "cli_error": False}
     assert not (tmp_path / "out").exists()
+
+
+_DRIVEN_PROBE = """
+import json
+import sys
+
+from wqed_subradiance.cli import main
+
+try:
+    main(["driven-map", "--config", sys.argv[1]])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"exit": code, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_driven_map_scan_loads_no_numpy_ma(tmp_path):
+    """np.unique loads numpy.ma on its first call, over a megabyte of resident
+    memory and tens of milliseconds; a driven scan must not need it."""
+    path = write_config(
+        tmp_path / "cfg.yaml",
+        {"mode": "driven-map", **_BY_PERIOD, "output": {"directory": str(tmp_path / "out")}},
+    )
+    assert _run_probe(_DRIVEN_PROBE, path) == {"exit": 0, "numpy.ma": False}
 
 
 _LAYERS = ["numpy"] + [
