@@ -1,14 +1,15 @@
 """The grid-cell functions of the scan modes, and the compute layers they call.
 
 ``scan`` imports this module when a scan starts, before its process pool
-forks, so the workers inherit numpy and the layers already loaded; config
-checking never imports it.
+forks, so the workers inherit numpy and the sector layers already loaded;
+config checking never imports it.  The driven layer loads on the first
+driven cell a process runs, so a sector scan never loads it, and each
+worker of a parallel driven scan loads it once.
 """
 
 from __future__ import annotations
 
 from .correlations import correlation_matrix, dimerization_score
-from .driven import DriveConfig, incoherent_spectrum, resonance_grid
 from .errors import DomainError, NumericalError
 from .hosvd import HosvdResult, hosvd, to_symmetric_tensor
 from .lattice import ArrayConfig
@@ -62,6 +63,8 @@ def _cell_correlations(cell):
 
 
 def _cell_driven(cell):
+    from .driven import DriveConfig, incoherent_spectrum, resonance_grid
+
     config = _array(cell)
     detuning = cell["detuning"]
     grid = resonance_grid(config, **detuning) if isinstance(detuning, dict) else detuning

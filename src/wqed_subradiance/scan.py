@@ -260,10 +260,14 @@ def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
 def validate_config(path) -> ScanSpec:
     """Parse and invariant-check a scan configuration file."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError("file does not exist", location=str(path))
     try:
-        data = yaml.safe_load(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text (byte {exc.start})", location=str(path)) from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read file: {exc.strerror}", location=str(path)) from exc
+    try:
+        data = yaml.safe_load(text)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = f"{path}:{mark.line + 1}:{mark.column + 1}" if mark else str(path)

@@ -31,6 +31,7 @@ from .lattice import (
 RESIDUAL_TOL = 1e-9
 GAMMA_FLOOR = -1e-12
 PIVOT_ATOL = 1e-8
+RESIDUAL_PANEL = 64
 
 
 @dataclass(frozen=True)
@@ -143,10 +144,11 @@ def _symmetry_blocks(h: SectorHamiltonian):
     sum_g chi(g)|g r> / sqrt(|G||S|), so
     block[i, j] = sum_g chi(g) H[r_i, g r_j] / sqrt(|S_i||S_j|)
     (``_character_sum``, weighed by rows then columns), and the block stays
-    complex symmetric.  No dim x dim array is formed.  Yields
-    (block, lifts): a block eigenvector y lifts to v[index] = coef*y for
-    every (index, coef) in ``lifts``, with coef = chi(g)*sqrt(|S|/|G|) on
-    the images g r.
+    complex symmetric.  No dim x dim array is formed, and a block is built
+    only when the next one is asked for, after this generator has dropped
+    the last.  Yields (block, lifts): a block eigenvector y lifts to
+    v[index] = coef*y for every (index, coef) in ``lifts``, with
+    coef = chi(g)*sqrt(|S|/|G|) on the images g r.
     """
     elements, characters = _symmetry_group(h.basis)
     images = np.array(elements)
@@ -163,42 +165,64 @@ def _symmetry_blocks(h: SectorHamiltonian):
         block *= weight
         scale = np.sqrt(stabilizer / len(elements))
         yield block, [(g[rows], sign * scale) for g, sign in zip(elements, chi)]
+        del block
 
 
-def _checked_blocks(h: SectorHamiltonian):
-    """Eigenpairs of each symmetry block of H, residual- and gamma-checked.
+def _residuals(block: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """||block v - lambda v|| of each eigenpair, ``RESIDUAL_PANEL`` columns at a time."""
+    residual = np.empty(len(values))
+    for start in range(0, len(values), RESIDUAL_PANEL):
+        panel = slice(start, start + RESIDUAL_PANEL)
+        product = block @ vectors[:, panel]
+        product -= vectors[:, panel] * values[panel]
+        residual[panel] = np.linalg.norm(product, axis=0)
+    return residual
 
-    Yields (eps, gammas, vectors, lifts) per block: unit-norm block
-    eigenvectors as columns, lifted by the ``_symmetry_blocks`` rule.  Every eigenpair
-    residual ||H v - lambda v|| is checked against ``RESIDUAL_TOL`` *
-    max(1, |lambda|), and every gamma against ``GAMMA_FLOOR``; failure
-    raises NumericalError carrying the offending number and the matrix's
-    ``_fingerprint``.
+
+def _checked_eig(h: SectorHamiltonian, block: np.ndarray):
+    """Eigenpairs (eps, gammas, vectors) of one symmetry block of H, checked.
+
+    ``vectors`` holds the unit-norm block eigenvectors as columns.  Every
+    eigenpair residual ||H v - lambda v|| is checked against
+    ``RESIDUAL_TOL`` * max(1, |lambda|), and every gamma against
+    ``GAMMA_FLOOR``; failure raises NumericalError carrying the offending
+    number and the matrix's ``_fingerprint``.
     """
-    scale = max(h.basis.n_excitations, 1)
+    try:
+        values, vectors = np.linalg.eig(block)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+        raise NumericalError(f"eigensolver failed on sector matrix {_fingerprint(h)}") from exc
+    vectors /= np.linalg.norm(vectors, axis=0)
+    # the lift is an isometry onto an invariant subspace: block residual = full residual
+    residual = _residuals(block, values, vectors)
+    worst = np.argmax(residual / np.maximum(1.0, np.abs(values)))
+    if residual[worst] > RESIDUAL_TOL * max(1.0, abs(values[worst])):
+        raise NumericalError(
+            f"eigenpair residual {residual[worst]:.2e} exceeds {RESIDUAL_TOL} "
+            f"for sector matrix {_fingerprint(h)}"
+        )
+    eps = values / max(h.basis.n_excitations, 1)
+    gammas = -eps.imag
+    if gammas.min() < GAMMA_FLOOR:
+        raise NumericalError(
+            f"negative decay rate {gammas.min():.3e} in sector matrix {_fingerprint(h)}"
+        )
+    return eps, gammas, vectors
+
+
+def _solved_blocks(h: SectorHamiltonian, keep) -> list:
+    """keep(eps, gammas, vectors, lifts) of each symmetry block of H, in order.
+
+    Each block is built, solved by ``_checked_eig`` and passed to ``keep``
+    before the next is built, so only what ``keep`` returns outlives its
+    block: one block's arrays are alive at a time.  ``lifts`` follow the
+    ``_symmetry_blocks`` rule.
+    """
+    kept = []
     for block, lifts in _symmetry_blocks(h):
-        try:
-            values, vectors = np.linalg.eig(block)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-            raise NumericalError(
-                f"eigensolver failed on sector matrix {_fingerprint(h)}"
-            ) from exc
-        vectors /= np.linalg.norm(vectors, axis=0)
-        # the lift is an isometry onto an invariant subspace: block residual = full residual
-        residual = np.linalg.norm(block @ vectors - vectors * values, axis=0)
-        worst = np.argmax(residual / np.maximum(1.0, np.abs(values)))
-        if residual[worst] > RESIDUAL_TOL * max(1.0, abs(values[worst])):
-            raise NumericalError(
-                f"eigenpair residual {residual[worst]:.2e} exceeds {RESIDUAL_TOL} "
-                f"for sector matrix {_fingerprint(h)}"
-            )
-        eps = values / scale
-        gammas = -eps.imag
-        if gammas.min() < GAMMA_FLOOR:
-            raise NumericalError(
-                f"negative decay rate {gammas.min():.3e} in sector matrix {_fingerprint(h)}"
-            )
-        yield eps, gammas, vectors, lifts
+        kept.append(keep(*_checked_eig(h, block), lifts))
+        del block  # not alive while the next block is built
+    return kept
 
 
 def _from_complement(gammas, n_atoms: int, k: int):
@@ -213,38 +237,50 @@ def _from_complement(gammas, n_atoms: int, k: int):
     return (dual * gammas + (k - dual)) / k
 
 
-def _complement_blocks(config: ArrayConfig, basis: SectorBasis):
-    """Checked eigenpairs of a sector with 2k > N, per symmetry block.
+def _complement_blocks(config: ArrayConfig, basis: SectorBasis, keep) -> list:
+    """``_solved_blocks`` of a sector with 2k > N, with lifts into ``basis``.
 
-    Yields (eps, gammas, vectors, lifts) as ``_checked_blocks`` does, with
-    lifts into ``basis``.  The sector is solved as its complement N - k (see
-    ``_from_complement``), and its states are the complement's, moved to the
-    complement subsets with no sign; sector k = N is the empty sector,
-    eps = -i, with no eigensolve.
+    The sector is solved as its complement N - k (see ``_from_complement``),
+    and its states are the complement's, moved to the complement subsets
+    with no sign; sector k = N is the empty sector, eps = -i, with no
+    eigensolve.
     """
     n, k = config.n_atoms, basis.n_excitations
     if k == n:
         lift = [(np.zeros(1, dtype=int), np.ones(1))]
-        yield np.array([-1j]), np.array([1.0]), np.ones((1, 1)), lift
-        return
+        return [keep(np.array([-1j]), np.array([1.0]), np.ones((1, 1)), lift)]
     dual = enumerate_sector(n, n - k)
     to_basis = rank_masks(basis, complement_masks(dual))
-    for eps, gammas, vectors, lifts in _checked_blocks(build_hamiltonian(config, dual)):
+
+    def moved(eps, gammas, vectors, lifts):
         gammas = _from_complement(gammas, n, k)
         eps = (n - k) * eps.real / k - 1j * gammas
-        yield eps, gammas, vectors, [(to_basis[index], coef) for index, coef in lifts]
+        return keep(eps, gammas, vectors, [(to_basis[index], coef) for index, coef in lifts])
+
+    return _solved_blocks(build_hamiltonian(config, dual), moved)
 
 
-def _lifted_states(basis: SectorBasis, blocks) -> list[EigenState]:
-    """Lift, phase-fix and sort the eigenpairs of ``blocks``."""
+def _lifted(basis: SectorBasis, eps, gammas, vectors, lifts) -> list[EigenState]:
+    """The phase-fixed states of one block's eigenpairs, lifted into ``basis``."""
+    lifted = np.zeros((basis.dim, len(eps)), dtype=complex)
+    for index, coef in lifts:
+        lifted[index] = coef[:, None] * vectors
     states = []
-    for eps, gammas, vectors, lifts in blocks:
-        lifted = np.zeros((basis.dim, len(eps)), dtype=complex)
-        for index, coef in lifts:
-            lifted[index] = coef[:, None] * vectors
-        for epsilon, gamma, vec in zip(eps, gammas, lifted.T):
-            vec = vec * np.exp(-1j * np.angle(vec[gauge_pivot(vec)]))
-            states.append(EigenState(epsilon=epsilon, gamma=gamma, amplitudes=vec, basis=basis))
+    for epsilon, gamma, vec in zip(eps, gammas, lifted.T):
+        vec = vec * np.exp(-1j * np.angle(vec[gauge_pivot(vec)]))
+        states.append(EigenState(epsilon=epsilon, gamma=gamma, amplitudes=vec, basis=basis))
+    return states
+
+
+def _lowest_lifted(basis: SectorBasis, eps, gammas, vectors, lifts) -> list[EigenState]:
+    """``_lifted`` of only the block's pairs at its smallest gamma."""
+    hit = gammas == gammas.min()
+    return _lifted(basis, eps[hit], gammas[hit], vectors[:, hit], lifts)
+
+
+def _sorted_states(per_block) -> list[EigenState]:
+    """The states of every block, by ascending gamma, then Re(eps), then peak index."""
+    states = [state for block in per_block for state in block]
     states.sort(key=lambda s: (s.gamma, s.epsilon.real, int(np.argmax(np.abs(s.amplitudes)))))
     return states
 
@@ -258,9 +294,9 @@ def diagonalize_sector(h: SectorHamiltonian) -> list[EigenState]:
     diagonalized on its own: two blocks, mirror even and odd, or four at
     half filling, one per joint mirror and complement parity.  Every state
     is an eigenvector of each of these maps.  The checks of
-    ``_checked_blocks`` apply to every eigenpair.
+    ``_checked_eig`` apply to every eigenpair.
     """
-    return _lifted_states(h.basis, _checked_blocks(h))
+    return _sorted_states(_solved_blocks(h, functools.partial(_lifted, h.basis)))
 
 
 def diagonalize(config: ArrayConfig, k: int) -> list[EigenState]:
@@ -273,7 +309,7 @@ def diagonalize(config: ArrayConfig, k: int) -> list[EigenState]:
     basis = enumerate_sector(config.n_atoms, k)
     if 2 * k <= config.n_atoms:
         return diagonalize_sector(build_hamiltonian(config, basis))
-    return _lifted_states(basis, _complement_blocks(config, basis))
+    return _sorted_states(_complement_blocks(config, basis, functools.partial(_lifted, basis)))
 
 
 def most_subradiant_state(config: ArrayConfig, k: int) -> EigenState:
@@ -284,15 +320,10 @@ def most_subradiant_state(config: ArrayConfig, k: int) -> EigenState:
     the sort key, so the first state is among them.
     """
     basis = enumerate_sector(config.n_atoms, k)
+    lowest = functools.partial(_lowest_lifted, basis)
     if 2 * k <= config.n_atoms:
-        blocks = _checked_blocks(build_hamiltonian(config, basis))
-    else:
-        blocks = _complement_blocks(config, basis)
-    lowest = []
-    for eps, gammas, vectors, lifts in blocks:
-        hit = gammas == gammas.min()  # a copy: the block's other vectors are freed
-        lowest.append((eps[hit], gammas[hit], vectors[:, hit], lifts))
-    return _lifted_states(basis, lowest)[0]
+        return _sorted_states(_solved_blocks(build_hamiltonian(config, basis), lowest))[0]
+    return _sorted_states(_complement_blocks(config, basis, lowest))[0]
 
 
 def sector_decay_rates(config: ArrayConfig, k: int) -> np.ndarray:
@@ -308,7 +339,8 @@ def _min_gamma(config: ArrayConfig, k: int) -> float:
     sector once; the cached value is a float, so no caller can change it.
     """
     basis = enumerate_sector(config.n_atoms, k)
-    return min(gammas.min() for _, gammas, *_ in _checked_blocks(build_hamiltonian(config, basis)))
+    h = build_hamiltonian(config, basis)
+    return min(_solved_blocks(h, lambda eps, gammas, vectors, lifts: gammas.min()))
 
 
 def min_decay_rate(config: ArrayConfig, k: int) -> float:

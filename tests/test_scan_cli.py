@@ -113,6 +113,36 @@ def test_validate_missing_file(tmp_path):
         validate_config(tmp_path / "absent.yaml")
 
 
+def _unreadable_config(tmp_path, kind):
+    """A config path that holds no UTF-8 text: a binary file or a directory."""
+    path = tmp_path / "cfg.yaml"
+    if kind == "binary":
+        path.write_bytes(b"mode: decay-map\n\xff\xfe\x00\x81")
+    else:
+        path.mkdir()
+    return path
+
+
+@pytest.mark.parametrize("kind, message", [("binary", "not UTF-8"), ("directory", "cannot read")])
+def test_validate_unreadable_file_reports_the_path(tmp_path, kind, message):
+    path = _unreadable_config(tmp_path, kind)
+    with pytest.raises(ConfigError, match=message) as err:
+        validate_config(path)
+    assert err.value.location == str(path)
+
+
+@pytest.mark.parametrize("kind, message", [("binary", "not UTF-8"), ("directory", "is a directory")])
+def test_cli_unreadable_config_exit_two_and_writes_nothing(tmp_path, kind, message):
+    path = _unreadable_config(tmp_path, kind)
+    result = CliRunner().invoke(
+        main, ["size-map", "--config", str(path), "--out", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 2
+    assert message in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_yaml_parse_error_reports_location(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("mode: [unclosed\n")
@@ -874,9 +904,9 @@ def test_five_atom_driven_map_cell_keeps_its_values(tmp_path, monkeypatch):
     """One N = 5 cell, a size no benchmark workload runs: its narrowest FWHM and
     max I as the complex-arithmetic solver gave them."""
     spectra = []
-    solve = cells_module.incoherent_spectrum
+    solve = driven_module.incoherent_spectrum
     monkeypatch.setattr(
-        cells_module,
+        driven_module,
         "incoherent_spectrum",
         lambda config, drive: spectra.append(solve(config, drive)) or spectra[-1],
     )
@@ -1231,17 +1261,17 @@ def test_import_validation_and_cli_config_error_load_no_numpy(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-_DRIVEN_PROBE = """
+_LOADED_PROBE = """
 import json
 import sys
 
 from wqed_subradiance.cli import main
 
 try:
-    main(["driven-map", "--config", sys.argv[1]])
+    main([sys.argv[1], "--config", sys.argv[2]])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"exit": code, "numpy.ma": "numpy.ma" in sys.modules}))
+print(json.dumps({"exit": code, "loaded": [m for m in sys.argv[3:] if m in sys.modules]}))
 """
 
 
@@ -1252,12 +1282,33 @@ def test_driven_map_scan_loads_no_numpy_ma(tmp_path):
         tmp_path / "cfg.yaml",
         {"mode": "driven-map", **_BY_PERIOD, "output": {"directory": str(tmp_path / "out")}},
     )
-    assert _run_probe(_DRIVEN_PROBE, path) == {"exit": 0, "numpy.ma": False}
+    assert _run_probe(_LOADED_PROBE, "driven-map", path, "numpy.ma") == {"exit": 0, "loaded": []}
+
+
+@pytest.mark.parametrize(
+    "mode, payload",
+    [
+        ("size-map", {"grid": {"n_atoms": [4, 5], "d_over_lambda": [0.05], "k": [1, 2]}}),
+        ("entropy-map", {"array": {"n_atoms": 4}, "grid": {"d_over_lambda": [0.05], "k": [1, 2]}}),
+        ("driven-map", _BY_PERIOD),
+    ],
+)
+def test_only_driven_scans_load_the_driven_layer(tmp_path, mode, payload):
+    """A sector scan never imports ``driven``; a driven scan loads it on its first cell."""
+    out = tmp_path / "out"
+    path = write_config(
+        tmp_path / "cfg.yaml", {"mode": mode, **payload, "output": {"directory": str(out)}}
+    )
+    driven = "wqed_subradiance.driven"
+    loaded = [driven] if mode == "driven-map" else []
+    assert _run_probe(_LOADED_PROBE, mode, path, driven) == {"exit": 0, "loaded": loaded}
+    cells = json.loads((out / "run_manifest.json").read_text())["cells"]
+    rows = (out / f"{mode.replace('-', '_')}.csv").read_text().splitlines()
+    assert len(rows) == 1 + len(cells) and all(c["status"] == "ok" for c in cells)
 
 
 _LAYERS = ["numpy"] + [
-    f"wqed_subradiance.{name}"
-    for name in ("cells", "correlations", "driven", "hosvd", "lattice", "spectrum")
+    f"wqed_subradiance.{name}" for name in ("cells", "correlations", "hosvd", "lattice", "spectrum")
 ]
 _POOL_PROBE = """
 import concurrent.futures
@@ -1291,8 +1342,8 @@ print(json.dumps(seen))
 
 
 def test_compute_layers_load_before_the_pool_starts(tmp_path):
-    """A scan loads numpy and the layers once, in the parent, so forked workers
-    inherit them instead of each importing its own."""
+    """A sector scan loads numpy and the sector layers once, in the parent, so
+    forked workers inherit them instead of each importing its own."""
     path = write_config(
         tmp_path / "cfg.yaml",
         {"mode": "decay-vs-k", "array": {"n_atoms": 4},

@@ -19,10 +19,12 @@ from wqed_subradiance import (
     diagonalize_sector,
     enumerate_sector,
     fermionic_sum_rule,
+    hosvd,
     min_decay_rate,
     most_subradiant_state,
     scaling_fit,
     sector_decay_rates,
+    to_symmetric_tensor,
 )
 from wqed_subradiance.lattice import (
     complement_masks,
@@ -362,6 +364,35 @@ def test_min_decay_rate_is_the_diagonalize_minimum_bitwise(n):
             assert min_decay_rate(config, k) == expected
 
 
+@pytest.mark.parametrize("d", [0.01, 0.07, 0.13, 0.2, 0.3])
+def test_spectra_repeat_with_period_one_half_and_mirror_about_one_quarter(d):
+    """H(pi - phi) = -D H(phi)* D and H(phi + pi) = D H(phi) D, with
+    D = prod_j (-1)^(j n_j).  So eps -> -eps* at 1/2 - d, with states D v*,
+    and gamma is the same at d, 1/2 - d, d + 1/2 and 1 - d.  D is a phase on
+    each site and conjugation keeps singular values, so a nondegenerate most
+    subradiant state has the same HOSVD entropy at d and 1/2 - d."""
+    for n in range(1, 11):
+        config, mirrored = ArrayConfig.from_period(n, d), ArrayConfig.from_period(n, 0.5 - d)
+        others = [mirrored] + [ArrayConfig.from_period(n, e) for e in (d + 0.5, 1.0 - d)]
+        for k in range(1, n + 1):
+            basis = enumerate_sector(n, k)
+            sign = np.array([(-1.0) ** sum(state) for state in basis.states])
+            h = build_hamiltonian(config, basis).matrix
+            flipped = -sign[:, None] * h.conj() * sign
+            np.testing.assert_allclose(build_hamiltonian(mirrored, basis).matrix, flipped, atol=1e-12)
+            gamma = min_decay_rate(config, k)
+            for other in others:
+                assert min_decay_rate(other, k) == pytest.approx(gamma, rel=0, abs=1e-12)
+            rates = sector_decay_rates(config, k)
+            if len(rates) > 1 and rates[1] - rates[0] <= 1e-8:
+                continue
+            entropy = [
+                hosvd(to_symmetric_tensor(most_subradiant_state(c, k))).entropy
+                for c in (config, mirrored)
+            ]
+            assert entropy[1] == pytest.approx(entropy[0], rel=0, abs=1e-10), (n, k)
+
+
 def test_hop_table_blocks_equal_the_dense_gather_bitwise():
     """Every sector N <= 10: blocks and lifts from the hop-table entries are
     the blocks gathered from the dense H, byte for byte."""
@@ -460,6 +491,46 @@ def test_min_decay_rate_allocates_no_dense_sector_matrix():
     finally:
         tracemalloc.stop()
     assert peak < math.comb(12, 6) ** 2 * 16, peak
+
+
+@pytest.mark.parametrize("solve", [min_decay_rate, most_subradiant_state], ids=lambda f: f.__name__)
+def test_sector_solves_hold_one_symmetry_block_at_a_time(solve, monkeypatch):
+    """At (12, 5), two 396 x 396 blocks, in units of the largest block: traced
+    memory stays below 1 when each block is built and below 2 when it is
+    solved, since no array of the last block is alive; the peak stays below
+    4: the block, its eigenvectors, one temporary of their column norms and
+    the sector's entries.  Keeping the last block reads 1.4 at the second
+    build (2.4 with its eigenvectors), and forming every residual at once
+    peaks at 4.4."""
+    import tracemalloc
+
+    config = ArrayConfig.from_period(12, 0.05)
+    h = build_hamiltonian(config, enumerate_sector(12, 5))
+    largest = max(block.nbytes for block, _ in spectrum_module._symmetry_blocks(h))
+    del h
+    traced = {"build": [], "eig": []}
+
+    def recorded(stage, fn):
+        def call(*args):
+            traced[stage].append(tracemalloc.get_traced_memory()[0] / largest)
+            return fn(*args)
+
+        return call
+
+    build, eig = spectrum_module._character_sum, spectrum_module.np.linalg.eig
+    monkeypatch.setattr(spectrum_module, "_character_sum", recorded("build", build))
+    monkeypatch.setattr(spectrum_module.np.linalg, "eig", recorded("eig", eig))
+    spectrum_module._min_gamma.cache_clear()
+    tracemalloc.start()
+    try:
+        solve(config, 5)
+        peak = tracemalloc.get_traced_memory()[1] / largest
+    finally:
+        tracemalloc.stop()
+        spectrum_module._min_gamma.cache_clear()
+    assert len(traced["build"]) == len(traced["eig"]) == 2
+    assert max(traced["build"]) < 1 and max(traced["eig"]) < 2, traced
+    assert peak < 4, peak
 
 
 def _sector(n=6, k=3, d=0.13):
