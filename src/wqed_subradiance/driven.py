@@ -34,7 +34,6 @@ PROBE_TOL = 1e-10
 PEAK_FLOOR = 1e-9
 INCOHERENT_SLACK = 1e-8
 GRID_MERGE_TOL = 1e-12
-GATHER_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -78,47 +77,27 @@ def _lowering_table(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns int arrays ``(upper, lower)`` of shape (N, 2^(N-1)): sigma_j maps
     product state ``upper[j, i]`` to ``lower[j, i]``, site 0 the most
-    significant bit as in ``_liouvillian_pieces``.
+    significant bit as in ``_operators``.
     """
     bits = 1 << (n_atoms - 1 - np.arange(n_atoms))
     upper = np.nonzero(np.arange(2**n_atoms) & bits[:, None])[1].reshape(n_atoms, -1)
     return upper, upper - bits[:, None]
 
 
-def _lindblad_super(h: np.ndarray, jumps=()) -> np.ndarray:
-    """-i(h rho - rho h^dag) + sum_C C rho C^dag, built in place in one array.
+def _operators(config: ArrayConfig, phase_on_drive: bool):
+    """The 2^N x 2^N operators of the static, per-unit-drive and per-unit-detuning pieces.
 
-    Row-major vec: vec(A rho B) = kron(A, B.T) vec(rho), so entry (ab, cd)
-    is A[a, c] B[d, b]; each term is added by strided slices of one 4-index
-    view, and no Kronecker product is formed.
-    """
-    dim = len(h)
-    out = np.zeros((dim,) * 4, dtype=complex)
-    left, right = -1j * h, 1j * h.conj()
-    for k in range(dim):
-        out[:, k, :, k] += left
-        out[k, :, k, :] += right
-    for c in jumps:
-        c_conj = c.conj()[:, None, :]
-        for a in range(dim):
-            out[a] += c[a][None, :, None] * c_conj
-    return out.reshape(dim * dim, dim * dim)
-
-
-def _liouvillian_pieces(config: ArrayConfig, phase_on_drive: bool):
-    """Yield the static piece, the per-unit-drive piece and the per-unit-detuning one.
-
-    The pieces are yielded one at a time and the generator keeps none of
-    them, so a caller that drops each before asking for the next holds one
-    4^N x 4^N array at a time.
-    The static piece is -i(H rho - rho H^dag) + sum_C C rho C^dag.
+    Returns (H, jumps) of the static piece, (V, ()) of the drive piece, each
+    (h, jumps) the piece -i(h rho - rho h^dag) + sum_C C rho C^dag, and the
+    diagonal of the detuning piece, a vector of length 4^N.
     H is the effective Hamiltonian, its sector entries scattered into the 2^N
     product basis by site bitmask (site 0 the most significant bit, as in
     ``_lowering_table``).  Its anti-Hermitian part has the rank-two kernel
     exp(i*phase*(a-b)) + exp(-i*phase*(a-b)), so the jumps go into
-    the two output channels C = sum_j exp(+-i*phase*j) sigma_j.
+    the two output channels C = sum_j exp(+-i*phase*j) sigma_j.  V is
+    -(F + F^dag), F the forward channel (or the phaseless sum).
     The detuning piece, the commutator with -N (N the number operator), is
-    diagonal and is yielded as its diagonal, a vector of length 4^N.
+    diagonal.
     """
     n = config.n_atoms
     dim = 2**n
@@ -134,16 +113,51 @@ def _liouvillian_pieces(config: ArrayConfig, phase_on_drive: bool):
     ops = np.zeros((3, dim, dim), dtype=complex)
     ops[:, lower, upper] = np.array([phases, phases.conj(), np.ones(n)])[:, :, None]
     backward, forward, phaseless = ops
-    # reflection reads the backward channel, transmission the forward one
-    yield _lindblad_super(h_eff, (backward, forward))
-
+    # reflection reads the backward channel, transmission the forward one, and
     # the left-incident drive is the forward mode
     drive = forward if phase_on_drive else phaseless
-    yield _lindblad_super(-(drive + drive.conj().T))
-
     # excitation count of every product state, as the diagonal of -N
     minus_counts = -np.bincount(upper.ravel(), minlength=dim)
-    yield (-1j * (minus_counts[:, None] - minus_counts[None, :])).ravel()
+    return (
+        (h_eff, (backward, forward)),
+        (-(drive + drive.conj().T), ()),
+        (-1j * (minus_counts[:, None] - minus_counts[None, :])).ravel(),
+    )
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values, np.unique's result without the numpy.ma
+    import np.unique makes on its first call."""
+    values = np.sort(values)
+    return values[np.insert(values[1:] != values[:-1], 0, True)]
+
+
+def _lindblad_entries(h: np.ndarray, jumps=()) -> tuple[np.ndarray, np.ndarray]:
+    """-i(h rho - rho h^dag) + sum_C C rho C^dag as sorted flat positions and values.
+
+    Row-major vec: vec(A rho B) = kron(A, B.T) vec(rho), so entry (ab, cd)
+    is -i h[a, c] delta_bd + i conj(h[b, d]) delta_ac + sum_C C[a, c]
+    conj(C[b, d]), each term spread from the nonzero entries of h or C.  The
+    terms of a position are added to zero in this order, that of an in-place
+    dense assembly, so every value is that assembly's to the bit.
+    """
+    dim = len(h)
+    k = np.arange(dim)
+    a, c = np.nonzero(h)
+    terms = [
+        ((a[:, None] * dim + k) * dim**2 + c[:, None] * dim + k, (-1j * h[a, c])[:, None]),
+        ((k * dim + a[:, None]) * dim**2 + k * dim + c[:, None], (1j * h.conj()[a, c])[:, None]),
+    ]
+    for op in jumps:
+        a, c = np.nonzero(op)
+        terms.append(
+            ((a[:, None] * dim + a) * dim**2 + c[:, None] * dim + c, op[a, c][:, None] * op.conj()[a, c])
+        )
+    positions = _distinct(np.concatenate([p.ravel() for p, _ in terms]))
+    values = np.zeros(len(positions), dtype=complex)
+    for p, v in terms:
+        values[np.searchsorted(positions, p)] += v
+    return positions, values
 
 
 def _kernel(matrix: np.ndarray) -> np.ndarray:
@@ -170,62 +184,72 @@ def _hermitian_coordinates(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return np.arange(dim) * (dim + 1), rows * dim + cols, cols * dim + rows
 
 
-def _real_generator(liouvillian: np.ndarray, dim: int) -> np.ndarray:
-    """A generator in the real Hermitian coordinates, gathered by index.
+def _real_entries(positions: np.ndarray, values: np.ndarray, dim: int):
+    """Q^dag L Q, L given by its entries, as flat positions and values in real coordinates.
 
     A Lindblad generator maps Hermitian rho to Hermitian rho (J conj(L) J =
     L, J the swap of entries ab and ba), so Q^dag L Q is real, Q the basis of
-    ``_hermitian_coordinates``.  The columns of L Q and then the rows of
-    Q^dag (L Q) are sums and differences of gathered columns and rows.  The
-    rows are combined ``GATHER_ROWS`` pairs at a time, so the complex
-    temporaries stay a small fraction of L.
+    ``_hermitian_coordinates``.  Group a holds coordinate e_aa, and group
+    dim + p the complex entries ab (side 0) and ba (side 1) of upper pair p,
+    so each real entry of a (row group, column group) block comes from its
+    up-to-four complex entries.  They combine as in a dense change of basis:
+    a pair's columns are half*(L_ab + L_ba) and 1j*half*(L_ab - L_ba), its
+    rows half*Re(ab + ba) and half*Im(ab - ba), half = sqrt(1/2).  The Im
+    coordinate of pair p sits ``pairs`` after its Re coordinate.
     """
+    size = dim * dim
     diag, upper, lower = _hermitian_coordinates(dim)
+    pairs, groups = len(upper), dim + len(upper)
+    group = np.empty(size, dtype=int)
+    group[diag] = np.arange(dim)
+    group[upper] = group[lower] = dim + np.arange(pairs)
+    side = np.zeros(size, dtype=int)
+    side[lower] = 1
+    row, col = np.divmod(positions, size)
+    key = group[row] * groups + group[col]
+    keys = _distinct(key)
+    block = np.zeros((len(keys), 2, 2), dtype=complex)
+    block[np.searchsorted(keys, key), side[row], side[col]] = values
+    row_group, col_group = np.divmod(keys, groups)
+    row_pair, col_pair = (row_group >= dim)[:, None], (col_group >= dim)[:, None]
     half = np.sqrt(0.5)
-
-    def columns(rows):
-        """The rows ``rows`` of L Q."""
-        block = liouvillian[rows]
-        # np.take gathers columns about twice as fast as fancy indexing, same bytes
-        upper_cols = np.take(block, upper, axis=1)
-        lower_cols = np.take(block, lower, axis=1)
-        return np.concatenate(
-            [
-                np.take(block, diag, axis=1),
-                half * (upper_cols + lower_cols),
-                1j * half * (upper_cols - lower_cols),
-            ],
-            axis=1,
-        )
-
-    real = np.empty(liouvillian.shape)
-    real[:dim] = columns(diag).real
-    for start in range(0, len(upper), GATHER_ROWS):
-        pairs = slice(start, start + GATHER_ROWS)
-        upper_rows, lower_rows = columns(upper[pairs]), columns(lower[pairs])
-        re, im = dim + start, dim + len(upper) + start
-        real[re : re + len(upper_rows)] = half * (upper_rows + lower_rows).real
-        real[im : im + len(upper_rows)] = half * (upper_rows - lower_rows).imag
-    return real
+    u, l = block[..., 0], block[..., 1]
+    block = np.stack([np.where(col_pair, half * (u + l), u), 1j * half * (u - l)], axis=2)
+    u, l = block[:, 0], block[:, 1]
+    real = np.stack([np.where(row_pair, half * (u + l).real, u.real), half * (u - l).imag], axis=1)
+    im = np.arange(2)  # 0 for a Re (or diagonal) coordinate, 1 for an Im one
+    keep = (real != 0) & (im[:, None] <= row_pair[:, None]) & (im <= col_pair[:, None])
+    rows = row_group[:, None, None] + pairs * im[:, None]
+    cols = col_group[:, None, None] + pairs * im
+    return (rows * size + cols)[keep], real[keep]
 
 
-def _real_detuning(detuning_diag: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The support S of the detuning piece D in real coordinates, and D[:, S].
+def _real_detuning(detuning_diag: np.ndarray, dim: int):
+    """The detuning piece D in real coordinates: its support S, and the row and
+    value of the one nonzero of each column S[j].
 
     D is diagonal with entries i*theta (theta = n_a - n_b), so it vanishes on
     the diagonal and maps the coordinates (s, c) of an upper entry ab to
-    (-theta*c, theta*s).  S holds the pairs with theta != 0: 4^N - C(2N, N)
-    of the 4^N coordinates.
+    (-theta*c, theta*s).  S holds the pairs with theta != 0, Re coordinates
+    first: 4^N - C(2N, N) of the 4^N coordinates.
     """
     _, upper, _ = _hermitian_coordinates(dim)
     theta = detuning_diag[upper].imag
     pairs = np.flatnonzero(theta)
     real_rows, imag_rows = dim + pairs, dim + len(upper) + pairs
-    columns = np.arange(len(pairs))
-    d_support = np.zeros((dim * dim, 2 * len(pairs)))
-    d_support[imag_rows, columns] = theta[pairs]
-    d_support[real_rows, len(pairs) + columns] = -theta[pairs]
-    return np.concatenate([real_rows, imag_rows]), d_support
+    return (
+        np.concatenate([real_rows, imag_rows]),
+        np.concatenate([imag_rows, real_rows]),
+        np.concatenate([theta[pairs], -theta[pairs]]),
+    )
+
+
+def _times_d(detuning, x: np.ndarray) -> np.ndarray:
+    """D x for the columns of x, D the ``(support, rows, scale)`` of ``_real_detuning``."""
+    support, rows, scale = detuning
+    dx = np.zeros_like(x)
+    dx[rows] = scale[:, None] * x[support]
+    return dx
 
 
 def _vectors(x: np.ndarray) -> np.ndarray:
@@ -247,7 +271,7 @@ def _probe_vector(size: int) -> np.ndarray:
 
 
 def _probe(image: np.ndarray, real_image: np.ndarray) -> None:
-    """Check a real piece G against the complex piece L it was gathered from.
+    """Check a real piece G against the complex piece L it stands for.
 
     ``image`` is L (Q y) and ``real_image`` is G y, y from
     ``_probe_vector``; Q (G y) must equal L (Q y) to ``PROBE_TOL``,
@@ -258,54 +282,31 @@ def _probe(image: np.ndarray, real_image: np.ndarray) -> None:
         raise NumericalError(f"real generator fails the probe: max |L Qy - Q Gy| = {error:.3g}")
 
 
-def _real_piece(piece: np.ndarray, y: np.ndarray, qy: np.ndarray) -> np.ndarray:
-    """``_real_generator`` of one complex piece, checked against it by ``_probe``."""
-    real = _real_generator(piece, math.isqrt(len(piece)))
-    _probe(piece @ qy, real @ y)
-    return real
-
-
 def _generators(config: ArrayConfig, phase_on_drive: bool):
-    """The real generators of one array period, shared by every power.
+    """The real generators of one array period, each probed.
 
     Returns G_s and G_d, the static and per-unit-drive pieces of
-    ``_liouvillian_pieces`` in real coordinates (``_real_generator``), and
-    the support S of the detuning piece with D[:, S] (``_real_detuning``),
-    all read-only.  The pieces are built one at a time: each complex piece
-    is gathered to real coordinates, probed against its gather
-    (``_probe``) and dropped before the next is built.
+    ``_operators`` in real coordinates as (flat positions, values)
+    (``_real_entries``), and the detuning piece D as (S, rows, scale)
+    (``_real_detuning``).  Each piece G is probed (``_probe``): L (Q y) comes
+    from the piece's 2^N x 2^N operators applied to the matrix Q y, so no
+    4^N x 4^N matrix is formed.
     """
     dim = 2**config.n_atoms
     y = _probe_vector(dim * dim)
     qy = _vectors(y[:, None])[0]
-    pieces = _liouvillian_pieces(config, phase_on_drive)
-    g_static = _real_piece(next(pieces), y, qy)
-    g_drive = _real_piece(next(pieces), y, qy)
-    detuning_diag = next(pieces)
-    support, d_support = _real_detuning(detuning_diag, dim)
-    _probe(detuning_diag * qy, d_support @ y[support])
-    generators = (g_static, g_drive, support, d_support)
-    for array in generators:
-        array.setflags(write=False)
-    return generators
-
-
-# the one cached period: {(config, phase_on_drive): its ``_generators``}
-_PERIOD: dict = {}
-
-
-def _period_generators(config: ArrayConfig, phase_on_drive: bool):
-    """``_generators`` of one period, cached for one period per process.
-
-    Scans evaluate driven cells grouped by period.  The cached period is
-    released before the next one is built, so two periods' generators are
-    never alive at once, and a build that fails leaves the cache empty.
-    """
-    key = (config, phase_on_drive)
-    if key not in _PERIOD:
-        _PERIOD.clear()
-        _PERIOD[key] = _generators(config, phase_on_drive)
-    return _PERIOD[key]
+    rho = qy.reshape(dim, dim)
+    static, drive, detuning_diag = _operators(config, phase_on_drive)
+    pieces = []
+    for h, jumps in (static, drive):
+        positions, values = _real_entries(*_lindblad_entries(h, jumps), dim)
+        image = -1j * (h @ rho - rho @ h.conj().T) + sum(c @ rho @ c.conj().T for c in jumps)
+        rows, cols = np.divmod(positions, dim * dim)
+        _probe(image.ravel(), np.bincount(rows, values * y[cols], minlength=dim * dim))
+        pieces.append((positions, values))
+    detuning = _real_detuning(detuning_diag, dim)
+    _probe(detuning_diag * qy, _times_d(detuning, y[:, None])[:, 0])
+    return (*pieces, detuning)
 
 
 def _real_eigenbasis(matrix: np.ndarray):
@@ -329,31 +330,29 @@ def _real_eigenbasis(matrix: np.ndarray):
     return lam[real].real, lam[upper], v
 
 
-def _pole_solve(m0: np.ndarray, d_support: np.ndarray, support: np.ndarray, grid: np.ndarray):
+def _pole_solve(m0: np.ndarray, detuning, grid: np.ndarray):
     """Real columns x(delta) with (M0 + delta*D) x = e0 for every delta of the grid.
 
-    D is zero outside the columns ``support`` and given as d_support =
-    D[:, support].  With K = M0^-1 D[:, S] and K[S] = V B V^-1, V and B the
-    real eigenbasis and rotation blocks of ``_real_eigenbasis``, the Woodbury
-    identity gives every point as P(delta) e0, where P(delta) b = z -
-    delta*K V (1 + delta*B)^-1 V^-1 z[S] and z = M0^-1 b; one refinement
-    step x += P(delta)(e0 - M(delta) x) against the exact pencil follows.
-    M0 is factored once, as one inverse: each column of D[:, S] has one
-    nonzero, so K is M0^-1 with its columns gathered and scaled, and the
-    refinement's M0^-1 is a matrix product.  Every step is real.  Returns
-    x and the 1-norm condition of V; x is NaN (and the condition None) when
-    M0 cannot be expanded.
+    D = ``detuning`` is zero outside the columns S = support, and column
+    S[j] has its one nonzero, scale[j], in row rows[j] (``_real_detuning``).
+    With K = M0^-1 D[:, S] and K[S] = V B V^-1, V and B the real eigenbasis
+    and rotation blocks of ``_real_eigenbasis``, the Woodbury identity gives
+    every point as P(delta) e0, where P(delta) b = z - delta*K V (1 +
+    delta*B)^-1 V^-1 z[S] and z = M0^-1 b; one refinement step x +=
+    P(delta)(e0 - M(delta) x) against the exact pencil follows.  M0 is
+    factored once, as one inverse: K is M0^-1 with its columns gathered and
+    scaled, and the refinement's M0^-1 is a matrix product.  Every step is
+    real.  Returns x and the 1-norm condition of V; x is NaN (and the
+    condition None) when M0 cannot be expanded.
 
     Every dense kernel here is numpy's: its BLAS is a different library from
     scipy's, and under threaded BLAS each switch between the two costs
     milliseconds while the other library's threads spin down.
     """
+    support, rows, scale = detuning
     size = len(m0)
     e0 = np.zeros((size, 1))
     e0[0] = 1.0
-    # column j of D[:, S] has its one nonzero, scale[j], in row rows[j]
-    rows = np.argmax(d_support != 0, axis=0)
-    scale = d_support[rows, np.arange(len(rows))]
     # a singular M0 or V, or unpaired eigenvalues, are not an error here: the
     # caller sends the NaN points to the fallback, which reports the degenerate kernel
     try:
@@ -377,28 +376,34 @@ def _pole_solve(m0: np.ndarray, d_support: np.ndarray, support: np.ndarray, grid
 
     with np.errstate(all="ignore"):
         x = expand(m0_inv[:, :1])
-        x += expand(m0_inv @ (e0 - m0 @ x - grid * (d_support @ x[support])))
+        x += expand(m0_inv @ (e0 - m0 @ x - grid * _times_d(detuning, x)))
     condition = float(np.abs(v).sum(axis=0).max() * np.abs(v_inv).sum(axis=0).max())
     return x, condition
 
 
 def _pencil(config: ArrayConfig, drive: DriveConfig):
-    """The real pencil of one cell: M0, row 0 of the generator, S and D[:, S].
+    """The real pencil of one cell: M0, row 0 of the generator, and D.
 
     M0 is the generator G_s + sqrt(P)*G_d of ``_generators`` at zero
-    detuning, with the trace row in place of its row 0.
+    detuning, scattered from their entries into one dense array, with the
+    trace row in place of its row 0.  D is ``_real_detuning``'s.
     """
     if config.n_atoms > MAX_DRIVEN_ATOMS:
         raise DomainError(
             f"master-equation solver limited to N <= {MAX_DRIVEN_ATOMS}, got {config.n_atoms}"
         )
-    g_static, g_drive, support, d_support = _period_generators(config, drive.phase_on_drive)
-    m0 = np.sqrt(drive.power) * g_drive
-    m0 += g_static
+    dim = 2**config.n_atoms
+    (static, static_values), (driven, driven_values), detuning = _generators(
+        config, drive.phase_on_drive
+    )
+    m0 = np.zeros((dim * dim, dim * dim))
+    flat = m0.reshape(-1)
+    flat[driven] = np.sqrt(drive.power) * driven_values
+    flat[static] += static_values
     row0 = m0[0].copy()
     m0[0] = 0.0
-    m0[0, : 2**config.n_atoms] = 1.0  # trace row: the diagonal coordinates sum to one
-    return m0, row0, support, d_support
+    m0[0, :dim] = 1.0  # trace row: the diagonal coordinates sum to one
+    return m0, row0, detuning
 
 
 def _residual(x: np.ndarray, pencil, grid: np.ndarray) -> np.ndarray:
@@ -407,11 +412,11 @@ def _residual(x: np.ndarray, pencil, grid: np.ndarray) -> np.ndarray:
     L(delta) vec rho = Q G(delta) x, and G(delta) x is M0 x with row 0 of the
     generator in place of the trace row, plus delta*D x.
     """
-    m0, row0, support, d_support = pencil
+    m0, row0, detuning = pencil
     with np.errstate(all="ignore"):
         gx = m0 @ x
         gx[0] = row0 @ x
-        gx += grid * (d_support @ x[support])
+        gx += grid * _times_d(detuning, x)
     return np.abs(_vectors(gx)).max(axis=1)
 
 
@@ -420,7 +425,10 @@ def _states(x: np.ndarray, pencil, grid: np.ndarray):
 
     Returns the stack, shape (points, 2^N, 2^N), Hermitian by construction,
     and per point why it failed, or None: a generator residual (``_residual``)
-    above ``STEADY_TOL``, or an eigenvalue below ``-PSD_TOL``.
+    above ``STEADY_TOL``, or an eigenvalue below ``-PSD_TOL``.  Positive
+    semidefiniteness is one Cholesky factorization of the stack shifted by
+    ``PSD_TOL``; only when it fails are the eigenvalues computed, to name the
+    failing points.
     """
     dim = math.isqrt(len(x))
     with np.errstate(all="ignore"):
@@ -428,8 +436,13 @@ def _states(x: np.ndarray, pencil, grid: np.ndarray):
     rho = _vectors(x).reshape(len(grid), dim, dim)
     ok = _residual(x, pencil, grid) <= STEADY_TOL
     failures = [None if r else "steady-state generator residual exceeds 1e-9" for r in ok]
-    for i in np.flatnonzero(ok)[np.linalg.eigvalsh(rho[ok]).min(axis=1) < -PSD_TOL]:
-        failures[i] = "steady state is not positive semidefinite"
+    shifted = rho[ok]
+    shifted += PSD_TOL * np.eye(dim)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        for i in np.flatnonzero(ok)[np.linalg.eigvalsh(rho[ok]).min(axis=1) < -PSD_TOL]:
+            failures[i] = "steady state is not positive semidefinite"
     return rho, failures
 
 
@@ -445,10 +458,9 @@ def steady_state(config: ArrayConfig, drive: DriveConfig, detuning: float) -> np
     from the generator's kernel instead, which must be one-dimensional.
     """
     pencil = _pencil(config, drive)
-    m0, _, support, d_support = pencil
+    m0, _, (support, rows, scale) = pencil
     m = m0.copy()
-    rows, cols = np.nonzero(d_support)
-    m[rows, support[cols]] += detuning * d_support[rows, cols]
+    m[rows, support] += detuning * scale
     g = _probe_vector(len(m))[:, None]
     try:
         x = np.linalg.solve(m, np.hstack([np.eye(len(m), 1), g]))
@@ -477,8 +489,7 @@ def steady_states(config: ArrayConfig, drive: DriveConfig) -> tuple[np.ndarray, 
     are real.  With the trace row in place of row 0 the linear system is the
     pencil M(delta) = M0 + delta*D, and D is zero off its support S (see
     ``_real_detuning``), so one inverse of M0, its only factorization, and
-    one eigensolve of size |S| serve every point (see ``_pole_solve``).  The
-    generators come from the one-period cache of ``_period_generators``.  A
+    one eigensolve of size |S| serve every point (see ``_pole_solve``).  A
     point that fails the checks of ``_states`` is re-solved by
     ``steady_state``, which factors its own M(delta).
 
@@ -488,8 +499,7 @@ def steady_states(config: ArrayConfig, drive: DriveConfig) -> tuple[np.ndarray, 
     """
     grid = drive.detuning_grid
     pencil = _pencil(config, drive)
-    m0, _, support, d_support = pencil
-    x, condition = _pole_solve(m0, d_support, support, grid)
+    x, condition = _pole_solve(pencil[0], pencil[2], grid)
     rho, failures = _states(x, pencil, grid)
     failed = [i for i, failure in enumerate(failures) if failure]
     for i in failed:
@@ -642,9 +652,7 @@ def resonance_grid(
     for state in diagonalize(config, 1):
         width = max(refine_span * state.gamma, 1e-3)
         pieces.append(np.linspace(state.epsilon.real - width, state.epsilon.real + width, refine_points))
-    # sorted, first of each run of equal values: np.unique's result, without
-    # the numpy.ma import np.unique makes on its first call
-    grid = np.sort(np.concatenate(pieces))
-    grid = grid[np.insert(grid[1:] != grid[:-1], 0, True) & (grid >= start) & (grid <= stop)]
+    grid = _distinct(np.concatenate(pieces))
+    grid = grid[(grid >= start) & (grid <= stop)]
     # modes sharing Re(eps) to roundoff would leave detunings ~1e-16 apart
     return grid[np.insert(np.diff(grid) > GRID_MERGE_TOL * (stop - start), 0, True)]

@@ -408,18 +408,6 @@ def _cells(spec: ScanSpec, mode: _Mode) -> list[dict]:
     ]
 
 
-def _evaluation_order(spec: ScanSpec, cells: list[dict]) -> list[int]:
-    """The order in which the cells of ``_cells`` are solved.
-
-    Cells are grouped by period, in the order the d values first appear and
-    in output order within a period, since a process caches the generators
-    of one driven period only (``driven._period_generators``).  A sector
-    sweep has d outermost, so its cells are solved in output order.
-    """
-    period = {d: i for i, d in enumerate(spec.d_values)}
-    return sorted(range(len(cells)), key=lambda i: period[cells[i]["d_over_lambda"]])
-
-
 def run_scan(spec: ScanSpec) -> RunManifest:
     """Execute a validated scan; write data files and a run manifest.
 
@@ -433,17 +421,15 @@ def run_scan(spec: ScanSpec) -> RunManifest:
         raise ConfigError(f"cannot create directory: {exc}", location="output.directory") from exc
     mode = _MODE_TABLE[spec.mode]
     cells = _cells(spec, mode)
-    order = _evaluation_order(spec, cells)
     settings = {
         "n_atoms": spec.n_values[0], "detuning": spec.detuning,
         "phase_on_drive": spec.phase_on_drive,
     }
-    tasks = [(mode.worker, {**settings, **cells[i]}) for i in order]
+    tasks = [(mode.worker, {**settings, **cell}) for cell in cells]
     # loads numpy and the compute layers here, so forked workers inherit them
     from .cells import _run_cell
 
-    done = _map_cells(_run_cell, tasks, spec.workers)
-    results = [result for _, result in sorted(zip(order, done))]
+    results = _map_cells(_run_cell, tasks, spec.workers)
     outputs, rows, statuses = [], [], []
     for i, (params, (status, payload, *health)) in enumerate(zip(cells, results)):
         if status == "ok":

@@ -4,7 +4,9 @@ The operators work in the full 2^N product space from raw Kronecker
 products, with no knowledge of the package's subset-transfer logic; the
 HOSVD reference works on the dense symmetric tensor, not the reduced
 unfolding; the sector eigen references work on the dense sector matrix of
-``build_hamiltonian``, not on its hop-table entries.
+``build_hamiltonian``, not on its hop-table entries; the driven generator
+references assemble dense 4^N x 4^N superoperators and change their basis
+by index, not from the generator's entries.
 """
 
 import itertools
@@ -13,6 +15,7 @@ import numpy as np
 from scipy import sparse
 
 from wqed_subradiance import SectorHamiltonian, build_hamiltonian, enumerate_sector
+from wqed_subradiance.driven import _hermitian_coordinates, _operators
 from wqed_subradiance.spectrum import _symmetry_group
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -141,6 +144,77 @@ def waveguide_liouvillian(n, phi, omega, delta, gamma=1.0):
         )
         gen += np.kron(channel.conj(), channel)
     return gen
+
+
+def lindblad_super(h, jumps=()):
+    """-i(h rho - rho h^dag) + sum_C C rho C^dag as a dense matrix on row-major vec.
+
+    vec(A rho B) = kron(A, B.T) vec(rho), so entry (ab, cd) is A[a, c]
+    B[d, b]; each term is added in place by strided slices of one 4-index
+    view, -i h first, then i conj(h), then each C.
+    """
+    dim = len(h)
+    out = np.zeros((dim,) * 4, dtype=complex)
+    left, right = -1j * h, 1j * h.conj()
+    for k in range(dim):
+        out[:, k, :, k] += left
+        out[k, :, k, :] += right
+    for c in jumps:
+        c_conj = c.conj()[:, None, :]
+        for a in range(dim):
+            out[a] += c[a][None, :, None] * c_conj
+    return out.reshape(dim * dim, dim * dim)
+
+
+def liouvillian_pieces(config, phase_on_drive):
+    """The dense complex static and per-unit-drive pieces of ``driven._operators``,
+    and its detuning diagonal."""
+    (h, jumps), (drive, _), detuning_diag = _operators(config, phase_on_drive)
+    return lindblad_super(h, jumps), lindblad_super(drive), detuning_diag
+
+
+def real_generator(liouvillian, dim):
+    """Q^dag L Q of a dense piece, Q the basis of ``driven._hermitian_coordinates``.
+
+    The columns of L Q and then the rows of Q^dag (L Q) are sums and
+    differences of gathered columns and rows, scaled by sqrt(1/2).
+    """
+    diag, upper, lower = _hermitian_coordinates(dim)
+    half = np.sqrt(0.5)
+
+    def columns(rows):
+        """The rows ``rows`` of L Q."""
+        block = liouvillian[rows]
+        upper_cols, lower_cols = block[:, upper], block[:, lower]
+        return np.concatenate(
+            [
+                block[:, diag],
+                half * (upper_cols + lower_cols),
+                1j * half * (upper_cols - lower_cols),
+            ],
+            axis=1,
+        )
+
+    upper_rows, lower_rows = columns(upper), columns(lower)
+    return np.concatenate(
+        [
+            columns(diag).real,
+            half * (upper_rows + lower_rows).real,
+            half * (upper_rows - lower_rows).imag,
+        ]
+    )
+
+
+def real_detuning(detuning_diag, dim):
+    """The detuning piece in real coordinates, dense: with i*theta the diagonal
+    entry of upper pair p, it maps (Re_p, Im_p) to (-theta*Im_p, theta*Re_p)."""
+    _, upper, _ = _hermitian_coordinates(dim)
+    theta = detuning_diag[upper].imag
+    re = dim + np.arange(len(upper))
+    out = np.zeros((dim * dim, dim * dim))
+    out[re + len(upper), re] = theta
+    out[re, re + len(upper)] = -theta
+    return out
 
 
 def steady_density(n, phi, omega, delta, gamma=1.0):

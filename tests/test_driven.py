@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,11 @@ from wqed_subradiance import (
 from oracles import (
     complex_residual,
     incoherent_fraction,
+    lindblad_super,
+    liouvillian_pieces,
     lowering_ops_full,
+    real_detuning,
+    real_generator,
     steady_density,
     two_level_incoherent_fraction,
     two_level_population,
@@ -120,8 +123,8 @@ def test_corrupted_pole_expansion_falls_back_at_every_point(monkeypatch):
 
 def test_singular_pencil_gives_nan_not_garbage():
     grid = np.array([-1.0, 0.5])
-    support, d_support = driven_module._real_detuning(np.array([0, 1j, -1j, 0]), 2)
-    x, condition = driven_module._pole_solve(np.zeros((4, 4)), d_support, support, grid)
+    detuning = driven_module._real_detuning(np.array([0, 1j, -1j, 0]), 2)
+    x, condition = driven_module._pole_solve(np.zeros((4, 4)), detuning, grid)
     assert x.shape == (4, 2) and np.isnan(x).all()
     assert condition is None
 
@@ -179,6 +182,21 @@ def test_lowering_table_rebuilds_the_kronecker_operators(n):
         assert np.array_equal(op, oracle)
 
 
+def _dense(entries, size, dtype=float):
+    """The size x size matrix of flat (positions, values) entries."""
+    out = np.zeros(size * size, dtype=dtype)
+    out[entries[0]] = entries[1]
+    return out.reshape(size, size)
+
+
+def _dense_detuning(detuning, size):
+    """The size x size matrix of D given as (support, rows, scale)."""
+    support, rows, scale = detuning
+    out = np.zeros((size, size))
+    out[rows, support] = scale
+    return out
+
+
 def _hermitian_basis(dim):
     """Dense columns of the orthonormal basis behind the real coordinates."""
     diag, upper, lower = driven_module._hermitian_coordinates(dim)
@@ -200,29 +218,43 @@ _PERIODS = {
 
 @pytest.mark.parametrize("n, phase_on_drive", list(_PERIODS.values()), ids=list(_PERIODS))
 def test_real_coordinates_match_dense_change_of_basis(n, phase_on_drive):
-    """Cached real generators, detuning piece and pencil equal Q^dag L Q, which is real."""
+    """Real generators and detuning piece from entries, and the pencil, equal Q^dag L Q, which is real."""
     dim = 2**n
     config = ArrayConfig.from_period(n, 0.13)
-    l_static, l_drive, detuning_diag = driven_module._liouvillian_pieces(config, phase_on_drive)
-    cached = driven_module._period_generators(config, phase_on_drive)
-    g_static, g_drive, support, d_support = cached
+    l_static, l_drive, detuning_diag = liouvillian_pieces(config, phase_on_drive)
+    g_static, g_drive, detuning = driven_module._generators(config, phase_on_drive)
+    support = detuning[0]
     q = _hermitian_basis(dim)
     np.testing.assert_allclose(q.conj().T @ q, np.eye(dim * dim), rtol=0, atol=1e-15)
-    for real, piece in ((g_static, l_static), (g_drive, l_drive)):
+    for entries, piece in ((g_static, l_static), (g_drive, l_drive)):
         dense = q.conj().T @ piece @ q
         assert np.abs(dense.imag).max() < 1e-14
-        np.testing.assert_allclose(real, dense.real, rtol=0, atol=1e-14)
-    d_real = np.zeros((dim * dim, dim * dim))
-    d_real[:, support] = d_support
+        np.testing.assert_allclose(_dense(entries, dim * dim), dense.real, rtol=0, atol=1e-14)
+    d_real = _dense_detuning(detuning, dim * dim)
     dense_d = q.conj().T @ np.diag(detuning_diag) @ q
     np.testing.assert_allclose(d_real, dense_d.real, rtol=0, atol=1e-14)
     assert np.abs(dense_d[:, np.setdiff1d(np.arange(dim * dim), support)]).max() < 1e-14
     # the pencil of one cell: G_s + sqrt(P) G_d with the trace row in place of row 0
-    m0, row0, _, _ = driven_module._pencil(config, _drive(0.49, phase_on_drive=phase_on_drive))
+    m0, row0, _ = driven_module._pencil(config, _drive(0.49, phase_on_drive=phase_on_drive))
     dense = (q.conj().T @ (l_static + 0.7 * l_drive) @ q).real
     np.testing.assert_allclose(m0[1:], dense[1:], rtol=0, atol=1e-14)
     np.testing.assert_allclose(row0, dense[0], rtol=0, atol=1e-14)
     assert np.array_equal(m0[0], np.repeat([1.0, 0.0], [dim, dim * dim - dim]))
+
+
+@pytest.mark.parametrize(
+    "n, phase_on_drive", [*_PERIODS.values(), (5, True)], ids=[*_PERIODS, "5"]
+)
+def test_sparse_generators_equal_the_dense_oracle(n, phase_on_drive):
+    """G_s, G_d and D built from entries equal the dense assembly and gather of
+    ``oracles`` exactly (``array_equal``, so up to the sign of zeros)."""
+    dim = 2**n
+    config = ArrayConfig.from_period(n, 0.13)
+    l_static, l_drive, detuning_diag = liouvillian_pieces(config, phase_on_drive)
+    g_static, g_drive, detuning = driven_module._generators(config, phase_on_drive)
+    assert np.array_equal(_dense(g_static, dim * dim), real_generator(l_static, dim))
+    assert np.array_equal(_dense(g_drive, dim * dim), real_generator(l_drive, dim))
+    assert np.array_equal(_dense_detuning(detuning, dim * dim), real_detuning(detuning_diag, dim))
 
 
 @pytest.mark.parametrize("n, phase_on_drive", list(_PERIODS.values()), ids=list(_PERIODS))
@@ -230,11 +262,11 @@ def test_real_residual_matches_the_complex_formula(n, phase_on_drive):
     """max |L vec rho| from Q (G x) equals the complex generator's, on generic and on solved x."""
     config = ArrayConfig.from_period(n, 0.05)
     drive = _drive(0.3, _POLE_GRID, phase_on_drive=phase_on_drive)
-    l_static, l_drive, detuning_diag = driven_module._liouvillian_pieces(config, phase_on_drive)
+    l_static, l_drive, detuning_diag = liouvillian_pieces(config, phase_on_drive)
     l0 = l_static + np.sqrt(drive.power) * l_drive
     pencil = driven_module._pencil(config, drive)
     generic = np.random.default_rng(n).standard_normal((4**n, len(_POLE_GRID)))
-    solved, _ = driven_module._pole_solve(pencil[0], pencil[3], pencil[2], _POLE_GRID)
+    solved, _ = driven_module._pole_solve(pencil[0], pencil[2], _POLE_GRID)
     for x in (generic, solved):
         normalized = x / x[: 2**n].sum(axis=0)
         residual = driven_module._residual(normalized, pencil, _POLE_GRID)
@@ -244,90 +276,120 @@ def test_real_residual_matches_the_complex_formula(n, phase_on_drive):
     assert complex_residual(generic, l0, detuning_diag, _POLE_GRID).min() > 1e-3
 
 
-def test_probe_rejects_a_perturbed_generator(monkeypatch):
-    """One wrong entry in any real piece fails the probe; the period builder
-    runs it on each piece, and a failed build caches nothing."""
+def test_probe_rejects_a_perturbed_generator():
+    """One wrong entry in any real piece fails the probe against the complex piece."""
     config = ArrayConfig.from_period(3, 0.05)
-    l_static, l_drive, detuning_diag = driven_module._liouvillian_pieces(config, True)
-    g_static, g_drive, support, d_support = driven_module._generators(config, True)
-    y = driven_module._probe_vector(len(g_static))
+    l_static, l_drive, detuning_diag = liouvillian_pieces(config, True)
+    g_static, g_drive, detuning = driven_module._generators(config, True)
+    size = len(detuning_diag)
+    y = driven_module._probe_vector(size)
     qy = driven_module._vectors(y[:, None])[0]
+    support, rows, _ = detuning
     checks = [
-        (lambda real: driven_module._probe(l_static @ qy, real @ y), g_static, (5, 17)),
-        (lambda real: driven_module._probe(l_drive @ qy, real @ y), g_drive, (40, 3)),
-        (
-            lambda real: driven_module._probe(detuning_diag * qy, real @ y[support]),
-            d_support,
-            tuple(np.argwhere(d_support)[7]),
-        ),
+        (l_static @ qy, _dense(g_static, size), (5, 17)),
+        (l_drive @ qy, _dense(g_drive, size), (40, 3)),
+        (detuning_diag * qy, _dense_detuning(detuning, size), (rows[7], support[7])),
     ]
-    for probe, real, entry in checks:
-        probe(real)
-        perturbed = real.copy()
-        perturbed[entry] += 1e-6
+    for image, real, entry in checks:
+        driven_module._probe(image, real @ y)
+        real[entry] += 1e-6
         with pytest.raises(NumericalError, match="real generator fails the probe"):
-            probe(perturbed)
+            driven_module._probe(image, real @ y)
 
-    gather, detuning = driven_module._real_generator, driven_module._real_detuning
 
-    def nth_gather_off(n):
+@pytest.mark.parametrize("piece", ["static", "drive", "detuning"])
+def test_a_perturbed_entry_fails_every_solver(piece, monkeypatch):
+    """One stored value of G_s, G_d or D off by 1e-6 fails the build's own probe,
+    through every entry point; nothing of a build is kept, so the next one is clean."""
+    name, nth = {
+        "static": ("_real_entries", 1), "drive": ("_real_entries", 2), "detuning": ("_real_detuning", 1)
+    }[piece]
+    build = getattr(driven_module, name)
+
+    def perturbed():
         calls = []
 
-        def off_by_one_entry(liouvillian, dim):
-            real = gather(liouvillian, dim)
-            calls.append(dim)
-            if len(calls) == n:
-                real[5, 17] += 1e-6
-            return real
+        def off_by_one_value(*args):
+            *rest, values = build(*args)
+            calls.append(args)
+            if len(calls) == nth:
+                values[7] += 1e-6
+            return (*rest, values)
 
-        return off_by_one_entry
+        return off_by_one_value
 
-    def detuning_off(detuning_diag, dim):
-        support, d_support = detuning(detuning_diag, dim)
-        d_support[tuple(np.argwhere(d_support)[7])] += 1e-6
-        return support, d_support
-
-    patches = [("_real_generator", nth_gather_off(1)), ("_real_generator", nth_gather_off(2))]
-    for name, patched in patches + [("_real_detuning", detuning_off)]:
+    config = ArrayConfig.from_period(3, 0.05)
+    drive = _drive(0.3, _POLE_GRID)
+    solvers = [
+        lambda: steady_states(config, drive),
+        lambda: steady_state(config, drive, -0.2),
+        lambda: incoherent_spectrum(config, drive),
+    ]
+    for solve in solvers:
         with monkeypatch.context() as patch:
-            patch.setattr(driven_module, name, patched)
-            driven_module._PERIOD.clear()
+            patch.setattr(driven_module, name, perturbed())
             with pytest.raises(NumericalError, match="real generator fails the probe"):
-                steady_states(config, _drive(0.3, _POLE_GRID))
-            assert driven_module._PERIOD == {}
-        steady_states(config, _drive(0.3, _POLE_GRID))
-        assert list(driven_module._PERIOD) == [(config, True)]
+                solve()
+    assert steady_states(config, drive)[1]["fallback_points"] == 0
 
 
-def test_period_build_peak_stays_under_twice_what_it_keeps():
-    """The pieces are built, gathered and probed one at a time, so the traced
-    peak of a build (numpy reports its buffers to tracemalloc) stays under
-    twice the bytes it keeps: 1.8 times at N = 4, where holding all three
-    complex pieces at once peaked at 4.7 times."""
-    config = ArrayConfig.from_period(4, 0.05)
-    driven_module._generators(config, True)  # first-call caches of the lattice layer
+def test_pencil_peak_stays_under_one_and_a_half_times_m0():
+    """A cell's pencil is scattered from entry lists into M0, with no complex
+    4^N x 4^N piece and no dense generator besides M0, so at N = 5 its traced
+    peak (numpy reports its buffers to tracemalloc) stays under 1.5 times the
+    bytes of M0 (1.1 times); the dense build it replaced peaked at 4.3 times."""
+    config = ArrayConfig.from_period(5, 0.05)
+    drive = _drive(0.3)
+    driven_module._pencil(config, drive)  # first-call caches of the lattice layer
     tracemalloc.start()
     try:
-        kept = driven_module._generators(config, True)
+        m0, _, _ = driven_module._pencil(config, drive)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.0 * sum(array.nbytes for array in kept)
+    assert peak < 1.5 * m0.nbytes
 
 
-def test_cached_period_is_released_before_the_next_build(monkeypatch):
-    """The one-period cache drops the old period's arrays before it builds the next."""
-    old = weakref.ref(driven_module._period_generators(ArrayConfig.from_period(3, 0.05), True)[0])
-    alive_at_build = []
-    build = driven_module._generators
+def test_psd_check_names_only_the_non_psd_point(monkeypatch):
+    """The stack passes one batched Cholesky factorization; an injected non-PSD
+    point among good ones makes it fail, and the eigenvalues then name that
+    point alone, which is the only one re-solved."""
+    config = ArrayConfig.from_period(3, 0.05)
+    drive = _drive(0.3, _POLE_GRID)
+    eigvalsh, pole_solve = np.linalg.eigvalsh, driven_module._pole_solve
+    states, resolve = driven_module._states, driven_module.steady_state
+    eigvalsh_calls, named, resolved = [], [], []
     monkeypatch.setattr(
-        driven_module,
-        "_generators",
-        lambda config, phase_on_drive: alive_at_build.append(old() is not None)
-        or build(config, phase_on_drive),
+        driven_module.np.linalg, "eigvalsh", lambda a: eigvalsh_calls.append(a.shape) or eigvalsh(a)
     )
-    driven_module._period_generators(ArrayConfig.from_period(3, 0.1), True)
-    assert alive_at_build == [False]
+    expected, health = steady_states(config, drive)
+    assert health["fallback_points"] == 0 and eigvalsh_calls == []
+
+    def one_bad_point(m0, detuning, grid):
+        x, condition = pole_solve(m0, detuning, grid)
+        x[:, 4] = 0.0
+        x[:2, 4] = [1.5, -0.5]  # diag(1.5, -0.5, 0, ...): trace one, an eigenvalue -0.5
+        return x, condition
+
+    def recording_states(*args):
+        rho, failures = states(*args)
+        named.append(failures)
+        return rho, failures
+
+    monkeypatch.setattr(driven_module, "_pole_solve", one_bad_point)
+    # the injected point has no generator residual to fail first
+    monkeypatch.setattr(driven_module, "_residual", lambda x, pencil, grid: np.zeros(len(grid)))
+    monkeypatch.setattr(driven_module, "_states", recording_states)
+    monkeypatch.setattr(
+        driven_module, "steady_state", lambda *args: resolved.append(args[2]) or resolve(*args)
+    )
+    rhos, health = steady_states(config, drive)
+    assert named[0] == [None] * 4 + ["steady state is not positive semidefinite"] + [None] * 5
+    assert named[1:] == [[None]]  # the re-solve of that point passes
+    assert resolved == [_POLE_GRID[4]]
+    assert health["fallback_points"] == 1
+    assert eigvalsh_calls == [(len(_POLE_GRID), 8, 8)]
+    np.testing.assert_allclose(rhos, expected, rtol=0, atol=1e-12)
 
 
 def test_unpaired_eigenvalues_fall_back_at_every_point(monkeypatch):
@@ -435,14 +497,18 @@ def test_steady_state_and_its_fallback_leave_numpy_random_unloaded():
 @pytest.mark.parametrize("d", [0.0, 0.05, 0.13, 0.25, 0.5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_generator_matches_waveguide_oracle(n, d, gamma):
-    """The complex pieces assemble the oracle's Lindblad generator, row-major vec.
+    """The complex entries assemble the oracle's Lindblad generator, row-major vec.
 
     gamma_1d is the unit: the oracle's generator at rate gamma is gamma times
     the one at rate 1, with drive amplitude and detuning divided by gamma.
     """
     config = ArrayConfig.from_period(n, d)
     amp, delta = 0.37, -0.29
-    l_static, l_drive, detuning_diag = driven_module._liouvillian_pieces(config, True)
+    static, drive, detuning_diag = driven_module._operators(config, True)
+    size = 4**n
+    l_static, l_drive = (
+        _dense(driven_module._lindblad_entries(*piece), size, complex) for piece in (static, drive)
+    )
     generator = gamma * (l_static + amp / gamma * l_drive + delta / gamma * np.diag(detuning_diag))
     dim = 2**n
     # row-major index a*dim + b holds rho_ab, column-stacked index a + b*dim
@@ -455,13 +521,17 @@ def test_generator_matches_waveguide_oracle(n, d, gamma):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_detuning_piece_is_the_cached_diagonal(n):
-    """The dense commutator with -N is exactly diagonal and equals the returned vector."""
+    """The dense commutator with -N is exactly diagonal and equals the returned vector,
+    and so do the entries of the same commutator."""
     config = ArrayConfig.from_period(n, 0.05)
     ops = lowering_ops_full(n)
-    dense = driven_module._lindblad_super(-sum(op.conj().T @ op for op in ops))
-    _, _, detuning_diag = driven_module._liouvillian_pieces(config, True)
+    minus_number = -sum(op.conj().T @ op for op in ops)
+    dense = lindblad_super(minus_number)
+    _, _, detuning_diag = driven_module._operators(config, True)
     assert detuning_diag.shape == (4**n,)
     assert np.array_equal(dense, np.diag(detuning_diag))
+    entries = driven_module._lindblad_entries(minus_number)
+    assert np.array_equal(_dense(entries, 4**n, complex), np.diag(detuning_diag))
 
 
 # (n, d, power, delta, grid, kernel dimension): d = lambda0/2 (phase pi) on a
@@ -496,7 +566,7 @@ def test_degenerate_generator_is_reported_as_not_unique(n, d, power, delta, grid
 def test_kernel_spans_the_scipy_null_space(n, d, dim):
     """The numpy kernel and scipy's null_space give the same subspace."""
     config = ArrayConfig.from_period(n, d)
-    l_static, l_drive, detuning_diag = driven_module._liouvillian_pieces(config, True)
+    l_static, l_drive, detuning_diag = liouvillian_pieces(config, True)
     generator = l_static + l_drive
     generator += 0.1 * np.diag(detuning_diag)
     kernel = driven_module._kernel(generator)

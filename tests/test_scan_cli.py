@@ -810,7 +810,7 @@ def test_driven_manifest_reports_solver_health(tmp_path):
         assert 1.0 <= cell["health"]["v_condition"] < 1e8
 
 
-# three periods listed out of order, two powers: cells run grouped by period
+# three periods listed out of order, two powers
 _BY_PERIOD = {
     "array": {"n_atoms": 2},
     "grid": {"d_over_lambda": [0.25, 0.05, 0.1]},
@@ -864,8 +864,9 @@ def test_driven_outputs_keep_config_order_when_cells_run_by_period(tmp_path):
         assert (spectra / names[i]).read_bytes() == (single / "spectrum_p00.csv").read_bytes()
 
 
-def test_driven_map_builds_each_period_once(tmp_path, monkeypatch):
-    """Three periods at two powers: three generator builds, and one period left cached."""
+def test_driven_map_builds_each_cell_in_output_order(tmp_path, monkeypatch):
+    """Three periods at two powers: six cells, each building its own generators
+    once, solved in the (power, d) output order; no period is cached."""
     builds = []
     build = driven_module._generators
     monkeypatch.setattr(
@@ -873,11 +874,9 @@ def test_driven_map_builds_each_period_once(tmp_path, monkeypatch):
         "_generators",
         lambda config, phase_on_drive: builds.append(config) or build(config, phase_on_drive),
     )
-    driven_module._PERIOD.clear()
     _driven_run(tmp_path, "out")
-    periods = [ArrayConfig.from_period(2, d) for d in _BY_PERIOD["grid"]["d_over_lambda"]]
-    assert builds == periods
-    assert list(driven_module._PERIOD) == [(periods[-1], True)]
+    powers, periods = _BY_PERIOD["drive"]["power"], _BY_PERIOD["grid"]["d_over_lambda"]
+    assert builds == [ArrayConfig.from_period(2, d) for _ in powers for d in periods]
 
 
 def test_driven_cell_without_fallback_factors_m0_once(tmp_path, monkeypatch):
