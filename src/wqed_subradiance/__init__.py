@@ -40,7 +40,6 @@ _LAZY = {
         "coherent_amplitudes",
         "incoherent_spectrum",
         "narrowest_linewidth",
-        "occupations",
         "resonance_grid",
         "steady_state",
         "steady_states",
@@ -51,7 +50,6 @@ _LAZY = {
         "SymmetricWavefunction",
         "ansatz_overlap",
         "dimerized_profiles",
-        "entanglement_entropy",
         "fermionic_profiles",
         "hole_transform",
         "hosvd",
@@ -66,15 +64,10 @@ _LAZY = {
     ),
     "spectrum": (
         "EigenState",
-        "ScalingFit",
-        "SumRuleResult",
-        "darkness_bound",
         "diagonalize",
         "diagonalize_sector",
-        "fermionic_sum_rule",
         "min_decay_rate",
         "most_subradiant_state",
-        "scaling_fit",
         "sector_decay_rates",
     ),
 }

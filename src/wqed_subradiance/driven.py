@@ -507,13 +507,6 @@ def steady_states(config: ArrayConfig, drive: DriveConfig) -> tuple[np.ndarray, 
     return rho, {"fallback_points": len(failed), "v_condition": condition}
 
 
-def occupations(config: ArrayConfig, rho: np.ndarray) -> np.ndarray:
-    """Per-site excited-state populations <sigma^dag_j sigma_j>."""
-    # sigma^dag_j sigma_j is diagonal, one on the states with site j excited
-    upper, _ = _lowering_table(config.n_atoms)
-    return np.diagonal(rho).real[upper].sum(axis=1)
-
-
 def transfer_matrix_amplitudes(
     config: ArrayConfig, detuning: float
 ) -> tuple[complex, complex]:

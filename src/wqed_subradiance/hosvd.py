@@ -152,15 +152,6 @@ def hosvd(psi: SymmetricWavefunction) -> HosvdResult:
     return HosvdResult(factor=u, singular_values=lam, entropy=_entropy(lam**2), k=psi.k)
 
 
-def entanglement_entropy(result: HosvdResult) -> float:
-    """Generalized entanglement entropy -sum(lambda^2 ln lambda^2)."""
-    weights = result.singular_values**2
-    total = weights.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise DomainError(f"singular values must satisfy sum(lambda^2)=1, got {total}")
-    return _entropy(weights)
-
-
 def fermionic_profiles(n_atoms: int) -> np.ndarray:
     """Standing-wave orbitals (-1)^n sin(pi*n*alpha/N), rows normalized."""
     sites = np.arange(1, n_atoms + 1)

