@@ -17,18 +17,26 @@ from .spectrum import min_decay_rate, most_subradiant_state
 
 
 def _run_cell(task):
-    """Run one grid cell; a domain or numerical failure becomes its error status.
+    """Run one grid cell; whatever it raises becomes its error status.
 
     ``task`` is (worker name, cell), the cell being the scan's settings
     (``n_atoms``, ``detuning``, ``phase_on_drive``) overlaid by its params; the
     worker is looked up when the cell runs and returns (status, payload) or
-    (status, payload, health).
+    (status, payload, health).  A domain or numerical failure is recorded by
+    its message; any other exception, a ``MemoryError`` say, by
+    "<type name>: <message>", with its traceback on stderr, so one failing
+    cell does not end the scan and a programming error keeps its location.
     """
     worker, cell = task
     try:
         return globals()[worker](cell)
     except (DomainError, NumericalError) as exc:
         return ("error", str(exc))
+    except Exception as exc:
+        import traceback  # not loaded by a scan that has no such failure
+
+        traceback.print_exc()
+        return ("error", f"{type(exc).__name__}: {exc}")
 
 
 def _array(cell) -> ArrayConfig:

@@ -29,6 +29,7 @@ from .spectrum import diagonalize
 
 STEADY_TOL = 1e-9
 PSD_TOL = 1e-9
+PSD_CHUNK = 32  # points per Cholesky call of the PSD check, so its copies stay small
 KERNEL_RCOND = 1e-10
 PROBE_TOL = 1e-10
 PEAK_FLOOR = 1e-9
@@ -244,23 +245,35 @@ def _real_detuning(detuning_diag: np.ndarray, dim: int):
     )
 
 
-def _times_d(detuning, x: np.ndarray) -> np.ndarray:
-    """D x for the columns of x, D the ``(support, rows, scale)`` of ``_real_detuning``."""
+def _times_d(detuning, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D x for the columns of x, D the ``(support, rows, scale)`` of ``_real_detuning``,
+    as its rows ``rows`` (no two alike) and their values; every other row of D x is zero."""
     support, rows, scale = detuning
-    dx = np.zeros_like(x)
-    dx[rows] = scale[:, None] * x[support]
-    return dx
+    return rows, scale[:, None] * x[support]
 
 
 def _vectors(x: np.ndarray) -> np.ndarray:
-    """Q x: row i is the row-major vec of the Hermitian matrix with real coordinates x[:, i]."""
+    """Q x: row i is the row-major vec of the Hermitian matrix with real coordinates x[:, i].
+
+    The real and imaginary parts are filled straight from x: the diagonal
+    coordinates, sqrt(1/2)*Re and sqrt(1/2)*Im on the upper entries, and Im
+    negated on the lower ones.  These are the values of sqrt(1/2)*(re +
+    1j*im) and its conjugate bit for bit, up to the sign of zero, with no
+    complex temporary.
+    """
     dim = math.isqrt(len(x))
     diag, upper, lower = _hermitian_coordinates(dim)
-    entries = np.sqrt(0.5) * (x[dim : dim + len(upper)] + 1j * x[dim + len(upper) :]).T
+    half = np.sqrt(0.5)
     vec = np.empty((x.shape[1], dim * dim), dtype=complex)
-    vec[:, diag] = x[:dim].T
-    vec[:, upper] = entries
-    vec[:, lower] = entries.conj()
+    real, imag = vec.real, vec.imag
+    real[:, diag] = x[:dim].T
+    imag[:, diag] = 0.0
+    part = half * x[dim : dim + len(upper)].T
+    real[:, upper] = part
+    real[:, lower] = part
+    part = half * x[dim + len(upper) :].T
+    imag[:, upper] = part
+    imag[:, lower] = np.negative(part, out=part)
     return vec
 
 
@@ -305,28 +318,40 @@ def _generators(config: ArrayConfig, phase_on_drive: bool):
         _probe(image.ravel(), np.bincount(rows, values * y[cols], minlength=dim * dim))
         pieces.append((positions, values))
     detuning = _real_detuning(detuning_diag, dim)
-    _probe(detuning_diag * qy, _times_d(detuning, y[:, None])[:, 0])
+    rows, dy = _times_d(detuning, y[:, None])
+    real_image = np.zeros(dim * dim)
+    real_image[rows] = dy[:, 0]
+    _probe(detuning_diag * qy, real_image)
     return (*pieces, detuning)
 
 
-def _real_eigenbasis(matrix: np.ndarray):
-    """Real eigenvalues, one of each conjugate pair of eigenvalues, and a real eigenbasis V.
+def _real_eigenbasis(m0_inv: np.ndarray, detuning):
+    """Real eigenvalues, one of each conjugate pair of eigenvalues, and a real eigenbasis V of K[S].
 
+    K[S] = (M0^-1 D)[S, S] is gathered from ``m0_inv`` and scaled in place,
+    D = ``detuning`` (``_real_detuning``), and dropped once ``eig`` returns.
     V holds the eigenvectors of the real eigenvalues, then the real parts
     and then the imaginary parts u, v of one eigenvector u + iv of each pair
-    a + ib (b > 0).  With A = ``matrix``, A u = a u - b v and A v = b u + a v,
-    so A V = V B with B a 2x2 rotation block [[a, b], [-b, a]] per pair.
+    a + ib (b > 0), gathered as real arrays from the complex eigenvectors,
+    which die when it returns.  With A = K[S], A u = a u - b v and A v = b u +
+    a v, so A V = V B with B a 2x2 rotation block [[a, b], [-b, a]] per pair.
     Eigenvalues are paired by exact conjugacy; when they do not all pair (or
     are not finite) V is no basis, and ``LinAlgError`` is raised.
     """
-    lam, w = np.linalg.eig(matrix)
+    support, rows, scale = detuning
+    k = m0_inv[np.ix_(support, rows)]
+    k *= scale
+    lam, w = np.linalg.eig(k)
+    del k
     real, upper = np.flatnonzero(lam.imag == 0), np.flatnonzero(lam.imag > 0)
     conjugates = lam[lam.imag < 0].conj()
     if not np.isfinite(lam).all() or not np.array_equal(
         np.sort_complex(lam[upper]), np.sort_complex(conjugates)
     ):
         raise np.linalg.LinAlgError("eigenvalues do not come in conjugate pairs")
-    v = np.hstack([w[:, real].real, w[:, upper].real, w[:, upper].imag])
+    # np.hstack picks V's memory order (Fortran when there are real
+    # eigenvalues), and V's column sums and K V depend on it to the bit
+    v = np.hstack([w.real[:, real], w.real[:, upper], w.imag[:, upper]])
     return lam[real].real, lam[upper], v
 
 
@@ -345,6 +370,13 @@ def _pole_solve(m0: np.ndarray, detuning, grid: np.ndarray):
     real.  Returns x and the 1-norm condition of V; x is NaN (and the
     condition None) when M0 cannot be expanded.
 
+    Each buffer dies at its last use: V once K V and its norm are formed,
+    M0^-1 before the second expansion, which on a dense grid sets the peak
+    otherwise.  Each expansion fills one coefficient array and forms its
+    product with K V in place, and the refinement forms (e0 - M0 x) -
+    delta*D x in one buffer.  The arithmetic and its order are unchanged by
+    this, so x keeps its bits.
+
     Every dense kernel here is numpy's: its BLAS is a different library from
     scipy's, and under threaded BLAS each switch between the two costs
     milliseconds while the other library's threads spin down.
@@ -357,12 +389,14 @@ def _pole_solve(m0: np.ndarray, detuning, grid: np.ndarray):
     # caller sends the NaN points to the fallback, which reports the degenerate kernel
     try:
         m0_inv = np.linalg.inv(m0)
-        lam, pairs, v = _real_eigenbasis(m0_inv[np.ix_(support, rows)] * scale)
+        lam, pairs, v = _real_eigenbasis(m0_inv, detuning)
+        # K lives only inside this product, formed before V^-1 exists beside it
+        kv = (m0_inv[:, rows] * scale) @ v
         v_inv = np.linalg.inv(v)
     except np.linalg.LinAlgError:
         return np.full((size, len(grid)), np.nan), None
-    # K lives only inside this product: held beside M0^-1 it adds ~6 MB to an N = 5 cell's peak
-    kv = (m0_inv[:, rows] * scale) @ v
+    v_norm = np.abs(v).sum(axis=0).max()
+    del v
     poles = 1.0 + np.outer(lam, grid)
     # (1 + delta*B)^-1 on a pair's block: [[p, -q], [q, p]] / (p^2 + q^2)
     p, q = 1.0 + np.outer(pairs.real, grid), np.outer(pairs.imag, grid)
@@ -371,13 +405,29 @@ def _pole_solve(m0: np.ndarray, detuning, grid: np.ndarray):
 
     def expand(z):
         c_real, c_u, c_v = np.split(v_inv @ z[support], split)
-        y = np.concatenate([c_real / poles, (p * c_u - q * c_v) / norm, (q * c_u + p * c_v) / norm])
-        return z - grid * (kv @ y)
+        y = np.empty((len(support), len(grid)))
+        np.divide(c_real, poles, out=y[: split[0]])
+        np.divide(p * c_u - q * c_v, norm, out=y[split[0] : split[1]])
+        np.divide(q * c_u + p * c_v, norm, out=y[split[1] :])
+        del c_real, c_u, c_v
+        x = kv @ y
+        x *= grid
+        return np.subtract(z, x, out=x)
 
     with np.errstate(all="ignore"):
         x = expand(m0_inv[:, :1])
-        x += expand(m0_inv @ (e0 - m0 @ x - grid * _times_d(detuning, x)))
-    condition = float(np.abs(v).sum(axis=0).max() * np.abs(v_inv).sum(axis=0).max())
+        r = m0 @ x
+        np.subtract(e0, r, out=r)
+        # - delta*D x on D x's rows alone: subtracting the zeros of the other
+        # rows would change no entry, as e0 - M0 x holds no -0.0
+        _, dx = _times_d(detuning, x)
+        dx *= grid
+        r[rows] -= dx
+        del dx
+        z = m0_inv @ r
+        del m0_inv, r
+        x += expand(z)
+    condition = float(v_norm * np.abs(v_inv).sum(axis=0).max())
     return x, condition
 
 
@@ -410,14 +460,28 @@ def _residual(x: np.ndarray, pencil, grid: np.ndarray) -> np.ndarray:
     """max |entry| of L(delta) vec rho at each point, rho of real coordinates x[:, i] at grid[i].
 
     L(delta) vec rho = Q G(delta) x, and G(delta) x is M0 x with row 0 of the
-    generator in place of the trace row, plus delta*D x.
+    generator in place of the trace row, plus delta*D x.  The moduli of Q's
+    entries are read straight from the real coordinates, in place: |x_aa|
+    on the diagonal and hypot(sqrt(1/2)*Re, sqrt(1/2)*Im) off it.  These are
+    the moduli ``np.abs`` gives on the complex entries of ``_vectors`` to
+    within one rounding (numpy's complex modulus does not call hypot), with
+    no complex (points x 4^N) array.
     """
     m0, row0, detuning = pencil
+    dim = math.isqrt(len(x))
+    pairs = (len(x) - dim) // 2
     with np.errstate(all="ignore"):
         gx = m0 @ x
         gx[0] = row0 @ x
-        gx += grid * _times_d(detuning, x)
-    return np.abs(_vectors(gx)).max(axis=1)
+        rows, dx = _times_d(detuning, x)
+        dx *= grid
+        gx[rows] += dx
+        del dx
+        gx[dim:] *= np.sqrt(0.5)
+        re, im = gx[dim : dim + pairs], gx[dim + pairs :]
+        np.hypot(re, im, out=re)
+    np.abs(gx[:dim], out=gx[:dim])
+    return gx[: dim + pairs].max(axis=0)
 
 
 def _states(x: np.ndarray, pencil, grid: np.ndarray):
@@ -425,23 +489,29 @@ def _states(x: np.ndarray, pencil, grid: np.ndarray):
 
     Returns the stack, shape (points, 2^N, 2^N), Hermitian by construction,
     and per point why it failed, or None: a generator residual (``_residual``)
-    above ``STEADY_TOL``, or an eigenvalue below ``-PSD_TOL``.  Positive
-    semidefiniteness is one Cholesky factorization of the stack shifted by
-    ``PSD_TOL``; only when it fails are the eigenvalues computed, to name the
-    failing points.
+    above ``STEADY_TOL``, or an eigenvalue below ``-PSD_TOL``.  x is
+    normalized in place and its residuals are checked before the stack is
+    built.  Positive semidefiniteness is a Cholesky factorization of the
+    points that passed, shifted by ``PSD_TOL``, ``PSD_CHUNK`` points at a
+    time; only when one fails are the eigenvalues of all of them computed,
+    to name the failing points.
     """
     dim = math.isqrt(len(x))
     with np.errstate(all="ignore"):
-        x = x / x[:dim].sum(axis=0)
-    rho = _vectors(x).reshape(len(grid), dim, dim)
+        x /= x[:dim].sum(axis=0)
     ok = _residual(x, pencil, grid) <= STEADY_TOL
     failures = [None if r else "steady-state generator residual exceeds 1e-9" for r in ok]
-    shifted = rho[ok]
-    shifted += PSD_TOL * np.eye(dim)
+    rho = _vectors(x).reshape(len(grid), dim, dim)
+    passed = np.flatnonzero(ok)
+    shift = PSD_TOL * np.eye(dim)
     try:
-        np.linalg.cholesky(shifted)
+        for start in range(0, len(passed), PSD_CHUNK):
+            shifted = rho[passed[start : start + PSD_CHUNK]]
+            shifted += shift
+            np.linalg.cholesky(shifted)
+            del shifted
     except np.linalg.LinAlgError:
-        for i in np.flatnonzero(ok)[np.linalg.eigvalsh(rho[ok]).min(axis=1) < -PSD_TOL]:
+        for i in passed[np.linalg.eigvalsh(rho[passed]).min(axis=1) < -PSD_TOL]:
             failures[i] = "steady state is not positive semidefinite"
     return rho, failures
 

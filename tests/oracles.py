@@ -238,22 +238,35 @@ def steady_density(n, phi, omega, delta, gamma=1.0):
     return rho / np.trace(rho)
 
 
-def complex_residual(x, l0, detuning_diag, grid):
-    """max |entry| of L(delta) vec rho, with the complex generator, at every point.
+def hermitian_vectors(x):
+    """Row-major vecs of the Hermitian matrices of real coordinates x[:, i], in complex arithmetic.
 
-    rho is the trace-one Hermitian matrix of the real coordinates x[:, i]
-    (``driven._hermitian_coordinates``) and L(delta) = l0 +
-    delta*diag(detuning_diag) acts on its row-major vec: the residual check
-    of the driven solver before it moved to real coordinates.
+    The diagonal is x[:dim], an upper entry ab is sqrt(1/2)*(re + 1j*im) of
+    its coordinates (``driven._hermitian_coordinates``) and the lower entry
+    ba its conjugate: the formula ``driven._vectors`` stood on before it
+    filled the real and imaginary parts without complex temporaries.
     """
     dim = int(round(np.sqrt(len(x))))
     rows, cols = np.triu_indices(dim, 1)
     diag, upper, lower = np.arange(dim) * (dim + 1), rows * dim + cols, cols * dim + rows
     entries = np.sqrt(0.5) * (x[dim : dim + len(upper)] + 1j * x[dim + len(upper) :]).T
-    vec = np.empty((len(grid), dim * dim), dtype=complex)
+    vec = np.empty((x.shape[1], dim * dim), dtype=complex)
     vec[:, diag] = x[:dim].T
     vec[:, upper] = entries
     vec[:, lower] = entries.conj()
+    return vec
+
+
+def complex_residual(x, l0, detuning_diag, grid):
+    """max |entry| of L(delta) vec rho, with the complex generator, at every point.
+
+    rho is the trace-one Hermitian matrix of the real coordinates x[:, i]
+    (``hermitian_vectors``) and L(delta) = l0 + delta*diag(detuning_diag)
+    acts on its row-major vec: the residual check of the driven solver
+    before it moved to real coordinates.
+    """
+    dim = int(round(np.sqrt(len(x))))
+    vec = hermitian_vectors(x)
     vec /= x[:dim].sum(axis=0)[:, None]
     return np.abs(vec @ l0.T + detuning_diag * vec * grid[:, None]).max(axis=1)
 

@@ -28,6 +28,7 @@ from wqed_subradiance import (
 )
 from oracles import (
     complex_residual,
+    hermitian_vectors,
     incoherent_fraction,
     lindblad_super,
     liouvillian_pieces,
@@ -333,6 +334,17 @@ def test_a_perturbed_entry_fails_every_solver(piece, monkeypatch):
     assert steady_states(config, drive)[1]["fallback_points"] == 0
 
 
+def _traced_peak(fn, *args):
+    """The traced peak of one call, in bytes; numpy reports its buffers to
+    tracemalloc, and the arguments, made before tracing starts, do not count."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_pencil_peak_stays_under_one_and_a_half_times_m0():
     """A cell's pencil is scattered from entry lists into M0, with no complex
     4^N x 4^N piece and no dense generator besides M0, so at N = 5 its traced
@@ -340,35 +352,97 @@ def test_pencil_peak_stays_under_one_and_a_half_times_m0():
     bytes of M0 (1.1 times); the dense build it replaced peaked at 4.3 times."""
     config = ArrayConfig.from_period(5, 0.05)
     drive = _drive(0.3)
-    driven_module._pencil(config, drive)  # first-call caches of the lattice layer
-    tracemalloc.start()
-    try:
-        m0, _, _ = driven_module._pencil(config, drive)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    m0, _, _ = driven_module._pencil(config, drive)  # and first-call caches of the lattice layer
+    peak = _traced_peak(driven_module._pencil, config, drive)
     assert peak < 1.5 * m0.nbytes
 
 
+@pytest.fixture(scope="module")
+def five_atom_cell():
+    """The pencil, detuning grid and pole-solved coordinates of one N = 5 cell (197 points)."""
+    config = ArrayConfig.from_period(5, 0.05)
+    grid = resonance_grid(config, -25.0, 5.0, coarse=61, refine_points=31)
+    pencil = driven_module._pencil(config, _drive(0.1, grid))
+    x, _ = driven_module._pole_solve(pencil[0], pencil[2], grid)
+    return pencil, grid, x
+
+
+def test_pole_solve_peak_stays_under_four_times_m0(five_atom_cell):
+    """Each pole-solve buffer dies at its last use (K[S] after eig, the complex
+    eigenvectors once V is stacked, V once K V is formed, M0^-1 before the
+    second expansion), so at N = 5 the traced peak stays under 4 times M0's
+    bytes (3.46 times; 4.41 when each lived to the end)."""
+    pencil, grid, _ = five_atom_cell
+    peak = _traced_peak(driven_module._pole_solve, pencil[0], pencil[2], grid)
+    assert peak < 4 * pencil[0].nbytes
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_states_peak_stays_under_three_times_the_stack(n, five_atom_cell):
+    """The residual is read from real coordinates and the PSD check runs in
+    chunks, so building the states peaks under 3 times the bytes of the
+    complex stack of rho (1.5 times; 3.9 times with the complex residual
+    and one Cholesky over the whole stack)."""
+    if n == 5:
+        pencil, grid, x = five_atom_cell
+    else:
+        config = ArrayConfig.from_period(4, 0.05)
+        grid = resonance_grid(config, -25.0, 5.0, coarse=301, refine_points=31)
+        pencil = driven_module._pencil(config, _drive(0.1, grid))
+        x, _ = driven_module._pole_solve(pencil[0], pencil[2], grid)
+    stack_bytes = len(grid) * 16 * 4**n
+    rho, failures = driven_module._states(x.copy(), pencil, grid)
+    assert rho.nbytes == stack_bytes and not any(failures)
+    assert _traced_peak(driven_module._states, x.copy(), pencil, grid) < 3 * stack_bytes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_vectors_equal_the_complex_formula(n):
+    """Q x filled from real and imaginary parts equals sqrt(1/2)*(re + 1j*im),
+    conjugated on the lower triangle, exactly (up to the sign of zero), also
+    where x holds zeros of either sign."""
+    x = np.random.default_rng(n).standard_normal((4**n, 7))
+    x[::5, 2] = 0.0
+    x[1::3, 4] = -0.0
+    vec = driven_module._vectors(x)
+    assert vec.dtype == complex and vec.shape == (7, 4**n)
+    assert np.array_equal(vec, hermitian_vectors(x))
+
+
 def test_psd_check_names_only_the_non_psd_point(monkeypatch):
-    """The stack passes one batched Cholesky factorization; an injected non-PSD
-    point among good ones makes it fail, and the eigenvalues then name that
-    point alone, which is the only one re-solved."""
+    """The stack passes the Cholesky factorizations; an injected non-PSD
+    point among good ones makes one fail, and the eigenvalues then name that
+    point alone, which is the only one re-solved.  On a grid of 77 points
+    the factorizations run ``PSD_CHUNK`` points at a time, and a point in the
+    third chunk is named the same way, by one eigenvalue call."""
     config = ArrayConfig.from_period(3, 0.05)
-    drive = _drive(0.3, _POLE_GRID)
-    eigvalsh, pole_solve = np.linalg.eigvalsh, driven_module._pole_solve
-    states, resolve = driven_module._states, driven_module.steady_state
-    eigvalsh_calls, named, resolved = [], [], []
+    long_grid = np.linspace(-3.0, 1.0, 77)
+    assert 2 * driven_module.PSD_CHUNK <= 70 < 3 * driven_module.PSD_CHUNK
+    for grid, bad in ((_POLE_GRID, 4), (long_grid, 70)):
+        with monkeypatch.context() as patch:
+            _check_only_point_named(patch, config, grid, bad)
+
+
+def _check_only_point_named(monkeypatch, config, grid, bad):
+    """Inject a non-PSD point at grid[bad], in the last Cholesky chunk."""
+    drive = _drive(0.3, grid)
+    eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
+    pole_solve, states = driven_module._pole_solve, driven_module._states
+    resolve = driven_module.steady_state
+    eigvalsh_calls, cholesky_calls, named, resolved = [], [], [], []
     monkeypatch.setattr(
         driven_module.np.linalg, "eigvalsh", lambda a: eigvalsh_calls.append(a.shape) or eigvalsh(a)
+    )
+    monkeypatch.setattr(
+        driven_module.np.linalg, "cholesky", lambda a: cholesky_calls.append(a.shape) or cholesky(a)
     )
     expected, health = steady_states(config, drive)
     assert health["fallback_points"] == 0 and eigvalsh_calls == []
 
     def one_bad_point(m0, detuning, grid):
         x, condition = pole_solve(m0, detuning, grid)
-        x[:, 4] = 0.0
-        x[:2, 4] = [1.5, -0.5]  # diag(1.5, -0.5, 0, ...): trace one, an eigenvalue -0.5
+        x[:, bad] = 0.0
+        x[:2, bad] = [1.5, -0.5]  # diag(1.5, -0.5, 0, ...): trace one, an eigenvalue -0.5
         return x, condition
 
     def recording_states(*args):
@@ -384,12 +458,18 @@ def test_psd_check_names_only_the_non_psd_point(monkeypatch):
         driven_module, "steady_state", lambda *args: resolved.append(args[2]) or resolve(*args)
     )
     rhos, health = steady_states(config, drive)
-    assert named[0] == [None] * 4 + ["steady state is not positive semidefinite"] + [None] * 5
+    points = len(grid)
+    failure = "steady state is not positive semidefinite"
+    assert named[0] == [None] * bad + [failure] + [None] * (points - bad - 1)
     assert named[1:] == [[None]]  # the re-solve of that point passes
-    assert resolved == [_POLE_GRID[4]]
+    assert resolved == [grid[bad]]
     assert health["fallback_points"] == 1
-    assert eigvalsh_calls == [(len(_POLE_GRID), 8, 8)]
+    assert eigvalsh_calls == [(points, 8, 8)]
     np.testing.assert_allclose(rhos, expected, rtol=0, atol=1e-12)
+    chunk = driven_module.PSD_CHUNK
+    chunks = [(min(chunk, points - start), 8, 8) for start in range(0, points, chunk)]
+    # every chunk of the clean run and of the injected one, then the re-solve's one point
+    assert cholesky_calls == chunks * 2 + [(1, 8, 8)]
 
 
 def test_unpaired_eigenvalues_fall_back_at_every_point(monkeypatch):

@@ -1106,6 +1106,38 @@ def test_cell_failure_raised_by_worker_is_recorded(tmp_path, monkeypatch):
     assert {c["error"] for c in cells} == {"synthetic residual 1e-3"}
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cell_raising_memory_error_is_that_cells_error(tmp_path, monkeypatch, workers):
+    """Any exception of one cell becomes that cell's error status: the scan
+    goes on, writes the other rows and the manifest, and the CLI exits 3."""
+    compute = cells_module._cell_min_gamma
+
+    def out_of_memory_at_k2(cell):
+        if cell["k"] == 2 and cell["d_over_lambda"] == 0.1:
+            raise MemoryError("synthetic allocation failure")
+        return compute(cell)
+
+    monkeypatch.setattr(cells_module, "_cell_min_gamma", out_of_memory_at_k2)
+    cfg = write_config(
+        tmp_path / "cfg.yaml",
+        {"mode": "decay-map", "array": {"n_atoms": 4},
+         "grid": {"d_over_lambda": [0.05, 0.1], "k": [1, 2, 3]},
+         "output": {"directory": str(tmp_path / "out")}},
+    )
+    result = CliRunner().invoke(main, ["decay-map", "--config", cfg, "--workers", str(workers)])
+    assert result.exit_code == 3
+    assert "1 of 6 cells failed" in result.output
+    cells = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["cells"]
+    failed = [c for c in cells if c["status"] == "error"]
+    assert [c["params"] for c in failed] == [{"d_over_lambda": 0.1, "n_atoms": 4, "k": 2}]
+    assert failed[0]["error"] == "MemoryError: synthetic allocation failure"
+    assert [c["status"] for c in cells].count("ok") == 5
+    rows = (tmp_path / "out" / "decay_map.csv").read_text().splitlines()[1:]
+    assert [(float(d), int(k)) for d, k, *_ in (row.split(",") for row in rows)] == [
+        (0.05, 1), (0.05, 2), (0.05, 3), (0.1, 1), (0.1, 3)
+    ]
+
+
 def test_cli_workers_below_one_exit_two(tmp_path):
     result = CliRunner().invoke(
         main, ["decay-vs-k", "--config", decay_vs_k_config(tmp_path), "--workers", "0"]
