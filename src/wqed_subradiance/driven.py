@@ -333,7 +333,9 @@ def _real_eigenbasis(m0_inv: np.ndarray, detuning):
     V holds the eigenvectors of the real eigenvalues, then the real parts
     and then the imaginary parts u, v of one eigenvector u + iv of each pair
     a + ib (b > 0), gathered as real arrays from the complex eigenvectors,
-    which die when it returns.  With A = K[S], A u = a u - b v and A v = b u +
+    which die when it returns.  V is C-ordered at every point, so its column
+    sums and K V round the same way whether or not K[S] has real
+    eigenvalues.  With A = K[S], A u = a u - b v and A v = b u +
     a v, so A V = V B with B a 2x2 rotation block [[a, b], [-b, a]] per pair.
     Eigenvalues are paired by exact conjugacy; when they do not all pair (or
     are not finite) V is no basis, and ``LinAlgError`` is raised.
@@ -349,9 +351,8 @@ def _real_eigenbasis(m0_inv: np.ndarray, detuning):
         np.sort_complex(lam[upper]), np.sort_complex(conjugates)
     ):
         raise np.linalg.LinAlgError("eigenvalues do not come in conjugate pairs")
-    # np.hstack picks V's memory order (Fortran when there are real
-    # eigenvalues), and V's column sums and K V depend on it to the bit
-    v = np.hstack([w.real[:, real], w.real[:, upper], w.imag[:, upper]])
+    blocks = [w.real[:, real], w.real[:, upper], w.imag[:, upper]]
+    v = np.concatenate(blocks, axis=1, out=np.empty(w.shape))
     return lam[real].real, lam[upper], v
 
 

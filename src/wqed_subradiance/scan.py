@@ -278,13 +278,27 @@ def validate_config(path) -> ScanSpec:
 
 
 def _map_cells(fn, cells, workers):
+    """``fn`` of every cell, in order, on ``workers`` processes.
+
+    A worker that dies (SIGKILL from the OOM killer, say) breaks the pool:
+    the results read before it are kept, and the cell whose result was due
+    and every later one read ("error", "not run: BrokenProcessPool: ...").
+    """
     if workers <= 1 or len(cells) <= 1:
         return [fn(cell) for cell in cells]
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
+    results = []
     # Linux forks every worker at the first submit: start no idle ones
     with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-        return list(pool.map(fn, cells, chunksize=1))
+        try:
+            for result in pool.map(fn, cells, chunksize=1):
+                results.append(result)
+        except BrokenProcessPool as exc:
+            not_run = ("error", f"not run: {type(exc).__name__}: {exc}")
+            results += [not_run] * (len(cells) - len(results))
+    return results
 
 
 # -------------------------------------------------------------------- modes

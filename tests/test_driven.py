@@ -12,6 +12,7 @@ from scipy.linalg import null_space
 
 import wqed_subradiance.driven as driven_module
 from wqed_subradiance import (
+    BLAS_THREAD_VARS,
     ArrayConfig,
     DomainError,
     DriveConfig,
@@ -375,6 +376,69 @@ def test_pole_solve_peak_stays_under_four_times_m0(five_atom_cell):
     pencil, grid, _ = five_atom_cell
     peak = _traced_peak(driven_module._pole_solve, pencil[0], pencil[2], grid)
     assert peak < 4 * pencil[0].nbytes
+
+
+_HWM_PROBE = """
+import json
+
+import numpy as np
+
+import wqed_subradiance.driven as driven
+from wqed_subradiance import ArrayConfig, DriveConfig, resonance_grid
+
+
+def high_water_mark():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
+
+
+def pencil(n, grid):
+    drive = DriveConfig(power=0.1, detuning_grid=grid)
+    return driven._pencil(ArrayConfig.from_period(n, 0.05), drive)
+
+
+m0, _, _ = pencil(3, np.zeros(1))
+np.linalg.eig(m0), np.linalg.inv(m0)  # LAPACK loaded and its first workspaces made
+grid = resonance_grid(ArrayConfig.from_period(5, 0.05), -25.0, 5.0, coarse=61, refine_points=31)
+m0, _, detuning = pencil(5, grid)
+before = high_water_mark()
+driven._pole_solve(m0, detuning, grid)
+print(json.dumps({"points": len(grid), "rise": (high_water_mark() - before) / m0.nbytes}))
+"""
+
+
+def test_pole_solve_resident_peak_stays_under_six_times_m0():
+    """The resident peak of an N = 5 cell (197 points) is set inside the pole
+    solve's ``np.linalg.eig``, whose LAPACK workspace is malloc'd and so
+    invisible to tracemalloc.  Read from VmHWM in a fresh process, the rise
+    over the solve is 5.46 to 5.53 times M0's bytes (2-core x86-64 host,
+    numpy's OpenBLAS, one thread; the heap's state before the solve moves it
+    that much).  The bound leaves a margin of 0.5 times M0 (4.2 MB), below
+    the 1.1 times that a complex copy of K[S] alive in the solve would add."""
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}
+    src = str(Path(driven_module.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HWM_PROBE], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["points"] == 197
+    assert probe["rise"] < 6.0
+
+
+@pytest.mark.parametrize(
+    "n, d, power, phases, real_eigenvalues",
+    [(2, 0.5, 1e-6, False, 2), (3, 0.05, 0.1, True, 0)],
+)
+def test_real_eigenbasis_is_c_ordered(n, d, power, phases, real_eigenvalues):
+    """V is C-ordered whether or not K[S] has real eigenvalues, so its column
+    sums and K V do not depend on the layout numpy would pick for a stack."""
+    drive = _drive(power, phase_on_drive=phases)
+    m0, _, detuning = driven_module._pencil(ArrayConfig.from_period(n, d), drive)
+    lam, _, v = driven_module._real_eigenbasis(np.linalg.inv(m0), detuning)
+    assert len(lam) == real_eigenvalues
+    assert v.flags.c_contiguous
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -1,16 +1,19 @@
 import concurrent.futures
+import contextlib
+import io
 import itertools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +38,24 @@ from wqed_subradiance import (
 )
 from wqed_subradiance.cli import main
 from wqed_subradiance.serialize import fmt_float
+
+
+class _Result(NamedTuple):
+    exit_code: int
+    output: str  # stdout and stderr as written, interleaved
+    exception: SystemExit | None  # None at exit 0
+
+
+def _invoke(args) -> _Result:
+    """Run the CLI in-process on ``args``; ``main`` must leave through
+    ``SystemExit`` on every path."""
+    output = io.StringIO()
+    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+        try:
+            main(args)
+        except SystemExit as exc:
+            return _Result(exc.code, output.getvalue(), exc if exc.code else None)
+    raise AssertionError("main returned without SystemExit")
 
 
 def write_config(path, payload):
@@ -93,7 +114,7 @@ def test_size_map_k_above_every_n_atoms_exit_two(tmp_path):
     with pytest.raises(ConfigError) as err:
         validate_config(cfg)
     assert err.value.location == "grid.k[1]"
-    result = CliRunner().invoke(main, ["size-map", "--config", cfg])
+    result = _invoke(["size-map", "--config", cfg])
     assert result.exit_code == 2
     assert "grid.k[1]" in result.output
     assert not (tmp_path / "out").exists()
@@ -132,12 +153,10 @@ def test_validate_unreadable_file_reports_the_path(tmp_path, kind, message):
     assert err.value.location == str(path)
 
 
-@pytest.mark.parametrize("kind, message", [("binary", "not UTF-8"), ("directory", "is a directory")])
+@pytest.mark.parametrize("kind, message", [("binary", "not UTF-8"), ("directory", "cannot read")])
 def test_cli_unreadable_config_exit_two_and_writes_nothing(tmp_path, kind, message):
     path = _unreadable_config(tmp_path, kind)
-    result = CliRunner().invoke(
-        main, ["size-map", "--config", str(path), "--out", str(tmp_path / "out")]
-    )
+    result = _invoke(["size-map", "--config", str(path), "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert message in result.output
     assert isinstance(result.exception, SystemExit)
@@ -226,7 +245,7 @@ def test_validate_rejects_non_integral_grid_values(tmp_path, mode, grid, locatio
     "mode, grid, location", list(_NON_INTEGRAL.values())[:2], ids=list(_NON_INTEGRAL)[:2]
 )
 def test_cli_non_integral_grid_value_exit_two(tmp_path, mode, grid, location):
-    result = CliRunner().invoke(main, [mode, "--config", _integer_grid_config(tmp_path, mode, grid)])
+    result = _invoke([mode, "--config", _integer_grid_config(tmp_path, mode, grid)])
     assert result.exit_code == 2
     assert f"error: {location}" in result.output
     assert "Traceback" not in result.output
@@ -271,7 +290,7 @@ def test_validate_rejects_n_atoms_the_mode_does_not_read(tmp_path, mode, locatio
     "mode, location", [("decay-map", "grid.n_atoms"), ("size-map", "array.n_atoms")]
 )
 def test_cli_unread_n_atoms_exit_two(tmp_path, mode, location):
-    result = CliRunner().invoke(main, [mode, "--config", _unread_n_atoms_config(tmp_path, mode)])
+    result = _invoke([mode, "--config", _unread_n_atoms_config(tmp_path, mode)])
     assert result.exit_code == 2
     assert f"error: {location}" in result.output
     assert "Traceback" not in result.output
@@ -323,7 +342,7 @@ def test_validate_rejects_keys_the_mode_does_not_read_and_empty_arrays(
 )
 def test_cli_unread_key_or_empty_array_exit_two(tmp_path, mode, payload, location):
     cfg = _unread_or_empty_config(tmp_path, mode, payload)
-    result = CliRunner().invoke(main, [mode, "--config", cfg])
+    result = _invoke([mode, "--config", cfg])
     assert result.exit_code == 2
     assert f"error: {location}" in result.output
     assert "Traceback" not in result.output
@@ -364,7 +383,7 @@ def test_validate_rejects_repeated_grid_values(tmp_path, mode, payload, location
 def test_cli_repeated_k_exit_two_and_writes_nothing(tmp_path):
     mode, payload, location = _REPEATED["k"]
     cfg = _unread_or_empty_config(tmp_path, mode, payload)
-    result = CliRunner().invoke(main, [mode, "--config", cfg])
+    result = _invoke([mode, "--config", cfg])
     assert result.exit_code == 2
     assert f"error: {location}" in result.output
     assert not (tmp_path / "out").exists()
@@ -418,7 +437,7 @@ def test_validate_rejects_values_out_of_bounds(tmp_path, mode, payload, location
 def test_cli_value_out_of_bounds_exit_two(tmp_path, case):
     mode, payload, location = _OUT_OF_BOUNDS[case]
     cfg = _unread_or_empty_config(tmp_path, mode, payload)
-    result = CliRunner().invoke(main, [mode, "--config", cfg])
+    result = _invoke([mode, "--config", cfg])
     assert result.exit_code == 2
     assert f"error: {location}" in result.output
     assert "Traceback" not in result.output
@@ -506,7 +525,7 @@ def test_validate_rejects_non_finite_numbers(tmp_path, section, key, value, loca
 )
 def test_cli_non_finite_number_exit_two_without_traceback(tmp_path, section, key, value, location):
     cfg = _non_finite_config(tmp_path, section, key, value)
-    result = CliRunner().invoke(main, ["driven-map", "--config", cfg])
+    result = _invoke(["driven-map", "--config", cfg])
     assert result.exit_code == 2
     assert f"error: {location}" in result.output
     assert "Traceback" not in result.output
@@ -597,7 +616,7 @@ def test_readme_mode_table_matches_the_modes():
     ],
 )
 def test_cli_malformed_detuning_exit_two_without_traceback(tmp_path, detuning):
-    result = CliRunner().invoke(main, ["driven-map", "--config", driven_config(tmp_path, detuning)])
+    result = _invoke(["driven-map", "--config", driven_config(tmp_path, detuning)])
     assert result.exit_code == 2
     assert "error: drive.detuning" in result.output
     assert "Traceback" not in result.output
@@ -761,7 +780,7 @@ def test_cli_correlations_of_two_atoms_scores_the_one_dimer(tmp_path):
          "grid": {"d_over_lambda": [0.05], "k": [1]},
          "output": {"directory": str(tmp_path / "out")}},
     )
-    result = CliRunner().invoke(main, ["correlations", "--config", cfg])
+    result = _invoke(["correlations", "--config", cfg])
     assert result.exit_code == 0, result.output
     cells = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["cells"]
     assert [c["status"] for c in cells] == ["ok"]
@@ -1016,20 +1035,19 @@ def test_sector_scans_assemble_each_sector_once_through_the_public_path(tmp_path
 
 
 def test_cli_success_exit_zero(tmp_path):
-    runner = CliRunner()
     cfg = write_config(
         tmp_path / "cfg.yaml",
         {"mode": "decay-vs-k", "array": {"n_atoms": 4},
          "grid": {"d_over_lambda": [0.05], "k": [1, 2]},
          "output": {"directory": str(tmp_path / "out")}},
     )
-    result = runner.invoke(main, ["decay-vs-k", "--config", cfg])
+    result = _invoke(["decay-vs-k", "--config", cfg])
     assert result.exit_code == 0, result.output
 
 
 def test_cli_rejects_the_removed_format_flag(tmp_path):
     cfg = decay_vs_k_config(tmp_path)
-    result = CliRunner().invoke(main, ["decay-vs-k", "--config", cfg, "--format", "json"])
+    result = _invoke(["decay-vs-k", "--config", cfg, "--format", "json"])
     assert result.exit_code == 2
     assert "--format" in result.output
     assert not (tmp_path / "out").exists()
@@ -1045,7 +1063,7 @@ def test_cli_uncreatable_output_directory_exit_two(tmp_path, via):
         tmp_path / "cfg.yaml", {"mode": "decay-vs-k", **_SECTOR, "output": {"directory": str(out)}}
     )
     flags = ["--out", str(taken / "sub")] if via == "flag" else []
-    result = CliRunner().invoke(main, ["decay-vs-k", "--config", cfg, *flags])
+    result = _invoke(["decay-vs-k", "--config", cfg, *flags])
     assert result.exit_code == 2
     assert "error: output.directory: " in result.output
     assert "Traceback" not in result.output
@@ -1054,40 +1072,36 @@ def test_cli_uncreatable_output_directory_exit_two(tmp_path, via):
 
 
 def test_cli_mode_mismatch_exit_two(tmp_path):
-    runner = CliRunner()
     cfg = decay_vs_k_config(tmp_path)
-    result = runner.invoke(main, ["decay-map", "--config", cfg])
+    result = _invoke(["decay-map", "--config", cfg])
     assert result.exit_code == 2
 
 
 def test_cli_invalid_config_exit_two(tmp_path):
-    runner = CliRunner()
     cfg = write_config(
         tmp_path / "bad.yaml",
         {"mode": "decay-vs-k", "array": {"n_atoms": 4},
          "grid": {"d_over_lambda": [0.05], "k": [9]}},
     )
-    result = runner.invoke(main, ["decay-vs-k", "--config", cfg])
+    result = _invoke(["decay-vs-k", "--config", cfg])
     assert result.exit_code == 2
     assert "grid.k" in result.output
 
 
 def test_cli_missing_config_exit_two(tmp_path):
-    runner = CliRunner()
-    result = runner.invoke(main, ["decay-map", "--config", str(tmp_path / "nope.yaml")])
+    result = _invoke(["decay-map", "--config", str(tmp_path / "nope.yaml")])
     assert result.exit_code == 2
 
 
 def test_cli_numerical_failure_exit_three(tmp_path, monkeypatch):
     monkeypatch.setattr(cells_module, "_cell_min_gamma", lambda args: ("error", "synthetic failure"))
-    runner = CliRunner()
     cfg = write_config(
         tmp_path / "cfg.yaml",
         {"mode": "decay-vs-k", "array": {"n_atoms": 4},
          "grid": {"d_over_lambda": [0.05], "k": [1]},
          "output": {"directory": str(tmp_path / "out")}},
     )
-    result = runner.invoke(main, ["decay-vs-k", "--config", cfg])
+    result = _invoke(["decay-vs-k", "--config", cfg])
     assert result.exit_code == 3
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
     assert manifest["success"] is False
@@ -1124,7 +1138,7 @@ def test_cell_raising_memory_error_is_that_cells_error(tmp_path, monkeypatch, wo
          "grid": {"d_over_lambda": [0.05, 0.1], "k": [1, 2, 3]},
          "output": {"directory": str(tmp_path / "out")}},
     )
-    result = CliRunner().invoke(main, ["decay-map", "--config", cfg, "--workers", str(workers)])
+    result = _invoke(["decay-map", "--config", cfg, "--workers", str(workers)])
     assert result.exit_code == 3
     assert "1 of 6 cells failed" in result.output
     cells = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["cells"]
@@ -1138,17 +1152,57 @@ def test_cell_raising_memory_error_is_that_cells_error(tmp_path, monkeypatch, wo
     ]
 
 
-def test_cli_workers_below_one_exit_two(tmp_path):
-    result = CliRunner().invoke(
-        main, ["decay-vs-k", "--config", decay_vs_k_config(tmp_path), "--workers", "0"]
+def test_killed_worker_leaves_its_cell_and_the_unfinished_ones_not_run(tmp_path, monkeypatch):
+    """A worker killed by SIGKILL, as the OOM killer does, breaks the pool:
+    every cell without a result becomes an error "not run: BrokenProcessPool:
+    ...", and the finished rows and the manifest are written; the CLI exits 3."""
+    compute = cells_module._cell_min_gamma
+
+    def killed_at_k2(cell):
+        if cell["k"] == 2 and cell["d_over_lambda"] == 0.1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return compute(cell)
+
+    monkeypatch.setattr(cells_module, "_cell_min_gamma", killed_at_k2)
+    cfg = write_config(
+        tmp_path / "cfg.yaml",
+        {"mode": "decay-map", "array": {"n_atoms": 4},
+         "grid": {"d_over_lambda": [0.05, 0.1], "k": [1, 2, 3]},
+         "output": {"directory": str(tmp_path / "out")}},
     )
+    result = _invoke(["decay-map", "--config", cfg, "--workers", "2"])
+    assert result.exit_code == 3
+    assert "cells failed; see run_manifest.json" in result.output
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert manifest["success"] is False
+    cells = manifest["cells"]
+    assert len(cells) == 6
+    killed = cells[4]
+    assert killed["params"] == {"d_over_lambda": 0.1, "n_atoms": 4, "k": 2}
+    assert killed["status"] == "error"
+    assert killed["error"].startswith("not run: BrokenProcessPool: ")
+    assert {c["status"] for c in cells} == {"ok", "error"}
+    assert all(c["error"] == killed["error"] for c in cells if c["status"] == "error")
+    rows = (tmp_path / "out" / "decay_map.csv").read_text().splitlines()[1:]
+    ok = [(c["params"]["d_over_lambda"], c["params"]["k"]) for c in cells if c["status"] == "ok"]
+    assert [(float(d), int(k)) for d, k, *_ in (row.split(",") for row in rows)] == ok
+
+
+@pytest.mark.parametrize("workers", ["0", "two"])
+def test_cli_workers_below_one_exit_two(tmp_path, workers):
+    result = _invoke(["decay-vs-k", "--config", decay_vs_k_config(tmp_path), "--workers", workers])
     assert result.exit_code == 2
     assert "--workers" in result.output
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_version_exit_zero():
+    result = _invoke(["--version"])
+    assert result.exit_code == 0
+    assert result.output == "wqed-scan, version 0.1.0\n"
+
+
 def test_cli_out_and_workers_override(tmp_path):
-    runner = CliRunner()
     cfg = write_config(
         tmp_path / "cfg.yaml",
         {"mode": "decay-vs-k", "array": {"n_atoms": 4},
@@ -1156,9 +1210,7 @@ def test_cli_out_and_workers_override(tmp_path):
          "output": {"directory": str(tmp_path / "ignored")}},
     )
     override = tmp_path / "elsewhere"
-    result = runner.invoke(
-        main, ["decay-vs-k", "--config", cfg, "--out", str(override), "--workers", "2"]
-    )
+    result = _invoke(["decay-vs-k", "--config", cfg, "--out", str(override), "--workers", "2"])
     assert result.exit_code == 0, result.output
     assert (override / "decay_vs_k.csv").exists()
     assert not (tmp_path / "ignored").exists()
@@ -1362,14 +1414,16 @@ def test_driven_map_scan_loads_no_numpy_ma(tmp_path):
     ],
 )
 def test_only_driven_scans_load_the_driven_layer(tmp_path, mode, payload):
-    """A sector scan never imports ``driven``; a driven scan loads it on its first cell."""
+    """A sector scan never imports ``driven``; a driven scan loads it on its
+    first cell.  No scan loads click."""
     out = tmp_path / "out"
     path = write_config(
         tmp_path / "cfg.yaml", {"mode": mode, **payload, "output": {"directory": str(out)}}
     )
     driven = "wqed_subradiance.driven"
     loaded = [driven] if mode == "driven-map" else []
-    assert _run_probe(_LOADED_PROBE, mode, path, driven) == {"exit": 0, "loaded": loaded}
+    probe = _run_probe(_LOADED_PROBE, mode, path, driven, "click")
+    assert probe == {"exit": 0, "loaded": loaded}
     cells = json.loads((out / "run_manifest.json").read_text())["cells"]
     rows = (out / f"{mode.replace('-', '_')}.csv").read_text().splitlines()
     assert len(rows) == 1 + len(cells) and all(c["status"] == "ok" for c in cells)
