@@ -25,7 +25,7 @@ if "numpy" not in sys.modules and not any(var in os.environ for var in BLAS_THRE
 
 # the master-equation solver's cap on N (``driven``); here so that config
 # checking knows it without loading numpy
-MAX_DRIVEN_ATOMS = 5
+MAX_DRIVEN_ATOMS = 6
 
 from .errors import ConfigError, DomainError, NumericalError
 from .scan import RunManifest, ScanSpec, run_scan, validate_config

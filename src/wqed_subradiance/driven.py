@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .spectrum import diagonalize
 STEADY_TOL = 1e-9
 PSD_TOL = 1e-9
 PSD_CHUNK = 32  # points per Cholesky call of the PSD check, so its copies stay small
+PANEL_BYTES = 1 << 20  # the most bytes of generator rows the residual scatters at once
 KERNEL_RCOND = 1e-10
 PROBE_TOL = 1e-10
 PEAK_FLOOR = 1e-9
@@ -356,41 +358,105 @@ def _real_eigenbasis(m0_inv: np.ndarray, detuning):
     return lam[real].real, lam[upper], v
 
 
-def _pole_solve(m0: np.ndarray, detuning, grid: np.ndarray):
+class _Pencil(NamedTuple):
+    """The real pencil M(delta) = M0 + delta*D of one cell, kept as its scatter.
+
+    M0 is the generator G_s + amplitude*G_d at zero detuning with the trace
+    row in place of its row 0: ``static`` and ``driven`` are the flat
+    (positions, values) of G_s and G_d (``_generators``), ``amplitude`` is
+    sqrt(P), and ``detuning`` is D as ``_real_detuning`` gives it.  No dense
+    M0 is kept: ``_m0`` scatters it where it is read, and ``_generator_rows``
+    any panel of the generator's rows.
+    """
+
+    static: tuple[np.ndarray, np.ndarray]
+    driven: tuple[np.ndarray, np.ndarray]
+    amplitude: float
+    detuning: tuple[np.ndarray, np.ndarray, np.ndarray]
+    size: int  # 4^N, the number of real coordinates
+
+
+def _pencil(config: ArrayConfig, drive: DriveConfig) -> _Pencil:
+    """The real pencil of one cell, from the generators of ``_generators``."""
+    if config.n_atoms > MAX_DRIVEN_ATOMS:
+        raise DomainError(
+            f"master-equation solver limited to N <= {MAX_DRIVEN_ATOMS}, got {config.n_atoms}"
+        )
+    static, driven, detuning = _generators(config, drive.phase_on_drive)
+    return _Pencil(static, driven, np.sqrt(drive.power), detuning, 4**config.n_atoms)
+
+
+def _panel(entries, start: int, stop: int):
+    """The (positions, values) entries at flat positions start:stop, shifted to start at 0."""
+    positions, values = entries
+    inside = (positions >= start) & (positions < stop)
+    return positions[inside] - start, values[inside]
+
+
+def _generator_rows(pencil: _Pencil, start: int, stop: int) -> np.ndarray:
+    """Rows start:stop of the generator G_s + amplitude*G_d at zero detuning, dense.
+
+    Scattered from the entries of those rows: G_d's times the amplitude,
+    then G_s's added.  These are the operations of one scatter of the whole
+    matrix, so every panel of rows holds that matrix's bits.
+    """
+    size = pencil.size
+    driven, static = pencil.driven, pencil.static
+    if stop - start < size:
+        driven, static = (_panel(pair, start * size, stop * size) for pair in (driven, static))
+    rows = np.zeros((stop - start) * size)
+    rows[driven[0]] = pencil.amplitude * driven[1]
+    rows[static[0]] += static[1]
+    return rows.reshape(-1, size)
+
+
+def _m0(pencil: _Pencil) -> np.ndarray:
+    """M0 as one dense array: the generator at zero detuning with the trace row,
+    the diagonal coordinates summing to one, in place of its row 0."""
+    m0 = _generator_rows(pencil, 0, pencil.size)
+    m0[0] = 0.0
+    m0[0, : math.isqrt(pencil.size)] = 1.0
+    return m0
+
+
+def _pole_solve(pencil: _Pencil, grid: np.ndarray):
     """Real columns x(delta) with (M0 + delta*D) x = e0 for every delta of the grid.
 
-    D = ``detuning`` is zero outside the columns S = support, and column
-    S[j] has its one nonzero, scale[j], in row rows[j] (``_real_detuning``).
-    With K = M0^-1 D[:, S] and K[S] = V B V^-1, V and B the real eigenbasis
-    and rotation blocks of ``_real_eigenbasis``, the Woodbury identity gives
-    every point as P(delta) e0, where P(delta) b = z - delta*K V (1 +
-    delta*B)^-1 V^-1 z[S] and z = M0^-1 b; one refinement step x +=
-    P(delta)(e0 - M(delta) x) against the exact pencil follows.  M0 is
-    factored once, as one inverse: K is M0^-1 with its columns gathered and
-    scaled, and the refinement's M0^-1 is a matrix product.  Every step is
-    real.  Returns x and the 1-norm condition of V; x is NaN (and the
-    condition None) when M0 cannot be expanded.
+    D = ``pencil.detuning`` is zero outside the columns S = support, and
+    column S[j] has its one nonzero, scale[j], in row rows[j]
+    (``_real_detuning``).  With K = M0^-1 D[:, S] and K[S] = V B V^-1, V and
+    B the real eigenbasis and rotation blocks of ``_real_eigenbasis``, the
+    Woodbury identity gives every point as P(delta) e0, where P(delta) b = z
+    - delta*K V (1 + delta*B)^-1 V^-1 z[S] and z = M0^-1 b; one refinement
+    step x += P(delta)(e0 - M(delta) x) against the exact pencil follows.
+    M0 is factored once, as one inverse: K is M0^-1 with its columns
+    gathered and scaled, and the refinement's M0^-1 is a matrix product.
+    Every step is real.  Returns x and the 1-norm condition of V; x is NaN
+    (and the condition None) when M0 cannot be expanded.
 
-    Each buffer dies at its last use: V once K V and its norm are formed,
-    M0^-1 before the second expansion, which on a dense grid sets the peak
-    otherwise.  Each expansion fills one coefficient array and forms its
-    product with K V in place, and the refinement forms (e0 - M0 x) -
-    delta*D x in one buffer.  The arithmetic and its order are unchanged by
-    this, so x keeps its bits.
+    Each buffer dies at its last use.  M0 is scattered twice (``_m0``), and
+    lives only to be inverted and for the refinement's product M0 x, so it
+    is not alive beside ``eig``, whose buffers set the peak.  V dies once K
+    V and its norm are formed, and M0^-1 before the second expansion.  Each
+    expansion makes its pole and coefficient arrays, fills one array of
+    (1 + delta*B)^-1 V^-1 z[S] and forms its product with K V in place, and
+    the refinement forms (e0 - M0 x) - delta*D x in one buffer.  Both
+    scatters repeat the same operations, and the arithmetic and its order
+    are unchanged by the rest, so x keeps its bits.
 
     Every dense kernel here is numpy's: its BLAS is a different library from
     scipy's, and under threaded BLAS each switch between the two costs
     milliseconds while the other library's threads spin down.
     """
-    support, rows, scale = detuning
-    size = len(m0)
+    support, rows, scale = pencil.detuning
+    size = pencil.size
     e0 = np.zeros((size, 1))
     e0[0] = 1.0
     # a singular M0 or V, or unpaired eigenvalues, are not an error here: the
     # caller sends the NaN points to the fallback, which reports the degenerate kernel
     try:
-        m0_inv = np.linalg.inv(m0)
-        lam, pairs, v = _real_eigenbasis(m0_inv, detuning)
+        m0_inv = np.linalg.inv(_m0(pencil))
+        lam, pairs, v = _real_eigenbasis(m0_inv, pencil.detuning)
         # K lives only inside this product, formed before V^-1 exists beside it
         kv = (m0_inv[:, rows] * scale) @ v
         v_inv = np.linalg.inv(v)
@@ -398,30 +464,29 @@ def _pole_solve(m0: np.ndarray, detuning, grid: np.ndarray):
         return np.full((size, len(grid)), np.nan), None
     v_norm = np.abs(v).sum(axis=0).max()
     del v
-    poles = 1.0 + np.outer(lam, grid)
-    # (1 + delta*B)^-1 on a pair's block: [[p, -q], [q, p]] / (p^2 + q^2)
-    p, q = 1.0 + np.outer(pairs.real, grid), np.outer(pairs.imag, grid)
-    norm = p * p + q * q
     split = [len(lam), len(lam) + len(pairs)]
 
     def expand(z):
         c_real, c_u, c_v = np.split(v_inv @ z[support], split)
         y = np.empty((len(support), len(grid)))
-        np.divide(c_real, poles, out=y[: split[0]])
+        np.divide(c_real, 1.0 + np.outer(lam, grid), out=y[: split[0]])
+        # (1 + delta*B)^-1 on a pair's block: [[p, -q], [q, p]] / (p^2 + q^2)
+        p, q = 1.0 + np.outer(pairs.real, grid), np.outer(pairs.imag, grid)
+        norm = p * p + q * q
         np.divide(p * c_u - q * c_v, norm, out=y[split[0] : split[1]])
         np.divide(q * c_u + p * c_v, norm, out=y[split[1] :])
-        del c_real, c_u, c_v
+        del c_real, c_u, c_v, p, q, norm
         x = kv @ y
         x *= grid
         return np.subtract(z, x, out=x)
 
     with np.errstate(all="ignore"):
         x = expand(m0_inv[:, :1])
-        r = m0 @ x
+        r = _m0(pencil) @ x
         np.subtract(e0, r, out=r)
         # - delta*D x on D x's rows alone: subtracting the zeros of the other
         # rows would change no entry, as e0 - M0 x holds no -0.0
-        _, dx = _times_d(detuning, x)
+        _, dx = _times_d(pencil.detuning, x)
         dx *= grid
         r[rows] -= dx
         del dx
@@ -432,49 +497,28 @@ def _pole_solve(m0: np.ndarray, detuning, grid: np.ndarray):
     return x, condition
 
 
-def _pencil(config: ArrayConfig, drive: DriveConfig):
-    """The real pencil of one cell: M0, row 0 of the generator, and D.
-
-    M0 is the generator G_s + sqrt(P)*G_d of ``_generators`` at zero
-    detuning, scattered from their entries into one dense array, with the
-    trace row in place of its row 0.  D is ``_real_detuning``'s.
-    """
-    if config.n_atoms > MAX_DRIVEN_ATOMS:
-        raise DomainError(
-            f"master-equation solver limited to N <= {MAX_DRIVEN_ATOMS}, got {config.n_atoms}"
-        )
-    dim = 2**config.n_atoms
-    (static, static_values), (driven, driven_values), detuning = _generators(
-        config, drive.phase_on_drive
-    )
-    m0 = np.zeros((dim * dim, dim * dim))
-    flat = m0.reshape(-1)
-    flat[driven] = np.sqrt(drive.power) * driven_values
-    flat[static] += static_values
-    row0 = m0[0].copy()
-    m0[0] = 0.0
-    m0[0, :dim] = 1.0  # trace row: the diagonal coordinates sum to one
-    return m0, row0, detuning
-
-
-def _residual(x: np.ndarray, pencil, grid: np.ndarray) -> np.ndarray:
+def _residual(x: np.ndarray, pencil: _Pencil, grid: np.ndarray) -> np.ndarray:
     """max |entry| of L(delta) vec rho at each point, rho of real coordinates x[:, i] at grid[i].
 
-    L(delta) vec rho = Q G(delta) x, and G(delta) x is M0 x with row 0 of the
-    generator in place of the trace row, plus delta*D x.  The moduli of Q's
-    entries are read straight from the real coordinates, in place: |x_aa|
-    on the diagonal and hypot(sqrt(1/2)*Re, sqrt(1/2)*Im) off it.  These are
-    the moduli ``np.abs`` gives on the complex entries of ``_vectors`` to
-    within one rounding (numpy's complex modulus does not call hypot), with
-    no complex (points x 4^N) array.
+    L(delta) vec rho = Q G(delta) x, and G(delta) x is G0 x, G0 the
+    generator at zero detuning, plus delta*D x.  G0 x is formed in panels of
+    rows of at most ``PANEL_BYTES``, each scattered from its entries
+    (``_generator_rows``), so above N = 4 no dense M0 is made.  The moduli
+    of Q's entries are read straight from the real coordinates, in place:
+    |x_aa| on the diagonal and hypot(sqrt(1/2)*Re, sqrt(1/2)*Im) off it.
+    These are the moduli ``np.abs`` gives on the complex entries of
+    ``_vectors`` to within one rounding (numpy's complex modulus does not
+    call hypot), with no complex (points x 4^N) array.
     """
-    m0, row0, detuning = pencil
     dim = math.isqrt(len(x))
     pairs = (len(x) - dim) // 2
+    gx = np.empty_like(x)
     with np.errstate(all="ignore"):
-        gx = m0 @ x
-        gx[0] = row0 @ x
-        rows, dx = _times_d(detuning, x)
+        step = max(1, PANEL_BYTES // (8 * len(x)))
+        for start in range(0, len(x), step):
+            stop = min(start + step, len(x))
+            np.matmul(_generator_rows(pencil, start, stop), x, out=gx[start:stop])
+        rows, dx = _times_d(pencil.detuning, x)
         dx *= grid
         gx[rows] += dx
         del dx
@@ -485,7 +529,7 @@ def _residual(x: np.ndarray, pencil, grid: np.ndarray) -> np.ndarray:
     return gx[: dim + pairs].max(axis=0)
 
 
-def _states(x: np.ndarray, pencil, grid: np.ndarray):
+def _states(x: np.ndarray, pencil: _Pencil, grid: np.ndarray):
     """Trace-one density matrices from the real coordinates x[:, i] at each detuning grid[i].
 
     Returns the stack, shape (points, 2^N, 2^N), Hermitian by construction,
@@ -520,17 +564,17 @@ def _states(x: np.ndarray, pencil, grid: np.ndarray):
 def steady_state(config: ArrayConfig, drive: DriveConfig, detuning: float) -> np.ndarray:
     """Steady-state density matrix in the rotating frame at the drive frequency.
 
-    One real direct solve of M(delta) x = e0, M(delta) the pencil of
-    ``_pencil``, with the checks of ``_states``.  The fixed right-hand side
-    g = (sin 1, sin 2, ...) of ``_probe_vector`` rides along in the same
-    solve, and kappa = ||M||_1 ||M^-1 g||_1 / ||g||_1 estimates the
+    One real direct solve of M(delta) x = e0, M(delta) scattered from the
+    pencil of ``_pencil``, with the checks of ``_states``.  The fixed
+    right-hand side g = (sin 1, sin 2, ...) of ``_probe_vector`` rides along
+    in the same solve, and kappa = ||M||_1 ||M^-1 g||_1 / ||g||_1 estimates the
     condition of M.
     When kappa*KERNEL_RCOND reaches 1, or the solve fails, the state comes
     from the generator's kernel instead, which must be one-dimensional.
     """
     pencil = _pencil(config, drive)
-    m0, _, (support, rows, scale) = pencil
-    m = m0.copy()
+    support, rows, scale = pencil.detuning
+    m = _m0(pencil)
     m[rows, support] += detuning * scale
     g = _probe_vector(len(m))[:, None]
     try:
@@ -546,6 +590,7 @@ def steady_state(config: ArrayConfig, drive: DriveConfig, detuning: float) -> np
             raise NumericalError(
                 f"steady state is not unique: generator kernel dimension {x.shape[1]}"
             )
+    del m
     rho, failures = _states(x[:, :1], pencil, np.array([detuning], dtype=float))
     if failures[0]:
         raise NumericalError(failures[0])
@@ -565,17 +610,23 @@ def steady_states(config: ArrayConfig, drive: DriveConfig) -> tuple[np.ndarray, 
     ``steady_state``, which factors its own M(delta).
 
     Returns the stack of density matrices, shape (points, 2^N, 2^N), and the
-    solver health: the number of fallback points and the 1-norm condition of
-    the real eigenbasis V.
+    solver health: the number of fallback points, the 1-norm condition of
+    the real eigenbasis V, and the sizes of the pencil (4^N) and of S
+    (4^N - C(2N, N)).
     """
     grid = drive.detuning_grid
     pencil = _pencil(config, drive)
-    x, condition = _pole_solve(pencil[0], pencil[2], grid)
+    x, condition = _pole_solve(pencil, grid)
     rho, failures = _states(x, pencil, grid)
     failed = [i for i, failure in enumerate(failures) if failure]
     for i in failed:
         rho[i] = steady_state(config, drive, grid[i])
-    return rho, {"fallback_points": len(failed), "v_condition": condition}
+    return rho, {
+        "fallback_points": len(failed),
+        "v_condition": condition,
+        "pencil_dim": pencil.size,
+        "support_dim": len(pencil.detuning[0]),
+    }
 
 
 def transfer_matrix_amplitudes(

@@ -278,27 +278,32 @@ def validate_config(path) -> ScanSpec:
 
 
 def _map_cells(fn, cells, workers):
-    """``fn`` of every cell, in order, on ``workers`` processes.
+    """Yield ``fn`` of every cell, in order, on ``workers`` processes.
 
     A worker that dies (SIGKILL from the OOM killer, say) breaks the pool:
-    the results read before it are kept, and the cell whose result was due
-    and every later one read ("error", "not run: BrokenProcessPool: ...").
+    each cell whose own result is lost reads ("error", "not run:
+    BrokenProcessPool: ..."), and every cell that finished before keeps its
+    result.  When the caller stops early, the cells not yet started are
+    cancelled.
     """
     if workers <= 1 or len(cells) <= 1:
-        return [fn(cell) for cell in cells]
+        yield from map(fn, cells)
+        return
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    results = []
     # Linux forks every worker at the first submit: start no idle ones
     with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
+        futures = [pool.submit(fn, cell) for cell in cells]
         try:
-            for result in pool.map(fn, cells, chunksize=1):
-                results.append(result)
-        except BrokenProcessPool as exc:
-            not_run = ("error", f"not run: {type(exc).__name__}: {exc}")
-            results += [not_run] * (len(cells) - len(results))
-    return results
+            for future in futures:
+                try:
+                    yield future.result()
+                except BrokenProcessPool as exc:
+                    yield ("error", f"not run: {type(exc).__name__}: {exc}")
+        finally:
+            for future in futures:
+                future.cancel()
 
 
 # -------------------------------------------------------------------- modes
@@ -426,7 +431,10 @@ def run_scan(spec: ScanSpec) -> RunManifest:
     """Execute a validated scan; write data files and a run manifest.
 
     An output directory that cannot be created raises ``ConfigError`` at
-    ``output.directory``, before any cell runs.
+    ``output.directory``, before any cell runs.  A ``KeyboardInterrupt``
+    while the cells run is raised again once the finished cells' files and
+    the manifest are written; the cells it stopped read ("error", "not run:
+    KeyboardInterrupt").
     """
     start = time.perf_counter()
     try:
@@ -443,7 +451,13 @@ def run_scan(spec: ScanSpec) -> RunManifest:
     # loads numpy and the compute layers here, so forked workers inherit them
     from .cells import _run_cell
 
-    results = _map_cells(_run_cell, tasks, spec.workers)
+    results, interrupt = [], None
+    try:
+        for result in _map_cells(_run_cell, tasks, spec.workers):
+            results.append(result)
+    except KeyboardInterrupt as exc:
+        interrupt = exc
+        results += [("error", "not run: KeyboardInterrupt")] * (len(cells) - len(results))
     outputs, rows, statuses = [], [], []
     for i, (params, (status, payload, *health)) in enumerate(zip(cells, results)):
         if status == "ok":
@@ -476,4 +490,6 @@ def run_scan(spec: ScanSpec) -> RunManifest:
     record = asdict(manifest)
     record["cells"] = [{k: v for k, v in cell.items() if v is not None} for cell in record["cells"]]
     write_json(spec.out_dir / "run_manifest.json", record)
+    if interrupt is not None:
+        raise interrupt
     return manifest

@@ -65,7 +65,7 @@ def test_drive_config_validation():
 
 
 def test_atom_count_guard():
-    config = ArrayConfig.from_period(6, 0.05)
+    config = ArrayConfig.from_period(7, 0.05)
     with pytest.raises(DomainError):
         steady_state(config, _drive(0.1), 0.0)
     with pytest.raises(DomainError):
@@ -124,9 +124,12 @@ def test_corrupted_pole_expansion_falls_back_at_every_point(monkeypatch):
 
 
 def test_singular_pencil_gives_nan_not_garbage():
+    """A generator without entries: M0 is its trace row alone, and singular."""
     grid = np.array([-1.0, 0.5])
     detuning = driven_module._real_detuning(np.array([0, 1j, -1j, 0]), 2)
-    x, condition = driven_module._pole_solve(np.zeros((4, 4)), detuning, grid)
+    empty = (np.zeros(0, dtype=int), np.zeros(0))
+    pencil = driven_module._Pencil(empty, empty, 1.0, detuning, 4)
+    x, condition = driven_module._pole_solve(pencil, grid)
     assert x.shape == (4, 2) and np.isnan(x).all()
     assert condition is None
 
@@ -237,11 +240,17 @@ def test_real_coordinates_match_dense_change_of_basis(n, phase_on_drive):
     np.testing.assert_allclose(d_real, dense_d.real, rtol=0, atol=1e-14)
     assert np.abs(dense_d[:, np.setdiff1d(np.arange(dim * dim), support)]).max() < 1e-14
     # the pencil of one cell: G_s + sqrt(P) G_d with the trace row in place of row 0
-    m0, row0, _ = driven_module._pencil(config, _drive(0.49, phase_on_drive=phase_on_drive))
+    pencil = driven_module._pencil(config, _drive(0.49, phase_on_drive=phase_on_drive))
+    m0 = driven_module._m0(pencil)
+    generator = driven_module._generator_rows(pencil, 0, dim * dim)
     dense = (q.conj().T @ (l_static + 0.7 * l_drive) @ q).real
     np.testing.assert_allclose(m0[1:], dense[1:], rtol=0, atol=1e-14)
-    np.testing.assert_allclose(row0, dense[0], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(generator, dense, rtol=0, atol=1e-14)
     assert np.array_equal(m0[0], np.repeat([1.0, 0.0], [dim, dim * dim - dim]))
+    # every panel of rows holds the whole scatter's bits
+    for start in range(0, dim * dim, dim):
+        panel = driven_module._generator_rows(pencil, start, start + dim)
+        assert np.array_equal(panel, generator[start : start + dim])
 
 
 @pytest.mark.parametrize(
@@ -268,7 +277,7 @@ def test_real_residual_matches_the_complex_formula(n, phase_on_drive):
     l0 = l_static + np.sqrt(drive.power) * l_drive
     pencil = driven_module._pencil(config, drive)
     generic = np.random.default_rng(n).standard_normal((4**n, len(_POLE_GRID)))
-    solved, _ = driven_module._pole_solve(pencil[0], pencil[2], _POLE_GRID)
+    solved, _ = driven_module._pole_solve(pencil, _POLE_GRID)
     for x in (generic, solved):
         normalized = x / x[: 2**n].sum(axis=0)
         residual = driven_module._residual(normalized, pencil, _POLE_GRID)
@@ -346,16 +355,30 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+_M0_BYTES_N5 = 8 * 4**10  # the bytes of the dense M0 of an N = 5 cell, 8 MiB
+
+
 def test_pencil_peak_stays_under_one_and_a_half_times_m0():
-    """A cell's pencil is scattered from entry lists into M0, with no complex
-    4^N x 4^N piece and no dense generator besides M0, so at N = 5 its traced
-    peak (numpy reports its buffers to tracemalloc) stays under 1.5 times the
-    bytes of M0 (1.1 times); the dense build it replaced peaked at 4.3 times."""
+    """M0 is scattered from entry lists, with no complex 4^N x 4^N piece and
+    no dense generator besides M0, so at N = 5 the traced peak (numpy reports
+    its buffers to tracemalloc) of building a cell's pencil and scattering
+    its M0 stays under 1.5 times the bytes of M0 (1.11 times); the dense
+    build it replaced peaked at 4.3 times."""
     config = ArrayConfig.from_period(5, 0.05)
     drive = _drive(0.3)
-    m0, _, _ = driven_module._pencil(config, drive)  # and first-call caches of the lattice layer
-    peak = _traced_peak(driven_module._pencil, config, drive)
-    assert peak < 1.5 * m0.nbytes
+    driven_module._pencil(config, drive)  # first-call caches of the lattice layer
+    build = lambda: driven_module._m0(driven_module._pencil(config, drive))
+    assert _traced_peak(build) < 1.5 * _M0_BYTES_N5
+
+
+def test_pencil_holds_no_dense_m0():
+    """A cell's pencil is its generators' entry lists, so at N = 5 its traced
+    peak stays under 0.75 times the bytes of M0 (0.35 times; 1.11 times when
+    the pencil held M0)."""
+    config = ArrayConfig.from_period(5, 0.05)
+    drive = _drive(0.3)
+    driven_module._pencil(config, drive)
+    assert _traced_peak(driven_module._pencil, config, drive) < 0.75 * _M0_BYTES_N5
 
 
 @pytest.fixture(scope="module")
@@ -364,18 +387,21 @@ def five_atom_cell():
     config = ArrayConfig.from_period(5, 0.05)
     grid = resonance_grid(config, -25.0, 5.0, coarse=61, refine_points=31)
     pencil = driven_module._pencil(config, _drive(0.1, grid))
-    x, _ = driven_module._pole_solve(pencil[0], pencil[2], grid)
+    x, _ = driven_module._pole_solve(pencil, grid)
     return pencil, grid, x
 
 
 def test_pole_solve_peak_stays_under_four_times_m0(five_atom_cell):
-    """Each pole-solve buffer dies at its last use (K[S] after eig, the complex
-    eigenvectors once V is stacked, V once K V is formed, M0^-1 before the
-    second expansion), so at N = 5 the traced peak stays under 4 times M0's
-    bytes (3.46 times; 4.41 when each lived to the end)."""
-    pencil, grid, _ = five_atom_cell
-    peak = _traced_peak(driven_module._pole_solve, pencil[0], pencil[2], grid)
-    assert peak < 4 * pencil[0].nbytes
+    """M0 lives only to be inverted and for the refinement's product, and
+    each other pole-solve buffer dies at its last use (K[S] after eig, the
+    complex eigenvectors once V is stacked, V once K V is formed, M0^-1
+    before the second expansion), so at N = 5 the traced peak of the pencil
+    and its pole solve stays under 4 times M0's bytes (3.80 times; 4.47 with
+    M0 alive from the pencil on)."""
+    _, grid, _ = five_atom_cell
+    config, drive = ArrayConfig.from_period(5, 0.05), _drive(0.1, grid)
+    solve = lambda: driven_module._pole_solve(driven_module._pencil(config, drive), grid)
+    assert _traced_peak(solve) < 4 * _M0_BYTES_N5
 
 
 _HWM_PROBE = """
@@ -392,29 +418,29 @@ def high_water_mark():
         return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
 
 
-def pencil(n, grid):
+def solve(n, grid):
     drive = DriveConfig(power=0.1, detuning_grid=grid)
-    return driven._pencil(ArrayConfig.from_period(n, 0.05), drive)
+    return driven._pole_solve(driven._pencil(ArrayConfig.from_period(n, 0.05), drive), grid)
 
 
-m0, _, _ = pencil(3, np.zeros(1))
-np.linalg.eig(m0), np.linalg.inv(m0)  # LAPACK loaded and its first workspaces made
+solve(3, np.zeros(1))  # LAPACK loaded and its first workspaces made
 grid = resonance_grid(ArrayConfig.from_period(5, 0.05), -25.0, 5.0, coarse=61, refine_points=31)
-m0, _, detuning = pencil(5, grid)
 before = high_water_mark()
-driven._pole_solve(m0, detuning, grid)
-print(json.dumps({"points": len(grid), "rise": (high_water_mark() - before) / m0.nbytes}))
+solve(5, grid)
+print(json.dumps({"points": len(grid), "rise": (high_water_mark() - before) / (8 * 4**10)}))
 """
 
 
-def test_pole_solve_resident_peak_stays_under_six_times_m0():
+def test_cell_resident_peak_has_no_m0_beside_eig():
     """The resident peak of an N = 5 cell (197 points) is set inside the pole
     solve's ``np.linalg.eig``, whose LAPACK workspace is malloc'd and so
-    invisible to tracemalloc.  Read from VmHWM in a fresh process, the rise
-    over the solve is 5.46 to 5.53 times M0's bytes (2-core x86-64 host,
-    numpy's OpenBLAS, one thread; the heap's state before the solve moves it
-    that much).  The bound leaves a margin of 0.5 times M0 (4.2 MB), below
-    the 1.1 times that a complex copy of K[S] alive in the solve would add."""
+    invisible to tracemalloc, and M0 is not alive there.  Read from VmHWM in
+    a fresh process, the rise over building the pencil and solving it is
+    5.94 to 5.97 times the 8 MiB of M0 (2-core x86-64 host, numpy's
+    OpenBLAS, one thread), and 6.76 times with M0 alive beside ``eig``.  The
+    bound of 6.35 sits between the two, 0.38 times M0 (3.2 MB) above the
+    first and 0.41 times below the second, so M0 kept alive through the
+    solve fails it."""
     env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}
     src = str(Path(driven_module.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -424,7 +450,7 @@ def test_pole_solve_resident_peak_stays_under_six_times_m0():
     )
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe["points"] == 197
-    assert probe["rise"] < 6.0
+    assert probe["rise"] < 6.35
 
 
 @pytest.mark.parametrize(
@@ -435,8 +461,9 @@ def test_real_eigenbasis_is_c_ordered(n, d, power, phases, real_eigenvalues):
     """V is C-ordered whether or not K[S] has real eigenvalues, so its column
     sums and K V do not depend on the layout numpy would pick for a stack."""
     drive = _drive(power, phase_on_drive=phases)
-    m0, _, detuning = driven_module._pencil(ArrayConfig.from_period(n, d), drive)
-    lam, _, v = driven_module._real_eigenbasis(np.linalg.inv(m0), detuning)
+    pencil = driven_module._pencil(ArrayConfig.from_period(n, d), drive)
+    m0_inv = np.linalg.inv(driven_module._m0(pencil))
+    lam, _, v = driven_module._real_eigenbasis(m0_inv, pencil.detuning)
     assert len(lam) == real_eigenvalues
     assert v.flags.c_contiguous
 
@@ -453,7 +480,7 @@ def test_states_peak_stays_under_three_times_the_stack(n, five_atom_cell):
         config = ArrayConfig.from_period(4, 0.05)
         grid = resonance_grid(config, -25.0, 5.0, coarse=301, refine_points=31)
         pencil = driven_module._pencil(config, _drive(0.1, grid))
-        x, _ = driven_module._pole_solve(pencil[0], pencil[2], grid)
+        x, _ = driven_module._pole_solve(pencil, grid)
     stack_bytes = len(grid) * 16 * 4**n
     rho, failures = driven_module._states(x.copy(), pencil, grid)
     assert rho.nbytes == stack_bytes and not any(failures)
@@ -503,8 +530,8 @@ def _check_only_point_named(monkeypatch, config, grid, bad):
     expected, health = steady_states(config, drive)
     assert health["fallback_points"] == 0 and eigvalsh_calls == []
 
-    def one_bad_point(m0, detuning, grid):
-        x, condition = pole_solve(m0, detuning, grid)
+    def one_bad_point(pencil, grid):
+        x, condition = pole_solve(pencil, grid)
         x[:, bad] = 0.0
         x[:2, bad] = [1.5, -0.5]  # diag(1.5, -0.5, 0, ...): trace one, an eigenvalue -0.5
         return x, condition
@@ -549,14 +576,17 @@ def test_unpaired_eigenvalues_fall_back_at_every_point(monkeypatch):
     drive = _drive(0.3, _POLE_GRID)
     monkeypatch.setattr(driven_module.np.linalg, "eig", unpaired_eig)
     rhos, health = steady_states(config, drive)
-    assert health == {"fallback_points": len(_POLE_GRID), "v_condition": None}
+    assert health == {
+        "fallback_points": len(_POLE_GRID), "v_condition": None, "pencil_dim": 64, "support_dim": 44
+    }
     for rho, delta in zip(rhos, _POLE_GRID):
         np.testing.assert_allclose(rho, steady_state(config, drive, delta), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_eigenproblem_is_real_on_the_detuning_support(n, monkeypatch):
-    """The one eigensolve per grid is real and of size 4^N - C(2N, N)."""
+    """The one eigensolve per grid is real and of size 4^N - C(2N, N), and
+    the health records both sizes (256 and 186 at N = 4)."""
     eig = np.linalg.eig
     seen = []
 
@@ -566,10 +596,11 @@ def test_eigenproblem_is_real_on_the_detuning_support(n, monkeypatch):
 
     config = ArrayConfig.from_period(n, 0.05)
     monkeypatch.setattr(driven_module.np.linalg, "eig", recording_eig)
-    steady_states(config, _drive(0.3, _POLE_GRID))
+    _, health = steady_states(config, _drive(0.3, _POLE_GRID))
     size = 4**n - math.comb(2 * n, n)
     assert [m.shape for m in seen] == [(size, size)]
     assert seen[0].dtype == np.float64
+    assert (health["pencil_dim"], health["support_dim"]) == (4**n, size)
 
 
 _THREAD_PROBE = """

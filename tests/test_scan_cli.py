@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -174,7 +175,7 @@ def test_validate_yaml_parse_error_reports_location(tmp_path):
 def test_validate_driven_needs_small_array(tmp_path):
     path = write_config(
         tmp_path / "bad.yaml",
-        {"mode": "driven-spectrum", "array": {"n_atoms": 6},
+        {"mode": "driven-spectrum", "array": {"n_atoms": 7},
          "grid": {"d_over_lambda": [0.05]},
          "drive": {"power": [0.1], "detuning": {"start": -1, "stop": 1, "count": 5}}},
     )
@@ -413,9 +414,9 @@ _OUT_OF_BOUNDS = {
         "driven-map", {**_DRIVEN, "drive": {**_DRIVEN["drive"], "power": [-1]}}, "drive.power[0]"
     ),
     "zero-k": ("decay-map", {**_SECTOR, "grid": {"d_over_lambda": [0.05], "k": [0]}}, "grid.k[0]"),
-    "driven-map-six-atoms": ("driven-map", {**_DRIVEN, "array": {"n_atoms": 6}}, "array.n_atoms"),
-    "driven-spectrum-six-atoms": (
-        "driven-spectrum", {**_DRIVEN, "array": {"n_atoms": 6}}, "array.n_atoms"
+    "driven-map-seven-atoms": ("driven-map", {**_DRIVEN, "array": {"n_atoms": 7}}, "array.n_atoms"),
+    "driven-spectrum-seven-atoms": (
+        "driven-spectrum", {**_DRIVEN, "array": {"n_atoms": 7}}, "array.n_atoms"
     ),
     "size-map-zero-atoms": (
         "size-map", {"grid": {"d_over_lambda": [0.05], "k": [1], "n_atoms": [4, 0]}},
@@ -433,7 +434,7 @@ def test_validate_rejects_values_out_of_bounds(tmp_path, mode, payload, location
     assert err.value.location == location
 
 
-@pytest.mark.parametrize("case", ["negative-power", "size-map-two-d", "driven-map-six-atoms"])
+@pytest.mark.parametrize("case", ["negative-power", "size-map-two-d", "driven-map-seven-atoms"])
 def test_cli_value_out_of_bounds_exit_two(tmp_path, case):
     mode, payload, location = _OUT_OF_BOUNDS[case]
     cfg = _unread_or_empty_config(tmp_path, mode, payload)
@@ -685,8 +686,10 @@ def test_pool_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, cells, chunksize):
-            return map(fn, cells)
+        def submit(self, fn, cell):
+            future = concurrent.futures.Future()
+            future.set_result(fn(cell))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     path = write_config(
@@ -861,8 +864,11 @@ def test_driven_manifest_reports_solver_health(tmp_path):
     cells = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["cells"]
     assert len(cells) == 2
     for cell in cells:
-        assert list(cell["health"]) == ["fallback_points", "v_condition"]
+        assert list(cell["health"]) == [
+            "fallback_points", "v_condition", "pencil_dim", "support_dim"
+        ]
         assert cell["health"]["fallback_points"] == 0
+        assert (cell["health"]["pencil_dim"], cell["health"]["support_dim"]) == (16, 10)
         assert 1.0 <= cell["health"]["v_condition"] < 1e8
 
 
@@ -1188,6 +1194,72 @@ def test_killed_worker_leaves_its_cell_and_the_unfinished_ones_not_run(tmp_path,
     assert [(float(d), int(k)) for d, k, *_ in (row.split(",") for row in rows)] == ok
 
 
+def test_killed_worker_keeps_the_cells_that_finished(tmp_path, monkeypatch):
+    """The first cell sleeps, then its worker is SIGKILLed; the other worker
+    has finished cells 1-5 by then, and they keep their status and rows:
+    only the killed cell reads "not run: BrokenProcessPool: ...", and the
+    CLI exits 3."""
+    compute = cells_module._cell_min_gamma
+
+    def killed_first(cell):
+        if cell["k"] == 1 and cell["d_over_lambda"] == 0.05:
+            time.sleep(1.0)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return compute(cell)
+
+    monkeypatch.setattr(cells_module, "_cell_min_gamma", killed_first)
+    cfg = write_config(
+        tmp_path / "cfg.yaml",
+        {"mode": "decay-map", "array": {"n_atoms": 4},
+         "grid": {"d_over_lambda": [0.05, 0.1], "k": [1, 2, 3]},
+         "output": {"directory": str(tmp_path / "out")}},
+    )
+    result = _invoke(["decay-map", "--config", cfg, "--workers", "2"])
+    assert result.exit_code == 3
+    assert "1 of 6 cells failed" in result.output
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert manifest["success"] is False
+    cells = manifest["cells"]
+    assert [c["status"] for c in cells] == ["error"] + ["ok"] * 5
+    assert cells[0]["error"].startswith("not run: BrokenProcessPool: ")
+    rows = (tmp_path / "out" / "decay_map.csv").read_text().splitlines()[1:]
+    assert [(float(d), int(k)) for d, k, *_ in (row.split(",") for row in rows)] == [
+        (0.05, 2), (0.05, 3), (0.1, 1), (0.1, 2), (0.1, 3)
+    ]
+
+
+def test_interrupted_scan_writes_the_finished_cells(tmp_path, monkeypatch):
+    """Ctrl-C during a cell: the scan writes the rows of the cells before it
+    and the manifest (``success: false``, the stopped cells "not run"), then
+    raises the ``KeyboardInterrupt`` again."""
+    compute = cells_module._cell_min_gamma
+
+    def interrupted_at_third(cell):
+        if cell["k"] == 3 and cell["d_over_lambda"] == 0.05:
+            raise KeyboardInterrupt
+        return compute(cell)
+
+    monkeypatch.setattr(cells_module, "_cell_min_gamma", interrupted_at_third)
+    cfg = write_config(
+        tmp_path / "cfg.yaml",
+        {"mode": "decay-map", "array": {"n_atoms": 4},
+         "grid": {"d_over_lambda": [0.05, 0.1], "k": [1, 2, 3]},
+         "output": {"directory": str(tmp_path / "out")}},
+    )
+    with pytest.raises(KeyboardInterrupt):
+        run_scan(validate_config(cfg))
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert manifest["success"] is False
+    cells = manifest["cells"]
+    assert [c["status"] for c in cells] == ["ok", "ok"] + ["error"] * 4
+    assert {c["error"] for c in cells[2:]} == {"not run: KeyboardInterrupt"}
+    rows = (tmp_path / "out" / "decay_map.csv").read_text().splitlines()[1:]
+    config = ArrayConfig.from_period(4, 0.05)
+    assert [row.split(",") for row in rows] == [
+        [fmt_float(0.05), str(k), "4", fmt_float(min_decay_rate(config, k))] for k in (1, 2)
+    ]
+
+
 @pytest.mark.parametrize("workers", ["0", "two"])
 def test_cli_workers_below_one_exit_two(tmp_path, workers):
     result = _invoke(["decay-vs-k", "--config", decay_vs_k_config(tmp_path), "--workers", workers])
@@ -1453,8 +1525,10 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, cells, chunksize):
-        return map(fn, cells)
+    def submit(self, fn, cell):
+        future = concurrent.futures.Future()
+        future.set_result(fn(cell))
+        return future
 
 
 concurrent.futures.ProcessPoolExecutor = RecordingPool
