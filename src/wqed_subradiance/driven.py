@@ -564,15 +564,21 @@ def _states(x: np.ndarray, pencil: _Pencil, grid: np.ndarray):
 def steady_state(config: ArrayConfig, drive: DriveConfig, detuning: float) -> np.ndarray:
     """Steady-state density matrix in the rotating frame at the drive frequency.
 
-    One real direct solve of M(delta) x = e0, M(delta) scattered from the
-    pencil of ``_pencil``, with the checks of ``_states``.  The fixed
-    right-hand side g = (sin 1, sin 2, ...) of ``_probe_vector`` rides along
-    in the same solve, and kappa = ||M||_1 ||M^-1 g||_1 / ||g||_1 estimates the
-    condition of M.
+    One direct solve (``_direct_state``) on the pencil of ``_pencil``.
+    """
+    return _direct_state(_pencil(config, drive), detuning)
+
+
+def _direct_state(pencil: _Pencil, detuning: float) -> np.ndarray:
+    """The steady state at one detuning from one real direct solve of the pencil.
+
+    Solves M(delta) x = e0, M(delta) scattered from ``pencil``, with the
+    checks of ``_states``.  The fixed right-hand side g = (sin 1, sin 2, ...)
+    of ``_probe_vector`` rides along in the same solve, and kappa =
+    ||M||_1 ||M^-1 g||_1 / ||g||_1 estimates the condition of M.
     When kappa*KERNEL_RCOND reaches 1, or the solve fails, the state comes
     from the generator's kernel instead, which must be one-dimensional.
     """
-    pencil = _pencil(config, drive)
     support, rows, scale = pencil.detuning
     m = _m0(pencil)
     m[rows, support] += detuning * scale
@@ -606,8 +612,8 @@ def steady_states(config: ArrayConfig, drive: DriveConfig) -> tuple[np.ndarray, 
     pencil M(delta) = M0 + delta*D, and D is zero off its support S (see
     ``_real_detuning``), so one inverse of M0, its only factorization, and
     one eigensolve of size |S| serve every point (see ``_pole_solve``).  A
-    point that fails the checks of ``_states`` is re-solved by
-    ``steady_state``, which factors its own M(delta).
+    point that fails the checks of ``_states`` is re-solved on the same
+    pencil by ``_direct_state``, which factors its own M(delta).
 
     Returns the stack of density matrices, shape (points, 2^N, 2^N), and the
     solver health: the number of fallback points, the 1-norm condition of
@@ -620,7 +626,7 @@ def steady_states(config: ArrayConfig, drive: DriveConfig) -> tuple[np.ndarray, 
     rho, failures = _states(x, pencil, grid)
     failed = [i for i, failure in enumerate(failures) if failure]
     for i in failed:
-        rho[i] = steady_state(config, drive, grid[i])
+        rho[i] = _direct_state(pencil, grid[i])
     return rho, {
         "fallback_points": len(failed),
         "v_condition": condition,

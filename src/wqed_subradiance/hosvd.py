@@ -8,6 +8,9 @@ norms of the core's mode slices generalize singular values and define an
 entanglement entropy that counts the effective single-particle orbitals.
 Factor, norms and entropy come from the N x C(N, k-1) reduced unfolding;
 only :meth:`SymmetricWavefunction.to_dense` builds the dense N^k tensor.
+The overlaps of the factor with fermionized and dimerized orbitals
+(:func:`ansatz_overlap`) pair orbitals with factor columns by an exact
+subset dynamic program in numpy, so the module needs no scipy.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .spectrum import EigenState, gauge_pivot
 HOSVD_TOL = 1e-10
 MAX_DENSE_K = 5
 MAX_DENSE_N = 12
+MAX_ANSATZ_K = 16  # the column pairing of ansatz_overlap holds 2^k totals per family row
 DEGENERACY_RTOL = 0.05
 
 ANSATZ_FERMIONIC = "fermionic"
@@ -161,7 +165,7 @@ def fermionic_profiles(n_atoms: int) -> np.ndarray:
         norm = np.linalg.norm(v)
         if norm > 1e-12:
             rows.append(v / norm)
-    return np.array(rows)
+    return np.array(rows).reshape(len(rows), n_atoms)
 
 
 def dimerized_profiles(n_atoms: int) -> np.ndarray:
@@ -186,23 +190,44 @@ def dimerized_profiles(n_atoms: int) -> np.ndarray:
 
 
 def _assignment(columns: np.ndarray, family: np.ndarray):
-    """Squared overlaps |family* . columns|^2 and their maximal-overlap pairing."""
-    # imported here: scipy.optimize takes ~0.7 s to load (2-core host) and only these
-    # diagnostics need it
-    from scipy.optimize import linear_sum_assignment
+    """Each column's squared overlap |family* . column|^2 in the best pairing, and its row.
 
+    The pairing makes min(rows, columns) pairs of distinct family rows and
+    columns with the largest total squared overlap, as
+    ``scipy.optimize.linear_sum_assignment`` does on the negated matrix.  It
+    is exact: a dynamic program over the sets of columns already paired
+    (2^k sets for k columns) takes the family rows one at a time, last row
+    first, and ``best[mask]`` is the largest total the rows from the current
+    one on reach when the columns in ``mask`` are taken.  Of equal totals
+    the first is kept: the first row takes the lowest column through which
+    the largest total is reached, then the next row, and so on, and a row
+    stays unpaired only when every column reaches less.  A column left
+    unpaired (fewer rows than columns) has overlap 0 and row -1.
+    """
     overlap = np.abs(family.conj() @ columns) ** 2
-    rows, cols = linear_sum_assignment(-overlap)
-    return overlap, rows, cols
-
-
-def _assigned_overlaps(columns: np.ndarray, family: np.ndarray) -> np.ndarray:
-    """Per-column best-assignment squared overlaps with the family rows."""
-    overlap, rows, cols = _assignment(columns, family)
-    out = np.zeros(columns.shape[1])
-    for r, c in zip(rows, cols):
-        out[c] = overlap[r, c]
-    return out
+    n_rows, n_cols = overlap.shape
+    masks = np.arange(1 << n_cols)
+    size = sum((masks >> c) & 1 for c in range(n_cols))
+    best = np.where(size == min(n_rows, n_cols), 0.0, -np.inf)
+    choice = np.empty((n_rows, len(masks)), dtype=np.int8)
+    for r in range(n_rows - 1, -1, -1):
+        total, pick = best, np.full(len(masks), n_cols, dtype=np.int8)  # r unpaired
+        for c in range(n_cols - 1, -1, -1):
+            bit = 1 << c
+            reach = np.where(masks & bit, -np.inf, overlap[r, c] + best[masks | bit])
+            lower = reach >= total  # ties go to the lower column
+            total = np.where(lower, reach, total)
+            pick[lower] = c
+        best, choice[r] = total, pick
+    row_of, mask = np.full(n_cols, -1), 0
+    for r in range(n_rows):
+        c = int(choice[r, mask])
+        if c < n_cols:
+            row_of[c], mask = r, mask | 1 << c
+    paired = np.flatnonzero(row_of >= 0)
+    values = np.zeros(n_cols)
+    values[paired] = overlap[row_of[paired], paired]
+    return values, row_of
 
 
 def _degenerate_blocks(lam: np.ndarray) -> list[tuple[int, int]]:
@@ -215,12 +240,11 @@ def _degenerate_blocks(lam: np.ndarray) -> list[tuple[int, int]]:
     return blocks
 
 
-def _procrustes(columns: np.ndarray, family: np.ndarray) -> np.ndarray:
-    """Rotate columns (unitarily) to best align with assigned family rows."""
-    _, rows, cols = _assignment(columns, family)
+def _procrustes(columns: np.ndarray, family: np.ndarray, row_of: np.ndarray) -> np.ndarray:
+    """Rotate columns (unitarily) to best align with their assigned family rows ``row_of``."""
     target = np.zeros((columns.shape[0], columns.shape[1]), dtype=complex)
-    for r, c in zip(rows, cols):
-        target[:, c] = family[r]
+    paired = np.flatnonzero(row_of >= 0)
+    target[:, paired] = family[row_of[paired]].T
     m = columns.conj().T @ target
     w, _, vh = np.linalg.svd(m)
     return columns @ (w @ vh)
@@ -234,12 +258,16 @@ def ansatz_overlap(result: HosvdResult, ansatz: str) -> list[float]:
     each such block is first rotated toward whichever analytic family
     matches it best in aggregate, independently of ``ansatz``, so both
     families are evaluated in one common gauge.  Family vectors are paired
-    with columns by maximal-overlap assignment.
+    with columns by maximal-overlap assignment (``_assignment``), which
+    limits k to ``MAX_ANSATZ_K``; below half filling a state of larger k
+    would have C(N, k) >= C(34, 17), about 2.3e9, amplitudes.
     """
     n = result.n_atoms
     k = result.k
     if ansatz not in (ANSATZ_FERMIONIC, ANSATZ_DIMERIZED):
         raise DomainError(f"unknown ansatz {ansatz!r}; use 'fermionic' or 'dimerized'")
+    if k > MAX_ANSATZ_K:
+        raise DomainError(f"ansatz overlaps limited to k <= {MAX_ANSATZ_K}, got k={k}")
     if ansatz == ANSATZ_DIMERIZED and n % 2:
         raise DomainError("dimerized ansatz requires an even number of atoms")
     families = {ANSATZ_FERMIONIC: fermionic_profiles(n)}
@@ -251,12 +279,10 @@ def ansatz_overlap(result: HosvdResult, ansatz: str) -> list[float]:
         if b - a < 2:
             continue
         block = columns[:, a:b]
-        totals = {
-            name: _assigned_overlaps(block, fam).sum() for name, fam in families.items()
-        }
-        best = max(sorted(totals), key=lambda name: totals[name])
-        columns[:, a:b] = _procrustes(block, families[best])
-    return [float(v) for v in _assigned_overlaps(columns, families[ansatz])]
+        fits = {name: _assignment(block, fam) for name, fam in families.items()}
+        best = max(sorted(fits), key=lambda name: fits[name][0].sum())
+        columns[:, a:b] = _procrustes(block, families[best], fits[best][1])
+    return [float(v) for v in _assignment(columns, families[ansatz])[0]]
 
 
 def hole_transform(state: EigenState) -> EigenState:

@@ -102,25 +102,44 @@ def test_steady_states_match_pointwise_solves_drive_options(options):
         np.testing.assert_allclose(rho, steady_state(config, drive, delta), rtol=0, atol=1e-12)
 
 
+_EIG = np.linalg.eig
+
+
+def _corrupted_eig(matrix):
+    """``np.linalg.eig`` with its eigenvectors paired with the wrong eigenvalues."""
+    lam, v = _EIG(matrix)
+    return lam, np.roll(v, 1, axis=1)
+
+
 def test_corrupted_pole_expansion_falls_back_at_every_point(monkeypatch):
     """A wrong eigenvector matrix fails every residual check; each point is re-solved directly.
 
     The grid avoids delta = 0, where the expansion reduces to M0^-1 e0 for any V.
     """
-    eig = np.linalg.eig
-
-    def corrupted_eig(matrix):
-        lam, v = eig(matrix)
-        return lam, np.roll(v, 1, axis=1)
-
     config = ArrayConfig.from_period(3, 0.05)
     grid = _POLE_GRID[_POLE_GRID != 0.0]
     drive = _drive(0.3, grid)
-    monkeypatch.setattr(driven_module.np.linalg, "eig", corrupted_eig)
+    monkeypatch.setattr(driven_module.np.linalg, "eig", _corrupted_eig)
     rhos, health = steady_states(config, drive)
     assert health["fallback_points"] == len(grid)
     for rho, delta in zip(rhos, grid):
         np.testing.assert_allclose(rho, steady_state(config, drive, delta), rtol=0, atol=1e-12)
+
+
+def test_fallback_points_reuse_the_cells_pencil(monkeypatch):
+    """Every point falls back (the corrupted eigenvectors above), and each is
+    re-solved on the cell's own pencil: the generators are built and probed
+    once per ``steady_states`` call, not once more per point."""
+    generators = driven_module._generators
+    calls = []
+    monkeypatch.setattr(driven_module.np.linalg, "eig", _corrupted_eig)
+    monkeypatch.setattr(
+        driven_module, "_generators", lambda *args: calls.append(args) or generators(*args)
+    )
+    grid = _POLE_GRID[_POLE_GRID != 0.0]
+    _, health = steady_states(ArrayConfig.from_period(3, 0.05), _drive(0.3, grid))
+    assert health["fallback_points"] == len(grid) > 1
+    assert len(calls) == 1
 
 
 def test_singular_pencil_gives_nan_not_garbage():
@@ -519,7 +538,7 @@ def _check_only_point_named(monkeypatch, config, grid, bad):
     drive = _drive(0.3, grid)
     eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
     pole_solve, states = driven_module._pole_solve, driven_module._states
-    resolve = driven_module.steady_state
+    resolve = driven_module._direct_state
     eigvalsh_calls, cholesky_calls, named, resolved = [], [], [], []
     monkeypatch.setattr(
         driven_module.np.linalg, "eigvalsh", lambda a: eigvalsh_calls.append(a.shape) or eigvalsh(a)
@@ -546,7 +565,7 @@ def _check_only_point_named(monkeypatch, config, grid, bad):
     monkeypatch.setattr(driven_module, "_residual", lambda x, pencil, grid: np.zeros(len(grid)))
     monkeypatch.setattr(driven_module, "_states", recording_states)
     monkeypatch.setattr(
-        driven_module, "steady_state", lambda *args: resolved.append(args[2]) or resolve(*args)
+        driven_module, "_direct_state", lambda *args: resolved.append(args[1]) or resolve(*args)
     )
     rhos, health = steady_states(config, drive)
     points = len(grid)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from wqed_subradiance import (
     ArrayConfig,
@@ -21,6 +22,7 @@ from wqed_subradiance import (
     most_subradiant_state,
     to_symmetric_tensor,
 )
+from wqed_subradiance.hosvd import _assignment
 from oracles import core_tensor, dense_hosvd_weights, hole_amplitudes
 
 
@@ -237,6 +239,68 @@ def test_dimerized_ansatz_odd_n_rejected():
         ansatz_overlap(result, "dimerized")
     with pytest.raises(DomainError):
         ansatz_overlap(result, "unknown")
+
+
+def _scipy_pairing(overlap):
+    """Each column's row (-1 if unpaired) and the total of ``linear_sum_assignment``."""
+    rows, cols = linear_sum_assignment(-overlap)
+    row_of = np.full(overlap.shape[1], -1)
+    row_of[cols] = rows
+    return row_of, overlap[rows, cols].sum()
+
+
+def test_assignment_matches_linear_sum_assignment():
+    """Random rectangular problems, N = 4-16, k <= N/2 columns and k to N+1
+    family rows, then fewer rows than columns: the subset program pairs
+    every column with scipy's row and reaches scipy's total."""
+    rng = np.random.default_rng(7)
+    problems = []
+    for _ in range(240):
+        n = int(rng.integers(4, 17))
+        k = int(rng.integers(1, n // 2 + 1))
+        problems.append((n, k, int(rng.integers(k, n + 2))))
+    problems += [(n, k, rows) for n, k in ((4, 3), (9, 5), (12, 8)) for rows in range(k)]
+    for n, k, rows in problems:
+        columns = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        family = rng.standard_normal((rows, n))
+        values, row_of = _assignment(columns, family)
+        expected_rows, total = _scipy_pairing(np.abs(family @ columns) ** 2)
+        np.testing.assert_array_equal(row_of, expected_rows)
+        assert values.sum() == pytest.approx(total, rel=1e-13, abs=0)
+        assert (values[row_of < 0] == 0.0).all()
+        assert (row_of >= 0).sum() == min(rows, k)
+
+
+def test_assignment_keeps_the_first_of_equal_totals():
+    """With a duplicated family row every optimal pairing has a twin of the
+    same total (exact here: all squared overlaps are dyadic); the first row
+    takes the lowest column that still reaches the largest total."""
+    columns = np.eye(4)[:, :2]
+    # overlaps |family[r, c]|^2: rows 1 and 3 are equal
+    family = np.array([[0.25, 0.5, 0, 0], [1.0, 0.5, 0, 0], [0.5, 0.5, 0, 0], [1.0, 0.5, 0, 0]])
+    values, row_of = _assignment(columns, family)
+    # total 1.25 six ways: row 1 or 3 on column 0, another row on column 1;
+    # row 0 reaches it only through column 1, then row 1 takes column 0
+    np.testing.assert_array_equal(row_of, [1, 0])
+    np.testing.assert_array_equal(values, [1.0, 0.25])
+    # the duplicate ahead of its twin is paired when the two rows alone tie
+    family = np.array([[0, 0, 0, 0], [1.0, 0, 0, 0], [1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+    np.testing.assert_array_equal(_assignment(columns, family)[1], [1, 3])
+
+
+def test_ansatz_overlap_without_family_rows_is_zero():
+    """At N = 1 every fermionic profile vanishes, so the family has no rows
+    and the single column is unpaired."""
+    result = hosvd(to_symmetric_tensor(_state([1.0], enumerate_sector(1, 1))))
+    assert fermionic_profiles(1).shape == (0, 1)
+    assert ansatz_overlap(result, "fermionic") == [0.0]
+
+
+def test_ansatz_overlap_rejects_k_above_the_pairing_limit():
+    basis = enumerate_sector(18, 17)
+    result = hosvd(to_symmetric_tensor(_state(np.ones(basis.dim) / math.sqrt(basis.dim), basis)))
+    with pytest.raises(DomainError, match="k <= 16"):
+        ansatz_overlap(result, "fermionic")
 
 
 def test_half_filling_dimerized_beats_fermionic():

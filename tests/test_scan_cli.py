@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import contextlib
 import io
@@ -5,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -1380,10 +1382,15 @@ _IMPORT_PROBE = """
 import json
 import sys
 
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
 import wqed_subradiance.cli
 import wqed_subradiance.cells
 
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = scipy_modules()
 from wqed_subradiance import (
     ArrayConfig, ansatz_overlap, hosvd, most_subradiant_state, to_symmetric_tensor,
 )
@@ -1391,11 +1398,12 @@ from wqed_subradiance import (
 state = most_subradiant_state(ArrayConfig.from_period(6, 0.05), 3)
 result = hosvd(to_symmetric_tensor(state))
 overlaps = {name: ansatz_overlap(result, name) for name in ("fermionic", "dimerized")}
-print(json.dumps({"scipy": loaded, "overlaps": overlaps}))
+print(json.dumps({"scipy": loaded, "overlap_scipy": scipy_modules(), "overlaps": overlaps}))
 """
 
 
 def test_cli_import_loads_no_scipy_and_overlaps_still_work():
+    """Neither the CLI's imports nor both ansatz overlaps load any scipy module."""
     src = str(Path(scan_module.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -1405,10 +1413,38 @@ def test_cli_import_loads_no_scipy_and_overlaps_still_work():
     )
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe["scipy"] == []
+    assert probe["overlap_scipy"] == []
     state = most_subradiant_state(ArrayConfig.from_period(6, 0.05), 3)
     result = hosvd(to_symmetric_tensor(state))
     for name, overlaps in probe["overlaps"].items():
         assert overlaps == pytest.approx(ansatz_overlap(result, name), rel=0, abs=1e-12)
+
+
+def _imported_roots(path: Path) -> set[str]:
+    """Top-level names of every absolute import in a module, deferred ones included."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_package_imports_only_its_declared_runtime_dependencies():
+    """Outside the standard library, ``src/`` imports numpy and yaml alone,
+    the import names of ``pyproject.toml``'s runtime dependencies numpy and
+    PyYAML; a module that needs more must declare it (as an extra)."""
+    package = Path(scan_module.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 10
+    roots = set().union(*map(_imported_roots, modules))
+    third_party = roots - set(sys.stdlib_module_names) - {"wqed_subradiance"}
+    assert third_party == {"numpy", "yaml"}
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())["project"]
+    declared = {re.split(r"[<>=!~\[; ]", dep, maxsplit=1)[0] for dep in project["dependencies"]}
+    assert declared == {"numpy", "PyYAML"}
 
 
 _COLD_START_PROBE = """
