@@ -5,14 +5,22 @@ forks, so the workers inherit numpy and the sector layers already loaded;
 config checking never imports it.  The driven layer loads on the first
 driven cell a process runs, so a sector scan never loads it, and each
 worker of a parallel driven scan loads it once.
+
+Every cell returns what gets written, as (status, payload[, extra]): an ok
+cell's payload is its row's computed values in a table mode and the whole
+file (CSV rows or a JSON dict) in a per-cell mode; ``extra`` is what the
+cell adds to its manifest entry (``params`` entries, the driven ``health``).
 """
 
 from __future__ import annotations
+
+import math
 
 from .correlations import correlation_matrix, dimerization_score
 from .errors import DomainError, NumericalError
 from .hosvd import HosvdResult, hosvd, to_symmetric_tensor
 from .lattice import ArrayConfig
+from .serialize import fmt_float
 from .spectrum import min_decay_rate, most_subradiant_state
 
 
@@ -21,9 +29,8 @@ def _run_cell(task):
 
     ``task`` is (worker name, cell), the cell being the scan's settings
     (``n_atoms``, ``detuning``, ``phase_on_drive``) overlaid by its params; the
-    worker is looked up when the cell runs and returns (status, payload) or
-    (status, payload, health).  A domain or numerical failure is recorded by
-    its message; any other exception, a ``MemoryError`` say, by
+    worker is looked up when the cell runs.  A domain or numerical failure is
+    recorded by its message; any other exception, a ``MemoryError`` say, by
     "<type name>: <message>", with its traceback on stderr, so one failing
     cell does not end the scan and a programming error keeps its location.
     """
@@ -46,7 +53,7 @@ def _array(cell) -> ArrayConfig:
 def _cell_min_gamma(cell):
     if cell["k"] > cell["n_atoms"]:
         return ("skipped", None)
-    return ("ok", min_decay_rate(_array(cell), cell["k"]))
+    return ("ok", (min_decay_rate(_array(cell), cell["k"]),))
 
 
 def _subradiant_hosvd(cell) -> HosvdResult:
@@ -58,19 +65,20 @@ def _cell_hosvd(cell):
 
 
 def _cell_entropy(cell):
-    return ("ok", _subradiant_hosvd(cell).entropy)
+    return ("ok", (_subradiant_hosvd(cell).entropy,))
 
 
 def _cell_correlations(cell):
     corr = correlation_matrix(most_subradiant_state(_array(cell), cell["k"]))
-    n = corr.n_atoms
-    scores = None
-    if n % 2 == 0:  # each dimer registration that has a pair; at N = 2 only offset 0
-        scores = [dimerization_score(corr, offset) for offset in (0, 1) if offset < n - 1]
-    return ("ok", (list(corr.rows()), scores))
+    rows, n = list(corr.rows()), corr.n_atoms
+    if n % 2:
+        return ("ok", rows)
+    # the better of the dimer registrations that have a pair; at N = 2 only offset 0
+    score = max(dimerization_score(corr, offset) for offset in (0, 1) if offset < n - 1)
+    return ("ok", rows, {"params": {"dimerization_score": float(fmt_float(score))}})
 
 
-def _cell_driven(cell):
+def _spectrum(cell):
     from .driven import DriveConfig, incoherent_spectrum, resonance_grid
 
     config = _array(cell)
@@ -79,5 +87,18 @@ def _cell_driven(cell):
     drive = DriveConfig(
         power=cell["power"], detuning_grid=grid, phase_on_drive=cell["phase_on_drive"]
     )
-    spectrum = incoherent_spectrum(config, drive)
-    return ("ok", spectrum, spectrum.health)
+    return incoherent_spectrum(config, drive)
+
+
+def _cell_driven_map(cell):
+    spectrum = _spectrum(cell)
+    fwhm = spectrum.narrowest_fwhm
+    found = fwhm is not None
+    return ("ok", (fwhm if found else math.nan, found), {"health": spectrum.health})
+
+
+def _cell_driven_spectrum(cell):
+    spectrum = _spectrum(cell)
+    r, t = spectrum.reflection, spectrum.transmission
+    columns = (spectrum.detunings, r.real, r.imag, t.real, t.imag, spectrum.incoherent)
+    return ("ok", list(zip(*(c.tolist() for c in columns))), {"health": spectrum.health})

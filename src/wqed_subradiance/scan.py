@@ -12,19 +12,20 @@ imports when a scan starts.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 import yaml
 
 from . import BLAS_THREAD_VARS, MAX_DRIVEN_ATOMS, __version__
 from .errors import ConfigError
-from .serialize import fmt_float, write_csv, write_json
+from .serialize import write_csv, write_json
 
 
 class _Key(NamedTuple):
@@ -324,16 +325,16 @@ class _Mode:
     The cells cross the grids named in ``sweep``, outermost first, and
     ``numbered`` adds each cell's index to its params.  ``worker`` names a
     cell function of ``cells``, looked up by ``cells._run_cell`` when each
-    cell runs.  A mode either gathers one row per ok cell into a single table
-    (``stem``, ``header``, ``row``) or writes one file per ok cell (``write``,
-    which may add entries to the cell's params).
+    cell runs.  A table mode gathers one row per ok cell into the one file
+    ``stem``; a ``per_cell`` mode writes each ok cell's payload to its own
+    file, ``stem`` filled from the cell's params.  A file is CSV under
+    ``header``, JSON without one.
     """
 
     worker: str
-    stem: str | None = None
+    stem: str
     header: list[str] | None = None
-    row: Callable[[dict, Any], tuple] | None = None
-    write: Callable[[ScanSpec, dict, Any], Path] | None = None
+    per_cell: bool = False
     reads: tuple[str, ...] = _SECTOR_KEYS
     single_d: bool = False  # exactly one d_over_lambda value
     max_atoms: float = math.inf  # the cap on N
@@ -341,75 +342,29 @@ class _Mode:
     numbered: bool = False
 
 
-def _write_table(spec: ScanSpec, stem: str, header: list[str], rows) -> Path:
-    path = spec.out_dir / f"{stem}.csv"
-    write_csv(path, header, rows)
-    return path
-
-
-def _write_hosvd(spec: ScanSpec, params: dict, payload: dict) -> Path:
-    path = spec.out_dir / f"hosvd_k{params['k']}.json"
-    write_json(path, payload)
-    return path
-
-
-def _write_correlations(spec: ScanSpec, params: dict, payload) -> Path:
-    rows, scores = payload
-    if scores is not None:
-        params["dimerization_score"] = float(fmt_float(max(scores)))
-    return _write_table(spec, f"correlations_k{params['k']}", ["m", "n", "re", "im"], rows)
-
-
-def _write_spectrum(spec: ScanSpec, params: dict, spectrum) -> Path:
-    header = ["detuning", "re_r", "im_r", "re_t", "im_t", "incoherent"]
-    rows = [
-        (
-            float(delta),
-            spectrum.reflection[i].real,
-            spectrum.reflection[i].imag,
-            spectrum.transmission[i].real,
-            spectrum.transmission[i].imag,
-            float(spectrum.incoherent[i]),
-        )
-        for i, delta in enumerate(spectrum.detunings)
-    ]
-    return _write_table(spec, f"spectrum_p{params['index']:02d}", header, rows)
-
-
-def _decay_row(params: dict, min_gamma: float) -> tuple:
-    return (params["d_over_lambda"], params["k"], params["n_atoms"], min_gamma)
-
-
-def _fwhm_row(params: dict, spectrum) -> tuple:
-    fwhm = spectrum.narrowest_fwhm
-    found = fwhm is not None
-    return (params["power"], params["d_over_lambda"], fwhm if found else math.nan, found)
-
-
 _DECAY_HEADER = ["d_over_lambda", "k", "n_atoms", "min_gamma"]
 # what both driven modes share: their keys, the solver's N cap and the (power, d) sweep
 _DRIVEN = dict(reads=_DRIVEN_KEYS, max_atoms=MAX_DRIVEN_ATOMS, sweep=("power", "d_over_lambda"))
 _MODE_TABLE = {
-    "decay-map": _Mode("_cell_min_gamma", "decay_map", _DECAY_HEADER, _decay_row),
-    "decay-vs-k": _Mode("_cell_min_gamma", "decay_vs_k", _DECAY_HEADER, _decay_row, single_d=True),
+    "decay-map": _Mode("_cell_min_gamma", "decay_map", _DECAY_HEADER),
+    "decay-vs-k": _Mode("_cell_min_gamma", "decay_vs_k", _DECAY_HEADER, single_d=True),
     "size-map": _Mode(
-        "_cell_min_gamma", "size_map", _DECAY_HEADER, _decay_row, reads=_SIZE_MAP_KEYS,
+        "_cell_min_gamma", "size_map", _DECAY_HEADER, reads=_SIZE_MAP_KEYS, single_d=True
+    ),
+    "hosvd-analyze": _Mode("_cell_hosvd", "hosvd_k{k}", per_cell=True, single_d=True),
+    "entropy-map": _Mode("_cell_entropy", "entropy_map", ["d_over_lambda", "k", "entropy"]),
+    "correlations": _Mode(
+        "_cell_correlations", "correlations_k{k}", ["m", "n", "re", "im"], per_cell=True,
         single_d=True,
     ),
-    "hosvd-analyze": _Mode("_cell_hosvd", write=_write_hosvd, single_d=True),
-    "entropy-map": _Mode(
-        "_cell_entropy",
-        "entropy_map",
-        ["d_over_lambda", "k", "entropy"],
-        lambda params, entropy: (params["d_over_lambda"], params["k"], entropy),
-    ),
-    "correlations": _Mode("_cell_correlations", write=_write_correlations, single_d=True),
     "driven-map": _Mode(
-        "_cell_driven", "driven_map", ["power", "d_over_lambda", "narrowest_fwhm", "found"],
-        _fwhm_row, **_DRIVEN,
+        "_cell_driven_map", "driven_map", ["power", "d_over_lambda", "narrowest_fwhm", "found"],
+        **_DRIVEN,
     ),
     "driven-spectrum": _Mode(
-        "_cell_driven", write=_write_spectrum, single_d=True, numbered=True, **_DRIVEN
+        "_cell_driven_spectrum", "spectrum_p{index:02d}",
+        ["detuning", "re_r", "im_r", "re_t", "im_t", "incoherent"], per_cell=True,
+        single_d=True, numbered=True, **_DRIVEN,
     ),
 }
 MODES = tuple(_MODE_TABLE)
@@ -427,13 +382,33 @@ def _cells(spec: ScanSpec, mode: _Mode) -> list[dict]:
     ]
 
 
+def _write(spec: ScanSpec, name: str, header: list[str] | None, data) -> Path:
+    """Write ``data`` to the output directory: CSV rows under ``header``, else JSON.
+
+    A file that cannot be written raises ``ConfigError`` at ``output.directory``.
+    """
+    path = spec.out_dir / f"{name}.{'csv' if header else 'json'}"
+    try:
+        if header:
+            write_csv(path, header, data)
+        else:
+            write_json(path, data)
+    except OSError as exc:
+        message = f"cannot write {path}: {exc.strerror}"
+        raise ConfigError(message, location="output.directory") from exc
+    return path
+
+
 def run_scan(spec: ScanSpec) -> RunManifest:
     """Execute a validated scan; write data files and a run manifest.
 
-    An output directory that cannot be created raises ``ConfigError`` at
-    ``output.directory``, before any cell runs.  A ``KeyboardInterrupt``
-    while the cells run is raised again once the finished cells' files and
-    the manifest are written; the cells it stopped read ("error", "not run:
+    A per-cell file is written as its cell's result is read, in output
+    order; a table mode's one table is written after the last cell.  An
+    output directory that cannot be created raises ``ConfigError`` at
+    ``output.directory`` before any cell runs, and a file that cannot be
+    written raises it when that file is due.  A ``KeyboardInterrupt`` while
+    the cells run is raised again once the finished cells' files and the
+    manifest are written; the cells it stopped read ("error", "not run:
     KeyboardInterrupt").
     """
     start = time.perf_counter()
@@ -451,31 +426,26 @@ def run_scan(spec: ScanSpec) -> RunManifest:
     # loads numpy and the compute layers here, so forked workers inherit them
     from .cells import _run_cell
 
-    results, interrupt = [], None
-    try:
-        for result in _map_cells(_run_cell, tasks, spec.workers):
-            results.append(result)
-    except KeyboardInterrupt as exc:
-        interrupt = exc
-        results += [("error", "not run: KeyboardInterrupt")] * (len(cells) - len(results))
-    outputs, rows, statuses = [], [], []
-    for i, (params, (status, payload, *health)) in enumerate(zip(cells, results)):
-        if status == "ok":
-            if mode.write:
-                outputs.append(mode.write(spec, params, payload))
-            else:
-                rows.append(mode.row(params, payload))
-        statuses.append(
-            CellStatus(
-                index=i,
-                params=params,
-                status=status,
-                error=payload if status == "error" else None,
-                health=health[0] if health else None,
-            )
-        )
-    if mode.row:
-        outputs.append(_write_table(spec, mode.stem, mode.header, rows))
+    outputs, rows, statuses, interrupt = [], [], [], None
+    with contextlib.closing(_map_cells(_run_cell, tasks, spec.workers)) as results:
+        for i, params in enumerate(cells):
+            result = ("error", "not run: KeyboardInterrupt")
+            if interrupt is None:
+                try:
+                    result = next(results)
+                except KeyboardInterrupt as exc:
+                    interrupt = exc
+            status, payload, *extra = result
+            extra = dict(*extra)  # what the cell adds to its manifest entry
+            if status == "ok" and mode.per_cell:
+                outputs.append(_write(spec, mode.stem.format(**params), mode.header, payload))
+            elif status == "ok":  # the leading columns are the params the header names
+                rows.append(tuple(params[key] for key in mode.header[: -len(payload)]) + payload)
+            error = payload if status == "error" else None
+            params = params | extra.get("params", {})
+            statuses.append(CellStatus(i, params, status, error, extra.get("health")))
+    if not mode.per_cell:
+        outputs.append(_write(spec, mode.stem, mode.header, rows))
     manifest = RunManifest(
         mode=spec.mode,
         version=__version__,
@@ -489,7 +459,7 @@ def run_scan(spec: ScanSpec) -> RunManifest:
     )
     record = asdict(manifest)
     record["cells"] = [{k: v for k, v in cell.items() if v is not None} for cell in record["cells"]]
-    write_json(spec.out_dir / "run_manifest.json", record)
+    _write(spec, "run_manifest", None, record)
     if interrupt is not None:
         raise interrupt
     return manifest

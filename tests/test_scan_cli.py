@@ -1079,6 +1079,26 @@ def test_cli_uncreatable_output_directory_exit_two(tmp_path, via):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "taken"]
 
 
+@pytest.mark.parametrize(
+    "mode, name",
+    [("decay-vs-k", "decay_vs_k.csv"), ("hosvd-analyze", "hosvd_k1.json")],
+    ids=["table", "per-cell"],
+)
+def test_cli_unwritable_data_file_exit_two(tmp_path, mode, name):
+    """A directory in place of a data file: one error line naming the file, exit 2."""
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg = write_config(
+        tmp_path / "cfg.yaml", {"mode": mode, **_SECTOR, "output": {"directory": str(out)}}
+    )
+    result = _invoke([mode, "--config", cfg])
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [
+        f"error: output.directory: cannot write {out / name}: Is a directory"
+    ]
+    assert (out / name).is_dir()
+
+
 def test_cli_mode_mismatch_exit_two(tmp_path):
     cfg = decay_vs_k_config(tmp_path)
     result = _invoke(["decay-map", "--config", cfg])
@@ -1361,21 +1381,51 @@ _MODE_CASES = {
 
 @pytest.mark.parametrize("mode", scan_module.MODES)
 def test_every_mode_writes_expected_files_and_cell_params(tmp_path, mode):
+    """At one worker and at two, every data file has the same bytes."""
     payload, files, cells = _MODE_CASES[mode]
+    written = {}
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        path = write_config(
+            tmp_path / "cfg.yaml",
+            {"mode": mode, **payload, "output": {"directory": str(out)}, "workers": workers},
+        )
+        manifest = run_scan(validate_config(path))
+        assert manifest.success
+        data = json.loads((out / "run_manifest.json").read_text())
+        assert data["outputs"] == [str(out / name) for name in files]
+        assert sorted(p.name for p in out.iterdir()) == sorted(files + ["run_manifest.json"])
+        assert [c["index"] for c in data["cells"]] == list(range(len(cells)))
+        assert [c["status"] for c in data["cells"]] == [status for _, status in cells]
+        # exact keys and key order; floats to within the 12-digit output rounding
+        assert [list(c["params"]) for c in data["cells"]] == [list(p) for p, _ in cells]
+        assert [c["params"] for c in data["cells"]] == [
+            pytest.approx(p, abs=1e-9) for p, _ in cells
+        ]
+        written[workers] = {name: (out / name).read_bytes() for name in files}
+    assert written[1] == written[2]
+
+
+def test_per_cell_files_are_written_as_their_cells_finish(tmp_path, monkeypatch):
+    """At one worker, the second correlations cell runs with the first
+    cell's file already on disk."""
     out = tmp_path / "out"
+    compute = cells_module._cell_correlations
+    first_file_seen = []
+
+    def recorded(cell):
+        first_file_seen.append((out / "correlations_k1.csv").exists())
+        return compute(cell)
+
+    monkeypatch.setattr(cells_module, "_cell_correlations", recorded)
+    payload, files, _ = _MODE_CASES["correlations"]
     path = write_config(
-        tmp_path / "cfg.yaml", {"mode": mode, **payload, "output": {"directory": str(out)}}
+        tmp_path / "cfg.yaml",
+        {"mode": "correlations", **payload, "output": {"directory": str(out)}, "workers": 1},
     )
-    manifest = run_scan(validate_config(path))
-    assert manifest.success
-    data = json.loads((out / "run_manifest.json").read_text())
-    assert data["outputs"] == [str(out / name) for name in files]
+    assert run_scan(validate_config(path)).success
+    assert first_file_seen == [False, True]
     assert sorted(p.name for p in out.iterdir()) == sorted(files + ["run_manifest.json"])
-    assert [c["index"] for c in data["cells"]] == list(range(len(cells)))
-    assert [c["status"] for c in data["cells"]] == [status for _, status in cells]
-    # exact keys and key order; floats to within the 12-digit output rounding
-    assert [list(c["params"]) for c in data["cells"]] == [list(p) for p, _ in cells]
-    assert [c["params"] for c in data["cells"]] == [pytest.approx(p, abs=1e-9) for p, _ in cells]
 
 
 _IMPORT_PROBE = """
