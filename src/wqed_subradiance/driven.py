@@ -31,7 +31,6 @@ from .spectrum import diagonalize
 STEADY_TOL = 1e-9
 PSD_TOL = 1e-9
 PSD_CHUNK = 32  # points per Cholesky call of the PSD check, so its copies stay small
-PANEL_BYTES = 1 << 20  # the most bytes of generator rows the residual scatters at once
 KERNEL_RCOND = 1e-10
 PROBE_TOL = 1e-10
 PEAK_FLOOR = 1e-9
@@ -48,8 +47,8 @@ class DriveConfig:
     phase_on_drive: bool = True
 
     def __post_init__(self):
-        if not 0 <= self.power < np.inf:
-            raise DomainError(f"power must be finite and non-negative, got {self.power}")
+        if isinstance(self.power, (bool, np.bool_)) or not 0 <= self.power < np.inf:
+            raise DomainError(f"power must be a finite, non-negative number, got {self.power}")
         grid = np.asarray(self.detuning_grid, dtype=float)
         if grid.ndim != 1 or len(grid) == 0:
             raise DomainError("detuning grid must be a non-empty 1-D array")
@@ -161,6 +160,24 @@ def _lindblad_entries(h: np.ndarray, jumps=()) -> tuple[np.ndarray, np.ndarray]:
     for p, v in terms:
         values[np.searchsorted(positions, p)] += v
     return positions, values
+
+
+def _lindblad_image(h: np.ndarray, jumps, rho: np.ndarray) -> np.ndarray:
+    """-i(h rho - rho h^dag) + sum_C C rho C^dag of a Hermitian rho, or of a stack of them.
+
+    Each product is one matrix product over the stack, taken from the right:
+    h rho = (rho h^dag)^dag and C rho = (rho C^dag)^dag for Hermitian rho.
+    """
+
+    def dagger(a):
+        return a.conj().swapaxes(-1, -2)
+
+    right = rho @ dagger(h)
+    image = dagger(right) - right
+    image *= -1j
+    for c in jumps:
+        image += dagger(rho @ dagger(c)) @ dagger(c)
+    return image
 
 
 def _kernel(matrix: np.ndarray) -> np.ndarray:
@@ -302,20 +319,20 @@ def _generators(config: ArrayConfig, phase_on_drive: bool):
 
     Returns G_s and G_d, the static and per-unit-drive pieces of
     ``_operators`` in real coordinates as (flat positions, values)
-    (``_real_entries``), and the detuning piece D as (S, rows, scale)
-    (``_real_detuning``).  Each piece G is probed (``_probe``): L (Q y) comes
-    from the piece's 2^N x 2^N operators applied to the matrix Q y, so no
-    4^N x 4^N matrix is formed.
+    (``_real_entries``), the detuning piece D as (S, rows, scale)
+    (``_real_detuning``), and the pieces of ``_operators`` themselves.  Each
+    piece G is probed (``_probe``) against ``_lindblad_image`` of the matrix
+    Q y, so no 4^N x 4^N matrix is formed.
     """
     dim = 2**config.n_atoms
     y = _probe_vector(dim * dim)
     qy = _vectors(y[:, None])[0]
-    rho = qy.reshape(dim, dim)
-    static, drive, detuning_diag = _operators(config, phase_on_drive)
+    operators = _operators(config, phase_on_drive)
+    static, drive, detuning_diag = operators
     pieces = []
     for h, jumps in (static, drive):
         positions, values = _real_entries(*_lindblad_entries(h, jumps), dim)
-        image = -1j * (h @ rho - rho @ h.conj().T) + sum(c @ rho @ c.conj().T for c in jumps)
+        image = _lindblad_image(h, jumps, qy.reshape(dim, dim))
         rows, cols = np.divmod(positions, dim * dim)
         _probe(image.ravel(), np.bincount(rows, values * y[cols], minlength=dim * dim))
         pieces.append((positions, values))
@@ -324,7 +341,7 @@ def _generators(config: ArrayConfig, phase_on_drive: bool):
     real_image = np.zeros(dim * dim)
     real_image[rows] = dy[:, 0]
     _probe(detuning_diag * qy, real_image)
-    return (*pieces, detuning)
+    return (*pieces, detuning, operators)
 
 
 def _real_eigenbasis(m0_inv: np.ndarray, detuning):
@@ -365,8 +382,8 @@ class _Pencil(NamedTuple):
     row in place of its row 0: ``static`` and ``driven`` are the flat
     (positions, values) of G_s and G_d (``_generators``), ``amplitude`` is
     sqrt(P), and ``detuning`` is D as ``_real_detuning`` gives it.  No dense
-    M0 is kept: ``_m0`` scatters it where it is read, and ``_generator_rows``
-    any panel of the generator's rows.
+    M0 is kept: ``_m0`` scatters it where it is read.  ``_residual`` checks
+    every state against ``operators``, the pieces of ``_operators``.
     """
 
     static: tuple[np.ndarray, np.ndarray]
@@ -374,6 +391,7 @@ class _Pencil(NamedTuple):
     amplitude: float
     detuning: tuple[np.ndarray, np.ndarray, np.ndarray]
     size: int  # 4^N, the number of real coordinates
+    operators: tuple
 
 
 def _pencil(config: ArrayConfig, drive: DriveConfig) -> _Pencil:
@@ -382,40 +400,21 @@ def _pencil(config: ArrayConfig, drive: DriveConfig) -> _Pencil:
         raise DomainError(
             f"master-equation solver limited to N <= {MAX_DRIVEN_ATOMS}, got {config.n_atoms}"
         )
-    static, driven, detuning = _generators(config, drive.phase_on_drive)
-    return _Pencil(static, driven, np.sqrt(drive.power), detuning, 4**config.n_atoms)
-
-
-def _panel(entries, start: int, stop: int):
-    """The (positions, values) entries at flat positions start:stop, shifted to start at 0."""
-    positions, values = entries
-    inside = (positions >= start) & (positions < stop)
-    return positions[inside] - start, values[inside]
-
-
-def _generator_rows(pencil: _Pencil, start: int, stop: int) -> np.ndarray:
-    """Rows start:stop of the generator G_s + amplitude*G_d at zero detuning, dense.
-
-    Scattered from the entries of those rows: G_d's times the amplitude,
-    then G_s's added.  These are the operations of one scatter of the whole
-    matrix, so every panel of rows holds that matrix's bits.
-    """
-    size = pencil.size
-    driven, static = pencil.driven, pencil.static
-    if stop - start < size:
-        driven, static = (_panel(pair, start * size, stop * size) for pair in (driven, static))
-    rows = np.zeros((stop - start) * size)
-    rows[driven[0]] = pencil.amplitude * driven[1]
-    rows[static[0]] += static[1]
-    return rows.reshape(-1, size)
+    static, driven, detuning, operators = _generators(config, drive.phase_on_drive)
+    return _Pencil(static, driven, np.sqrt(drive.power), detuning, 4**config.n_atoms, operators)
 
 
 def _m0(pencil: _Pencil) -> np.ndarray:
-    """M0 as one dense array: the generator at zero detuning with the trace row,
-    the diagonal coordinates summing to one, in place of its row 0."""
-    m0 = _generator_rows(pencil, 0, pencil.size)
+    """M0 as one dense array, scattered from G_d's entries times the amplitude
+    and then G_s's: the generator at zero detuning with the trace row, the
+    diagonal coordinates summing to one, in place of its row 0."""
+    size = pencil.size
+    m0 = np.zeros(size * size)
+    m0[pencil.driven[0]] = pencil.amplitude * pencil.driven[1]
+    m0[pencil.static[0]] += pencil.static[1]
+    m0 = m0.reshape(size, size)
     m0[0] = 0.0
-    m0[0, : math.isqrt(pencil.size)] = 1.0
+    m0[0, : math.isqrt(size)] = 1.0
     return m0
 
 
@@ -498,35 +497,25 @@ def _pole_solve(pencil: _Pencil, grid: np.ndarray):
 
 
 def _residual(x: np.ndarray, pencil: _Pencil, grid: np.ndarray) -> np.ndarray:
-    """max |entry| of L(delta) vec rho at each point, rho of real coordinates x[:, i] at grid[i].
+    """max |entry| of L(delta) rho at each point, rho of real coordinates x[:, i] at grid[i].
 
-    L(delta) vec rho = Q G(delta) x, and G(delta) x is G0 x, G0 the
-    generator at zero detuning, plus delta*D x.  G0 x is formed in panels of
-    rows of at most ``PANEL_BYTES``, each scattered from its entries
-    (``_generator_rows``), so above N = 4 no dense M0 is made.  The moduli
-    of Q's entries are read straight from the real coordinates, in place:
-    |x_aa| on the diagonal and hypot(sqrt(1/2)*Re, sqrt(1/2)*Im) off it.
-    These are the moduli ``np.abs`` gives on the complex entries of
-    ``_vectors`` to within one rounding (numpy's complex modulus does not
-    call hypot), with no complex (points x 4^N) array.
+    Read from the 2^N x 2^N operators of the pencil, not from the real
+    entries the solve used: ``_lindblad_image`` of H_eff + sqrt(P)*V with
+    the two channels, plus delta times the detuning diagonal times rho, for
+    ``PSD_CHUNK`` points of rho (``_vectors``) at a time.
     """
     dim = math.isqrt(len(x))
-    pairs = (len(x) - dim) // 2
-    gx = np.empty_like(x)
+    (h_eff, jumps), (v, _), detuning_diag = pencil.operators
+    h = h_eff + pencil.amplitude * v
+    residual = np.empty(len(grid))
     with np.errstate(all="ignore"):
-        step = max(1, PANEL_BYTES // (8 * len(x)))
-        for start in range(0, len(x), step):
-            stop = min(start + step, len(x))
-            np.matmul(_generator_rows(pencil, start, stop), x, out=gx[start:stop])
-        rows, dx = _times_d(pencil.detuning, x)
-        dx *= grid
-        gx[rows] += dx
-        del dx
-        gx[dim:] *= np.sqrt(0.5)
-        re, im = gx[dim : dim + pairs], gx[dim + pairs :]
-        np.hypot(re, im, out=re)
-    np.abs(gx[:dim], out=gx[:dim])
-    return gx[: dim + pairs].max(axis=0)
+        for start in range(0, len(grid), PSD_CHUNK):
+            points = slice(start, start + PSD_CHUNK)
+            rho = _vectors(x[:, points]).reshape(-1, dim, dim)
+            image = _lindblad_image(h, jumps, rho)
+            image += grid[points, None, None] * detuning_diag.reshape(dim, dim) * rho
+            residual[points] = np.abs(image).reshape(len(rho), -1).max(axis=1)
+    return residual
 
 
 def _states(x: np.ndarray, pencil: _Pencil, grid: np.ndarray):
@@ -765,10 +754,13 @@ def resonance_grid(
     Windows of half-width ``refine_span`` times each mode's decay rate are
     overlaid on a uniform grid, so narrow subradiant features stay resolved
     without a globally fine mesh.  Of points closer than ``GRID_MERGE_TOL``
-    times the grid span only the first is kept.
+    times the grid span only the first is kept.  A window needs at least
+    two points: ``np.linspace`` with one gives only its left edge.
     """
     if not stop > start:
         raise DomainError("grid needs stop > start")
+    if refine_points < 2:
+        raise DomainError(f"refine_points must be at least 2, got {refine_points}")
     pieces = [np.linspace(start, stop, coarse)]
     for state in diagonalize(config, 1):
         width = max(refine_span * state.gamma, 1e-3)

@@ -35,9 +35,10 @@ class ArrayConfig:
     phase: float
 
     def __post_init__(self):
-        if not isinstance(self.n_atoms, (int, np.integer)) or self.n_atoms < 1:
-            raise DomainError(f"n_atoms must be a positive integer, got {self.n_atoms!r}")
-        object.__setattr__(self, "n_atoms", int(self.n_atoms))
+        n = self.n_atoms
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise DomainError(f"n_atoms must be a positive integer, got {n!r}")
+        object.__setattr__(self, "n_atoms", int(n))
         object.__setattr__(self, "phase", float(self.phase) % TWO_PI)
 
     @classmethod

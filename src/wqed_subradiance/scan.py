@@ -51,7 +51,7 @@ _KEYS = {
     "drive.detuning.start": _Key(float),
     "drive.detuning.stop": _Key(float),
     "drive.detuning.coarse": _Key(int, low=1),
-    "drive.detuning.refine_points": _Key(int, low=1),
+    "drive.detuning.refine_points": _Key(int, low=2),
     "drive.detuning.refine_span": _Key(float, low=0),
     "drive.phase_on_drive": _Key(bool, default=True),
     "output.directory": _Key(str, default="out"),

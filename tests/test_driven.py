@@ -50,6 +50,28 @@ def _drive(power, grid=None, **kwargs):
     return DriveConfig(power=power, detuning_grid=np.asarray(grid, dtype=float), **kwargs)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ArrayConfig(n_atoms=True, phase=0.1),
+        lambda: ArrayConfig.from_period(True, 0.1),
+        lambda: _drive(True),
+    ],
+    ids=["n_atoms", "from_period", "power"],
+)
+def test_booleans_are_not_sizes_or_powers(build):
+    with pytest.raises(DomainError, match="got True"):
+        build()
+
+
+@pytest.mark.parametrize("refine_points", [1, 0])
+def test_resonance_grid_needs_two_refine_points(refine_points):
+    """np.linspace with one point gives a window's left edge, eps - w, not eps."""
+    config = ArrayConfig.from_period(2, 0.05)
+    with pytest.raises(DomainError, match="refine_points must be at least 2"):
+        resonance_grid(config, -25.0, 5.0, coarse=3, refine_points=refine_points)
+
+
 def test_drive_config_validation():
     with pytest.raises(DomainError):
         _drive(-1.0)
@@ -142,12 +164,44 @@ def test_fallback_points_reuse_the_cells_pencil(monkeypatch):
     assert len(calls) == 1
 
 
+def test_residual_does_not_trust_the_real_entries(monkeypatch):
+    """With the probe switched off, one G_s value off by 1e-6 moves the
+    solved x but not the 2^N x 2^N operators the residual reads: every pole
+    point fails the residual, and so does the direct re-solve of the first,
+    which raises.  The value sits in a row of an off-diagonal coordinate,
+    which the solve enforces; a residual formed from the same entries as the
+    solve passes every point."""
+    build, states = driven_module._real_entries, driven_module._states
+    calls, failures = [], []
+
+    def off_static_value(positions, values, dim):
+        positions, values = build(positions, values, dim)
+        calls.append(dim)
+        if len(calls) == 1:
+            values[np.flatnonzero(positions >= dim**3)[0]] += 1e-6
+        return positions, values
+
+    def recording_states(*args):
+        rho, point_failures = states(*args)
+        failures.append(point_failures)
+        return rho, point_failures
+
+    monkeypatch.setattr(driven_module, "_probe", lambda image, real_image: None)
+    monkeypatch.setattr(driven_module, "_real_entries", off_static_value)
+    monkeypatch.setattr(driven_module, "_states", recording_states)
+    message = "steady-state generator residual exceeds 1e-9"
+    with pytest.raises(NumericalError, match=message):
+        steady_states(ArrayConfig.from_period(3, 0.05), _drive(0.3, _POLE_GRID))
+    assert failures == [[message] * len(_POLE_GRID), [message]]
+
+
 def test_singular_pencil_gives_nan_not_garbage():
-    """A generator without entries: M0 is its trace row alone, and singular."""
+    """A generator without entries: M0 is its trace row alone, and singular.
+    The pole solve reads no 2^N x 2^N operators, so the pencil holds none."""
     grid = np.array([-1.0, 0.5])
     detuning = driven_module._real_detuning(np.array([0, 1j, -1j, 0]), 2)
     empty = (np.zeros(0, dtype=int), np.zeros(0))
-    pencil = driven_module._Pencil(empty, empty, 1.0, detuning, 4)
+    pencil = driven_module._Pencil(empty, empty, 1.0, detuning, 4, None)
     x, condition = driven_module._pole_solve(pencil, grid)
     assert x.shape == (4, 2) and np.isnan(x).all()
     assert condition is None
@@ -246,7 +300,7 @@ def test_real_coordinates_match_dense_change_of_basis(n, phase_on_drive):
     dim = 2**n
     config = ArrayConfig.from_period(n, 0.13)
     l_static, l_drive, detuning_diag = liouvillian_pieces(config, phase_on_drive)
-    g_static, g_drive, detuning = driven_module._generators(config, phase_on_drive)
+    g_static, g_drive, detuning, _ = driven_module._generators(config, phase_on_drive)
     support = detuning[0]
     q = _hermitian_basis(dim)
     np.testing.assert_allclose(q.conj().T @ q, np.eye(dim * dim), rtol=0, atol=1e-15)
@@ -261,15 +315,9 @@ def test_real_coordinates_match_dense_change_of_basis(n, phase_on_drive):
     # the pencil of one cell: G_s + sqrt(P) G_d with the trace row in place of row 0
     pencil = driven_module._pencil(config, _drive(0.49, phase_on_drive=phase_on_drive))
     m0 = driven_module._m0(pencil)
-    generator = driven_module._generator_rows(pencil, 0, dim * dim)
     dense = (q.conj().T @ (l_static + 0.7 * l_drive) @ q).real
     np.testing.assert_allclose(m0[1:], dense[1:], rtol=0, atol=1e-14)
-    np.testing.assert_allclose(generator, dense, rtol=0, atol=1e-14)
     assert np.array_equal(m0[0], np.repeat([1.0, 0.0], [dim, dim * dim - dim]))
-    # every panel of rows holds the whole scatter's bits
-    for start in range(0, dim * dim, dim):
-        panel = driven_module._generator_rows(pencil, start, start + dim)
-        assert np.array_equal(panel, generator[start : start + dim])
 
 
 @pytest.mark.parametrize(
@@ -281,7 +329,7 @@ def test_sparse_generators_equal_the_dense_oracle(n, phase_on_drive):
     dim = 2**n
     config = ArrayConfig.from_period(n, 0.13)
     l_static, l_drive, detuning_diag = liouvillian_pieces(config, phase_on_drive)
-    g_static, g_drive, detuning = driven_module._generators(config, phase_on_drive)
+    g_static, g_drive, detuning, _ = driven_module._generators(config, phase_on_drive)
     assert np.array_equal(_dense(g_static, dim * dim), real_generator(l_static, dim))
     assert np.array_equal(_dense(g_drive, dim * dim), real_generator(l_drive, dim))
     assert np.array_equal(_dense_detuning(detuning, dim * dim), real_detuning(detuning_diag, dim))
@@ -289,7 +337,8 @@ def test_sparse_generators_equal_the_dense_oracle(n, phase_on_drive):
 
 @pytest.mark.parametrize("n, phase_on_drive", list(_PERIODS.values()), ids=list(_PERIODS))
 def test_real_residual_matches_the_complex_formula(n, phase_on_drive):
-    """max |L vec rho| from Q (G x) equals the complex generator's, on generic and on solved x."""
+    """max |L vec rho| from the 2^N x 2^N operators equals the complex generator's,
+    on generic and on solved x."""
     config = ArrayConfig.from_period(n, 0.05)
     drive = _drive(0.3, _POLE_GRID, phase_on_drive=phase_on_drive)
     l_static, l_drive, detuning_diag = liouvillian_pieces(config, phase_on_drive)
@@ -310,7 +359,7 @@ def test_probe_rejects_a_perturbed_generator():
     """One wrong entry in any real piece fails the probe against the complex piece."""
     config = ArrayConfig.from_period(3, 0.05)
     l_static, l_drive, detuning_diag = liouvillian_pieces(config, True)
-    g_static, g_drive, detuning = driven_module._generators(config, True)
+    g_static, g_drive, detuning, _ = driven_module._generators(config, True)
     size = len(detuning_diag)
     y = driven_module._probe_vector(size)
     qy = driven_module._vectors(y[:, None])[0]
@@ -489,10 +538,10 @@ def test_real_eigenbasis_is_c_ordered(n, d, power, phases, real_eigenvalues):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_states_peak_stays_under_three_times_the_stack(n, five_atom_cell):
-    """The residual is read from real coordinates and the PSD check runs in
-    chunks, so building the states peaks under 3 times the bytes of the
-    complex stack of rho (1.5 times; 3.9 times with the complex residual
-    and one Cholesky over the whole stack)."""
+    """The residual and the PSD check run in chunks of points, so building
+    the states peaks under 3 times the bytes of the complex stack of rho
+    (2.0 times; 3.9 times with a residual over the whole complex stack and
+    one Cholesky over it)."""
     if n == 5:
         pencil, grid, x = five_atom_cell
     else:

@@ -626,6 +626,16 @@ def test_cli_malformed_detuning_exit_two_without_traceback(tmp_path, detuning):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_single_refine_point_exit_two(tmp_path):
+    """One refine point would be each window's left edge, off resonance."""
+    detuning = {"start": -25, "stop": 5, "coarse": 3, "refine_points": 1}
+    result = _invoke(["driven-map", "--config", driven_config(tmp_path, detuning)])
+    assert result.exit_code == 2
+    assert "error: drive.detuning.refine_points: must be >= 2" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_refined_detuning_grid_defaults_to_resonance_grid(tmp_path):
     spec = validate_config(driven_config(tmp_path, {"start": -3, "stop": 1}, "driven-spectrum"))
     assert spec.detuning == {"start": -3.0, "stop": 1.0}
