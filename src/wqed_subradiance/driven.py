@@ -30,7 +30,7 @@ from .spectrum import diagonalize
 
 STEADY_TOL = 1e-9
 PSD_TOL = 1e-9
-PSD_CHUNK = 32  # points per Cholesky call of the PSD check, so its copies stay small
+PSD_CHUNK = 32  # points per chunk of the residual and PSD checks, so their copies stay small
 KERNEL_RCOND = 1e-10
 PROBE_TOL = 1e-10
 PEAK_FLOOR = 1e-9
@@ -496,26 +496,19 @@ def _pole_solve(pencil: _Pencil, grid: np.ndarray):
     return x, condition
 
 
-def _residual(x: np.ndarray, pencil: _Pencil, grid: np.ndarray) -> np.ndarray:
-    """max |entry| of L(delta) rho at each point, rho of real coordinates x[:, i] at grid[i].
+def _residual(rho: np.ndarray, pencil: _Pencil, grid: np.ndarray) -> np.ndarray:
+    """max |entry| of L(delta) rho at each point, for a stack of rho, rho[i] at grid[i].
 
     Read from the 2^N x 2^N operators of the pencil, not from the real
     entries the solve used: ``_lindblad_image`` of H_eff + sqrt(P)*V with
-    the two channels, plus delta times the detuning diagonal times rho, for
-    ``PSD_CHUNK`` points of rho (``_vectors``) at a time.
+    the two channels, plus delta times the detuning diagonal times rho.
     """
-    dim = math.isqrt(len(x))
+    dim = rho.shape[-1]
     (h_eff, jumps), (v, _), detuning_diag = pencil.operators
-    h = h_eff + pencil.amplitude * v
-    residual = np.empty(len(grid))
     with np.errstate(all="ignore"):
-        for start in range(0, len(grid), PSD_CHUNK):
-            points = slice(start, start + PSD_CHUNK)
-            rho = _vectors(x[:, points]).reshape(-1, dim, dim)
-            image = _lindblad_image(h, jumps, rho)
-            image += grid[points, None, None] * detuning_diag.reshape(dim, dim) * rho
-            residual[points] = np.abs(image).reshape(len(rho), -1).max(axis=1)
-    return residual
+        image = _lindblad_image(h_eff + pencil.amplitude * v, jumps, rho)
+        image += grid[:, None, None] * detuning_diag.reshape(dim, dim) * rho
+        return np.abs(image).reshape(len(rho), -1).max(axis=1)
 
 
 def _states(x: np.ndarray, pencil: _Pencil, grid: np.ndarray):
@@ -524,29 +517,31 @@ def _states(x: np.ndarray, pencil: _Pencil, grid: np.ndarray):
     Returns the stack, shape (points, 2^N, 2^N), Hermitian by construction,
     and per point why it failed, or None: a generator residual (``_residual``)
     above ``STEADY_TOL``, or an eigenvalue below ``-PSD_TOL``.  x is
-    normalized in place and its residuals are checked before the stack is
-    built.  Positive semidefiniteness is a Cholesky factorization of the
-    points that passed, shifted by ``PSD_TOL``, ``PSD_CHUNK`` points at a
-    time; only when one fails are the eigenvalues of all of them computed,
-    to name the failing points.
+    normalized in place and the stack is built from it once.  One pass then
+    checks it ``PSD_CHUNK`` points at a time: the residuals, and a Cholesky
+    factorization of the points that passed, shifted by ``PSD_TOL``; only
+    when that fails are the eigenvalues of the chunk's passed points
+    computed, to name the failing ones.
     """
     dim = math.isqrt(len(x))
     with np.errstate(all="ignore"):
         x /= x[:dim].sum(axis=0)
-    ok = _residual(x, pencil, grid) <= STEADY_TOL
-    failures = [None if r else "steady-state generator residual exceeds 1e-9" for r in ok]
     rho = _vectors(x).reshape(len(grid), dim, dim)
-    passed = np.flatnonzero(ok)
+    failures = []
     shift = PSD_TOL * np.eye(dim)
-    try:
-        for start in range(0, len(passed), PSD_CHUNK):
-            shifted = rho[passed[start : start + PSD_CHUNK]]
-            shifted += shift
+    for start in range(0, len(grid), PSD_CHUNK):
+        points = slice(start, start + PSD_CHUNK)
+        ok = _residual(rho[points], pencil, grid[points]) <= STEADY_TOL
+        failures += [None if r else "steady-state generator residual exceeds 1e-9" for r in ok]
+        passed = start + np.flatnonzero(ok)
+        shifted = rho[passed]
+        shifted += shift
+        try:
             np.linalg.cholesky(shifted)
-            del shifted
-    except np.linalg.LinAlgError:
-        for i in passed[np.linalg.eigvalsh(rho[passed]).min(axis=1) < -PSD_TOL]:
-            failures[i] = "steady state is not positive semidefinite"
+        except np.linalg.LinAlgError:
+            for i in passed[np.linalg.eigvalsh(rho[passed]).min(axis=1) < -PSD_TOL]:
+                failures[i] = "steady state is not positive semidefinite"
+        del shifted
     return rho, failures
 
 
@@ -757,6 +752,9 @@ def resonance_grid(
     times the grid span only the first is kept.  A window needs at least
     two points: ``np.linspace`` with one gives only its left edge.
     """
+    given = (start, stop, refine_span)
+    if not all(map(math.isfinite, given)):
+        raise DomainError(f"start, stop and refine_span must be finite, got {given}")
     if not stop > start:
         raise DomainError("grid needs stop > start")
     if refine_points < 2:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,11 @@ import numpy as np
 from .errors import DomainError
 
 TWO_PI = 2.0 * math.pi
+
+
+def _real(value) -> bool:
+    """A real number that is not a boolean (numpy's bool is no ``numbers.Real``)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -39,11 +45,13 @@ class ArrayConfig:
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise DomainError(f"n_atoms must be a positive integer, got {n!r}")
         object.__setattr__(self, "n_atoms", int(n))
+        if not _real(self.phase) or not math.isfinite(self.phase):
+            raise DomainError(f"phase must be a finite real number, got {self.phase!r}")
         object.__setattr__(self, "phase", float(self.phase) % TWO_PI)
 
     @classmethod
     def from_period(cls, n_atoms: int, d_over_lambda: float) -> "ArrayConfig":
-        if not 0 <= d_over_lambda < math.inf:
+        if not _real(d_over_lambda) or not 0 <= d_over_lambda < math.inf:
             raise DomainError(f"d/lambda0 must be finite and >= 0, got {d_over_lambda}")
         return cls(n_atoms=n_atoms, phase=TWO_PI * d_over_lambda)
 

@@ -56,12 +56,34 @@ def _drive(power, grid=None, **kwargs):
         lambda: ArrayConfig(n_atoms=True, phase=0.1),
         lambda: ArrayConfig.from_period(True, 0.1),
         lambda: _drive(True),
+        lambda: ArrayConfig(n_atoms=3, phase=True),
+        lambda: ArrayConfig.from_period(3, True),
     ],
-    ids=["n_atoms", "from_period", "power"],
+    ids=["n_atoms", "from_period", "power", "phase", "d_over_lambda"],
 )
 def test_booleans_are_not_sizes_or_powers(build):
     with pytest.raises(DomainError, match="got True"):
         build()
+
+
+@pytest.mark.parametrize("phase", [float("nan"), float("inf"), -float("inf"), "0.3"])
+def test_phase_is_a_finite_real_number(phase):
+    """A NaN phase surfaced as an eigensolver failure, and a string was converted."""
+    with pytest.raises(DomainError, match="phase must be a finite real number"):
+        ArrayConfig(n_atoms=3, phase=phase)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(-5.0, np.inf, 8.0), (-np.inf, 5.0, 8.0), (np.nan, 5.0, 8.0), (-5.0, 5.0, np.nan)],
+    ids=["inf-stop", "inf-start", "nan-start", "nan-span"],
+)
+def test_resonance_grid_needs_finite_bounds(bounds):
+    """An infinite stop gave the one-point grid [start], and a NaN span dropped every window."""
+    start, stop, refine_span = bounds
+    config = ArrayConfig.from_period(3, 0.05)
+    with pytest.raises(DomainError, match="must be finite"):
+        resonance_grid(config, start, stop, coarse=5, refine_span=refine_span)
 
 
 @pytest.mark.parametrize("refine_points", [1, 0])
@@ -347,8 +369,8 @@ def test_real_residual_matches_the_complex_formula(n, phase_on_drive):
     generic = np.random.default_rng(n).standard_normal((4**n, len(_POLE_GRID)))
     solved, _ = driven_module._pole_solve(pencil, _POLE_GRID)
     for x in (generic, solved):
-        normalized = x / x[: 2**n].sum(axis=0)
-        residual = driven_module._residual(normalized, pencil, _POLE_GRID)
+        rho = driven_module._vectors(x / x[: 2**n].sum(axis=0)).reshape(-1, 2**n, 2**n)
+        residual = driven_module._residual(rho, pencil, _POLE_GRID)
         oracle = complex_residual(x, l0, detuning_diag, _POLE_GRID)
         np.testing.assert_allclose(residual, oracle, rtol=1e-12, atol=1e-13)
     assert oracle.max() < driven_module.STEADY_TOL
@@ -538,10 +560,10 @@ def test_real_eigenbasis_is_c_ordered(n, d, power, phases, real_eigenvalues):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_states_peak_stays_under_three_times_the_stack(n, five_atom_cell):
-    """The residual and the PSD check run in chunks of points, so building
-    the states peaks under 3 times the bytes of the complex stack of rho
-    (2.0 times; 3.9 times with a residual over the whole complex stack and
-    one Cholesky over it)."""
+    """The residual and the PSD check run in chunks of points of the one
+    stack of rho, so building the states peaks under 3 times the bytes of
+    that complex stack (1.47 times at N = 4 and 1.66 at N = 5; 3.9 times
+    with a residual over the whole stack and one Cholesky over it)."""
     if n == 5:
         pencil, grid, x = five_atom_cell
     else:
@@ -553,6 +575,24 @@ def test_states_peak_stays_under_three_times_the_stack(n, five_atom_cell):
     rho, failures = driven_module._states(x.copy(), pencil, grid)
     assert rho.nbytes == stack_bytes and not any(failures)
     assert _traced_peak(driven_module._states, x.copy(), pencil, grid) < 3 * stack_bytes
+
+
+def test_states_form_each_point_once(monkeypatch):
+    """With no fallback point, one ``steady_states`` call converts each grid
+    point's coordinates to rho once: the residual reads the stack that the
+    PSD check and the caller read.  The pencil (whose probes convert
+    vectors too) is built before counting."""
+    config = ArrayConfig.from_period(3, 0.05)
+    drive = _drive(0.3, np.linspace(-3.0, 1.0, 77))
+    pencil = driven_module._pencil(config, drive)
+    vectors, columns = driven_module._vectors, []
+    monkeypatch.setattr(driven_module, "_pencil", lambda config, drive: pencil)
+    monkeypatch.setattr(
+        driven_module, "_vectors", lambda x: columns.append(x.shape[1]) or vectors(x)
+    )
+    _, health = steady_states(config, drive)
+    assert health["fallback_points"] == 0
+    assert sum(columns) == 77
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -573,7 +613,7 @@ def test_psd_check_names_only_the_non_psd_point(monkeypatch):
     point among good ones makes one fail, and the eigenvalues then name that
     point alone, which is the only one re-solved.  On a grid of 77 points
     the factorizations run ``PSD_CHUNK`` points at a time, and a point in the
-    third chunk is named the same way, by one eigenvalue call."""
+    third chunk is named the same way, by one eigenvalue call on that chunk."""
     config = ArrayConfig.from_period(3, 0.05)
     long_grid = np.linspace(-3.0, 1.0, 77)
     assert 2 * driven_module.PSD_CHUNK <= 70 < 3 * driven_module.PSD_CHUNK
@@ -611,7 +651,7 @@ def _check_only_point_named(monkeypatch, config, grid, bad):
 
     monkeypatch.setattr(driven_module, "_pole_solve", one_bad_point)
     # the injected point has no generator residual to fail first
-    monkeypatch.setattr(driven_module, "_residual", lambda x, pencil, grid: np.zeros(len(grid)))
+    monkeypatch.setattr(driven_module, "_residual", lambda rho, pencil, grid: np.zeros(len(grid)))
     monkeypatch.setattr(driven_module, "_states", recording_states)
     monkeypatch.setattr(
         driven_module, "_direct_state", lambda *args: resolved.append(args[1]) or resolve(*args)
@@ -623,9 +663,10 @@ def _check_only_point_named(monkeypatch, config, grid, bad):
     assert named[1:] == [[None]]  # the re-solve of that point passes
     assert resolved == [grid[bad]]
     assert health["fallback_points"] == 1
-    assert eigvalsh_calls == [(points, 8, 8)]
-    np.testing.assert_allclose(rhos, expected, rtol=0, atol=1e-12)
     chunk = driven_module.PSD_CHUNK
+    first = bad // chunk * chunk
+    assert eigvalsh_calls == [(min(chunk, points - first), 8, 8)]
+    np.testing.assert_allclose(rhos, expected, rtol=0, atol=1e-12)
     chunks = [(min(chunk, points - start), 8, 8) for start in range(0, points, chunk)]
     # every chunk of the clean run and of the injected one, then the re-solve's one point
     assert cholesky_calls == chunks * 2 + [(1, 8, 8)]
