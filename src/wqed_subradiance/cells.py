@@ -90,15 +90,23 @@ def _spectrum(cell):
     return incoherent_spectrum(config, drive)
 
 
+def _health(spectrum) -> dict:
+    """The solver health of a driven cell, ``v_condition`` at the data files'
+    12 significant digits: its last digits follow the BLAS thread count."""
+    condition = spectrum.health["v_condition"]
+    rounded = None if condition is None else float(fmt_float(condition))
+    return {"health": {**spectrum.health, "v_condition": rounded}}
+
+
 def _cell_driven_map(cell):
     spectrum = _spectrum(cell)
     fwhm = spectrum.narrowest_fwhm
     found = fwhm is not None
-    return ("ok", (fwhm if found else math.nan, found), {"health": spectrum.health})
+    return ("ok", (fwhm if found else math.nan, found), _health(spectrum))
 
 
 def _cell_driven_spectrum(cell):
     spectrum = _spectrum(cell)
     r, t = spectrum.reflection, spectrum.transmission
     columns = (spectrum.detunings, r.real, r.imag, t.real, t.imag, spectrum.incoherent)
-    return ("ok", list(zip(*(c.tolist() for c in columns))), {"health": spectrum.health})
+    return ("ok", list(zip(*(c.tolist() for c in columns))), _health(spectrum))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import MAX_DRIVEN_ATOMS
 from .errors import DomainError, NumericalError
-from .lattice import ArrayConfig, build_hamiltonian, enumerate_sector, occupied_sites, site_masks
+from .lattice import ArrayConfig, _integer, build_hamiltonian, enumerate_sector, occupied_sites, site_masks
 from .spectrum import diagonalize
 
 STEADY_TOL = 1e-9
@@ -49,6 +49,8 @@ class DriveConfig:
     def __post_init__(self):
         if isinstance(self.power, (bool, np.bool_)) or not 0 <= self.power < np.inf:
             raise DomainError(f"power must be a finite, non-negative number, got {self.power}")
+        if not isinstance(self.phase_on_drive, (bool, np.bool_)):
+            raise DomainError(f"phase_on_drive must be a boolean, got {self.phase_on_drive!r}")
         grid = np.asarray(self.detuning_grid, dtype=float)
         if grid.ndim != 1 or len(grid) == 0:
             raise DomainError("detuning grid must be a non-empty 1-D array")
@@ -86,19 +88,19 @@ def _lowering_table(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, upper - bits[:, None]
 
 
-def _operators(config: ArrayConfig, phase_on_drive: bool):
-    """The 2^N x 2^N operators of the static, per-unit-drive and per-unit-detuning pieces.
+def _operators(config: ArrayConfig, drive: DriveConfig):
+    """The 2^N x 2^N operators of one cell's generator, and its detuning diagonal.
 
-    Returns (H, jumps) of the static piece, (V, ()) of the drive piece, each
-    (h, jumps) the piece -i(h rho - rho h^dag) + sum_C C rho C^dag, and the
-    diagonal of the detuning piece, a vector of length 4^N.
-    H is the effective Hamiltonian, its sector entries scattered into the 2^N
+    Returns h and the two jumps C of the generator at zero detuning,
+    -i(h rho - rho h^dag) + sum_C C rho C^dag, and the diagonal of the
+    detuning piece, a vector of length 4^N.  h = H_eff + sqrt(P)*V: H_eff is
+    the effective Hamiltonian, its sector entries scattered into the 2^N
     product basis by site bitmask (site 0 the most significant bit, as in
-    ``_lowering_table``).  Its anti-Hermitian part has the rank-two kernel
-    exp(i*phase*(a-b)) + exp(-i*phase*(a-b)), so the jumps go into
-    the two output channels C = sum_j exp(+-i*phase*j) sigma_j.  V is
-    -(F + F^dag), F the forward channel (or the phaseless sum).
-    The detuning piece, the commutator with -N (N the number operator), is
+    ``_lowering_table``), and V is -(F + F^dag), F the forward channel (or
+    the phaseless sum).  The anti-Hermitian part of H_eff has the rank-two
+    kernel exp(i*phase*(a-b)) + exp(-i*phase*(a-b)), so the jumps go into
+    the two output channels C = sum_j exp(+-i*phase*j) sigma_j.  The
+    detuning piece, the commutator with -N (N the number operator), is
     diagonal.
     """
     n = config.n_atoms
@@ -117,12 +119,12 @@ def _operators(config: ArrayConfig, phase_on_drive: bool):
     backward, forward, phaseless = ops
     # reflection reads the backward channel, transmission the forward one, and
     # the left-incident drive is the forward mode
-    drive = forward if phase_on_drive else phaseless
+    f = forward if drive.phase_on_drive else phaseless
     # excitation count of every product state, as the diagonal of -N
     minus_counts = -np.bincount(upper.ravel(), minlength=dim)
     return (
-        (h_eff, (backward, forward)),
-        (-(drive + drive.conj().T), ()),
+        h_eff - np.sqrt(drive.power) * (f + f.conj().T),
+        (backward, forward),
         (-1j * (minus_counts[:, None] - minus_counts[None, :])).ravel(),
     )
 
@@ -314,36 +316,6 @@ def _probe(image: np.ndarray, real_image: np.ndarray) -> None:
         raise NumericalError(f"real generator fails the probe: max |L Qy - Q Gy| = {error:.3g}")
 
 
-def _generators(config: ArrayConfig, phase_on_drive: bool):
-    """The real generators of one array period, each probed.
-
-    Returns G_s and G_d, the static and per-unit-drive pieces of
-    ``_operators`` in real coordinates as (flat positions, values)
-    (``_real_entries``), the detuning piece D as (S, rows, scale)
-    (``_real_detuning``), and the pieces of ``_operators`` themselves.  Each
-    piece G is probed (``_probe``) against ``_lindblad_image`` of the matrix
-    Q y, so no 4^N x 4^N matrix is formed.
-    """
-    dim = 2**config.n_atoms
-    y = _probe_vector(dim * dim)
-    qy = _vectors(y[:, None])[0]
-    operators = _operators(config, phase_on_drive)
-    static, drive, detuning_diag = operators
-    pieces = []
-    for h, jumps in (static, drive):
-        positions, values = _real_entries(*_lindblad_entries(h, jumps), dim)
-        image = _lindblad_image(h, jumps, qy.reshape(dim, dim))
-        rows, cols = np.divmod(positions, dim * dim)
-        _probe(image.ravel(), np.bincount(rows, values * y[cols], minlength=dim * dim))
-        pieces.append((positions, values))
-    detuning = _real_detuning(detuning_diag, dim)
-    rows, dy = _times_d(detuning, y[:, None])
-    real_image = np.zeros(dim * dim)
-    real_image[rows] = dy[:, 0]
-    _probe(detuning_diag * qy, real_image)
-    return (*pieces, detuning, operators)
-
-
 def _real_eigenbasis(m0_inv: np.ndarray, detuning):
     """Real eigenvalues, one of each conjugate pair of eigenvalues, and a real eigenbasis V of K[S].
 
@@ -378,40 +350,54 @@ def _real_eigenbasis(m0_inv: np.ndarray, detuning):
 class _Pencil(NamedTuple):
     """The real pencil M(delta) = M0 + delta*D of one cell, kept as its scatter.
 
-    M0 is the generator G_s + amplitude*G_d at zero detuning with the trace
-    row in place of its row 0: ``static`` and ``driven`` are the flat
-    (positions, values) of G_s and G_d (``_generators``), ``amplitude`` is
-    sqrt(P), and ``detuning`` is D as ``_real_detuning`` gives it.  No dense
-    M0 is kept: ``_m0`` scatters it where it is read.  ``_residual`` checks
-    every state against ``operators``, the pieces of ``_operators``.
+    M0 is the generator G at zero detuning with the trace row in place of
+    its row 0: ``generator`` is the flat (positions, values) of G
+    (``_real_entries``), and ``detuning`` is D as ``_real_detuning`` gives
+    it.  No dense M0 is kept: ``_m0`` scatters it where it is read.
+    ``_residual`` checks every state against ``operators``, the h, jumps and
+    detuning diagonal of ``_operators``.
     """
 
-    static: tuple[np.ndarray, np.ndarray]
-    driven: tuple[np.ndarray, np.ndarray]
-    amplitude: float
+    generator: tuple[np.ndarray, np.ndarray]
     detuning: tuple[np.ndarray, np.ndarray, np.ndarray]
     size: int  # 4^N, the number of real coordinates
     operators: tuple
 
 
 def _pencil(config: ArrayConfig, drive: DriveConfig) -> _Pencil:
-    """The real pencil of one cell, from the generators of ``_generators``."""
+    """The real pencil of one cell, G and D each probed.
+
+    G and D are built from the operators of ``_operators`` and probed
+    (``_probe``) against ``_lindblad_image`` of the matrix Q y and the
+    detuning diagonal times it, so no 4^N x 4^N matrix is formed.
+    """
     if config.n_atoms > MAX_DRIVEN_ATOMS:
         raise DomainError(
             f"master-equation solver limited to N <= {MAX_DRIVEN_ATOMS}, got {config.n_atoms}"
         )
-    static, driven, detuning, operators = _generators(config, drive.phase_on_drive)
-    return _Pencil(static, driven, np.sqrt(drive.power), detuning, 4**config.n_atoms, operators)
+    operators = h, jumps, detuning_diag = _operators(config, drive)
+    dim, size = len(h), len(detuning_diag)
+    y = _probe_vector(size)
+    qy = _vectors(y[:, None])[0]
+    positions, values = _real_entries(*_lindblad_entries(h, jumps), dim)
+    rows, cols = np.divmod(positions, size)
+    image = _lindblad_image(h, jumps, qy.reshape(dim, dim))
+    _probe(image.ravel(), np.bincount(rows, values * y[cols], minlength=size))
+    detuning = _real_detuning(detuning_diag, dim)
+    rows, dy = _times_d(detuning, y[:, None])
+    real_image = np.zeros(size)
+    real_image[rows] = dy[:, 0]
+    _probe(detuning_diag * qy, real_image)
+    return _Pencil((positions, values), detuning, size, operators)
 
 
 def _m0(pencil: _Pencil) -> np.ndarray:
-    """M0 as one dense array, scattered from G_d's entries times the amplitude
-    and then G_s's: the generator at zero detuning with the trace row, the
-    diagonal coordinates summing to one, in place of its row 0."""
+    """M0 as one dense array, scattered from G's entries: the generator at
+    zero detuning with the trace row, the diagonal coordinates summing to
+    one, in place of its row 0."""
     size = pencil.size
     m0 = np.zeros(size * size)
-    m0[pencil.driven[0]] = pencil.amplitude * pencil.driven[1]
-    m0[pencil.static[0]] += pencil.static[1]
+    m0[pencil.generator[0]] = pencil.generator[1]
     m0 = m0.reshape(size, size)
     m0[0] = 0.0
     m0[0, : math.isqrt(size)] = 1.0
@@ -500,13 +486,13 @@ def _residual(rho: np.ndarray, pencil: _Pencil, grid: np.ndarray) -> np.ndarray:
     """max |entry| of L(delta) rho at each point, for a stack of rho, rho[i] at grid[i].
 
     Read from the 2^N x 2^N operators of the pencil, not from the real
-    entries the solve used: ``_lindblad_image`` of H_eff + sqrt(P)*V with
-    the two channels, plus delta times the detuning diagonal times rho.
+    entries the solve used: ``_lindblad_image`` of h with the two channels,
+    plus delta times the detuning diagonal times rho.
     """
     dim = rho.shape[-1]
-    (h_eff, jumps), (v, _), detuning_diag = pencil.operators
+    h, jumps, detuning_diag = pencil.operators
     with np.errstate(all="ignore"):
-        image = _lindblad_image(h_eff + pencil.amplitude * v, jumps, rho)
+        image = _lindblad_image(h, jumps, rho)
         image += grid[:, None, None] * detuning_diag.reshape(dim, dim) * rho
         return np.abs(image).reshape(len(rho), -1).max(axis=1)
 
@@ -655,11 +641,9 @@ def _stacked_amplitudes(
         r, t = np.array([transfer_matrix_amplitudes(config, delta) for delta in grid]).T
         return r, t * np.exp(-1j * phi * (n - 1))
     # <sigma_j> = tr(rho sigma_j) = sum_ab rho_ab (sigma_j)_ba, for every rho at
-    # once: weights[j] is sigma_j transposed and flattened, one at (upper, lower)
+    # once: (sigma_j)_ba is one where b = lower[j, i] and a = upper[j, i]
     upper, lower = _lowering_table(n)
-    weights = np.zeros((n, 4**n), dtype=complex)
-    np.put_along_axis(weights, upper * 2**n + lower, 1.0, axis=1)
-    coherences = rhos.reshape(len(rhos), -1) @ weights.T
+    coherences = rhos[:, upper, lower].sum(axis=-1)
     phases = np.exp(1j * phi * np.arange(n))
     t = 1.0 + 1j / amp_in * (coherences @ np.conj(phases))
     r = 1j / amp_in * (coherences @ phases)
@@ -753,12 +737,13 @@ def resonance_grid(
     two points: ``np.linspace`` with one gives only its left edge.
     """
     given = (start, stop, refine_span)
-    if not all(map(math.isfinite, given)):
-        raise DomainError(f"start, stop and refine_span must be finite, got {given}")
+    if not (all(map(math.isfinite, given)) and refine_span >= 0):
+        raise DomainError(f"start, stop and refine_span must be finite, span >= 0, got {given}")
     if not stop > start:
         raise DomainError("grid needs stop > start")
-    if refine_points < 2:
-        raise DomainError(f"refine_points must be at least 2, got {refine_points}")
+    for name, value, low in (("coarse", coarse, 1), ("refine_points", refine_points, 2)):
+        if not (_integer(value) and value >= low):
+            raise DomainError(f"{name} must be at least {low} and an integer, got {value!r}")
     pieces = [np.linspace(start, stop, coarse)]
     for state in diagonalize(config, 1):
         width = max(refine_span * state.gamma, 1e-3)

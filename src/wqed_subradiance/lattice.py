@@ -27,6 +27,11 @@ def _real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _integer(value) -> bool:
+    """An integer that is not a boolean (numpy's bool is no ``numbers.Integral``)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Geometry of the atom array.
@@ -42,7 +47,7 @@ class ArrayConfig:
 
     def __post_init__(self):
         n = self.n_atoms
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        if not _integer(n) or n < 1:
             raise DomainError(f"n_atoms must be a positive integer, got {n!r}")
         object.__setattr__(self, "n_atoms", int(n))
         if not _real(self.phase) or not math.isfinite(self.phase):
@@ -78,6 +83,8 @@ class SectorBasis:
 
 def enumerate_sector(n_atoms: int, k: int) -> SectorBasis:
     """All C(N, k) site subsets with k excitations, lexicographically sorted."""
+    if not (_integer(n_atoms) and _integer(k)):
+        raise DomainError(f"N and k must be integers, got N={n_atoms!r}, k={k!r}")
     if not 0 <= k <= n_atoms:
         raise DomainError(f"k must satisfy 0 <= k <= {n_atoms}, got {k}")
     states = tuple(itertools.combinations(range(n_atoms), k))

@@ -176,11 +176,11 @@ def lindblad_super(h, jumps=()):
     return out.reshape(dim * dim, dim * dim)
 
 
-def liouvillian_pieces(config, phase_on_drive):
-    """The dense complex static and per-unit-drive pieces of ``driven._operators``,
-    and its detuning diagonal."""
-    (h, jumps), (drive, _), detuning_diag = _operators(config, phase_on_drive)
-    return lindblad_super(h, jumps), lindblad_super(drive), detuning_diag
+def liouvillian_pieces(config, drive):
+    """The dense complex generator L of the operators of ``driven._operators``
+    (the cell's generator at zero detuning), and its detuning diagonal."""
+    h, jumps, detuning_diag = _operators(config, drive)
+    return lindblad_super(h, jumps), detuning_diag
 
 
 def real_generator(liouvillian, dim):

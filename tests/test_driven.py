@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,39 @@ def test_resonance_grid_needs_two_refine_points(refine_points):
         resonance_grid(config, -25.0, 5.0, coarse=3, refine_points=refine_points)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda config: resonance_grid(config, -25.0, 5.0, coarse=-1),
+        lambda config: resonance_grid(config, -25.0, 5.0, coarse=0),
+        lambda config: resonance_grid(config, -25.0, 5.0, coarse=2.5),
+        lambda config: resonance_grid(config, -25.0, 5.0, coarse=True),
+        lambda config: resonance_grid(config, -25.0, 5.0, refine_points=2.5),
+        lambda config: resonance_grid(config, -25.0, 5.0, refine_span=-1.0),
+        lambda config: _drive(0.1, phase_on_drive="no"),
+        lambda config: _drive(0.1, phase_on_drive=1),
+    ],
+    ids=[
+        "coarse-negative", "coarse-zero", "coarse-float", "coarse-bool",
+        "refine-points-float", "refine-span-negative", "phase-string", "phase-int",
+    ],
+)
+def test_library_drive_inputs_are_checked_as_in_a_config(build):
+    """Each was accepted or failed outside the domain checks: coarse = -1 with
+    numpy's ValueError, a float count with a TypeError, coarse = 0 with a
+    grid of windows alone, a negative span with 1e-3 windows, and a string
+    phase_on_drive acted as True."""
+    with pytest.raises(DomainError):
+        build(ArrayConfig.from_period(2, 0.05))
+
+
+def test_numpy_integers_and_booleans_are_drive_inputs():
+    config = ArrayConfig.from_period(2, 0.05)
+    grid = resonance_grid(config, -25.0, 5.0, coarse=np.int64(5), refine_points=np.int32(3))
+    assert np.array_equal(grid, resonance_grid(config, -25.0, 5.0, coarse=5, refine_points=3))
+    assert not _drive(0.1, phase_on_drive=np.bool_(False)).phase_on_drive
+
+
 def test_drive_config_validation():
     with pytest.raises(DomainError):
         _drive(-1.0)
@@ -172,22 +206,34 @@ def test_corrupted_pole_expansion_falls_back_at_every_point(monkeypatch):
 
 def test_fallback_points_reuse_the_cells_pencil(monkeypatch):
     """Every point falls back (the corrupted eigenvectors above), and each is
-    re-solved on the cell's own pencil: the generators are built and probed
+    re-solved on the cell's own pencil: the generator is built and probed
     once per ``steady_states`` call, not once more per point."""
-    generators = driven_module._generators
+    pencil = driven_module._pencil
     calls = []
     monkeypatch.setattr(driven_module.np.linalg, "eig", _corrupted_eig)
-    monkeypatch.setattr(
-        driven_module, "_generators", lambda *args: calls.append(args) or generators(*args)
-    )
+    monkeypatch.setattr(driven_module, "_pencil", lambda *args: calls.append(args) or pencil(*args))
     grid = _POLE_GRID[_POLE_GRID != 0.0]
     _, health = steady_states(ArrayConfig.from_period(3, 0.05), _drive(0.3, grid))
     assert health["fallback_points"] == len(grid) > 1
     assert len(calls) == 1
 
 
+def test_a_cell_assembles_its_generator_once(monkeypatch):
+    """One ``steady_states`` call makes the Lindblad entries of one generator,
+    that of h = H_eff + sqrt(P)*V with the two channels, and no separate
+    piece per unit drive."""
+    entries = driven_module._lindblad_entries
+    calls = []
+    monkeypatch.setattr(
+        driven_module, "_lindblad_entries", lambda *args: calls.append(args) or entries(*args)
+    )
+    _, health = steady_states(ArrayConfig.from_period(3, 0.05), _drive(0.3, _POLE_GRID))
+    assert health["fallback_points"] == 0
+    assert len(calls) == 1
+
+
 def test_residual_does_not_trust_the_real_entries(monkeypatch):
-    """With the probe switched off, one G_s value off by 1e-6 moves the
+    """With the probe switched off, one G value off by 1e-6 moves the
     solved x but not the 2^N x 2^N operators the residual reads: every pole
     point fails the residual, and so does the direct re-solve of the first,
     which raises.  The value sits in a row of an off-diagonal coordinate,
@@ -223,7 +269,7 @@ def test_singular_pencil_gives_nan_not_garbage():
     grid = np.array([-1.0, 0.5])
     detuning = driven_module._real_detuning(np.array([0, 1j, -1j, 0]), 2)
     empty = (np.zeros(0, dtype=int), np.zeros(0))
-    pencil = driven_module._Pencil(empty, empty, 1.0, detuning, 4, None)
+    pencil = driven_module._Pencil(empty, detuning, 4, None)
     x, condition = driven_module._pole_solve(pencil, grid)
     assert x.shape == (4, 2) and np.isnan(x).all()
     assert condition is None
@@ -318,43 +364,46 @@ _PERIODS = {
 
 @pytest.mark.parametrize("n, phase_on_drive", list(_PERIODS.values()), ids=list(_PERIODS))
 def test_real_coordinates_match_dense_change_of_basis(n, phase_on_drive):
-    """Real generators and detuning piece from entries, and the pencil, equal Q^dag L Q, which is real."""
+    """The real generator and detuning piece from entries, and the pencil, equal Q^dag L Q, which is real."""
     dim = 2**n
     config = ArrayConfig.from_period(n, 0.13)
-    l_static, l_drive, detuning_diag = liouvillian_pieces(config, phase_on_drive)
-    g_static, g_drive, detuning, _ = driven_module._generators(config, phase_on_drive)
-    support = detuning[0]
+    drive = _drive(0.49, phase_on_drive=phase_on_drive)
+    liouvillian, detuning_diag = liouvillian_pieces(config, drive)
+    pencil = driven_module._pencil(config, drive)
+    support = pencil.detuning[0]
     q = _hermitian_basis(dim)
     np.testing.assert_allclose(q.conj().T @ q, np.eye(dim * dim), rtol=0, atol=1e-15)
-    for entries, piece in ((g_static, l_static), (g_drive, l_drive)):
-        dense = q.conj().T @ piece @ q
-        assert np.abs(dense.imag).max() < 1e-14
-        np.testing.assert_allclose(_dense(entries, dim * dim), dense.real, rtol=0, atol=1e-14)
-    d_real = _dense_detuning(detuning, dim * dim)
+    dense = q.conj().T @ liouvillian @ q
+    assert np.abs(dense.imag).max() < 1e-14
+    np.testing.assert_allclose(_dense(pencil.generator, dim * dim), dense.real, rtol=0, atol=1e-14)
+    d_real = _dense_detuning(pencil.detuning, dim * dim)
     dense_d = q.conj().T @ np.diag(detuning_diag) @ q
     np.testing.assert_allclose(d_real, dense_d.real, rtol=0, atol=1e-14)
     assert np.abs(dense_d[:, np.setdiff1d(np.arange(dim * dim), support)]).max() < 1e-14
-    # the pencil of one cell: G_s + sqrt(P) G_d with the trace row in place of row 0
-    pencil = driven_module._pencil(config, _drive(0.49, phase_on_drive=phase_on_drive))
+    # the pencil of one cell: G with the trace row in place of row 0
     m0 = driven_module._m0(pencil)
-    dense = (q.conj().T @ (l_static + 0.7 * l_drive) @ q).real
-    np.testing.assert_allclose(m0[1:], dense[1:], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(m0[1:], dense.real[1:], rtol=0, atol=1e-14)
     assert np.array_equal(m0[0], np.repeat([1.0, 0.0], [dim, dim * dim - dim]))
 
 
 @pytest.mark.parametrize(
-    "n, phase_on_drive", [*_PERIODS.values(), (5, True)], ids=[*_PERIODS, "5"]
+    "n, phase_on_drive",
+    [*_PERIODS.values(), (5, True), (5, False)],
+    ids=[*_PERIODS, "5", "5-phaseless"],
 )
 def test_sparse_generators_equal_the_dense_oracle(n, phase_on_drive):
-    """G_s, G_d and D built from entries equal the dense assembly and gather of
-    ``oracles`` exactly (``array_equal``, so up to the sign of zeros)."""
+    """The cell's G and D built from entries equal the dense assembly and gather
+    of ``oracles`` from the cell's h exactly (``array_equal``, so up to the
+    sign of zeros)."""
     dim = 2**n
     config = ArrayConfig.from_period(n, 0.13)
-    l_static, l_drive, detuning_diag = liouvillian_pieces(config, phase_on_drive)
-    g_static, g_drive, detuning, _ = driven_module._generators(config, phase_on_drive)
-    assert np.array_equal(_dense(g_static, dim * dim), real_generator(l_static, dim))
-    assert np.array_equal(_dense(g_drive, dim * dim), real_generator(l_drive, dim))
-    assert np.array_equal(_dense_detuning(detuning, dim * dim), real_detuning(detuning_diag, dim))
+    drive = _drive(0.49, phase_on_drive=phase_on_drive)
+    liouvillian, detuning_diag = liouvillian_pieces(config, drive)
+    pencil = driven_module._pencil(config, drive)
+    assert np.array_equal(_dense(pencil.generator, dim * dim), real_generator(liouvillian, dim))
+    assert np.array_equal(
+        _dense_detuning(pencil.detuning, dim * dim), real_detuning(detuning_diag, dim)
+    )
 
 
 @pytest.mark.parametrize("n, phase_on_drive", list(_PERIODS.values()), ids=list(_PERIODS))
@@ -363,8 +412,7 @@ def test_real_residual_matches_the_complex_formula(n, phase_on_drive):
     on generic and on solved x."""
     config = ArrayConfig.from_period(n, 0.05)
     drive = _drive(0.3, _POLE_GRID, phase_on_drive=phase_on_drive)
-    l_static, l_drive, detuning_diag = liouvillian_pieces(config, phase_on_drive)
-    l0 = l_static + np.sqrt(drive.power) * l_drive
+    l0, detuning_diag = liouvillian_pieces(config, drive)
     pencil = driven_module._pencil(config, drive)
     generic = np.random.default_rng(n).standard_normal((4**n, len(_POLE_GRID)))
     solved, _ = driven_module._pole_solve(pencil, _POLE_GRID)
@@ -377,19 +425,31 @@ def test_real_residual_matches_the_complex_formula(n, phase_on_drive):
     assert complex_residual(generic, l0, detuning_diag, _POLE_GRID).min() > 1e-3
 
 
+def _static_entries(config, drive):
+    """Which entries of the cell's G are static: those of G at zero power.
+    The others come from the drive, whose entries share no position with them."""
+    static = driven_module._pencil(config, replace(drive, power=0.0)).generator[0]
+    return lambda positions: np.isin(positions, static)
+
+
 def test_probe_rejects_a_perturbed_generator():
-    """One wrong entry in any real piece fails the probe against the complex piece."""
+    """One wrong entry of G, static or from the drive, or of D fails the probe
+    against the complex generator or detuning piece."""
     config = ArrayConfig.from_period(3, 0.05)
-    l_static, l_drive, detuning_diag = liouvillian_pieces(config, True)
-    g_static, g_drive, detuning, _ = driven_module._generators(config, True)
+    drive = _drive(0.3)
+    liouvillian, detuning_diag = liouvillian_pieces(config, drive)
+    pencil = driven_module._pencil(config, drive)
     size = len(detuning_diag)
     y = driven_module._probe_vector(size)
     qy = driven_module._vectors(y[:, None])[0]
-    support, rows, _ = detuning
+    support, rows, _ = pencil.detuning
+    positions = pencil.generator[0]
+    static = _static_entries(config, drive)(positions)
+    assert static.any() and not static.all()
     checks = [
-        (l_static @ qy, _dense(g_static, size), (5, 17)),
-        (l_drive @ qy, _dense(g_drive, size), (40, 3)),
-        (detuning_diag * qy, _dense_detuning(detuning, size), (rows[7], support[7])),
+        (liouvillian @ qy, _dense(pencil.generator, size), divmod(positions[static][5], size)),
+        (liouvillian @ qy, _dense(pencil.generator, size), divmod(positions[~static][40], size)),
+        (detuning_diag * qy, _dense_detuning(pencil.detuning, size), (rows[7], support[7])),
     ]
     for image, real, entry in checks:
         driven_module._probe(image, real @ y)
@@ -400,10 +460,16 @@ def test_probe_rejects_a_perturbed_generator():
 
 @pytest.mark.parametrize("piece", ["static", "drive", "detuning"])
 def test_a_perturbed_entry_fails_every_solver(piece, monkeypatch):
-    """One stored value of G_s, G_d or D off by 1e-6 fails the build's own probe,
-    through every entry point; nothing of a build is kept, so the next one is clean."""
-    name, nth = {
-        "static": ("_real_entries", 1), "drive": ("_real_entries", 2), "detuning": ("_real_detuning", 1)
+    """One stored value of G, a static one or one from the drive, or of D off by
+    1e-6 fails the build's own probe, through every entry point; nothing of a
+    build is kept, so the next one is clean."""
+    config = ArrayConfig.from_period(3, 0.05)
+    drive = _drive(0.3, _POLE_GRID)
+    static = _static_entries(config, drive)
+    name, entry = {
+        "static": ("_real_entries", lambda positions: np.flatnonzero(static(positions))[7]),
+        "drive": ("_real_entries", lambda positions: np.flatnonzero(~static(positions))[7]),
+        "detuning": ("_real_detuning", lambda support: 7),
     }[piece]
     build = getattr(driven_module, name)
 
@@ -413,14 +479,12 @@ def test_a_perturbed_entry_fails_every_solver(piece, monkeypatch):
         def off_by_one_value(*args):
             *rest, values = build(*args)
             calls.append(args)
-            if len(calls) == nth:
-                values[7] += 1e-6
+            if len(calls) == 1:
+                values[entry(rest[0])] += 1e-6
             return (*rest, values)
 
         return off_by_one_value
 
-    config = ArrayConfig.from_period(3, 0.05)
-    drive = _drive(0.3, _POLE_GRID)
     solvers = [
         lambda: steady_states(config, drive),
         lambda: steady_state(config, drive, -0.2),
@@ -452,7 +516,7 @@ def test_pencil_peak_stays_under_one_and_a_half_times_m0():
     """M0 is scattered from entry lists, with no complex 4^N x 4^N piece and
     no dense generator besides M0, so at N = 5 the traced peak (numpy reports
     its buffers to tracemalloc) of building a cell's pencil and scattering
-    its M0 stays under 1.5 times the bytes of M0 (1.11 times); the dense
+    its M0 stays under 1.5 times the bytes of M0 (1.10 times); the dense
     build it replaced peaked at 4.3 times."""
     config = ArrayConfig.from_period(5, 0.05)
     drive = _drive(0.3)
@@ -462,9 +526,11 @@ def test_pencil_peak_stays_under_one_and_a_half_times_m0():
 
 
 def test_pencil_holds_no_dense_m0():
-    """A cell's pencil is its generators' entry lists, so at N = 5 its traced
-    peak stays under 0.75 times the bytes of M0 (0.35 times; 1.11 times when
-    the pencil held M0)."""
+    """A cell's pencil is its generator's entry list, so at N = 5 its traced
+    peak stays under 0.75 times the bytes of M0 (0.54 times, set by the real
+    entries of the one generator; 0.35 times when the static and drive
+    pieces were built one after the other, 1.11 times when the pencil held
+    M0)."""
     config = ArrayConfig.from_period(5, 0.05)
     drive = _drive(0.3)
     driven_module._pencil(config, drive)
@@ -788,12 +854,9 @@ def test_generator_matches_waveguide_oracle(n, d, gamma):
     """
     config = ArrayConfig.from_period(n, d)
     amp, delta = 0.37, -0.29
-    static, drive, detuning_diag = driven_module._operators(config, True)
-    size = 4**n
-    l_static, l_drive = (
-        _dense(driven_module._lindblad_entries(*piece), size, complex) for piece in (static, drive)
-    )
-    generator = gamma * (l_static + amp / gamma * l_drive + delta / gamma * np.diag(detuning_diag))
+    h, jumps, detuning_diag = driven_module._operators(config, _drive((amp / gamma) ** 2))
+    liouvillian = _dense(driven_module._lindblad_entries(h, jumps), 4**n, complex)
+    generator = gamma * (liouvillian + delta / gamma * np.diag(detuning_diag))
     dim = 2**n
     # row-major index a*dim + b holds rho_ab, column-stacked index a + b*dim
     column_stacked = np.arange(dim * dim).reshape(dim, dim).T.ravel()
@@ -811,7 +874,7 @@ def test_detuning_piece_is_the_cached_diagonal(n):
     ops = lowering_ops_full(n)
     minus_number = -sum(op.conj().T @ op for op in ops)
     dense = lindblad_super(minus_number)
-    _, _, detuning_diag = driven_module._operators(config, True)
+    _, _, detuning_diag = driven_module._operators(config, _drive(0.3))
     assert detuning_diag.shape == (4**n,)
     assert np.array_equal(dense, np.diag(detuning_diag))
     entries = driven_module._lindblad_entries(minus_number)
@@ -850,8 +913,7 @@ def test_degenerate_generator_is_reported_as_not_unique(n, d, power, delta, grid
 def test_kernel_spans_the_scipy_null_space(n, d, dim):
     """The numpy kernel and scipy's null_space give the same subspace."""
     config = ArrayConfig.from_period(n, d)
-    l_static, l_drive, detuning_diag = liouvillian_pieces(config, True)
-    generator = l_static + l_drive
+    generator, detuning_diag = liouvillian_pieces(config, _drive(1.0))
     generator += 0.1 * np.diag(detuning_diag)
     kernel = driven_module._kernel(generator)
     oracle = null_space(generator, rcond=driven_module.KERNEL_RCOND)

@@ -10,6 +10,8 @@ from wqed_subradiance import (
     DomainError,
     build_hamiltonian,
     enumerate_sector,
+    min_decay_rate,
+    most_subradiant_state,
 )
 from wqed_subradiance.lattice import (
     complement_permutation,
@@ -56,6 +58,34 @@ def test_enumerate_out_of_range():
         enumerate_sector(4, 5)
     with pytest.raises(DomainError):
         enumerate_sector(4, -1)
+
+
+_FOUR = ArrayConfig.from_period(4, 0.05)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_sector(4, True),
+        lambda: enumerate_sector(4, np.bool_(True)),
+        lambda: enumerate_sector(4, 2.0),
+        lambda: enumerate_sector(4.0, 2),
+        lambda: enumerate_sector(True, 1),
+        lambda: min_decay_rate(_FOUR, True),
+        lambda: min_decay_rate(_FOUR, 2.0),
+        lambda: most_subradiant_state(_FOUR, 2.0),
+    ],
+    ids=["k-bool", "k-numpy-bool", "k-float", "n-float", "n-bool", "min-bool", "min-float", "most-float"],
+)
+def test_sector_sizes_are_integers(call):
+    """A bool k made a basis whose n_excitations was True, and a float N or k
+    failed with a TypeError deep inside ``occupied_sites`` or ``range``."""
+    with pytest.raises(DomainError, match="N and k must be integers"):
+        call()
+
+
+def test_sector_sizes_may_be_numpy_integers():
+    assert enumerate_sector(np.int64(4), np.int32(2)).states == enumerate_sector(4, 2).states
 
 
 @given(st.integers(min_value=1, max_value=12), st.data())

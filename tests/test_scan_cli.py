@@ -882,6 +882,20 @@ def test_driven_manifest_reports_solver_health(tmp_path):
         assert cell["health"]["fallback_points"] == 0
         assert (cell["health"]["pencil_dim"], cell["health"]["support_dim"]) == (16, 10)
         assert 1.0 <= cell["health"]["v_condition"] < 1e8
+        assert float(fmt_float(cell["health"]["v_condition"])) == cell["health"]["v_condition"]
+
+
+@pytest.mark.parametrize(
+    "condition, written",
+    [(16314.307670549988, 16314.3076705), (553.5797898133652, 553.579789813), (None, None)],
+)
+def test_driven_health_is_written_at_the_data_files_precision(condition, written):
+    """The manifest writes v_condition with the 12 significant digits of the
+    data files, not the last digits that follow the BLAS thread count, and a
+    pencil that could not be expanded keeps its None."""
+    health = {"fallback_points": 0, "v_condition": condition, "pencil_dim": 1024}
+    spectrum = driven_module.ScatteringSpectrum(*[None] * 5, health=health)
+    assert cells_module._health(spectrum) == {"health": {**health, "v_condition": written}}
 
 
 # three periods listed out of order, two powers
@@ -939,14 +953,14 @@ def test_driven_outputs_keep_config_order_when_cells_run_by_period(tmp_path):
 
 
 def test_driven_map_builds_each_cell_in_output_order(tmp_path, monkeypatch):
-    """Three periods at two powers: six cells, each building its own generators
+    """Three periods at two powers: six cells, each building its own pencil
     once, solved in the (power, d) output order; no period is cached."""
     builds = []
-    build = driven_module._generators
+    build = driven_module._pencil
     monkeypatch.setattr(
         driven_module,
-        "_generators",
-        lambda config, phase_on_drive: builds.append(config) or build(config, phase_on_drive),
+        "_pencil",
+        lambda config, drive: builds.append(config) or build(config, drive),
     )
     _driven_run(tmp_path, "out")
     powers, periods = _BY_PERIOD["drive"]["power"], _BY_PERIOD["grid"]["d_over_lambda"]
