@@ -27,12 +27,13 @@ from .spectrum import min_decay_rate, most_subradiant_state
 def _run_cell(task):
     """Run one grid cell; whatever it raises becomes its error status.
 
-    ``task`` is (worker name, cell), the cell being the scan's settings
-    (``n_atoms``, ``detuning``, ``phase_on_drive``) overlaid by its params; the
-    worker is looked up when the cell runs.  A domain or numerical failure is
-    recorded by its message; any other exception, a ``MemoryError`` say, by
-    "<type name>: <message>", with its traceback on stderr, so one failing
-    cell does not end the scan and a programming error keeps its location.
+    ``task`` is (worker name, cell), the cell being ``ScanSpec.params``
+    overlaid by its params, each key of the mode by the last part of its
+    path (``n_atoms``, ``k``, ``detuning``); the worker is looked up then.
+    A domain or numerical failure is recorded by its message; any other
+    exception, a ``MemoryError`` say, by "<type name>: <message>", with its
+    traceback on stderr, so one failing cell does not end the scan and a
+    programming error keeps its location.
     """
     worker, cell = task
     try:

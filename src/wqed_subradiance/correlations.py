@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .lattice import reduced_unfolding
+from .lattice import _integer, reduced_unfolding
 from .spectrum import EigenState
 
 CORR_TOL = 1e-10
@@ -69,8 +69,8 @@ def dimerization_score(corr: CorrelationMatrix, offset: int = 0) -> float:
     n = corr.n_atoms
     if n % 2:
         raise DomainError("dimerization score requires an even number of atoms")
-    if offset not in (0, 1):
-        raise DomainError(f"offset must be 0 or 1, got {offset}")
+    if not _integer(offset) or offset not in (0, 1):
+        raise DomainError(f"offset must be 0 or 1, got {offset!r}")
     pairs = [(j, j + 1) for j in range(offset, n - 1, 2)]
     if not pairs:
         raise DomainError(f"offset {offset} leaves no dimer pair among {n} atoms")

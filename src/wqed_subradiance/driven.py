@@ -25,7 +25,7 @@ import numpy as np
 
 from . import MAX_DRIVEN_ATOMS
 from .errors import DomainError, NumericalError
-from .lattice import ArrayConfig, _integer, build_hamiltonian, enumerate_sector, occupied_sites, site_masks
+from .lattice import ArrayConfig, _integer, _real, build_hamiltonian, enumerate_sector, occupied_sites, site_masks
 from .spectrum import diagonalize
 
 STEADY_TOL = 1e-9
@@ -47,8 +47,8 @@ class DriveConfig:
     phase_on_drive: bool = True
 
     def __post_init__(self):
-        if isinstance(self.power, (bool, np.bool_)) or not 0 <= self.power < np.inf:
-            raise DomainError(f"power must be a finite, non-negative number, got {self.power}")
+        if not (_real(self.power) and 0 <= self.power < math.inf):
+            raise DomainError(f"power must be a finite, non-negative number, got {self.power!r}")
         if not isinstance(self.phase_on_drive, (bool, np.bool_)):
             raise DomainError(f"phase_on_drive must be a boolean, got {self.phase_on_drive!r}")
         grid = np.asarray(self.detuning_grid, dtype=float)
@@ -536,6 +536,8 @@ def steady_state(config: ArrayConfig, drive: DriveConfig, detuning: float) -> np
 
     One direct solve (``_direct_state``) on the pencil of ``_pencil``.
     """
+    if not (_real(detuning) and math.isfinite(detuning)):
+        raise DomainError(f"detuning must be a finite real number, got {detuning!r}")
     return _direct_state(_pencil(config, drive), detuning)
 
 
@@ -737,7 +739,7 @@ def resonance_grid(
     two points: ``np.linspace`` with one gives only its left edge.
     """
     given = (start, stop, refine_span)
-    if not (all(map(math.isfinite, given)) and refine_span >= 0):
+    if not (all(_real(v) and math.isfinite(v) for v in given) and refine_span >= 0):
         raise DomainError(f"start, stop and refine_span must be finite, span >= 0, got {given}")
     if not stop > start:
         raise DomainError("grid needs stop > start")

@@ -60,13 +60,13 @@ _KEYS = {
 
 @dataclass
 class ScanSpec:
+    """A checked scan.  ``params`` maps the last part of each path in the mode's
+    ``reads``, the name a cell reads it by, to its checked value, defaults
+    included: ``grid.k`` to ``k``, ``array.n_atoms`` or ``grid.n_atoms`` to
+    ``n_atoms``, ``drive.detuning`` to grid points or resonance_grid keywords."""
+
     mode: str
-    d_values: list[float]
-    n_values: list[int]
-    k_values: list[int]
-    powers: list[float]
-    detuning: list[float] | dict | None  # grid points, or resonance_grid keywords
-    phase_on_drive: bool
+    params: dict[str, Any]
     out_dir: Path
     workers: int = 1
     raw_config: dict = field(default_factory=dict)
@@ -161,6 +161,11 @@ def _grid(value, kind, low, location, distinct=True) -> list:
     return out
 
 
+def _grid_of(value) -> list:
+    """A grid as it is, and a single value (``array.n_atoms``) as a grid of one."""
+    return value if isinstance(value, list) else [value]
+
+
 def _detuning_grid(value) -> list[float] | dict:
     """Detuning points of a list or {start, stop, count}, else resonance_grid keywords."""
     location = "drive.detuning"
@@ -229,33 +234,21 @@ def parse_config_dict(data: dict, source: str = "config") -> ScanSpec:
         if path not in values and _KEYS[path].default is None:
             raise ConfigError("missing required key", location=path)
     values = {path: key.default for path, key in _KEYS.items() if key.default is not None} | values
+    params = {path.rsplit(".", 1)[1]: values[path] for path in mode.reads}
 
-    d_values = values["grid.d_over_lambda"]
-    if mode.single_d and len(d_values) != 1:
+    if mode.single_d and len(params["d_over_lambda"]) != 1:
         raise ConfigError(
             f"mode {name} needs exactly one d_over_lambda value", location="grid.d_over_lambda"
         )
     n_key = "grid.n_atoms" if "grid.n_atoms" in values else "array.n_atoms"
-    n_values = values.get("grid.n_atoms") or [values["array.n_atoms"]]
-    if max(n_values) > mode.max_atoms:
+    n_max = max(_grid_of(params["n_atoms"]))
+    if n_max > mode.max_atoms:
         raise ConfigError(f"mode {name} needs n_atoms <= {mode.max_atoms}", location=n_key)
-    for i, k in enumerate(values.get("grid.k", [])):
+    for i, k in enumerate(params.get("k", [])):
         # a size-map cell with k > N is skipped instead, while another N fits k
-        if k > max(n_values):
-            raise ConfigError(f"k={k} exceeds n_atoms={max(n_values)}", location=f"grid.k[{i}]")
-
-    return ScanSpec(
-        mode=name,
-        d_values=d_values,
-        n_values=n_values,
-        k_values=values.get("grid.k", []),
-        powers=values.get("drive.power", []),
-        detuning=values.get("drive.detuning"),
-        phase_on_drive=values["drive.phase_on_drive"],
-        out_dir=Path(values["output.directory"]),
-        workers=values["workers"],
-        raw_config=data,
-    )
+        if k > n_max:
+            raise ConfigError(f"k={k} exceeds n_atoms={n_max}", location=f"grid.k[{i}]")
+    return ScanSpec(name, params, Path(values["output.directory"]), values["workers"], data)
 
 
 def validate_config(path) -> ScanSpec:
@@ -322,13 +315,14 @@ class _Mode:
     """What a scan mode reads, computes per grid cell and writes.
 
     A config may hold only the keys in ``reads`` and ``_EVERY_MODE_READS``.
-    The cells cross the grids named in ``sweep``, outermost first, and
-    ``numbered`` adds each cell's index to its params.  ``worker`` names a
-    cell function of ``cells``, looked up by ``cells._run_cell`` when each
-    cell runs.  A table mode gathers one row per ok cell into the one file
-    ``stem``; a ``per_cell`` mode writes each ok cell's payload to its own
-    file, ``stem`` filled from the cell's params.  A file is CSV under
-    ``header``, JSON without one.
+    Each key of ``reads`` is named by the last part of its path, so no two
+    may share it.  The cells cross the grids of the names in ``sweep``,
+    outermost first, and ``numbered`` adds each cell's index to its params.
+    ``worker`` names a cell function of ``cells``, looked up by
+    ``cells._run_cell`` when each cell runs.  A table mode gathers one row
+    per ok cell into the one file ``stem``; a ``per_cell`` mode writes each
+    ok cell's payload to its own file, ``stem`` filled from the cell's
+    params.  A file is CSV under ``header``, JSON without one.
     """
 
     worker: str
@@ -371,14 +365,14 @@ MODES = tuple(_MODE_TABLE)
 
 
 def _cells(spec: ScanSpec, mode: _Mode) -> list[dict]:
-    """The params of every grid cell, in output order."""
-    grids = {
-        "power": spec.powers, "d_over_lambda": spec.d_values, "n_atoms": spec.n_values,
-        "k": spec.k_values,
-    }
+    """The params of every grid cell, in output order: ``spec.params[key]``
+    crossed for each ``key`` in ``mode.sweep``, a single ``array.n_atoms`` a
+    grid of one.  ``run_scan`` lays each cell over ``spec.params``, so a cell
+    reads each key of its mode by the last part of the key's path."""
+    grids = (_grid_of(spec.params[key]) for key in mode.sweep)
     return [
         {**dict(zip(mode.sweep, values)), **({"index": i} if mode.numbered else {})}
-        for i, values in enumerate(itertools.product(*(grids[key] for key in mode.sweep)))
+        for i, values in enumerate(itertools.product(*grids))
     ]
 
 
@@ -418,11 +412,7 @@ def run_scan(spec: ScanSpec) -> RunManifest:
         raise ConfigError(f"cannot create directory: {exc}", location="output.directory") from exc
     mode = _MODE_TABLE[spec.mode]
     cells = _cells(spec, mode)
-    settings = {
-        "n_atoms": spec.n_values[0], "detuning": spec.detuning,
-        "phase_on_drive": spec.phase_on_drive,
-    }
-    tasks = [(mode.worker, {**settings, **cell}) for cell in cells]
+    tasks = [(mode.worker, spec.params | cell) for cell in cells]
     # loads numpy and the compute layers here, so forked workers inherit them
     from .cells import _run_cell
 

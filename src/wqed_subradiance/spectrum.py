@@ -231,17 +231,21 @@ def _own_blocks(config: ArrayConfig, basis: SectorBasis, keep) -> list:
 def _sector_blocks(config: ArrayConfig, basis: SectorBasis, keep, solve=_own_blocks) -> list:
     """keep(eps, gammas, vectors, lifts) of each symmetry block of a sector, in order.
 
-    The one route from a sector to its eigenpairs, with lifts into ``basis``.
-    A sector with 2k <= N is ``solve(config, basis, keep)``, by default
-    ``_own_blocks``.  Sector k = N is the one full subset, eps = -i, with no
-    eigensolve.  Any other sector with 2k > N is solved as its complement
-    N - k: S -> N\\S maps sector k onto N - k with every hop unchanged, so
-    H_k = P H_{N-k} P^T - i*(2k - N).  Its states are the complement's,
-    moved to the complement subsets with no sign, and the total rate of
-    each grows by 2k - N.  That map of the rates is monotone, also in
-    floating point, so it carries each block's smallest rate over as well.
+    The one route from a sector to its eigenpairs, with lifts into ``basis``,
+    and the one check that 1 <= k <= N (``enumerate_sector`` made k an
+    integer): the vacuum k = 0 has no decay rate.  A sector with 2k <= N
+    is ``solve(config, basis, keep)``, by default ``_own_blocks``.  Sector
+    k = N is the one full subset, eps = -i, with no eigensolve.  Any other
+    sector with 2k > N is solved as its complement N - k: S -> N\\S maps
+    sector k onto N - k with every hop unchanged, so H_k = P H_{N-k} P^T -
+    i*(2k - N).  Its states are the complement's, moved to the complement
+    subsets with no sign, and the total rate of each grows by 2k - N.  That
+    map of the rates is monotone, also in floating point, so it carries
+    each block's smallest rate over as well.
     """
     n, k = config.n_atoms, basis.n_excitations
+    if not 1 <= k <= n:
+        raise DomainError(f"k must satisfy 1 <= k <= {n}, got {k}")
     if k == n:
         lift = [(np.zeros(1, dtype=int), np.ones(1))]
         return [keep(np.array([-1j]), np.array([1.0]), np.ones((1, 1)), lift)]
@@ -356,8 +360,6 @@ def min_decay_rate(config: ArrayConfig, k: int) -> float:
     lifting, gauging and sorting the states; the result is bitwise the
     smallest gamma of ``diagonalize``.
     """
-    n = config.n_atoms
-    if not 1 <= k <= n:
-        raise DomainError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    blocks = _sector_blocks(config, enumerate_sector(n, k), _smallest, _memoized_blocks)
+    basis = enumerate_sector(config.n_atoms, k)
+    blocks = _sector_blocks(config, basis, _smallest, _memoized_blocks)
     return max(0.0, min(blocks))

@@ -102,8 +102,9 @@ def test_dimerization_score_inverted_state_zero():
 def test_dimerization_score_bounds_and_errors():
     corr = _ideal_dimer_corr(6)
     assert -1.0 <= dimerization_score(corr) <= 1.0
-    with pytest.raises(DomainError):
-        dimerization_score(corr, offset=2)
+    for offset in (2, True, 1.0):  # True was scored as offset 1, and 1.0 raised a TypeError
+        with pytest.raises(DomainError, match="offset must be 0 or 1"):
+            dimerization_score(corr, offset=offset)
     odd = correlation_matrix(_state([1.0, 0.0, 0.0], enumerate_sector(3, 1)))
     with pytest.raises(DomainError):
         dimerization_score(odd)

@@ -106,19 +106,38 @@ def test_resonance_grid_needs_two_refine_points(refine_points):
         lambda config: resonance_grid(config, -25.0, 5.0, refine_span=-1.0),
         lambda config: _drive(0.1, phase_on_drive="no"),
         lambda config: _drive(0.1, phase_on_drive=1),
+        lambda config: _drive("1"),
+        lambda config: _drive(None),
+        lambda config: resonance_grid(config, "a", 1.0),
+        lambda config: resonance_grid(config, -25.0, 5.0, refine_span=None),
+        lambda config: resonance_grid(config, True, 2.0),
+        lambda config: resonance_grid(config, -25.0, 5.0, refine_span=True),
     ],
     ids=[
         "coarse-negative", "coarse-zero", "coarse-float", "coarse-bool",
         "refine-points-float", "refine-span-negative", "phase-string", "phase-int",
+        "power-string", "power-none", "start-string", "refine-span-none", "start-bool",
+        "refine-span-bool",
     ],
 )
 def test_library_drive_inputs_are_checked_as_in_a_config(build):
     """Each was accepted or failed outside the domain checks: coarse = -1 with
-    numpy's ValueError, a float count with a TypeError, coarse = 0 with a
-    grid of windows alone, a negative span with 1e-3 windows, and a string
-    phase_on_drive acted as True."""
+    numpy's ValueError, a float count, a string or None power, start or span
+    with a TypeError, coarse = 0 with a grid of windows alone, a negative
+    span with 1e-3 windows, a string phase_on_drive acted as True, and a
+    boolean start or span as 1."""
     with pytest.raises(DomainError):
         build(ArrayConfig.from_period(2, 0.05))
+
+
+@pytest.mark.parametrize("detuning", [float("nan"), float("inf"), "a", None, True, 1j])
+def test_steady_state_detuning_is_a_finite_real_number(detuning, monkeypatch):
+    """A NaN detuning ran a full solve into numpy's 'SVD did not converge',
+    and a string into numpy's UFuncTypeError; now none builds a pencil."""
+    monkeypatch.setattr(driven_module, "_pencil", None)
+    config = ArrayConfig.from_period(2, 0.05)
+    with pytest.raises(DomainError, match="detuning must be a finite real number"):
+        steady_state(config, _drive(0.1), detuning)
 
 
 def test_numpy_integers_and_booleans_are_drive_inputs():

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import signal
+import string
 import subprocess
 import sys
 import time
@@ -82,8 +83,8 @@ def decay_vs_k_config(tmp_path, out="out", workers=1):
 def test_validate_well_formed(tmp_path):
     spec = validate_config(decay_vs_k_config(tmp_path))
     assert spec.mode == "decay-vs-k"
-    assert spec.k_values == list(range(1, 11))
-    assert spec.d_values == [0.05]
+    assert spec.params["k"] == list(range(1, 11))
+    assert spec.params["d_over_lambda"] == [0.05]
 
 
 def test_validate_unknown_mode_names_allowed(tmp_path):
@@ -194,7 +195,7 @@ def test_validate_linspace_grid(tmp_path):
          "output": {"directory": str(tmp_path / "o")}},
     )
     spec = validate_config(path)
-    assert spec.d_values == pytest.approx([0.05, 0.15, 0.25])
+    assert spec.params["d_over_lambda"] == pytest.approx([0.05, 0.15, 0.25])
 
 
 @settings(max_examples=300, deadline=None)
@@ -258,9 +259,9 @@ def test_cli_non_integral_grid_value_exit_two(tmp_path, mode, grid, location):
 def test_validate_integral_linspace_and_float_grid_values(tmp_path):
     grid = {"k": {"start": 1, "stop": 5, "count": 5}, "n_atoms": [6.0, 8]}
     spec = validate_config(_integer_grid_config(tmp_path, "size-map", grid))
-    assert spec.k_values == [1, 2, 3, 4, 5]
-    assert spec.n_values == [6, 8]
-    assert all(type(v) is int for v in spec.k_values + spec.n_values)
+    assert spec.params["k"] == [1, 2, 3, 4, 5]
+    assert spec.params["n_atoms"] == [6, 8]
+    assert all(type(v) is int for v in spec.params["k"] + spec.params["n_atoms"])
 
 
 def _unread_n_atoms_config(tmp_path, mode):
@@ -603,6 +604,20 @@ def test_readme_mode_table_matches_the_modes():
     }
 
 
+@pytest.mark.parametrize("name", list(scan_module._MODE_TABLE))
+def test_every_mode_names_each_key_it_reads_once(name):
+    """A cell reads each key by the last part of its path: two keys sharing
+    it (array.n_atoms and grid.n_atoms, say) would leave one of them out of
+    ``ScanSpec.params`` with no error.  The sweep crosses those names, and
+    the file stem is filled from the sweep and the cell index."""
+    mode = scan_module._MODE_TABLE[name]
+    names = [path.rsplit(".", 1)[-1] for path in mode.reads]
+    assert len(set(names)) == len(names)
+    assert set(mode.sweep) <= set(names)
+    fields = {field for _, field, _, _ in string.Formatter().parse(mode.stem) if field}
+    assert fields <= set(mode.sweep) | ({"index"} if mode.numbered else set())
+
+
 @pytest.mark.parametrize(
     "detuning",
     [
@@ -638,7 +653,7 @@ def test_cli_single_refine_point_exit_two(tmp_path):
 
 def test_refined_detuning_grid_defaults_to_resonance_grid(tmp_path):
     spec = validate_config(driven_config(tmp_path, {"start": -3, "stop": 1}, "driven-spectrum"))
-    assert spec.detuning == {"start": -3.0, "stop": 1.0}
+    assert spec.params["detuning"] == {"start": -3.0, "stop": 1.0}
     assert run_scan(spec).success
     lines = (tmp_path / "out" / "spectrum_p00.csv").read_text().strip().split("\n")[1:]
     expected = resonance_grid(ArrayConfig.from_period(2, 0.05), -3.0, 1.0)
@@ -647,7 +662,8 @@ def test_refined_detuning_grid_defaults_to_resonance_grid(tmp_path):
 
 def test_refined_detuning_grid_accepts_zero_span(tmp_path):
     detuning = {"start": -3, "stop": 1, "refine_span": 0}
-    assert validate_config(driven_config(tmp_path, detuning)).detuning["refine_span"] == 0.0
+    spec = validate_config(driven_config(tmp_path, detuning))
+    assert spec.params["detuning"]["refine_span"] == 0.0
 
 
 def test_decay_vs_k_scan_matches_figure_cross_section(tmp_path):

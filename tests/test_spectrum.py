@@ -146,11 +146,14 @@ def test_min_decay_n10_vs_full_space_oracle(oracle_n10, k):
 
 
 def test_min_decay_domain():
+    """Every sector function takes an integer 1 <= k <= N, checked on their
+    one route: k = 0 gave the vacuum with gamma = -0.0 (``min_decay_rate``
+    alone refused it), and min_decay_rate(config, "1") a TypeError."""
     config = ArrayConfig.from_period(4, 0.05)
-    with pytest.raises(DomainError):
-        min_decay_rate(config, 0)
-    with pytest.raises(DomainError):
-        min_decay_rate(config, 5)
+    for function in (min_decay_rate, diagonalize, most_subradiant_state, sector_decay_rates):
+        for k in (0, 5, "1", 1.0, True):
+            with pytest.raises(DomainError):
+                function(config, k)
 
 
 def test_half_filling_rates_n10(oracle_n10):
@@ -294,12 +297,13 @@ def test_half_filling_states_have_joint_mirror_and_complement_parity(n, k, d):
 @pytest.mark.parametrize("d", [0.05, 0.13, 0.3])
 def test_particle_hole_duality_of_sector_spectra(d):
     """H of sector (N, N-k) is H of (N, k) relabelled by S -> N\\S, with the
-    diagonal -i*k replaced by -i*(N-k)."""
-    for n in range(1, 11):
+    diagonal -i*k replaced by -i*(N-k).  The vacuum k = 0 is no sector of
+    ``diagonalize`` (``test_min_decay_domain``), so neither is its dual k = N."""
+    for n in range(2, 11):
         config = ArrayConfig.from_period(n, d)
-        for k in range(n + 1):
-            particle = np.array([s.epsilon * max(k, 1) for s in diagonalize(config, k)])
-            hole = np.array([s.epsilon * max(n - k, 1) for s in diagonalize(config, n - k)])
+        for k in range(1, n):
+            particle = np.array([s.epsilon * k for s in diagonalize(config, k)])
+            hole = np.array([s.epsilon * (n - k) for s in diagonalize(config, n - k)])
             shifted = particle - 1j * (n - 2 * k)
             assert _multiset_distance(hole, shifted) < 1e-10
 
