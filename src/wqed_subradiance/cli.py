@@ -1,7 +1,7 @@
 """Command-line entry point: one subcommand per scan mode.
 
 Exit codes: 0 on success, 2 on configuration/usage errors, 3 when any grid
-cell fails numerically.
+cell fails (its error is in ``run_manifest.json``).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .scan import MODES, _number, run_scan, validate_config
 
 
@@ -60,9 +60,6 @@ def _execute(mode: str, config_path: str, out_dir, workers) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     failed = [c for c in manifest.cells if c.status == "error"]
     if failed:
         print(

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .lattice import _integer, reduced_unfolding
-from .spectrum import EigenState
+from .spectrum import EigenState, _unit_amplitudes
 
 CORR_TOL = 1e-10
 
@@ -51,10 +51,7 @@ def correlation_matrix(state: EigenState) -> CorrelationMatrix:
     B the reduced unfolding (:func:`~wqed_subradiance.lattice.reduced_unfolding`)
     over the state's own ``basis``, which also fixes N and k.
     """
-    amps = state.amplitudes
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
-        raise DomainError("correlation_matrix expects a unit-norm state")
-    b = reduced_unfolding(amps, state.basis)
+    b = reduced_unfolding(_unit_amplitudes(state), state.basis)
     return CorrelationMatrix(values=b.conj() @ b.T, k=state.k)
 
 

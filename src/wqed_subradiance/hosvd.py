@@ -29,7 +29,7 @@ from .lattice import (
     rank_masks,
     reduced_unfolding,
 )
-from .spectrum import EigenState, gauge_pivot
+from .spectrum import EigenState, _unit_amplitudes, gauge_pivot
 
 HOSVD_TOL = 1e-10
 MAX_DENSE_K = 5
@@ -81,12 +81,7 @@ class SymmetricWavefunction:
 
 def to_symmetric_tensor(state: EigenState) -> SymmetricWavefunction:
     """Wrap a unit-norm eigenstate as a symmetric tensor over its own sector."""
-    norm = np.linalg.norm(state.amplitudes)
-    if abs(norm - 1.0) > 1e-9:
-        raise DomainError(f"state amplitudes must be unit norm, got {norm}")
-    return SymmetricWavefunction(
-        amplitudes=np.array(state.amplitudes, dtype=complex), basis=state.basis
-    )
+    return SymmetricWavefunction(np.array(_unit_amplitudes(state), dtype=complex), state.basis)
 
 
 @dataclass(frozen=True)
@@ -268,10 +263,8 @@ def ansatz_overlap(result: HosvdResult, ansatz: str) -> list[float]:
         raise DomainError(f"unknown ansatz {ansatz!r}; use 'fermionic' or 'dimerized'")
     if k > MAX_ANSATZ_K:
         raise DomainError(f"ansatz overlaps limited to k <= {MAX_ANSATZ_K}, got k={k}")
-    if ansatz == ANSATZ_DIMERIZED and n % 2:
-        raise DomainError("dimerized ansatz requires an even number of atoms")
     families = {ANSATZ_FERMIONIC: fermionic_profiles(n)}
-    if n % 2 == 0:
+    if n % 2 == 0 or ansatz == ANSATZ_DIMERIZED:  # dimerized_profiles refuses an odd N
         families[ANSATZ_DIMERIZED] = dimerized_profiles(n)
     columns = result.factor[:, :k].copy()
     lam = result.singular_values[:k]

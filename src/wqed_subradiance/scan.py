@@ -317,23 +317,27 @@ class _Mode:
     A config may hold only the keys in ``reads`` and ``_EVERY_MODE_READS``.
     Each key of ``reads`` is named by the last part of its path, so no two
     may share it.  The cells cross the grids of the names in ``sweep``,
-    outermost first, and ``numbered`` adds each cell's index to its params.
-    ``worker`` names a cell function of ``cells``, looked up by
-    ``cells._run_cell`` when each cell runs.  A table mode gathers one row
-    per ok cell into the one file ``stem``; a ``per_cell`` mode writes each
-    ok cell's payload to its own file, ``stem`` filled from the cell's
+    outermost first.  ``worker`` names a cell function of ``cells``, looked
+    up by ``cells._run_cell`` when each cell runs.  A ``stem`` with no
+    placeholders names a table mode's one file, a row per ok cell; one with
+    placeholders (its ``fields``) is filled from each ok cell's params to
+    name the cell's own file, and ``{index}`` numbers the cells in their
     params.  A file is CSV under ``header``, JSON without one.
     """
 
     worker: str
     stem: str
     header: list[str] | None = None
-    per_cell: bool = False
     reads: tuple[str, ...] = _SECTOR_KEYS
     single_d: bool = False  # exactly one d_over_lambda value
     max_atoms: float = math.inf  # the cap on N
     sweep: tuple[str, ...] = ("d_over_lambda", "n_atoms", "k")
-    numbered: bool = False
+
+    @property
+    def fields(self) -> set[str]:
+        import string  # not loaded by config checking
+
+        return {name for _, name, _, _ in string.Formatter().parse(self.stem) if name}
 
 
 _DECAY_HEADER = ["d_over_lambda", "k", "n_atoms", "min_gamma"]
@@ -345,11 +349,10 @@ _MODE_TABLE = {
     "size-map": _Mode(
         "_cell_min_gamma", "size_map", _DECAY_HEADER, reads=_SIZE_MAP_KEYS, single_d=True
     ),
-    "hosvd-analyze": _Mode("_cell_hosvd", "hosvd_k{k}", per_cell=True, single_d=True),
+    "hosvd-analyze": _Mode("_cell_hosvd", "hosvd_k{k}", single_d=True),
     "entropy-map": _Mode("_cell_entropy", "entropy_map", ["d_over_lambda", "k", "entropy"]),
     "correlations": _Mode(
-        "_cell_correlations", "correlations_k{k}", ["m", "n", "re", "im"], per_cell=True,
-        single_d=True,
+        "_cell_correlations", "correlations_k{k}", ["m", "n", "re", "im"], single_d=True
     ),
     "driven-map": _Mode(
         "_cell_driven_map", "driven_map", ["power", "d_over_lambda", "narrowest_fwhm", "found"],
@@ -357,8 +360,7 @@ _MODE_TABLE = {
     ),
     "driven-spectrum": _Mode(
         "_cell_driven_spectrum", "spectrum_p{index:02d}",
-        ["detuning", "re_r", "im_r", "re_t", "im_t", "incoherent"], per_cell=True,
-        single_d=True, numbered=True, **_DRIVEN,
+        ["detuning", "re_r", "im_r", "re_t", "im_t", "incoherent"], single_d=True, **_DRIVEN,
     ),
 }
 MODES = tuple(_MODE_TABLE)
@@ -371,7 +373,7 @@ def _cells(spec: ScanSpec, mode: _Mode) -> list[dict]:
     reads each key of its mode by the last part of the key's path."""
     grids = (_grid_of(spec.params[key]) for key in mode.sweep)
     return [
-        {**dict(zip(mode.sweep, values)), **({"index": i} if mode.numbered else {})}
+        {**dict(zip(mode.sweep, values)), **({"index": i} if "index" in mode.fields else {})}
         for i, values in enumerate(itertools.product(*grids))
     ]
 
@@ -427,14 +429,14 @@ def run_scan(spec: ScanSpec) -> RunManifest:
                     interrupt = exc
             status, payload, *extra = result
             extra = dict(*extra)  # what the cell adds to its manifest entry
-            if status == "ok" and mode.per_cell:
+            if status == "ok" and mode.fields:
                 outputs.append(_write(spec, mode.stem.format(**params), mode.header, payload))
             elif status == "ok":  # the leading columns are the params the header names
                 rows.append(tuple(params[key] for key in mode.header[: -len(payload)]) + payload)
             error = payload if status == "error" else None
             params = params | extra.get("params", {})
             statuses.append(CellStatus(i, params, status, error, extra.get("health")))
-    if not mode.per_cell:
+    if not mode.fields:  # a table mode
         outputs.append(_write(spec, mode.stem, mode.header, rows))
     manifest = RunManifest(
         mode=spec.mode,

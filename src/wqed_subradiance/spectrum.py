@@ -18,6 +18,7 @@ from .lattice import (
     ArrayConfig,
     SectorBasis,
     SectorHamiltonian,
+    _integer,
     build_hamiltonian,
     complement_masks,
     complement_permutation,
@@ -56,6 +57,20 @@ class EigenState:
     @property
     def k(self) -> int:
         return self.basis.n_excitations
+
+
+def _unit_amplitudes(state: EigenState) -> np.ndarray:
+    """``state.amplitudes``, the one check that a state to analyse has unit norm."""
+    norm = np.linalg.norm(state.amplitudes)
+    if abs(norm - 1.0) > 1e-9:
+        raise DomainError(f"state amplitudes must be unit norm, got {norm}")
+    return state.amplitudes
+
+
+def _check_sector(n_atoms: int, k) -> None:
+    """The one check of every sector function that an integer k is in 1..N (k = 0 has no gamma)."""
+    if _integer(k) and not 1 <= k <= n_atoms:
+        raise DomainError(f"k must satisfy 1 <= k <= {n_atoms}, got {k}")
 
 
 def gauge_pivot(vectors: np.ndarray) -> np.ndarray:
@@ -199,7 +214,7 @@ def _checked_eig(h: SectorHamiltonian, block: np.ndarray):
             f"eigenpair residual {residual[worst]:.2e} exceeds {RESIDUAL_TOL} "
             f"for sector matrix {_fingerprint(h)}"
         )
-    eps = values / max(h.basis.n_excitations, 1)
+    eps = values / h.basis.n_excitations
     gammas = -eps.imag
     if gammas.min() < GAMMA_FLOOR:
         raise NumericalError(
@@ -209,7 +224,7 @@ def _checked_eig(h: SectorHamiltonian, block: np.ndarray):
 
 
 def _solved_blocks(h: SectorHamiltonian, keep) -> list:
-    """keep(eps, gammas, vectors, lifts) of each symmetry block of H, in order.
+    """keep(h.basis, eps, gammas, vectors, lifts) of each symmetry block of H, in order.
 
     Each block is built, solved by ``_checked_eig`` and passed to ``keep``
     before the next is built, so only what ``keep`` returns outlives its
@@ -218,7 +233,7 @@ def _solved_blocks(h: SectorHamiltonian, keep) -> list:
     """
     kept = []
     for block, lifts in _symmetry_blocks(h):
-        kept.append(keep(*_checked_eig(h, block), lifts))
+        kept.append(keep(h.basis, *_checked_eig(h, block), lifts))
         del block  # not alive while the next block is built
     return kept
 
@@ -228,36 +243,35 @@ def _own_blocks(config: ArrayConfig, basis: SectorBasis, keep) -> list:
     return _solved_blocks(build_hamiltonian(config, basis), keep)
 
 
-def _sector_blocks(config: ArrayConfig, basis: SectorBasis, keep, solve=_own_blocks) -> list:
-    """keep(eps, gammas, vectors, lifts) of each symmetry block of a sector, in order.
+def _sector_blocks(config: ArrayConfig, k: int, keep, solve=_own_blocks) -> list:
+    """keep(basis, eps, gammas, vectors, lifts) of each symmetry block of sector k, in order.
 
-    The one route from a sector to its eigenpairs, with lifts into ``basis``,
-    and the one check that 1 <= k <= N (``enumerate_sector`` made k an
-    integer): the vacuum k = 0 has no decay rate.  A sector with 2k <= N
-    is ``solve(config, basis, keep)``, by default ``_own_blocks``.  Sector
-    k = N is the one full subset, eps = -i, with no eigensolve.  Any other
-    sector with 2k > N is solved as its complement N - k: S -> N\\S maps
-    sector k onto N - k with every hop unchanged, so H_k = P H_{N-k} P^T -
-    i*(2k - N).  Its states are the complement's, moved to the complement
-    subsets with no sign, and the total rate of each grows by 2k - N.  That
-    map of the rates is monotone, also in floating point, so it carries
-    each block's smallest rate over as well.
+    The one route from a sector to its eigenpairs, with lifts into its
+    ``basis``; k passes ``_check_sector`` before the basis is enumerated.
+    A sector with 2k <= N is ``solve(config, basis, keep)``, by default
+    ``_own_blocks``.  Sector k = N is the one full subset, eps = -i, with no
+    eigensolve.  Any other sector with 2k > N is solved as its complement
+    N - k: S -> N\\S maps sector k onto N - k with every hop unchanged, so
+    H_k = P H_{N-k} P^T - i*(2k - N).  Its states are the complement's,
+    moved to the complement subsets with no sign, and the total rate of
+    each grows by 2k - N.  That map of the rates is monotone, also in
+    floating point, so it carries each block's smallest rate over as well.
     """
-    n, k = config.n_atoms, basis.n_excitations
-    if not 1 <= k <= n:
-        raise DomainError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    n = config.n_atoms
+    _check_sector(n, k)
+    basis = enumerate_sector(n, k)
     if k == n:
         lift = [(np.zeros(1, dtype=int), np.ones(1))]
-        return [keep(np.array([-1j]), np.array([1.0]), np.ones((1, 1)), lift)]
+        return [keep(basis, np.array([-1j]), np.array([1.0]), np.ones((1, 1)), lift)]
     if 2 * k <= n:
         return solve(config, basis, keep)
     dual = enumerate_sector(n, n - k)
     to_basis = rank_masks(basis, complement_masks(dual))
 
-    def moved(eps, gammas, vectors, lifts):
+    def moved(_, eps, gammas, vectors, lifts):
         gammas = ((n - k) * gammas + (2 * k - n)) / k
         eps = (n - k) * eps.real / k - 1j * gammas
-        return keep(eps, gammas, vectors, [(to_basis[index], coef) for index, coef in lifts])
+        return keep(basis, eps, gammas, vectors, [(to_basis[i], coef) for i, coef in lifts])
 
     return solve(config, dual, moved)
 
@@ -295,10 +309,11 @@ def diagonalize_sector(h: SectorHamiltonian) -> list[EigenState]:
     ``_symmetry_blocks``) is built from the entries of ``h`` and
     diagonalized on its own: two blocks, mirror even and odd, or four at
     half filling, one per joint mirror and complement parity.  Every state
-    is an eigenvector of each of these maps.  The checks of
-    ``_checked_eig`` apply to every eigenpair.
+    is an eigenvector of each of these maps.  ``_check_sector`` runs before
+    any eigensolve, and the checks of ``_checked_eig`` on every eigenpair.
     """
-    return _sorted_states(_solved_blocks(h, functools.partial(_lifted, h.basis)))
+    _check_sector(h.basis.n_atoms, h.basis.n_excitations)
+    return _sorted_states(_solved_blocks(h, _lifted))
 
 
 def diagonalize(config: ArrayConfig, k: int) -> list[EigenState]:
@@ -307,8 +322,7 @@ def diagonalize(config: ArrayConfig, k: int) -> list[EigenState]:
     The states and order of ``diagonalize_sector``, with each sector solved
     on the route of ``_sector_blocks``.
     """
-    basis = enumerate_sector(config.n_atoms, k)
-    return _sorted_states(_sector_blocks(config, basis, functools.partial(_lifted, basis)))
+    return _sorted_states(_sector_blocks(config, k, _lifted))
 
 
 def most_subradiant_state(config: ArrayConfig, k: int) -> EigenState:
@@ -318,9 +332,7 @@ def most_subradiant_state(config: ArrayConfig, k: int) -> EigenState:
     gamma of each symmetry block are lifted, gauged and sorted; gamma leads
     the sort key, so the first state is among them.
     """
-    basis = enumerate_sector(config.n_atoms, k)
-    lowest = functools.partial(_lowest_lifted, basis)
-    return _sorted_states(_sector_blocks(config, basis, lowest))[0]
+    return _sorted_states(_sector_blocks(config, k, _lowest_lifted))[0]
 
 
 def sector_decay_rates(config: ArrayConfig, k: int) -> np.ndarray:
@@ -328,7 +340,7 @@ def sector_decay_rates(config: ArrayConfig, k: int) -> np.ndarray:
     return np.array([s.gamma for s in diagonalize(config, k)])
 
 
-def _smallest(eps, gammas, vectors, lifts):
+def _smallest(basis, eps, gammas, vectors, lifts):
     """The ``keep`` that reads only a block's smallest gamma."""
     return gammas.min()
 
@@ -350,7 +362,7 @@ def _memoized_blocks(config: ArrayConfig, basis: SectorBasis, keep) -> list:
     ``_smallest`` reads neither.
     """
     gamma = _min_gamma(config, basis.n_excitations)
-    return [keep(np.array([-1j * gamma]), np.array([gamma]), None, [])]
+    return [keep(basis, np.array([-1j * gamma]), np.array([gamma]), None, [])]
 
 
 def min_decay_rate(config: ArrayConfig, k: int) -> float:
@@ -360,6 +372,4 @@ def min_decay_rate(config: ArrayConfig, k: int) -> float:
     lifting, gauging and sorting the states; the result is bitwise the
     smallest gamma of ``diagonalize``.
     """
-    basis = enumerate_sector(config.n_atoms, k)
-    blocks = _sector_blocks(config, basis, _smallest, _memoized_blocks)
-    return max(0.0, min(blocks))
+    return max(0.0, min(_sector_blocks(config, k, _smallest, _memoized_blocks)))

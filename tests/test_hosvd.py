@@ -79,6 +79,17 @@ def test_dense_guard():
         psi.to_dense()
 
 
+def test_hosvd_needs_an_excitation():
+    vacuum = to_symmetric_tensor(_state([1.0], enumerate_sector(4, 0)))
+    with pytest.raises(DomainError, match="at least one excitation"):
+        hosvd(vacuum)
+
+
+def test_dimerized_profiles_need_an_even_array():
+    with pytest.raises(DomainError, match="even number of atoms"):
+        dimerized_profiles(5)
+
+
 def test_hosvd_single_excitation_is_trivial():
     basis = enumerate_sector(5, 1)
     amps = np.exp(1j * np.linspace(0, 2, 5))

@@ -134,6 +134,16 @@ def test_validate_empty_grid(tmp_path):
         validate_config(path)
 
 
+def test_validate_top_level_list(tmp_path):
+    with pytest.raises(ConfigError, match="top level must be a mapping") as err:
+        scan_module.parse_config_dict([{"mode": "decay-map"}])
+    assert err.value.location == "config"
+    path = write_config(tmp_path / "cfg.yaml", [{"mode": "decay-map"}])
+    with pytest.raises(ConfigError, match="top level must be a mapping") as err:
+        validate_config(path)
+    assert err.value.location == path
+
+
 def test_validate_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         validate_config(tmp_path / "absent.yaml")
@@ -305,9 +315,10 @@ _SECTOR = {"array": {"n_atoms": 4}, "grid": {"d_over_lambda": [0.05], "k": [1]}}
 _DRIVEN = {"array": {"n_atoms": 2}, "grid": {"d_over_lambda": [0.05]},
            "drive": {"power": [0.1], "detuning": [-1.0, 1.0]}}
 
-# a key the mode does not read, or an array of no atoms, and the location each
-# must be reported at: a drive section in a sector mode is named at its first
-# key (the dump sorts keys, so "detuning" comes before "power")
+# a key the mode does not read or lacks, a value of the wrong type, or an array
+# of no atoms, and the location each must be reported at: a drive section in a
+# sector mode is named at its first key (the dump sorts keys, so "detuning"
+# comes before "power")
 _UNREAD_OR_EMPTY = {
     "decay-map-drive": ("decay-map", {**_SECTOR, "drive": {"power": [0.1]}}, "drive.power"),
     "entropy-map-drive": (
@@ -319,6 +330,13 @@ _UNREAD_OR_EMPTY = {
     "driven-map-zero-atoms": ("driven-map", {**_DRIVEN, "array": {"n_atoms": 0}}, "array.n_atoms"),
     "driven-map-negative-atoms": (
         "driven-map", {**_DRIVEN, "array": {"n_atoms": -3}}, "array.n_atoms"
+    ),
+    "decay-map-without-k": ("decay-map", {**_SECTOR, "grid": {"d_over_lambda": [0.05]}}, "grid.k"),
+    "array-not-a-mapping": ("decay-map", {**_SECTOR, "array": 5}, "array"),
+    "mode-not-a-string": ("decay-map", {**_SECTOR, "mode": 5}, "mode"),
+    "phase-on-drive-not-a-boolean": (
+        "driven-map", {**_DRIVEN, "drive": {**_DRIVEN["drive"], "phase_on_drive": 1}},
+        "drive.phase_on_drive",
     ),
 }
 
@@ -471,6 +489,7 @@ _BAD_DETUNING = {
     "infinite-stop": ({"start": -1, "stop": float("inf")}, "drive.detuning.stop"),
     "infinite-count-stop": ({"start": -1, "stop": float("inf"), "count": 5}, "drive.detuning.stop"),
     "nan-point": ([-1, float("nan"), 1], "drive.detuning[1]"),
+    "scalar": (3, "drive.detuning"),
 }
 
 
@@ -609,13 +628,15 @@ def test_every_mode_names_each_key_it_reads_once(name):
     """A cell reads each key by the last part of its path: two keys sharing
     it (array.n_atoms and grid.n_atoms, say) would leave one of them out of
     ``ScanSpec.params`` with no error.  The sweep crosses those names, and
-    the file stem is filled from the sweep and the cell index."""
+    the file stem is filled from the sweep and the cell index: a stem with
+    placeholders names one file per cell, and ``{index}`` numbers the cells."""
     mode = scan_module._MODE_TABLE[name]
     names = [path.rsplit(".", 1)[-1] for path in mode.reads]
     assert len(set(names)) == len(names)
     assert set(mode.sweep) <= set(names)
     fields = {field for _, field, _, _ in string.Formatter().parse(mode.stem) if field}
-    assert fields <= set(mode.sweep) | ({"index"} if mode.numbered else set())
+    assert fields == mode.fields
+    assert fields <= set(mode.sweep) | {"index"}
 
 
 @pytest.mark.parametrize(
@@ -802,6 +823,21 @@ def test_correlations_mode_schema(tmp_path):
     assert lines[0] == "m,n,re,im"
     assert len(lines) == 17
     assert "dimerization_score" in manifest.cells[0].params
+
+
+def test_correlations_at_odd_n_write_rows_without_a_dimerization_score(tmp_path):
+    path = write_config(
+        tmp_path / "cfg.yaml",
+        {"mode": "correlations", "array": {"n_atoms": 3},
+         "grid": {"d_over_lambda": [0.05], "k": [1]},
+         "output": {"directory": str(tmp_path / "out")}},
+    )
+    manifest = run_scan(validate_config(path))
+    assert manifest.success
+    lines = (tmp_path / "out" / "correlations_k1.csv").read_text().strip().split("\n")
+    assert lines[0] == "m,n,re,im"
+    assert len(lines) == 10
+    assert manifest.cells[0].params == {"d_over_lambda": 0.05, "n_atoms": 3, "k": 1}
 
 
 def test_cli_correlations_of_two_atoms_scores_the_one_dimer(tmp_path):

@@ -148,12 +148,25 @@ def test_min_decay_n10_vs_full_space_oracle(oracle_n10, k):
 def test_min_decay_domain():
     """Every sector function takes an integer 1 <= k <= N, checked on their
     one route: k = 0 gave the vacuum with gamma = -0.0 (``min_decay_rate``
-    alone refused it), and min_decay_rate(config, "1") a TypeError."""
+    alone refused it), and min_decay_rate(config, "1") a TypeError.  A k
+    outside 1..N reads one message: k = N + 1 read the lattice's 0 <= k <= N."""
     config = ArrayConfig.from_period(4, 0.05)
     for function in (min_decay_rate, diagonalize, most_subradiant_state, sector_decay_rates):
-        for k in (0, 5, "1", 1.0, True):
+        for k in (0, 5):
+            with pytest.raises(DomainError, match=f"1 <= k <= 4, got {k}$"):
+                function(config, k)
+        for k in ("1", 1.0, True):
             with pytest.raises(DomainError):
                 function(config, k)
+
+
+def test_vacuum_sector_matrix_is_refused_before_any_eigensolve(monkeypatch):
+    """``diagonalize_sector`` keeps the range of the other sector functions:
+    the k = 0 matrix was solved into the vacuum with gamma = -0.0."""
+    ham = build_hamiltonian(ArrayConfig.from_period(4, 0.05), enumerate_sector(4, 0))
+    monkeypatch.setattr(spectrum_module.np.linalg, "eig", None)
+    with pytest.raises(DomainError, match="1 <= k <= 4, got 0$"):
+        diagonalize_sector(ham)
 
 
 def test_half_filling_rates_n10(oracle_n10):
@@ -238,13 +251,13 @@ def _multiset_distance(a, b):
 
 @pytest.mark.parametrize("d", [0.05, 0.13, 0.3])
 def test_parity_blocks_keep_the_unblocked_spectrum(d):
-    """Every sector, k = 0 and k = N included (there the odd block is empty)."""
+    """Every sector, k = N included (there the odd block is empty)."""
     for n in range(1, 11):
         config = ArrayConfig.from_period(n, d)
-        for k in range(n + 1):
+        for k in range(1, n + 1):
             ham = build_hamiltonian(config, enumerate_sector(n, k))
             states = diagonalize_sector(ham)
-            blocked = np.array([s.epsilon * max(k, 1) for s in states])
+            blocked = np.array([s.epsilon * k for s in states])
             unblocked = np.linalg.eigvals(ham.matrix)
             assert len(blocked) == len(unblocked)
             assert _multiset_distance(blocked, unblocked) < 1e-10
