@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .lattice import _integer, reduced_unfolding
+from .lattice import _number, reduced_unfolding
 from .spectrum import EigenState, _unit_amplitudes
 
 CORR_TOL = 1e-10
@@ -22,13 +22,14 @@ class CorrelationMatrix:
 
     def __post_init__(self):
         v = self.values
-        if np.abs(v - v.conj().T).max() > CORR_TOL:
-            raise NumericalError("correlation matrix is not Hermitian to 1e-10")
-        if abs(np.trace(v).real - self.k) > CORR_TOL:
-            raise NumericalError("correlation trace does not equal the excitation number")
         diag = np.diag(v).real
-        if diag.min() < -CORR_TOL or diag.max() > 1 + CORR_TOL:
-            raise NumericalError("site occupations left [0, 1]")
+        for what, measure, error in (
+            ("matrix is not Hermitian", "max |C - C^dag|", np.abs(v - v.conj().T).max()),
+            ("trace is not k", f"|tr C - {self.k}|", abs(np.trace(v).real - self.k)),
+            ("occupations leave [0, 1]", "excess", max(-diag.min(), diag.max() - 1.0)),
+        ):
+            if error > CORR_TOL:
+                raise NumericalError(f"correlation {what} to {CORR_TOL:g}: {measure} = {error:.3g}")
 
     @property
     def n_atoms(self) -> int:
@@ -66,8 +67,7 @@ def dimerization_score(corr: CorrelationMatrix, offset: int = 0) -> float:
     n = corr.n_atoms
     if n % 2:
         raise DomainError("dimerization score requires an even number of atoms")
-    if not _integer(offset) or offset not in (0, 1):
-        raise DomainError(f"offset must be 0 or 1, got {offset!r}")
+    offset = _number(offset, int, "offset", 0, 1)
     pairs = [(j, j + 1) for j in range(offset, n - 1, 2)]
     if not pairs:
         raise DomainError(f"offset {offset} leaves no dimer pair among {n} atoms")

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import MAX_DRIVEN_ATOMS
 from .errors import DomainError, NumericalError
-from .lattice import ArrayConfig, _integer, _real, build_hamiltonian, enumerate_sector, occupied_sites, site_masks
+from .lattice import ArrayConfig, _number, build_hamiltonian, enumerate_sector, occupied_sites, site_masks
 from .spectrum import diagonalize
 
 STEADY_TOL = 1e-9
@@ -47,15 +47,14 @@ class DriveConfig:
     phase_on_drive: bool = True
 
     def __post_init__(self):
-        if not (_real(self.power) and 0 <= self.power < math.inf):
-            raise DomainError(f"power must be a finite, non-negative number, got {self.power!r}")
+        object.__setattr__(self, "power", _number(self.power, float, "power", 0))
         if not isinstance(self.phase_on_drive, (bool, np.bool_)):
             raise DomainError(f"phase_on_drive must be a boolean, got {self.phase_on_drive!r}")
-        grid = np.asarray(self.detuning_grid, dtype=float)
-        if grid.ndim != 1 or len(grid) == 0:
+        # as objects, so that a boolean or string point reaches the check as itself
+        points = np.asarray(self.detuning_grid, dtype=object)
+        if points.ndim != 1 or len(points) == 0:
             raise DomainError("detuning grid must be a non-empty 1-D array")
-        if not np.isfinite(grid).all():
-            raise DomainError("detuning grid must be finite")
+        grid = np.array([_number(v, float, "detuning") for v in points])
         if len(grid) > 1 and not (np.diff(grid) > 0).all():
             raise DomainError("detuning grid must be strictly increasing")
         object.__setattr__(self, "detuning_grid", grid)
@@ -536,8 +535,7 @@ def steady_state(config: ArrayConfig, drive: DriveConfig, detuning: float) -> np
 
     One direct solve (``_direct_state``) on the pencil of ``_pencil``.
     """
-    if not (_real(detuning) and math.isfinite(detuning)):
-        raise DomainError(f"detuning must be a finite real number, got {detuning!r}")
+    detuning = _number(detuning, float, "detuning")
     return _direct_state(_pencil(config, drive), detuning)
 
 
@@ -615,6 +613,8 @@ def transfer_matrix_amplitudes(
     Independent of the master-equation route; the transmission phase is
     referenced to the plane of the last atom.
     """
+    # checked, not converted: a numpy float's complex arithmetic rounds apart from a float's
+    _number(detuning, float, "detuning")
     r_atom = -1j / (detuning + 1j)
     t_atom = 1.0 + r_atom
     if t_atom == 0:
@@ -661,7 +661,8 @@ def coherent_amplitudes(
     values and fall back to the linear transfer-matrix result (with the
     transmission phase moved to the input reference plane).
     """
-    r, t = _stacked_amplitudes(config, drive, rho[None], np.array([detuning]))
+    grid = np.array([_number(detuning, float, "detuning")])
+    r, t = _stacked_amplitudes(config, drive, rho[None], grid)
     return complex(r[0]), complex(t[0])
 
 
@@ -673,10 +674,9 @@ def incoherent_spectrum(config: ArrayConfig, drive: DriveConfig) -> ScatteringSp
     incoherent = 1.0 - np.abs(reflection) ** 2 - np.abs(transmission) ** 2
     # with the drive phases suppressed the input field is not the physical
     # left-propagating mode and flux bookkeeping (hence I in [0, 1]) breaks
-    if drive.phase_on_drive and (
-        incoherent.min() < -INCOHERENT_SLACK or incoherent.max() > 1.0 + INCOHERENT_SLACK
-    ):
-        raise NumericalError("incoherent fraction left [0, 1] beyond the allowed slack")
+    excess = max(-incoherent.min(), incoherent.max() - 1.0)
+    if drive.phase_on_drive and excess > INCOHERENT_SLACK:
+        raise NumericalError(f"incoherent fraction left [0, 1] by {excess:.3g} > {INCOHERENT_SLACK:g}")
     spectrum = ScatteringSpectrum(
         detunings=grid,
         reflection=reflection,
@@ -738,14 +738,12 @@ def resonance_grid(
     times the grid span only the first is kept.  A window needs at least
     two points: ``np.linspace`` with one gives only its left edge.
     """
-    given = (start, stop, refine_span)
-    if not (all(_real(v) and math.isfinite(v) for v in given) and refine_span >= 0):
-        raise DomainError(f"start, stop and refine_span must be finite, span >= 0, got {given}")
+    start, stop = _number(start, float, "start"), _number(stop, float, "stop")
+    refine_span = _number(refine_span, float, "refine_span", 0)
+    coarse = _number(coarse, int, "coarse", 1)
+    refine_points = _number(refine_points, int, "refine_points", 2)
     if not stop > start:
         raise DomainError("grid needs stop > start")
-    for name, value, low in (("coarse", coarse, 1), ("refine_points", refine_points, 2)):
-        if not (_integer(value) and value >= low):
-            raise DomainError(f"{name} must be at least {low} and an integer, got {value!r}")
     pieces = [np.linspace(start, stop, coarse)]
     for state in diagonalize(config, 1):
         width = max(refine_span * state.gamma, 1e-3)

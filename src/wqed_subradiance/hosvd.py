@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .lattice import (
     SectorBasis,
+    _number,
     complement_masks,
     enumerate_sector,
     occupied_sites,
@@ -112,17 +113,15 @@ def _entropy(weights: np.ndarray) -> float:
 
 def _validate_hosvd(b: np.ndarray, u: np.ndarray, w: np.ndarray, lam: np.ndarray, norm: float):
     # w = U^dag b has the Gram matrix of the core's mode-1 slices
-    n = u.shape[0]
-    gram = u.conj().T @ u
-    if np.abs(gram - np.eye(n)).max() > HOSVD_TOL:
-        raise NumericalError("HOSVD factor is not unitary to 1e-10")
-    slice_gram = w @ w.conj().T
-    if np.abs(slice_gram - np.diag(np.diag(slice_gram))).max() > HOSVD_TOL:
-        raise NumericalError("HOSVD core is not quasi-diagonal to 1e-10")
-    if np.linalg.norm(u @ w - b) > HOSVD_TOL:
-        raise NumericalError("HOSVD reconstruction error exceeds 1e-10")
-    if abs((lam**2).sum() - norm**2) > HOSVD_TOL:
-        raise NumericalError("HOSVD weights do not sum to the state norm")
+    g = w @ w.conj().T
+    for what, measure, error in (
+        ("factor is not unitary", "max |U^dag U - I|", np.abs(u.conj().T @ u - np.eye(len(u))).max()),
+        ("core is not quasi-diagonal", "max |offdiag(W W^dag)|", np.abs(g - np.diag(np.diag(g))).max()),
+        ("reconstruction is not exact", "||U W - B||", np.linalg.norm(u @ w - b)),
+        ("weights do not sum to the norm", "|sum lambda^2 - norm^2|", abs((lam**2).sum() - norm**2)),
+    ):
+        if error > HOSVD_TOL:
+            raise NumericalError(f"HOSVD {what} to {HOSVD_TOL:g}: {measure} = {error:.3g}")
 
 
 def hosvd(psi: SymmetricWavefunction) -> HosvdResult:
@@ -153,6 +152,7 @@ def hosvd(psi: SymmetricWavefunction) -> HosvdResult:
 
 def fermionic_profiles(n_atoms: int) -> np.ndarray:
     """Standing-wave orbitals (-1)^n sin(pi*n*alpha/N), rows normalized."""
+    n_atoms = _number(n_atoms, int, "n_atoms", 1)
     sites = np.arange(1, n_atoms + 1)
     rows = []
     for alpha in range(1, n_atoms + 1):
@@ -169,6 +169,7 @@ def dimerized_profiles(n_atoms: int) -> np.ndarray:
     Site pair p occupies sites (2p-1, 2p) with opposite signs; requires an
     even number of sites.
     """
+    n_atoms = _number(n_atoms, int, "n_atoms", 1)
     if n_atoms % 2:
         raise DomainError("dimerized profiles require an even number of atoms")
     rows = []

@@ -22,14 +22,23 @@ from .errors import DomainError
 TWO_PI = 2.0 * math.pi
 
 
-def _real(value) -> bool:
-    """A real number that is not a boolean (numpy's bool is no ``numbers.Real``)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _number(value, kind, name, low=None, high=None):
+    """``value`` as ``kind`` (int or float): the one check of every number the library takes.
 
-
-def _integer(value) -> bool:
-    """An integer that is not a boolean (numpy's bool is no ``numbers.Integral``)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    An int is a ``numbers.Integral``, a float a finite ``numbers.Real``, neither a
+    bool (numpy's bool is no ``numbers.Real``), and ``low <= value <= high`` holds.
+    """
+    wanted = numbers.Integral if kind is int else numbers.Real
+    ok = isinstance(value, wanted) and not isinstance(value, bool)
+    # an Integral is finite, and math.isfinite overflows on a huge one
+    if not ok or (kind is float and not math.isfinite(value)):
+        what = "an integer" if kind is int else "a finite real number"
+        raise DomainError(f"{name} must be {what}, got {value!r}")
+    value = kind(value)
+    if (low is not None and value < low) or (high is not None and value > high):
+        bounds = " <= ".join(str(b) for b in (low, name, high) if b is not None)
+        raise DomainError(f"{name} must satisfy {bounds}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -46,19 +55,12 @@ class ArrayConfig:
     phase: float
 
     def __post_init__(self):
-        n = self.n_atoms
-        if not _integer(n) or n < 1:
-            raise DomainError(f"n_atoms must be a positive integer, got {n!r}")
-        object.__setattr__(self, "n_atoms", int(n))
-        if not _real(self.phase) or not math.isfinite(self.phase):
-            raise DomainError(f"phase must be a finite real number, got {self.phase!r}")
-        object.__setattr__(self, "phase", float(self.phase) % TWO_PI)
+        object.__setattr__(self, "n_atoms", _number(self.n_atoms, int, "n_atoms", 1))
+        object.__setattr__(self, "phase", _number(self.phase, float, "phase") % TWO_PI)
 
     @classmethod
     def from_period(cls, n_atoms: int, d_over_lambda: float) -> "ArrayConfig":
-        if not _real(d_over_lambda) or not 0 <= d_over_lambda < math.inf:
-            raise DomainError(f"d/lambda0 must be finite and >= 0, got {d_over_lambda}")
-        return cls(n_atoms=n_atoms, phase=TWO_PI * d_over_lambda)
+        return cls(n_atoms=n_atoms, phase=TWO_PI * _number(d_over_lambda, float, "d_over_lambda", 0))
 
     @property
     def d_over_lambda(self) -> float:
@@ -83,10 +85,8 @@ class SectorBasis:
 
 def enumerate_sector(n_atoms: int, k: int) -> SectorBasis:
     """All C(N, k) site subsets with k excitations, lexicographically sorted."""
-    if not (_integer(n_atoms) and _integer(k)):
-        raise DomainError(f"N and k must be integers, got N={n_atoms!r}, k={k!r}")
-    if not 0 <= k <= n_atoms:
-        raise DomainError(f"k must satisfy 0 <= k <= {n_atoms}, got {k}")
+    n_atoms = _number(n_atoms, int, "N", 0)
+    k = _number(k, int, "k", 0, n_atoms)
     states = tuple(itertools.combinations(range(n_atoms), k))
     return SectorBasis(n_atoms=n_atoms, n_excitations=k, states=states)
 

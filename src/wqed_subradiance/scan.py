@@ -120,7 +120,8 @@ def _required(mapping, key, location):
 
 
 def _number(value, kind, low, location):
-    """``value`` as a finite number of type ``kind`` (int or float), at least ``low``."""
+    """``value`` as a finite ``kind`` (int or float), at least ``low``; not ``lattice._number``,
+    which loads numpy, refuses YAML's ``k: 2.0`` and raises no ``ConfigError`` at a location."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"expected a finite number, got {value!r}", location=location)
     if kind is int and value != int(value):

@@ -18,7 +18,7 @@ from .lattice import (
     ArrayConfig,
     SectorBasis,
     SectorHamiltonian,
-    _integer,
+    _number,
     build_hamiltonian,
     complement_masks,
     complement_permutation,
@@ -67,10 +67,9 @@ def _unit_amplitudes(state: EigenState) -> np.ndarray:
     return state.amplitudes
 
 
-def _check_sector(n_atoms: int, k) -> None:
-    """The one check of every sector function that an integer k is in 1..N (k = 0 has no gamma)."""
-    if _integer(k) and not 1 <= k <= n_atoms:
-        raise DomainError(f"k must satisfy 1 <= k <= {n_atoms}, got {k}")
+def _check_sector(n_atoms: int, k) -> int:
+    """k as an integer in 1..N, the one check of every sector function (k = 0 has no gamma)."""
+    return _number(k, int, "k", 1, n_atoms)
 
 
 def gauge_pivot(vectors: np.ndarray) -> np.ndarray:
@@ -258,7 +257,7 @@ def _sector_blocks(config: ArrayConfig, k: int, keep, solve=_own_blocks) -> list
     floating point, so it carries each block's smallest rate over as well.
     """
     n = config.n_atoms
-    _check_sector(n, k)
+    k = _check_sector(n, k)
     basis = enumerate_sector(n, k)
     if k == n:
         lift = [(np.zeros(1, dtype=int), np.ones(1))]

@@ -8,6 +8,7 @@ from wqed_subradiance import (
     CorrelationMatrix,
     DomainError,
     EigenState,
+    NumericalError,
     correlation_matrix,
     dimerization_score,
     enumerate_sector,
@@ -90,6 +91,22 @@ def _ideal_dimer_corr(n):
     return CorrelationMatrix(values=values, k=n // 2)
 
 
+@pytest.mark.parametrize(
+    "values, check, expected",
+    [
+        ([[1.0, 1e-6], [0.0, 0.0]], "matrix is not Hermitian", 1e-6),
+        ([[1.0, 0.0], [0.0, 0.5]], "trace is not k", 0.5),
+        ([[1.25, 0.0], [0.0, -0.25]], r"occupations leave \[0, 1\]", 0.25),
+    ],
+    ids=["hermitian", "trace", "occupations"],
+)
+def test_correlation_checks_name_what_they_measured(values, check, expected):
+    """The messages restated "1e-10" as a literal and carried no number."""
+    with pytest.raises(NumericalError, match=f"^correlation {check} to 1e-10: .* = ") as err:
+        CorrelationMatrix(values=np.array(values, dtype=complex), k=1)
+    assert float(str(err.value).rsplit("= ", 1)[1]) == pytest.approx(expected, rel=1e-2)
+
+
 def test_dimerization_score_ideal_pattern():
     assert dimerization_score(_ideal_dimer_corr(8)) == pytest.approx(1.0, abs=1e-12)
 
@@ -103,7 +120,7 @@ def test_dimerization_score_bounds_and_errors():
     corr = _ideal_dimer_corr(6)
     assert -1.0 <= dimerization_score(corr) <= 1.0
     for offset in (2, True, 1.0):  # True was scored as offset 1, and 1.0 raised a TypeError
-        with pytest.raises(DomainError, match="offset must be 0 or 1"):
+        with pytest.raises(DomainError, match="^offset must (be an integer|satisfy 0 <= offset <= 1), got "):
             dimerization_score(corr, offset=offset)
     odd = correlation_matrix(_state([1.0, 0.0, 0.0], enumerate_sector(3, 1)))
     with pytest.raises(DomainError):

@@ -83,7 +83,8 @@ def test_resonance_grid_needs_finite_bounds(bounds):
     """An infinite stop gave the one-point grid [start], and a NaN span dropped every window."""
     start, stop, refine_span = bounds
     config = ArrayConfig.from_period(3, 0.05)
-    with pytest.raises(DomainError, match="must be finite"):
+    message = "^(start|stop|refine_span) must be a finite real number, got -?(nan|inf)$"
+    with pytest.raises(DomainError, match=message):
         resonance_grid(config, start, stop, coarse=5, refine_span=refine_span)
 
 
@@ -91,7 +92,7 @@ def test_resonance_grid_needs_finite_bounds(bounds):
 def test_resonance_grid_needs_two_refine_points(refine_points):
     """np.linspace with one point gives a window's left edge, eps - w, not eps."""
     config = ArrayConfig.from_period(2, 0.05)
-    with pytest.raises(DomainError, match="refine_points must be at least 2"):
+    with pytest.raises(DomainError, match=f"^refine_points must satisfy 2 <= refine_points, got {refine_points}$"):
         resonance_grid(config, -25.0, 5.0, coarse=3, refine_points=refine_points)
 
 
@@ -138,6 +139,32 @@ def test_steady_state_detuning_is_a_finite_real_number(detuning, monkeypatch):
     config = ArrayConfig.from_period(2, 0.05)
     with pytest.raises(DomainError, match="detuning must be a finite real number"):
         steady_state(config, _drive(0.1), detuning)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[False, True], ["-1", "2"], np.array([True]), [-1.0, np.nan]],
+    ids=["booleans", "strings", "numpy-booleans", "nan"],
+)
+def test_detuning_grid_points_are_finite_real_numbers(grid):
+    """A boolean grid ran on [0, 1] and a string one on its parsed numbers,
+    as numpy converts both; each point now passes the rule of every detuning."""
+    with pytest.raises(DomainError, match="^detuning must be a finite real number, got "):
+        DriveConfig(power=0.1, detuning_grid=grid)
+
+
+@pytest.mark.parametrize("power", [0.0, 0.1])
+@pytest.mark.parametrize("detuning", [math.nan, math.inf, True, "1"])
+def test_linear_amplitudes_take_a_finite_real_detuning(detuning, power):
+    """A NaN detuning returned (nan+nanj, nan+nanj) with RuntimeWarnings, True
+    ran as delta = 1, and a string raised a TypeError; ``coherent_amplitudes``
+    ran at any power (its detuning is unused above zero power)."""
+    config = ArrayConfig.from_period(3, 0.05)
+    message = "^detuning must be a finite real number, got "
+    with pytest.raises(DomainError, match=message):
+        transfer_matrix_amplitudes(config, detuning)
+    with pytest.raises(DomainError, match=message):
+        coherent_amplitudes(config, _drive(power), np.eye(8) / 8, detuning)
 
 
 def test_numpy_integers_and_booleans_are_drive_inputs():
@@ -1094,6 +1121,17 @@ def test_incoherent_fraction_bounds():
     spectrum = incoherent_spectrum(config, drive)
     assert spectrum.incoherent.min() >= -1e-8
     assert spectrum.incoherent.max() <= 1 + 1e-8
+
+
+def test_incoherent_fraction_check_names_its_excess(monkeypatch):
+    """|r| = 1.5 gives I = -1.25; the message carried neither that nor the slack."""
+    def reflecting(config, drive, rhos, grid):
+        return np.full(len(grid), 1.5 + 0j), np.zeros(len(grid), dtype=complex)
+
+    monkeypatch.setattr(driven_module, "_stacked_amplitudes", reflecting)
+    config = ArrayConfig.from_period(1, 0.05)
+    with pytest.raises(NumericalError, match=r"^incoherent fraction left \[0, 1\] by 1\.25 > 1e-08$"):
+        incoherent_spectrum(config, _drive(0.1, [-1.0, 0.0, 1.0]))
 
 
 def test_zero_power_spectrum_is_elastic():

@@ -10,6 +10,7 @@ from wqed_subradiance import (
     ArrayConfig,
     DomainError,
     EigenState,
+    NumericalError,
     ansatz_overlap,
     build_hamiltonian,
     correlation_matrix,
@@ -22,7 +23,8 @@ from wqed_subradiance import (
     most_subradiant_state,
     to_symmetric_tensor,
 )
-from wqed_subradiance.hosvd import _assignment
+from wqed_subradiance.hosvd import _assignment, _validate_hosvd
+from wqed_subradiance.lattice import reduced_unfolding
 from oracles import core_tensor, dense_hosvd_weights, hole_amplitudes
 
 
@@ -88,6 +90,64 @@ def test_hosvd_needs_an_excitation():
 def test_dimerized_profiles_need_an_even_array():
     with pytest.raises(DomainError, match="even number of atoms"):
         dimerized_profiles(5)
+
+
+@pytest.mark.parametrize("profiles", [fermionic_profiles, dimerized_profiles])
+@pytest.mark.parametrize("n_atoms", [4.0, True, np.bool_(True), -2, 0])
+def test_profiles_take_a_positive_integer_atom_count(profiles, n_atoms):
+    """fermionic_profiles(4.0) and (True) raised a TypeError, (-2) numpy's
+    "cannot reshape", and 0 or -2 gave dimerized_profiles an empty family."""
+    with pytest.raises(DomainError, match="^n_atoms must (be an integer|satisfy 1 <= n_atoms), got "):
+        profiles(n_atoms)
+
+
+def _hosvd_parts():
+    """The arguments of ``_validate_hosvd`` for the N = 6, k = 3 most subradiant state."""
+    state = most_subradiant_state(ArrayConfig.from_period(6, 0.05), 3)
+    result = hosvd(to_symmetric_tensor(state))
+    b = reduced_unfolding(state.amplitudes, state.basis) / math.sqrt(3)
+    u = result.factor
+    return b, u, u.conj().T @ b, result.singular_values, 1.0
+
+
+def _scaled_factor(b, u, w, lam, norm):
+    return b, u * (1 + 1e-6), w, lam, norm
+
+
+def _mixed_core(b, u, w, lam, norm):
+    w = w.copy()
+    w[0] += 1e-6 * w[1]
+    return b, u, w, lam, norm
+
+
+def _moved_entry(b, u, w, lam, norm):
+    b = b.copy()
+    b[0, 0] += 1e-6
+    return b, u, w, lam, norm
+
+
+def _grown_norm(b, u, w, lam, norm):
+    return b, u, w, lam, norm + 1e-6
+
+
+@pytest.mark.parametrize(
+    "perturb, check, expected",
+    [
+        (_scaled_factor, "factor is not unitary", lambda lam: 2e-6),
+        (_mixed_core, "core is not quasi-diagonal", lambda lam: 1e-6 * lam[1] ** 2),
+        (_moved_entry, "reconstruction is not exact", lambda lam: 1e-6),
+        (_grown_norm, "weights do not sum to the norm", lambda lam: 2e-6),
+    ],
+    ids=["factor", "core", "reconstruction", "weights"],
+)
+def test_hosvd_checks_name_what_they_measured(perturb, check, expected):
+    """Each check's message restated "1e-10" as a literal and carried no number."""
+    parts = _hosvd_parts()
+    _validate_hosvd(*parts)
+    with pytest.raises(NumericalError, match=f"^HOSVD {check} to 1e-10: .* = ") as err:
+        _validate_hosvd(*perturb(*parts))
+    measured = float(str(err.value).rsplit("= ", 1)[1])
+    assert measured == pytest.approx(expected(parts[3]), rel=1e-2)
 
 
 def test_hosvd_single_excitation_is_trivial():

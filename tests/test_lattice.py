@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,10 +9,21 @@ from hypothesis import strategies as st
 from wqed_subradiance import (
     ArrayConfig,
     DomainError,
+    DriveConfig,
     build_hamiltonian,
+    coherent_amplitudes,
+    correlation_matrix,
+    diagonalize,
+    dimerization_score,
+    dimerized_profiles,
     enumerate_sector,
+    fermionic_profiles,
     min_decay_rate,
     most_subradiant_state,
+    resonance_grid,
+    sector_decay_rates,
+    steady_state,
+    transfer_matrix_amplitudes,
 )
 from wqed_subradiance.lattice import (
     complement_permutation,
@@ -80,12 +92,91 @@ _FOUR = ArrayConfig.from_period(4, 0.05)
 def test_sector_sizes_are_integers(call):
     """A bool k made a basis whose n_excitations was True, and a float N or k
     failed with a TypeError deep inside ``occupied_sites`` or ``range``."""
-    with pytest.raises(DomainError, match="N and k must be integers"):
+    with pytest.raises(DomainError, match="^(N|k) must be an integer, got "):
         call()
 
 
 def test_sector_sizes_may_be_numpy_integers():
     assert enumerate_sector(np.int64(4), np.int32(2)).states == enumerate_sector(4, 2).states
+
+
+_ONE = ArrayConfig.from_period(1, 0.05)
+_PUMP = DriveConfig(power=0.1, detuning_grid=[0.0])
+
+
+def _score(offset):
+    return dimerization_score(correlation_matrix(most_subradiant_state(_FOUR, 2)), offset)
+
+
+def _coherent(detuning):
+    return coherent_amplitudes(_ONE, _PUMP, steady_state(_ONE, _PUMP, 0.0), detuning)
+
+
+# every public numeric argument: its name in the messages, a call that takes
+# it alone, a valid value and one outside its range (None: it has no range)
+_NUMBERS = {
+    "ArrayConfig-n_atoms": ("n_atoms", lambda v: ArrayConfig(n_atoms=v, phase=0.1), 3, 0),
+    "ArrayConfig-phase": ("phase", lambda v: ArrayConfig(n_atoms=3, phase=v), 0.1, None),
+    "from_period-d": ("d_over_lambda", lambda v: ArrayConfig.from_period(3, v), 0.05, -0.1),
+    "enumerate_sector-N": ("N", lambda v: enumerate_sector(v, 0), 4, -1),
+    "enumerate_sector-k": ("k", lambda v: enumerate_sector(4, v), 2, 5),
+    "diagonalize-k": ("k", lambda v: diagonalize(_FOUR, v), 2, 0),
+    "most_subradiant_state-k": ("k", lambda v: most_subradiant_state(_FOUR, v), 2, 5),
+    "sector_decay_rates-k": ("k", lambda v: sector_decay_rates(_FOUR, v), 2, 0),
+    "min_decay_rate-k": ("k", lambda v: min_decay_rate(_FOUR, v), 2, 5),
+    "dimerization_score-offset": ("offset", _score, 1, 2),
+    "DriveConfig-power": ("power", lambda v: DriveConfig(power=v, detuning_grid=[0.0]), 0.1, -1.0),
+    "DriveConfig-grid": ("detuning", lambda v: DriveConfig(power=0.1, detuning_grid=[-1.0, v]), 0.5, None),
+    "steady_state-detuning": ("detuning", lambda v: steady_state(_ONE, _PUMP, v), 0.5, None),
+    "transfer_matrix-detuning": ("detuning", lambda v: transfer_matrix_amplitudes(_ONE, v), 0.5, None),
+    "coherent_amplitudes-detuning": ("detuning", _coherent, 0.5, None),
+    "resonance_grid-start": ("start", lambda v: resonance_grid(_ONE, v, 5.0, coarse=3), -25.0, None),
+    "resonance_grid-stop": ("stop", lambda v: resonance_grid(_ONE, -25.0, v, coarse=3), 5.0, None),
+    "resonance_grid-refine_span": (
+        "refine_span", lambda v: resonance_grid(_ONE, -25.0, 5.0, coarse=3, refine_span=v), 8.0, -1.0
+    ),
+    "resonance_grid-coarse": ("coarse", lambda v: resonance_grid(_ONE, -25.0, 5.0, coarse=v), 3, 0),
+    "resonance_grid-refine_points": (
+        "refine_points", lambda v: resonance_grid(_ONE, -25.0, 5.0, coarse=3, refine_points=v), 3, 1
+    ),
+    "fermionic_profiles-n_atoms": ("n_atoms", fermionic_profiles, 4, 0),
+    "dimerized_profiles-n_atoms": ("n_atoms", dimerized_profiles, 4, 0),
+}
+_NOT_NUMBERS = {
+    "bool": True, "numpy-bool": np.bool_(True), "nan": math.nan, "inf": math.inf,
+    "-inf": -math.inf, "string": "1", "complex": 1j,
+}
+_CASES = [
+    pytest.param(argument, value, id=f"{argument}-{label}")
+    for argument, (_, _, good, outside) in _NUMBERS.items()
+    for label, value in [
+        *_NOT_NUMBERS.items(),
+        *([("float", float(good))] if type(good) is int else []),
+        *([("outside", outside)] if outside is not None else []),
+    ]
+]
+
+
+@pytest.mark.parametrize("argument, value", _CASES)
+def test_every_number_the_library_takes_follows_one_rule(argument, value):
+    """Each numeric argument is an integer or a finite real number, never a
+    boolean, within its bounds, and a refusal names the argument: a boolean or
+    string detuning grid ran, a NaN detuning returned NaN amplitudes, and a
+    float atom count raised a TypeError in the profiles."""
+    name, call, good, outside = _NUMBERS[argument]
+    kind = "an integer" if type(good) is int else "a finite real number"
+    if value is outside:
+        message = rf"^{name} must satisfy .*, got {re.escape(str(value))}$"
+    else:
+        message = rf"^{name} must be {kind}, got "
+    with pytest.raises(DomainError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize("argument", _NUMBERS)
+def test_every_number_the_library_takes_may_be_a_numpy_number(argument):
+    _, call, good, _ = _NUMBERS[argument]
+    call(np.int32(good) if type(good) is int else np.float64(good))
 
 
 @given(st.integers(min_value=1, max_value=12), st.data())

@@ -1573,6 +1573,29 @@ def test_package_imports_only_its_declared_runtime_dependencies():
     assert declared == {"numpy", "PyYAML"}
 
 
+def test_numbers_are_read_only_by_the_one_rule():
+    """``lattice._number`` is the one check of a number the library takes:
+    no other module imports ``numbers``, and ``lattice`` reads it only there."""
+    package = Path(scan_module.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imports = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "numbers"
+        ]
+        reads = {id(node) for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "numbers"}
+        if path.name != "lattice.py":
+            assert not imports and not reads, path.name
+            continue
+        assert [(type(node), node.names[0].asname) for node in imports] == [(ast.Import, None)]
+        (rule,) = [
+            node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_number"
+        ]
+        inside = {id(node) for node in ast.walk(rule) if isinstance(node, ast.Name) and node.id == "numbers"}
+        assert reads and reads == inside
+
+
 _COLD_START_PROBE = """
 import json
 import sys
